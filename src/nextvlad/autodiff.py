@@ -208,9 +208,10 @@ class Primitive:
     """A differentiable operation: forward plus its vector-Jacobian product.
 
     ``forward(*arrays, **kw) -> array`` evaluates the op on raw numpy data.
-    ``vjp(cotangent, out, *arrays, **kw) -> tuple`` returns one cotangent
-    per input (``None`` for non-differentiable inputs), each shaped like the
-    corresponding input.
+    ``vjp(cotangent, out, *arrays, needs, **kw) -> tuple`` returns one
+    cotangent per input, shaped like it.  ``needs`` holds one bool per input,
+    true where it requires a gradient; an input whose flag is false (frames,
+    masks, constants) may get ``None`` instead of a cotangent nobody reads.
     """
 
     name: str
@@ -225,12 +226,13 @@ def apply(prim: Primitive, *inputs: Tensor, **kw) -> Tensor:
     out.data = _contiguous(out_data)
     out.grad = None
     out._op = prim.name
-    if any(t.requires_grad for t in inputs):
+    needs = tuple(t.requires_grad for t in inputs)
+    if any(needs):
         out.requires_grad = True
         out._parents = inputs
 
         def _vjp(cot, _arrays=arrays, _out=out.data, _kw=kw):
-            return prim.vjp(cot, _out, *_arrays, **_kw)
+            return prim.vjp(cot, _out, *_arrays, needs=needs, **_kw)
 
         out._vjp = _vjp
     else:
@@ -273,7 +275,7 @@ def _fw_add(a, b):
 ADD = Primitive(
     "add",
     _fw_add,
-    lambda g, out, a, b: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+    lambda g, out, a, b, needs: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
 )
 
 
@@ -285,7 +287,7 @@ def _fw_sub(a, b):
 SUB = Primitive(
     "sub",
     _fw_sub,
-    lambda g, out, a, b: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+    lambda g, out, a, b, needs: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
 )
 
 
@@ -297,7 +299,8 @@ def _fw_mul(a, b):
 MUL = Primitive(
     "mul",
     _fw_mul,
-    lambda g, out, a, b: (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)),
+    lambda g, out, a, b, needs: (_unbroadcast(g * b, a.shape) if needs[0] else None,
+                                 _unbroadcast(g * a, b.shape) if needs[1] else None),
 )
 
 
@@ -309,13 +312,13 @@ def _fw_div(a, b):
 DIV = Primitive(
     "div",
     _fw_div,
-    lambda g, out, a, b: (
-        _unbroadcast(g / b, a.shape),
-        _unbroadcast(-g * a / (b * b), b.shape),
+    lambda g, out, a, b, needs: (
+        _unbroadcast(g / b, a.shape) if needs[0] else None,
+        _unbroadcast(-g * a / (b * b), b.shape) if needs[1] else None,
     ),
 )
 
-NEG = Primitive("neg", lambda a: -a, lambda g, out, a: (-g,))
+NEG = Primitive("neg", lambda a: -a, lambda g, out, a, needs: (-g,))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -339,7 +342,7 @@ def neg(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# matmul / einsum
+# matmul and residual aggregation
 # ---------------------------------------------------------------------------
 
 
@@ -352,10 +355,10 @@ def _fw_matmul(a, b):
     return a @ b
 
 
-def _vjp_matmul(g, out, a, b):
-    at = np.swapaxes(a, -1, -2)
-    bt = np.swapaxes(b, -1, -2)
-    return (_unbroadcast(g @ bt, a.shape), _unbroadcast(at @ g, b.shape))
+def _vjp_matmul(g, out, a, b, needs):
+    da = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape) if needs[0] else None
+    db = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape) if needs[1] else None
+    return (da, db)
 
 
 MATMUL = Primitive("matmul", _fw_matmul, _vjp_matmul)
@@ -365,40 +368,46 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return apply(MATMUL, a, b)
 
 
-def _parse_einsum(spec: str) -> tuple[str, str, str]:
-    lhs, out = spec.replace(" ", "").split("->")
-    a_sub, b_sub = lhs.split(",")
-    for part, label in ((a_sub, "first operand"), (b_sub, "second operand"), (out, "output")):
-        if len(set(part)) != len(part):
-            raise ValueError(f"einsum2 {spec!r}: repeated index in {label}")
-    if not set(out) <= set(a_sub) | set(b_sub):
-        raise ValueError(f"einsum2 {spec!r}: output index missing from operands")
-    # the VJP swaps output with one operand, so every operand index must be
-    # recoverable from the other operand plus the output
-    if not set(a_sub) <= set(out) | set(b_sub) or not set(b_sub) <= set(out) | set(a_sub):
-        raise ValueError(f"einsum2 {spec!r}: operand index summed away on one side only")
-    return a_sub, b_sub, out
+def _fw_residual_aggregate(assign, feats, anchors, gate, *, mask):
+    _check_same_dtype("residual_aggregate", assign, feats, anchors, gate, mask)
+    b, m, g, k = assign.shape
+    w = (assign * (gate * mask[:, :, None])[..., None]).reshape(b, m * g, k)
+    agg = np.swapaxes(w, 1, 2) @ feats.reshape(b, m * g, -1)
+    agg -= w.sum(axis=1)[:, :, None] * anchors
+    return agg
 
 
-def _fw_einsum2(a, b, *, spec):
-    _check_same_dtype("einsum2", a, b)
-    return np.einsum(spec, a, b, optimize=True)
+def _vjp_residual_aggregate(g_out, out, assign, feats, anchors, gate, *, mask, needs):
+    b, m, g, k = assign.shape
+    scale = (gate * mask[:, :, None])[..., None]
+    w = (assign * scale).reshape(b, m * g, k)
+    d_feats = (w @ g_out).reshape(feats.shape) if needs[1] else None
+    d_anchors = -np.einsum("bk,bkd->kd", w.sum(axis=1), g_out) if needs[2] else None
+    if not (needs[0] or needs[3]):
+        return (None, d_feats, d_anchors, None)
+    # d/dw of sum w * (feats - anchors), shaped like assign
+    dw = feats.reshape(b, m * g, -1) @ np.swapaxes(g_out, 1, 2)
+    dw -= np.einsum("bkd,kd->bk", g_out, anchors)[:, None, :]
+    dw = dw.reshape(assign.shape)
+    d_gate = np.einsum("bmgk,bmgk->bmg", dw, assign) * mask[:, :, None] if needs[3] else None
+    d_assign = np.multiply(dw, scale, out=dw) if needs[0] else None
+    return (d_assign, d_feats, d_anchors, d_gate)
 
 
-def _vjp_einsum2(g, out, a, b, *, spec):
-    a_sub, b_sub, out_sub = _parse_einsum(spec)
-    da = np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b, optimize=True)
-    db = np.einsum(f"{a_sub},{out_sub}->{b_sub}", a, g, optimize=True)
-    return (da, db)
+RESIDUAL_AGGREGATE = Primitive("residual_aggregate", _fw_residual_aggregate, _vjp_residual_aggregate)
 
 
-EINSUM2 = Primitive("einsum2", _fw_einsum2, _vjp_einsum2)
-
-
-def einsum2(spec: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand einsum; indices may not repeat within an operand."""
-    _parse_einsum(spec)
-    return apply(EINSUM2, a, b, spec=spec)
+def residual_aggregate(assign: Tensor, feats: Tensor, anchors: Tensor, gate: Tensor,
+                       mask: np.ndarray) -> Tensor:
+    """VLAD residual sum before normalization, (B, K, D): out[b,k] = sum over
+    frames m and groups g of mask[b,m] gate[b,m,g] assign[b,m,g,k] (feats[b,m,g]
+    - anchors[k]), for assign (B, M, G, K) and feats (B, M, G, D)."""
+    (b, m, g, k), d = assign.shape, feats.shape[-1]
+    got = (feats.shape, anchors.shape, gate.shape, mask.shape)
+    if got != ((b, m, g, d), (k, d), (b, m, g), (b, m)):
+        raise ValueError(f"residual_aggregate: feats, anchors, gate and mask shaped {got} "
+                         f"do not fit assign {assign.shape}")
+    return apply(RESIDUAL_AGGREGATE, assign, feats, anchors, gate, mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +425,7 @@ def _fw_reshape(a, *, shape):
 RESHAPE = Primitive(
     "reshape",
     _fw_reshape,
-    lambda g, out, a, *, shape: (g.reshape(a.shape),),
+    lambda g, out, a, *, shape, needs: (g.reshape(a.shape),),
 )
 
 
@@ -424,7 +433,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     return apply(RESHAPE, a, shape=tuple(shape))
 
 
-def _vjp_transpose(g, out, a, *, axes):
+def _vjp_transpose(g, out, a, *, axes, needs):
     inverse = tuple(np.argsort(axes))
     return (g.transpose(inverse),)
 
@@ -445,7 +454,7 @@ def _fw_concat(*arrays, axis):
     return np.concatenate(arrays, axis=axis)
 
 
-def _vjp_concat(g, out, *arrays, axis):
+def _vjp_concat(g, out, *arrays, axis, needs):
     sizes = [a.shape[axis] for a in arrays]
     splits = np.cumsum(sizes)[:-1]
     return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
@@ -458,7 +467,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return apply(CONCAT, *tensors, axis=axis)
 
 
-def _vjp_narrow(g, out, a, *, axis, start, length):
+def _vjp_narrow(g, out, a, *, axis, start, length, needs):
     pad = np.zeros_like(a)
     sl = [slice(None)] * a.ndim
     sl[axis] = slice(start, start + length)
@@ -503,7 +512,7 @@ def _fw_reduce_sum(a, *, axes, keepdims):
     return a.sum(axis=axes, keepdims=keepdims)
 
 
-def _vjp_reduce_sum(g, out, a, *, axes, keepdims):
+def _vjp_reduce_sum(g, out, a, *, axes, keepdims, needs):
     axes = _norm_axes(axes, a.ndim)
     if not axes:
         return (g,)
@@ -538,14 +547,20 @@ def mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 def _fw_softmax(a, *, axis):
     if np.isnan(a).any():
         raise ValueError("softmax: NaN in input")
-    shifted = a - a.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    # the max by pairwise halving: on a short axis np.maximum beats a.max,
+    # and the maximum does not depend on the order of comparison
+    top = np.moveaxis(a, axis, -1)
+    while top.shape[-1] > 1:
+        h = (top.shape[-1] + 1) // 2
+        top = np.maximum(top[..., :h], top[..., -h:])
+    e = np.exp(a - np.moveaxis(top, -1, axis))
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
-def _vjp_softmax(g, out, a, *, axis):
-    inner = (g * out).sum(axis=axis, keepdims=True)
-    return ((g - inner) * out,)
+def _vjp_softmax(g, out, a, *, axis, needs):
+    gy = g * out
+    return (np.multiply(np.subtract(g, gy.sum(axis=axis, keepdims=True), out=gy), out, out=gy),)
 
 
 SOFTMAX = Primitive("softmax", _fw_softmax, _vjp_softmax)
@@ -556,16 +571,14 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def _fw_sigmoid(a):
-    # two-branch form: never exponentiates a positive argument
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ena = np.exp(a[~pos])
-    out[~pos] = ena / (1.0 + ena)
-    return out
+    # two-branch form: never exponentiates a positive argument; min(a, -a)
+    # rather than -|a| keeps the sign bit of a NaN input
+    e = np.exp(np.minimum(a, -a))
+    d = 1.0 + e
+    return np.where(a >= 0, 1.0 / d, e / d)
 
 
-SIGMOID = Primitive("sigmoid", _fw_sigmoid, lambda g, out, a: (g * out * (1.0 - out),))
+SIGMOID = Primitive("sigmoid", _fw_sigmoid, lambda g, out, a, needs: (g * out * (1.0 - out),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -575,7 +588,7 @@ def sigmoid(a: Tensor) -> Tensor:
 RELU = Primitive(
     "relu",
     lambda a: np.maximum(a, 0),
-    lambda g, out, a: (g * (a > 0),),
+    lambda g, out, a, needs: (g * (a > 0),),
 )
 
 
@@ -587,7 +600,7 @@ def _fw_softplus(a):
     return np.maximum(a, 0) + np.log1p(np.exp(-np.abs(a)))
 
 
-SOFTPLUS = Primitive("softplus", _fw_softplus, lambda g, out, a: (g * _fw_sigmoid(a),))
+SOFTPLUS = Primitive("softplus", _fw_softplus, lambda g, out, a, needs: (g * _fw_sigmoid(a),))
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -595,9 +608,9 @@ def softplus(a: Tensor) -> Tensor:
     return apply(SOFTPLUS, a)
 
 
-EXP = Primitive("exp", np.exp, lambda g, out, a: (g * out,))
-LOG = Primitive("log", np.log, lambda g, out, a: (g / a,))
-SQRT = Primitive("sqrt", np.sqrt, lambda g, out, a: (g * 0.5 / out,))
+EXP = Primitive("exp", np.exp, lambda g, out, a, needs: (g * out,))
+LOG = Primitive("log", np.log, lambda g, out, a, needs: (g / a,))
+SQRT = Primitive("sqrt", np.sqrt, lambda g, out, a, needs: (g * 0.5 / out,))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -615,7 +628,7 @@ def sqrt(a: Tensor) -> Tensor:
 CLIP_MIN = Primitive(
     "clip_min",
     lambda a, *, lo: np.maximum(a, lo),
-    lambda g, out, a, *, lo: (g * (a > lo),),
+    lambda g, out, a, *, lo, needs: (g * (a > lo),),
 )
 
 
@@ -634,7 +647,7 @@ def _fw_l2_normalize(a, *, axis, eps):
     return a / np.maximum(norm, eps)
 
 
-def _vjp_l2_normalize(g, out, a, *, axis, eps):
+def _vjp_l2_normalize(g, out, a, *, axis, eps, needs):
     norm = np.sqrt((a * a).sum(axis=axis, keepdims=True))
     denom = np.maximum(norm, eps)
     inner = (g * out).sum(axis=axis, keepdims=True)
@@ -726,7 +739,7 @@ def _fw_dropout(a, *, mask, scale):
 DROPOUT = Primitive(
     "dropout",
     _fw_dropout,
-    lambda g, out, a, *, mask, scale: (g * mask * scale,),
+    lambda g, out, a, *, mask, scale, needs: (g * mask * scale,),
 )
 
 

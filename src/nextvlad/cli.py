@@ -124,10 +124,14 @@ def cmd_train(args) -> int:
 
     if args.resume:
         state, cfg, _ = _restore(args.resume)
+        shortcuts = [(k, v) for k, v in _train_shortcuts(args) if v is not None]
+        keys = [pair.split("=", 1)[0].strip() for pair in args.overrides] + [k for k, _ in shortcuts]
+        for key in keys:
+            if key.startswith(("model.", "vlad.")) or key.endswith("_dim"):
+                raise ValueError(f"--resume cannot override {key!r}: the checkpoint fixes the model")
         cfg.apply_overrides(args.overrides)
-        for key, value in _train_shortcuts(args):
-            if value is not None:
-                cfg.set(key, value)
+        for key, value in shortcuts:
+            cfg.set(key, value)
     else:
         cfg = _run_config(args, _train_shortcuts(args))
         cfgmod.resolve_dims(cfg, dataset)
@@ -352,8 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eigenvalues")
     p.add_argument("--lr-staircase", action="store_true", default=None,
                    help="floor the decay exponent instead of continuous decay")
-    p.add_argument("--deterministic", action="store_true", default=True,
-                   help="accepted for compatibility; runs are always seeded-deterministic")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="GAP@20 of a checkpoint or prediction dump")

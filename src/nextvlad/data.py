@@ -247,6 +247,11 @@ def make_batch(records, max_frames: int, num_classes: int, dtype=np.float32) -> 
         visual[i, :m] = r.visual[:m]
         audio[i, :m] = r.audio[:m]
         labels[i, r.labels] = 1.0
+    for stream, frames in (("visual", visual), ("audio", audio)):
+        if not np.isfinite(frames).all():
+            i = int(np.flatnonzero(~np.isfinite(frames).reshape(b, -1).all(axis=1))[0])
+            kind = "NaN" if np.isnan(frames[i]).any() else "infinite"
+            raise ValueError(f"video {records[i].video_id!r}: {kind} value in {stream} frames")
     return Batch(
         video=FrameBatchView.from_lengths(visual, lengths),
         audio=FrameBatchView.from_lengths(audio, lengths),

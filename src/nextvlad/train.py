@@ -12,6 +12,7 @@ identical loss trajectories.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -85,6 +86,7 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
+    scratch: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def create(named_params: dict) -> "AdamState":
@@ -95,7 +97,7 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place.
+    """One bias-corrected Adam update, in place; temporaries live in ``state.scratch``.
 
     ``params`` maps names to tensors, ``grads`` names to arrays (missing or
     None entries count as zero).  A NaN gradient aborts, naming the tensor.
@@ -114,13 +116,17 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
             raise ValueError(f"gradient shape {g.shape} != param shape {p.data.shape} for {name!r}")
         m = state.m[name]
         v = state.v[name]
+        buf = state.scratch.get(m.dtype)
+        if buf is None or buf.size < 2 * m.size:
+            buf = state.scratch[m.dtype] = np.empty(2 * m.size, m.dtype)
+        a, b = buf[:2 * m.size].reshape((2,) + m.shape)  # views, never copies
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p.data = p.data - (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
+        v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=a), out=a)
+        denom = np.add(np.sqrt(np.divide(v, bias2, out=a), out=a), ADAM_EPS, out=a)
+        step = np.divide(np.multiply(lr, np.divide(m, bias1, out=b), out=b), denom, out=b)
+        p.data = p.data - step.astype(p.data.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -293,25 +299,31 @@ def _gather_tensors(state: TrainState) -> dict:
 
 def save_checkpoint(state: TrainState, path, config_echo: str = "") -> None:
     """Serialize parameters, BN running stats, optimizer moments and the
-    config echo; the round-trip is bit-exact."""
+    config echo, atomically (temp file, then rename); the round-trip is bit-exact."""
     tensors = _gather_tensors(state)
     echo = config_echo.encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<IQQ", CHECKPOINT_VERSION, state.global_step, state.adam.step))
-        f.write(struct.pack("<I", len(echo)))
-        f.write(echo)
-        f.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name])
-            if arr.dtype not in _DTYPE_CODES:
-                raise ValueError(f"cannot serialize dtype {arr.dtype} of {name!r}")
-            ident = name.encode("utf-8")
-            f.write(struct.pack("<H", len(ident)))
-            f.write(ident)
-            f.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<IQQ", CHECKPOINT_VERSION, state.global_step, state.adam.step))
+            f.write(struct.pack("<I", len(echo)))
+            f.write(echo)
+            f.write(struct.pack("<I", len(tensors)))
+            for name in sorted(tensors):
+                arr = np.ascontiguousarray(tensors[name])
+                if arr.dtype not in _DTYPE_CODES:
+                    raise ValueError(f"cannot serialize dtype {arr.dtype} of {name!r}")
+                ident = name.encode("utf-8")
+                f.write(struct.pack("<H", len(ident)))
+                f.write(ident)
+                f.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> Checkpoint:

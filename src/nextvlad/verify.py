@@ -125,7 +125,9 @@ def gradient_checks(seed: int = 0) -> list:
 
     t = lambda *shape: Tensor(rng.normal(shape))  # noqa: E731
     check("matmul", ad.MATMUL, t(3, 4), t(4, 2))
-    check("einsum bmk,bmn->bkn", lambda a, b: ad.einsum2("bmk,bmn->bkn", a, b), t(2, 3, 4), t(2, 3, 5))
+    mask = (rng.uniform((2, 3)) > 0.3).astype(np.float64)
+    check("residual_aggregate", lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, mask),
+          t(2, 3, 2, 4), t(2, 3, 2, 5), t(4, 5), t(2, 3, 2))
     check("softmax", lambda x: ad.softmax(x, axis=-1), t(3, 5))
     check("sigmoid", ad.SIGMOID, t(4,))
     check("softplus", ad.SOFTPLUS, t(6,))

@@ -362,16 +362,13 @@ class FrameBatchView:
 def netvlad_aggregate(view: FrameBatchView, core: NetVladCore) -> Tensor:
     """Masked residual aggregation, pre-normalization: (B, K, N)."""
     b, m, n = view.frames.shape
-    k = core.assign_w.shape[0]
     if n != core.assign_w.shape[1]:
         raise ValueError(f"frame dim {n} != assignment dim {core.assign_w.shape[1]}")
-    logits = ad.einsum2("bmn,kn->bmk", view.frames, core.assign_w) + core.assign_b
-    alpha = ad.softmax(logits, axis=-1)
-    weights = alpha * view.mask.reshape((b, m, 1))
-    weighted_sum = ad.einsum2("bmk,bmn->bkn", weights, view.frames)
-    total = ad.reduce_sum(weights, axes=1)  # (B, K)
-    anchor_part = total.reshape((b, k, 1)) * core.anchors.reshape((1, k, n))
-    return weighted_sum - anchor_part
+    logits = ad.matmul(view.frames.reshape((b * m, n)), ad.transpose(core.assign_w, (1, 0)))
+    alpha = ad.softmax(logits + core.assign_b, axis=-1)  # (B*M, K)
+    gate = Tensor(np.ones((b, m, 1), dtype=view.frames.dtype))  # one group, always open
+    return ad.residual_aggregate(alpha.reshape((b, m, 1, -1)), view.frames.reshape((b, m, 1, n)),
+                                 core.anchors, gate, mask=view.mask.data)
 
 
 def netvlad_descriptor(view: FrameBatchView, core: NetVladCore) -> Tensor:
@@ -393,26 +390,15 @@ def nextvlad_aggregate(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
     if n != core.expand_w.shape[0]:
         raise ValueError(f"frame dim {n} != expansion dim {core.expand_w.shape[0]}")
     g = core.groups
-    lam_n = core.expand_w.shape[1]
-    gk = core.assign_w.shape[1]
-    k = gk // g
-    d = lam_n // g
-
+    k, d = core.anchors.shape
     flat = view.frames.reshape((b * m, n))
     expanded = ad.matmul(flat, core.expand_w) + core.expand_b  # (B*M, lamN)
 
     attn = ad.sigmoid(ad.matmul(expanded, core.attn_w) + core.attn_b)  # (B*M, G)
-    assign_logits = (ad.matmul(expanded, core.assign_w) + core.assign_b).reshape((b * m, g, k))
-    assign = ad.softmax(assign_logits, axis=-1)  # (B*M, G, K)
-
-    weights = (assign * attn.reshape((b * m, g, 1))).reshape((b, m, g, k))
-    weights = weights * view.mask.reshape((b, m, 1, 1))
-
-    grouped = expanded.reshape((b, m, g, d))
-    weighted_sum = ad.einsum2("bmgk,bmgd->bkd", weights, grouped)
-    total = ad.reduce_sum(weights, axes=(1, 2))  # (B, K)
-    anchor_part = total.reshape((b, k, 1)) * core.anchors.reshape((1, k, d))
-    return weighted_sum - anchor_part
+    assign_logits = (ad.matmul(expanded, core.assign_w) + core.assign_b).reshape((b, m, g, k))
+    assign = ad.softmax(assign_logits, axis=-1)  # (B, M, G, K)
+    return ad.residual_aggregate(assign, expanded.reshape((b, m, g, d)), core.anchors,
+                                 attn.reshape((b, m, g)), mask=view.mask.data)
 
 
 def nextvlad_descriptor(view: FrameBatchView, core: NeXtVladCore) -> Tensor:

@@ -292,7 +292,7 @@ def test_grad_check_locates_corrupted_vjp():
     flipped = Primitive(
         "bad_sigmoid",
         ad.SIGMOID.forward,
-        lambda g, out, a: (-g * out * (1.0 - out),),  # sign flip
+        lambda g, out, a, needs: (-g * out * (1.0 - out),),  # sign flip
     )
     report = grad_check(flipped, [t64(Rng(13), 4)])
     assert not report.passed
@@ -312,7 +312,6 @@ PRIMITIVE_CASES = [
     ("div", lambda a, b: a / (b * b + 1.0), 2),
     ("neg", lambda a: -a, 1),
     ("matmul", lambda a, b: ad.matmul(a.reshape((2, -1)), b.reshape((-1, 2))), 2),
-    ("einsum2", lambda a, b: ad.einsum2("ij,kj->ik", a.reshape((2, -1)), b.reshape((2, -1))), 2),
     ("softmax", lambda a: ad.softmax(a, axis=-1), 1),
     ("sigmoid", ad.sigmoid, 1),
     ("relu", ad.relu, 1),
@@ -369,3 +368,133 @@ def test_backward_rejects_bad_cotangent_shape():
     y = x * 2.0
     with pytest.raises(ValueError, match="cotangent"):
         y.backward(np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# residual aggregation and gradient-aware VJPs
+# ---------------------------------------------------------------------------
+
+
+def residual_inputs(rng, b=2, m=3, g=2, k=3, d=4):
+    mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])[:b, :m]
+    return (t64(rng, b, m, g, k), t64(rng, b, m, g, d), t64(rng, k, d),
+            Tensor(0.5 + rng.uniform((b, m, g))), mask)
+
+
+def residual_loops(assign, feats, anchors, gate, mask):
+    b, m, g, k = assign.shape
+    out = np.zeros((b, k, feats.shape[-1]))
+    for bi in range(b):
+        for mi in range(m):
+            for gi in range(g):
+                for ki in range(k):
+                    w = mask[bi, mi] * gate[bi, mi, gi] * assign[bi, mi, gi, ki]
+                    out[bi, ki] += w * (feats[bi, mi, gi] - anchors[ki])
+    return out
+
+
+def test_residual_aggregate_matches_loops():
+    a, x, c, s, mask = residual_inputs(Rng(40))
+    got = ad.residual_aggregate(a, x, c, s, mask).data
+    assert np.abs(got - residual_loops(a.data, x.data, c.data, s.data, mask)).max() < 1e-12
+
+
+def test_residual_aggregate_shape_mismatch_rejected():
+    a, x, c, s, mask = residual_inputs(Rng(41))
+    with pytest.raises(ValueError, match="residual_aggregate"):
+        ad.residual_aggregate(a, x, t64(Rng(1), 2, 4), s, mask)
+    with pytest.raises(ValueError, match="residual_aggregate"):
+        ad.residual_aggregate(a, x, c, s, mask[:, :2])
+
+
+@pytest.mark.parametrize("gated", [True, False])
+def test_residual_aggregate_grad_checks(gated):
+    a, x, c, s, mask = residual_inputs(Rng(42))
+    if gated:
+        report = grad_check(lambda *ts: ad.residual_aggregate(*ts, mask), [a, x, c, s])
+    else:
+        ones = Tensor(np.ones(s.shape))
+        report = grad_check(lambda a, x, c: ad.residual_aggregate(a, x, c, ones, mask), [a, x, c])
+    assert report.passed, str(report)
+
+
+def test_residual_aggregate_grad_checks_with_constant_inputs():
+    a, x, c, s, mask = residual_inputs(Rng(43))
+    report = grad_check(lambda a, c: ad.residual_aggregate(a, x, c, s, mask), [a, c])
+    assert report.passed, str(report)
+
+
+def test_residual_aggregate_vjp_skips_unneeded_inputs():
+    a, x, c, s, mask = residual_inputs(Rng(44))
+    arrays = (a.data, x.data, c.data, s.data)
+    cot = Rng(45).normal((2, 3, 4))
+    full = ad.RESIDUAL_AGGREGATE.vjp(cot, None, *arrays, mask=mask, needs=(True,) * 4)
+    for needs in [(True, False, True, False), (False, True, False, True), (False, False, True, False)]:
+        part = ad.RESIDUAL_AGGREGATE.vjp(cot, None, *arrays, mask=mask, needs=needs)
+        for need, got, ref in zip(needs, part, full):
+            assert (got is None) if not need else np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("prim", [ad.MATMUL, ad.MUL, ad.DIV], ids=lambda p: p.name)
+def test_binary_vjps_skip_unneeded_inputs(prim):
+    rng = Rng(46)
+    a, b = rng.normal((3, 4)), 2.0 + rng.uniform((4, 4) if prim is ad.MATMUL else (3, 4))
+    cot = rng.normal(prim.forward(a, b).shape)
+    full = prim.vjp(cot, None, a, b, needs=(True, True))
+    assert all(g is not None for g in full)
+    first, second = prim.vjp(cot, None, a, b, needs=(True, False))
+    assert second is None and np.array_equal(first, full[0])
+    first, second = prim.vjp(cot, None, a, b, needs=(False, True))
+    assert first is None and np.array_equal(second, full[1])
+
+
+def test_frames_get_no_cotangent_through_matmul():
+    seen = []
+
+    def probe_vjp(g, out, a, b, needs):
+        seen.append(needs)
+        return ad.MATMUL.vjp(g, out, a, b, needs=needs)
+
+    prim = Primitive("probe", ad.MATMUL.forward, probe_vjp)
+    frames, w = Tensor(np.ones((2, 3))), ad.parameter(np.ones((3, 2)))
+    ad.reduce_sum(ad.apply(prim, frames, w)).backward()
+    assert seen == [(False, True)] and frames.grad is None and w.grad is not None
+
+
+# ---------------------------------------------------------------------------
+# hot primitives stay byte-identical to their earlier formulas
+# ---------------------------------------------------------------------------
+
+
+def sigmoid_boolean_scatter(a):
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ena = np.exp(a[~pos])
+    out[~pos] = ena / (1.0 + ena)
+    return out
+
+
+def softmax_reduce_max(a, axis):
+    shifted = a - a.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bytes_match_boolean_scatter_form(dtype):
+    rng = Rng(50)
+    x = np.concatenate([rng.normal((493,)) * 8, rng.normal((64,)) * 300,
+                        [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-40, -1e-40]]).astype(dtype)
+    x = x.reshape(188, 3)
+    assert ad.sigmoid(Tensor(x)).data.tobytes() == sigmoid_boolean_scatter(x).tobytes()
+
+
+@pytest.mark.parametrize("shape,axis", [((7, 8), -1), ((5, 4, 3, 32), -1), ((6, 5), 0),
+                                        ((3, 7, 2), 1), ((4, 1), -1), ((2, 3, 9), 2)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_bytes_match_reduce_max_form(shape, axis, dtype):
+    x = np.round(Rng(51).normal(shape) * 4).astype(dtype) * 7  # ties in the max
+    x.reshape(-1)[::5] = -np.inf
+    with np.errstate(invalid="ignore"):
+        assert ad.softmax(Tensor(x), axis=axis).data.tobytes() == softmax_reduce_max(x, axis).tobytes()

@@ -213,6 +213,23 @@ def test_resume_continues_log(tmp_path, tiny_dataset):
     assert [r.split(",")[0] for r in rows] == [str(i) for i in range(1, 9)]
 
 
+@pytest.mark.parametrize("extra", [["--set", "model.hidden=32"], ["--set", "vlad.clusters=3"],
+                                   ["--set", "model.video_dim=6"], ["--model", "netvlad"]])
+def test_resume_rejects_model_overrides(tmp_path, tiny_dataset, capsys, extra):
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+                 "--steps", "2", "--batch-size", "8", "--seed", "3"] + TINY) == 0
+    ckpt = out / "checkpoint.ckpt"
+    before = ckpt.read_bytes()
+    rc = main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+               "--resume", str(ckpt), "--steps", "4"] + extra)
+    assert rc == 1
+    key = extra[1].split("=")[0] if extra[0] == "--set" else "model.kind"
+    assert repr(key) in capsys.readouterr().err
+    assert ckpt.read_bytes() == before
+    assert main(["eval", "--dataset", str(tiny_dataset), "--checkpoint", str(ckpt)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # param-count / verify
 # ---------------------------------------------------------------------------

@@ -236,6 +236,20 @@ def test_labels_multi_hot():
         assert set(np.nonzero(row)[0].tolist()) == set(r.labels.tolist())
 
 
+@pytest.mark.parametrize("stream,value,word", [("visual", np.nan, "NaN"),
+                                               ("audio", np.inf, "infinite")])
+def test_non_finite_frames_rejected_naming_video(stream, value, word):
+    records = small_dataset().records
+    frames = getattr(records[2], stream)
+    frames[0, 1] = value
+    with pytest.raises(ValueError, match=f"{records[2].video_id}.*{word}.*{stream}"):
+        make_batch(records, 8, 4)
+    # frames cut off by max_frames never reach the model, so they pass
+    frames[0, 1] = 0.0
+    frames[-1, 1] = value
+    make_batch(records, len(frames) - 1, 4)
+
+
 def test_empty_batch_rejected():
     with pytest.raises(ValueError, match="empty"):
         make_batch([], 4, 2)

@@ -107,6 +107,34 @@ def test_adam_nan_gradient_names_tensor():
         adam_step({"classifier_w": w}, {"classifier_w": np.array([np.nan, 0.0])}, state, 0.1)
 
 
+def adam_reference(p, g, m, v, t, lr):
+    """The allocating form of one Adam update, kept as the byte reference."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    return p - (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_bytes_match_allocating_form(dtype):
+    rng = Rng(60)
+    shapes = {"small": (3,), "big": (40, 30), "mid": (7, 5)}  # scratch grows mid-step
+    params = {k: Tensor(rng.normal(s).astype(dtype), requires_grad=True) for k, s in shapes.items()}
+    ref = {k: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)) for k, t in params.items()}
+    state = AdamState.create(params)
+    for t in range(1, 6):
+        grads = {k: (rng.normal(s) * 10 ** (t - 3)).astype(dtype) for k, s in shapes.items()}
+        lr = 1e-3 * 0.8 ** t
+        adam_step(params, grads, state, lr)
+        for k, (p, m, v) in ref.items():
+            ref[k] = (adam_reference(p, grads[k], m, v, t, lr), m, v)
+            assert params[k].data.tobytes() == ref[k][0].tobytes()
+            assert state.m[k].tobytes() == m.tobytes() and state.v[k].tobytes() == v.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # lr schedule
 # ---------------------------------------------------------------------------
@@ -263,6 +291,26 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     # each run also evaluates at its own final step
     trajectory = lambda rows: [(r.step, r.lr, r.loss, r.bce, r.kl) for r in rows]  # noqa: E731
     assert trajectory(head + tail) == trajectory(full_rows)
+
+
+def test_failed_save_leaves_previous_checkpoint_intact(tmp_path):
+    ds = desk_dataset()
+    state = fresh_state()
+    train_loop(state, ds, desk_train_config(max_steps=2), max_frames=5)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(state, path, config_echo="good\n")
+    before = path.read_bytes()
+
+    train_loop(state, ds, desk_train_config(max_steps=3), max_frames=5)
+    name = sorted(state.adam.v)[-1]  # written last, after most tensors
+    state.adam.v[name] = state.adam.v[name].astype(np.float16)
+    with pytest.raises(ValueError, match="cannot serialize"):
+        save_checkpoint(state, path, config_echo="bad\n")
+
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+    ckpt = load_checkpoint(path)
+    assert ckpt.global_step == 2 and ckpt.config_echo == "good\n"
 
 
 def test_truncated_checkpoint_rejected(tmp_path):
