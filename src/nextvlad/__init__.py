@@ -1,68 +1,5 @@
 """NeXtVLAD video classification, from scratch on a minimal autodiff core."""
 
-from .autodiff import (
-    BatchNormState,
-    Primitive,
-    Tensor,
-    batch_norm,
-    dropout,
-    l2_normalize,
-    matmul,
-    reduce_sum,
-    sigmoid,
-    softmax,
-)
-from .data import (
-    Batch,
-    Dataset,
-    SyntheticSpec,
-    VideoRecord,
-    gen_synthetic,
-    load_eigenvalues,
-    make_batch,
-    read_dataset,
-    write_dataset,
-    write_eigenvalues,
-)
-from .gradcheck import GradCheckReport, grad_check
-from .losses import LossConfig, bce_loss, kl_divergence, rank_soft_prediction, total_loss
-from .metrics import PredictionSet, gap_at_20, gap_reference, topk_predictions
-from .model import (
-    Eigenvalues,
-    MixtureParams,
-    ModelConfig,
-    ModelParams,
-    SecgParams,
-    mixture_forward,
-    model_forward,
-    reverse_whitening,
-    se_context_gating,
-)
-from .rng import Rng, derive_seed
-from .train import (
-    AdamState,
-    Checkpoint,
-    TrainConfig,
-    TrainState,
-    adam_step,
-    apply_checkpoint,
-    evaluate_gap,
-    load_checkpoint,
-    lr_schedule,
-    save_checkpoint,
-    train_loop,
-)
-from .vlad import (
-    FrameBatchView,
-    NetVladConfig,
-    NetVladParams,
-    NeXtVladConfig,
-    NeXtVladParams,
-    netvlad_forward,
-    nextvlad_forward,
-    nextvlad_reference,
-    param_count_netvlad,
-    param_count_nextvlad,
-)
+from . import autodiff, data, losses, metrics, model, rng, train, vlad
 
 __version__ = "0.1.0"

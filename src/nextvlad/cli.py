@@ -18,20 +18,8 @@ import numpy as np
 
 from . import config as cfgmod
 from . import train as trainmod
-from .data import (
-    Dataset,
-    gen_synthetic,
-    load_eigenvalues,
-    read_dataset,
-    write_dataset,
-)
-from .metrics import (
-    PredictionSet,
-    gap_at_20,
-    prediction_set_from_scores,
-    read_predictions_csv,
-    write_predictions_csv,
-)
+from .data import gen_synthetic, load_eigenvalues, read_dataset, write_dataset
+from .metrics import PredictionSet, gap_at_20, read_predictions_csv, write_predictions_csv
 from .model import Eigenvalues, MixtureParams, ModelParams, SecgParams
 from .rng import Rng, derive_seed
 from .vlad import (
@@ -136,6 +124,9 @@ def cmd_train(args) -> int:
         cfg = _run_config(args, _train_shortcuts(args))
         cfgmod.resolve_dims(cfg, dataset)
         state = trainmod.TrainState.create(_build_params(cfg))
+    cfgmod.check_dims(cfg, dataset, args.dataset)
+    if eval_dataset is not None:
+        cfgmod.check_dims(cfg, eval_dataset, args.eval_dataset)
 
     train_cfg = cfgmod.train_config_from(cfg)
     max_frames = cfgmod.batch_max_frames(cfg)
@@ -155,8 +146,11 @@ def cmd_train(args) -> int:
     ckpt_path = out_dir / "checkpoint.ckpt"
     trainmod.save_checkpoint(state, ckpt_path, echo)
 
-    gap_source = eval_dataset if eval_dataset is not None else dataset
-    gap = trainmod.evaluate_gap(state.params, gap_source, max_frames)
+    if rows:
+        gap = rows[-1].gap  # train_loop always scores its final step
+    else:  # a resumed run already past its step budget
+        gap_source = eval_dataset if eval_dataset is not None else dataset
+        gap = trainmod.evaluate_gap(state.params, gap_source, max_frames)
     print(f"trained {state.global_step} steps; checkpoint {ckpt_path}; GAP {gap:.4f}")
     return 0
 
@@ -180,74 +174,52 @@ def _train_shortcuts(args):
 def cmd_eval(args) -> int:
     dataset = read_dataset(args.dataset)
     if args.predictions:
-        by_video = read_predictions_csv(args.predictions)
+        by_video = read_predictions_csv(args.predictions, dataset.num_classes)
         preds = PredictionSet()
         for r in dataset.records:
             if r.video_id not in by_video:
                 raise ValueError(f"{args.predictions}: no predictions for {r.video_id!r}")
             preds.add_video(r.video_id, r.labels.tolist(), by_video[r.video_id])
-        gap = gap_at_20(preds)
-        print(f"GAP@20 {gap:.6f} over {len(dataset)} videos (from {args.predictions})")
-        return 0
-
-    state, cfg, _ = _restore(args.checkpoint)
-    max_frames = cfgmod.batch_max_frames(cfg)
-    gap = trainmod.evaluate_gap(state.params, dataset, max_frames)
-    print(f"GAP@20 {gap:.6f} over {len(dataset)} videos")
-    _per_class_report(state.params, dataset, max_frames)
+        source = f" (from {args.predictions})"
+    else:
+        preds = _predict_from_checkpoint(args.checkpoint, dataset, args.dataset)
+        source = ""
+    print(f"GAP@20 {gap_at_20(preds):.6f} over {len(dataset)} videos{source}")
+    _per_class_report(preds, dataset.num_classes)
     return 0
 
 
-def _per_class_report(params, dataset: Dataset, max_frames: int, limit: int = 50) -> None:
-    from .data import make_batch
-    from . import autodiff as ad
-    from .metrics import topk_predictions
-
-    c = dataset.num_classes
-    true_count = np.zeros(c, dtype=np.int64)
-    pred_count = np.zeros(c, dtype=np.int64)
-    hit_count = np.zeros(c, dtype=np.int64)
-    k = min(20, c)
-    for start in range(0, len(dataset.records), 64):
-        chunk = dataset.records[start:start + 64]
-        batch = make_batch(chunk, max_frames, c)
-        scores = ad.sigmoid(trainmod.predict_logits(params, batch)).data
-        classes, _ = topk_predictions(scores, k)
-        for i, r in enumerate(chunk):
-            labels = set(r.labels.tolist())
-            for cls in labels:
-                true_count[cls] += 1
-            for cls in classes[i]:
-                pred_count[cls] += 1
-                if int(cls) in labels:
-                    hit_count[int(cls)] += 1
+def _per_class_report(preds: PredictionSet, num_classes: int, limit: int = 50) -> None:
+    """Per class: videos labelled with it, top-k appearances, and hits among those."""
+    true_count = np.zeros(num_classes, dtype=np.int64)
+    pred_count = np.zeros(num_classes, dtype=np.int64)
+    hit_count = np.zeros(num_classes, dtype=np.int64)
+    for video in preds.videos:
+        for cls in video.labels:
+            true_count[cls] += 1
+        for cls, _ in video.predictions:
+            pred_count[cls] += 1
+            if cls in video.labels:
+                hit_count[cls] += 1
     print(f"{'class':>6} {'true':>8} {'in_top20':>10} {'hits':>8}")
-    for cls in range(min(c, limit)):
+    for cls in range(min(num_classes, limit)):
         print(f"{cls:>6} {true_count[cls]:>8} {pred_count[cls]:>10} {hit_count[cls]:>8}")
-    if c > limit:
-        print(f"... ({c - limit} more classes)")
+    if num_classes > limit:
+        print(f"... ({num_classes - limit} more classes)")
+
+
+def _predict_from_checkpoint(checkpoint_path: str, dataset, dataset_path: str) -> PredictionSet:
+    state, cfg, _ = _restore(checkpoint_path)
+    cfgmod.check_dims(cfg, dataset, dataset_path)
+    return trainmod.predict(state.params, dataset, cfgmod.batch_max_frames(cfg))
 
 
 def cmd_predict(args) -> int:
     dataset = read_dataset(args.dataset)
-    state, cfg, _ = _restore(args.checkpoint)
-    max_frames = cfgmod.batch_max_frames(cfg)
-    from . import autodiff as ad
-    from .data import make_batch
-
-    k = min(20, dataset.num_classes)
-    all_scores = []
-    for start in range(0, len(dataset.records), 64):
-        chunk = dataset.records[start:start + 64]
-        batch = make_batch(chunk, max_frames, dataset.num_classes)
-        all_scores.append(ad.sigmoid(trainmod.predict_logits(state.params, batch)).data)
-    scores = np.concatenate(all_scores, axis=0)
-    preds = prediction_set_from_scores(
-        [r.video_id for r in dataset.records],
-        [r.labels.tolist() for r in dataset.records],
-        scores, k=k)
+    preds = _predict_from_checkpoint(args.checkpoint, dataset, args.dataset)
     write_predictions_csv(preds, args.out)
-    print(f"wrote top-{k} predictions for {len(dataset)} videos to {args.out}")
+    print(f"wrote top-{min(20, dataset.num_classes)} predictions for {len(dataset)} videos "
+          f"to {args.out}")
     return 0
 
 

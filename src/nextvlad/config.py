@@ -178,15 +178,26 @@ def _stream_vlad(cfg: RunConfig, input_dim: int, audio: bool):
     raise ValueError(f"model.kind must be nextvlad or netvlad, got {cfg['model.kind']!r}")
 
 
+_DATASET_DIMS = (("model.video_dim", "visual_dim"),
+                 ("model.audio_dim", "audio_dim"),
+                 ("model.num_classes", "num_classes"))
+
+
 def resolve_dims(cfg: RunConfig, dataset=None) -> None:
     """Fill the 0 = "take from dataset" dims in place so the echo is concrete."""
-    for key, attr in (("model.video_dim", "visual_dim"),
-                      ("model.audio_dim", "audio_dim"),
-                      ("model.num_classes", "num_classes")):
+    for key, attr in _DATASET_DIMS:
         if cfg[key] == 0:
             if dataset is None:
                 raise ValueError(f"{key} unset and no dataset to take it from")
             cfg.set(key, getattr(dataset, attr))
+
+
+def check_dims(cfg: RunConfig, dataset, path) -> None:
+    """Reject a dataset (read from ``path``) whose dims differ from the model's."""
+    for key, attr in _DATASET_DIMS:
+        if cfg[key] != getattr(dataset, attr):
+            raise ValueError(f"{path}: {attr} is {getattr(dataset, attr)} but the model "
+                             f"has {key} = {cfg[key]}")
 
 
 def model_config_from(cfg: RunConfig) -> ModelConfig:

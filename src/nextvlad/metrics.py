@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -74,28 +75,14 @@ class PredictionSet:
         return entries
 
 
-def gap_at_20(preds: PredictionSet, literal_recall_form: bool = False) -> float:
-    """Pooled average precision over all videos' top-20 predictions.
-
-    With ``literal_recall_form`` the sum uses the plain recall value at the
-    first 20 pooled ranks instead of the recall increment; that variant can
-    exceed 1 and is kept only for study, not as the acceptance metric.
-    """
+def gap_at_20(preds: PredictionSet) -> float:
+    """Pooled average precision over all videos' top-20 predictions."""
     if not preds.videos:
         raise ValueError("empty prediction set")
     total_true = preds.total_true_labels()
     if total_true == 0:
         raise ValueError("no true labels anywhere; GAP undefined")
     pooled = preds.pooled()
-
-    if literal_recall_form:
-        gap = 0.0
-        hits = 0
-        for i, entry in enumerate(pooled[:MAX_PREDICTIONS], start=1):
-            hits += entry[3]
-            gap += (hits / i) * (hits / total_true)
-        return gap
-
     recall_step = 1.0 / total_true
     gap = 0.0
     hits = 0
@@ -162,16 +149,29 @@ def write_predictions_csv(preds: PredictionSet, path) -> None:
             writer.writerow([vid, class_id, repr(conf)])
 
 
-def read_predictions_csv(path) -> dict:
-    """Read a prediction dump back as {video_id: [(class_id, confidence)]}."""
+def read_predictions_csv(path, num_classes: Optional[int] = None) -> dict:
+    """Read a prediction dump back as {video_id: [(class_id, confidence)]}.
+
+    A class id must be an integer >= 0, and below ``num_classes`` when that is
+    given; a bad row raises ValueError naming the file and line.
+    """
     out: dict[str, list] = {}
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != ["video_id", "class_id", "confidence"]:
-            raise ValueError(f"unexpected prediction CSV header: {header}")
+            raise ValueError(f"{path}: unexpected prediction CSV header: {header}")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             if len(row) != 3:
-                raise ValueError(f"malformed prediction row: {row}")
-            out.setdefault(row[0], []).append((int(row[1]), float(row[2])))
+                raise ValueError(f"{where}: malformed prediction row: {row}")
+            try:
+                class_id, conf = int(row[1]), float(row[2])
+            except ValueError:
+                raise ValueError(f"{where}: class id {row[1]!r} or confidence {row[2]!r} "
+                                 f"is not a number") from None
+            if class_id < 0 or (num_classes is not None and class_id >= num_classes):
+                bound = "" if num_classes is None else f" and < {num_classes}"
+                raise ValueError(f"{where}: class id {class_id} must be >= 0{bound}")
+            out.setdefault(row[0], []).append((class_id, conf))
     return out

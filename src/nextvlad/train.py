@@ -140,14 +140,14 @@ def predict_logits(params, batch, training: bool = False, rng: Optional[Rng] = N
     return model_forward(batch, params, training, rng)
 
 
-def evaluate_gap(
+def predict(
     params,
     dataset: Dataset,
     max_frames: int,
     batch_size: int = 64,
     top_k: int = 20,
-) -> float:
-    """GAP@k of the model over a dataset, inference mode."""
+) -> PredictionSet:
+    """Top-k sigmoid scores of every video, inference mode, in dataset order."""
     preds = PredictionSet()
     k = min(top_k, dataset.num_classes)
     for start in range(0, len(dataset.records), batch_size):
@@ -157,7 +157,18 @@ def evaluate_gap(
         classes, confs = topk_predictions(scores, k)
         for i, r in enumerate(chunk):
             preds.add_video(r.video_id, r.labels.tolist(), list(zip(classes[i], confs[i])))
-    return gap_at_20(preds)
+    return preds
+
+
+def evaluate_gap(
+    params,
+    dataset: Dataset,
+    max_frames: int,
+    batch_size: int = 64,
+    top_k: int = 20,
+) -> float:
+    """GAP@k of the model over a dataset, inference mode."""
+    return gap_at_20(predict(params, dataset, max_frames, batch_size, top_k))
 
 
 # ---------------------------------------------------------------------------

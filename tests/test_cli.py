@@ -165,22 +165,76 @@ def test_train_eval_cross_command_consistency(tmp_path, tiny_dataset, capsys):
 
 
 def test_predict_then_eval_from_csv_matches(tmp_path, tiny_dataset, capsys):
-    out = tmp_path / "run"
-    main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
-          "--steps", "8", "--batch-size", "8", "--seed", "5"] + TINY)
-    capsys.readouterr()
-    assert main(["eval", "--checkpoint", str(out / "checkpoint.ckpt"),
-                 "--dataset", str(tiny_dataset)]) == 0
-    direct = float(capsys.readouterr().out.splitlines()[0].split()[1])
+    for mixture in ("1", "3"):
+        out = tmp_path / f"run{mixture}"
+        main(["train", "--dataset", str(tiny_dataset), "--out", str(out), "--mixture", mixture,
+              "--steps", "8", "--batch-size", "8", "--seed", "5"] + TINY)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.ckpt"),
+                     "--dataset", str(tiny_dataset)]) == 0
+        direct = capsys.readouterr().out
 
-    csv_path = tmp_path / "preds.csv"
-    assert main(["predict", "--checkpoint", str(out / "checkpoint.ckpt"),
-                 "--dataset", str(tiny_dataset), "--out", str(csv_path)]) == 0
-    capsys.readouterr()
-    assert main(["eval", "--predictions", str(csv_path),
-                 "--dataset", str(tiny_dataset)]) == 0
-    from_csv = float(capsys.readouterr().out.splitlines()[0].split()[1])
-    assert direct == from_csv
+        csv_path = out / "preds.csv"
+        assert main(["predict", "--checkpoint", str(out / "checkpoint.ckpt"),
+                     "--dataset", str(tiny_dataset), "--out", str(csv_path)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--predictions", str(csv_path),
+                     "--dataset", str(tiny_dataset)]) == 0
+        from_csv = capsys.readouterr().out
+        assert "in_top20" in direct
+        assert from_csv == direct.replace(" videos\n", f" videos (from {csv_path})\n", 1)
+
+    # a class id the dataset does not have is rejected, naming the file
+    csv_path.write_text(csv_path.read_text().replace(",3,", ",4,", 1))
+    assert main(["eval", "--predictions", str(csv_path), "--dataset", str(tiny_dataset)]) == 1
+    assert f"{csv_path}:" in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_eval_runs_the_model_once_per_batch(tmp_path, monkeypatch, capsys):
+    import nextvlad.train as trainmod
+
+    data = tmp_path / "d130.fav"
+    assert main(["gen-data", "--out", str(data), "--videos", "130", "--classes", "4",
+                 "--set", "data.visual_dim=8", "--set", "data.audio_dim=4",
+                 "--set", "data.frames_min=2", "--set", "data.frames_max=4"]) == 0
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(data), "--out", str(out),
+                 "--steps", "1", "--batch-size", "8"] + TINY) == 0
+    calls = _count_calls(monkeypatch, trainmod, "predict_logits")
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.ckpt"), "--dataset", str(data)]) == 0
+    assert len(calls) == 3  # ceil(130 / 64)
+
+
+def test_train_scores_each_evaluation_once(tmp_path, tiny_dataset, monkeypatch, capsys):
+    import nextvlad.train as trainmod
+
+    calls = _count_calls(monkeypatch, trainmod, "predict")
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+                 "--steps", "5", "--eval-every", "2", "--batch-size", "8"] + TINY) == 0
+    rows = (out / "train_log.csv").read_text().splitlines()[1:]
+    scored = [r for r in rows if r.split(",")[5]]
+    assert len(scored) == 3  # steps 2, 4 and the final step 5
+    assert len(calls) == len(scored)
+    assert capsys.readouterr().out.endswith(f"GAP {float(scored[-1].split(',')[5]):.4f}\n")
+
+    # a resumed run already past its budget still reports a GAP, scoring once
+    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+                 "--resume", str(out / "checkpoint.ckpt"), "--steps", "5"]) == 0
+    assert len(calls) == len(scored) + 1
+    assert "GAP" in capsys.readouterr().out
 
 
 def test_mixture_with_zero_temperature_logs_zero_kl(tmp_path, tiny_dataset):
@@ -258,6 +312,27 @@ def test_verify_command_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "checks passed" in out
+
+
+def test_dataset_dims_must_match_the_model(tmp_path, tiny_dataset, capsys):
+    other = tmp_path / "five.fav"
+    assert main(["gen-data", "--out", str(other), "--videos", "8", "--classes", "5",
+                 "--set", "data.visual_dim=8", "--set", "data.audio_dim=4",
+                 "--set", "data.frames_min=2", "--set", "data.frames_max=4"]) == 0
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+                 "--steps", "1", "--batch-size", "8"] + TINY) == 0
+    ckpt = str(out / "checkpoint.ckpt")
+    capsys.readouterr()
+    for argv in (["eval", "--checkpoint", ckpt, "--dataset", str(other)],
+                 ["predict", "--checkpoint", ckpt, "--dataset", str(other),
+                  "--out", str(tmp_path / "p.csv")],
+                 ["train", "--dataset", str(other), "--out", str(out), "--resume", ckpt],
+                 ["train", "--dataset", str(tiny_dataset), "--eval-dataset", str(other),
+                  "--out", str(tmp_path / "fresh"), "--steps", "1"] + TINY):
+        assert main(argv) == 1
+        assert f"{other}: num_classes is 5" in capsys.readouterr().err
+    assert not (tmp_path / "fresh" / "checkpoint.ckpt").exists()
 
 
 def test_eval_requires_source(capsys, tmp_path, tiny_dataset):

@@ -111,14 +111,6 @@ def test_prediction_validation():
         gap_at_20(empty_labels)
 
 
-def test_literal_recall_form_exceeds_delta_form_on_perfect_case():
-    preds = PredictionSet()
-    preds.add_video("a", [0, 1], [(0, 0.9), (1, 0.8)])
-    literal = gap_at_20(preds, literal_recall_form=True)
-    assert literal == (1 / 1) * (1 / 2) + (2 / 2) * (2 / 2)  # 1.5: printed form overshoots
-    assert gap_at_20(preds) == 1.0
-
-
 # ---------------------------------------------------------------------------
 # top-k
 # ---------------------------------------------------------------------------
@@ -180,3 +172,14 @@ def test_predictions_csv_rejects_bad_header(tmp_path):
     path.write_text("nope,nope,nope\n")
     with pytest.raises(ValueError, match="header"):
         read_predictions_csv(path)
+
+
+@pytest.mark.parametrize("class_id, match", [("-1", "must be >= 0 and < 9"),
+                                              ("9", "must be >= 0 and < 9"),
+                                              ("2.5", "not a number")])
+def test_predictions_csv_rejects_bad_class_id(tmp_path, class_id, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"video_id,class_id,confidence\nv0,3,0.9\nv0,{class_id},0.5\n")
+    with pytest.raises(ValueError, match=match) as err:
+        read_predictions_csv(path, num_classes=9)
+    assert f"{path}:3:" in str(err.value)
