@@ -175,11 +175,15 @@ def cmd_eval(args) -> int:
     dataset = read_dataset(args.dataset)
     if args.predictions:
         by_video = read_predictions_csv(args.predictions, dataset.num_classes)
+        ids = [r.video_id for r in dataset.records]
+        missing = [vid for vid in ids if vid not in by_video]
+        if missing:
+            raise ValueError(f"{args.predictions}: no predictions for {missing[0]!r}")
+        rows = [by_video[vid] for vid in ids]
+        flat = [p for row in rows for p in row]
         preds = PredictionSet()
-        for r in dataset.records:
-            if r.video_id not in by_video:
-                raise ValueError(f"{args.predictions}: no predictions for {r.video_id!r}")
-            preds.add_video(r.video_id, r.labels.tolist(), by_video[r.video_id])
+        preds.append(ids, [r.labels for r in dataset.records], [len(row) for row in rows],
+                     [c for c, _ in flat], [s for _, s in flat])
         source = f" (from {args.predictions})"
     else:
         preds = _predict_from_checkpoint(args.checkpoint, dataset, args.dataset)
@@ -191,16 +195,10 @@ def cmd_eval(args) -> int:
 
 def _per_class_report(preds: PredictionSet, num_classes: int, limit: int = 50) -> None:
     """Per class: videos labelled with it, top-k appearances, and hits among those."""
-    true_count = np.zeros(num_classes, dtype=np.int64)
-    pred_count = np.zeros(num_classes, dtype=np.int64)
-    hit_count = np.zeros(num_classes, dtype=np.int64)
-    for video in preds.videos:
-        for cls in video.labels:
-            true_count[cls] += 1
-        for cls, _ in video.predictions:
-            pred_count[cls] += 1
-            if cls in video.labels:
-                hit_count[cls] += 1
+    col = preds.columns()
+    true_count = np.bincount(col.label_cls, minlength=num_classes)
+    pred_count = np.bincount(col.cls, minlength=num_classes)
+    hit_count = np.bincount(col.cls[col.hit], minlength=num_classes)
     print(f"{'class':>6} {'true':>8} {'in_top20':>10} {'hits':>8}")
     for cls in range(min(num_classes, limit)):
         print(f"{cls:>6} {true_count[cls]:>8} {pred_count[cls]:>10} {hit_count[cls]:>8}")

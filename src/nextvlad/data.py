@@ -29,7 +29,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .model import Eigenvalues
-from .rng import Rng
+from .rng import Rng, words_to_integers, words_to_normals, words_to_permutation
 from .vlad import FrameBatchView
 
 DATASET_MAGIC = b"FAV1"
@@ -187,21 +187,35 @@ def _unit_rows(rng: Rng, rows: int, cols: int) -> np.ndarray:
 
 
 def gen_synthetic(spec: SyntheticSpec) -> Dataset:
-    """Deterministically generate a planted-concept multi-label dataset."""
+    """Deterministically generate a planted-concept multi-label dataset.
+
+    Per video the stream holds, in order: a label-count word, the C-1 words
+    of a label permutation (the first n_labels entries are the labels), a
+    frame-count word, then the visual and the audio noise normals, each
+    rounded up to whole Box-Muller pairs.  They are taken in two draws, the
+    C+1 count and permutation words and then all the normals; the visual
+    block has an even word count, so the audio pairs stay aligned.
+    """
     rng = Rng(spec.seed)
     visual_concepts = _unit_rows(rng, spec.num_classes, spec.visual_dim)
     audio_concepts = _unit_rows(rng, spec.num_classes, spec.audio_dim)
+    c = spec.num_classes
+    spans = np.array([spec.labels_max - spec.labels_min + 1, spec.frames_max - spec.frames_min + 1])
+    lows = np.array([spec.labels_min, spec.frames_min])
 
     records = []
     for v in range(spec.num_videos):
-        n_labels = spec.labels_min + int(rng.integers(1, spec.labels_max - spec.labels_min + 1)[0])
-        labels = np.sort(rng.choice_without_replacement(spec.num_classes, n_labels))
-        m = spec.frames_min + int(rng.integers(1, spec.frames_max - spec.frames_min + 1)[0])
+        head = rng.next_u64(c + 1)
+        n_labels, m = (lows + words_to_integers(head[[0, c]], spans)).tolist()
+        labels = np.sort(words_to_permutation(head[1:c], c)[:n_labels])
+        n_visual, n_audio = m * spec.visual_dim, m * spec.audio_dim
+        visual_words = n_visual + n_visual % 2
+        noise = spec.noise_sigma * words_to_normals(rng.next_u64(visual_words + n_audio + n_audio % 2))
 
         visual_base = visual_concepts[labels].mean(axis=0)
         audio_base = audio_concepts[labels].mean(axis=0)
-        visual = visual_base[None, :] + spec.noise_sigma * rng.normal((m, spec.visual_dim))
-        audio = audio_base[None, :] + spec.noise_sigma * rng.normal((m, spec.audio_dim))
+        visual = visual_base[None, :] + noise[:n_visual].reshape(m, spec.visual_dim)
+        audio = audio_base[None, :] + noise[visual_words:visual_words + n_audio].reshape(m, spec.audio_dim)
 
         records.append(VideoRecord(
             video_id=f"v{v:06d}",

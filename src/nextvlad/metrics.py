@@ -15,58 +15,139 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 MAX_PREDICTIONS = 20
 
 
-@dataclass
-class _VideoEntry:
+class _VideoEntry(NamedTuple):
     video_id: str
     labels: frozenset
-    predictions: list  # [(class_id, confidence)]
+    predictions: tuple  # ((class_id, confidence), ...)
 
 
-@dataclass
+class Columns(NamedTuple):
+    """Flat prediction rows (video index, class id, confidence, hit flag) and
+    true-label rows (video index, class id), each grouped by video in
+    insertion order."""
+
+    video: np.ndarray
+    cls: np.ndarray
+    conf: np.ndarray
+    hit: np.ndarray
+    label_video: np.ndarray
+    label_cls: np.ndarray
+
+
+_EMPTY = Columns(*(np.zeros(0, dtype) for dtype in (np.int64, np.int64, np.float64, bool,
+                                                    np.int64, np.int64)))
+
+
 class PredictionSet:
     """Per-video top-k predictions plus ground truth, in insertion order.
 
-    At most 20 predictions per video; duplicate (video, class) pairs and
-    non-finite confidences are rejected at construction.
+    Stored as flat arrays (see ``Columns``), appended one block of videos at
+    a time.  At most 20 predictions per video; duplicate video ids, duplicate
+    (video, class) pairs, negative class ids or true labels and non-finite
+    confidences are rejected, naming the video, and a rejected block leaves
+    the set unchanged.
     """
 
-    videos: list = field(default_factory=list)
-    _ids: set = field(default_factory=set)
+    def __init__(self):
+        self.video_ids: list = []
+        self._ids: set = set()
+        self._blocks = [_EMPTY]  # Columns, concatenated into one on read
+
+    def append(self, video_ids, label_sets, counts, classes, confs) -> None:
+        """Add a block of videos.  ``label_sets`` holds each video's true
+        class ids.  Video i has ``counts[i]`` predictions (one int: the same
+        count for all); ``classes`` and ``confs`` hold them all, grouped by
+        video in block order."""
+        ids = list(video_ids)
+        block_ids = set()
+        for vid in ids:
+            if vid in self._ids or vid in block_ids:
+                raise ValueError(f"duplicate video id {vid!r}")
+            block_ids.add(vid)
+        label_rows = np.repeat(np.arange(len(ids)), [len(labels) for labels in label_sets])
+        label_cls = np.concatenate([_EMPTY.label_cls, *label_sets]).astype(np.int64, copy=False)
+        counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), (len(ids),))
+        pred_rows = np.repeat(np.arange(len(ids)), counts)
+        classes = np.asarray(classes, dtype=np.int64)
+        confs = np.asarray(confs, dtype=np.float64)
+        if classes.shape != pred_rows.shape or confs.shape != pred_rows.shape:
+            raise ValueError(f"{pred_rows.size} predictions counted, but {classes.shape} class ids "
+                             f"and {confs.shape} confidences given")
+        over = np.flatnonzero(counts > MAX_PREDICTIONS)
+        if over.size:
+            raise ValueError(f"{ids[over[0]]!r}: {counts[over[0]]} predictions exceeds {MAX_PREDICTIONS}")
+        for rows, values, what in ((label_rows, label_cls, "negative true label"),
+                                   (pred_rows, classes, "negative class id")):
+            if values.size and values.min() < 0:
+                i = np.argmin(values)
+                raise ValueError(f"{ids[rows[i]]!r}: {what} {values[i]}")
+        # (video, class) pairs as one integer each, and tables over all of the
+        # block's pairs, the size of its (B, C) multi-hot label matrix
+        width = 1 + max(label_cls.max(initial=0), classes.max(initial=0))
+        pred_keys = pred_rows * width + classes
+        repeated = np.flatnonzero(np.bincount(pred_keys, minlength=len(ids) * width) > 1)
+        if repeated.size:
+            row, cls = divmod(int(repeated[0]), width)
+            raise ValueError(f"{ids[row]!r}: duplicate prediction for class {cls}")
+        bad = np.flatnonzero(~np.isfinite(confs))
+        if bad.size:
+            raise ValueError(f"{ids[pred_rows[bad[0]]]!r}: non-finite confidence for class "
+                             f"{classes[bad[0]]}")
+
+        is_label = np.zeros(len(ids) * width, dtype=bool)
+        is_label[label_rows * width + label_cls] = True  # a repeated label counts once
+        label_keys = np.flatnonzero(is_label)
+        first = len(self.video_ids)
+        self._blocks.append(Columns(
+            video=pred_rows + first,
+            cls=classes,
+            conf=confs,
+            hit=is_label[pred_keys],
+            label_video=label_keys // width + first,
+            label_cls=label_keys % width,
+        ))
+        self.video_ids.extend(ids)
+        self._ids |= block_ids
 
     def add_video(self, video_id: str, true_labels, predictions) -> None:
-        if video_id in self._ids:
-            raise ValueError(f"duplicate video id {video_id!r}")
-        if len(predictions) > MAX_PREDICTIONS:
-            raise ValueError(
-                f"{video_id!r}: {len(predictions)} predictions exceeds {MAX_PREDICTIONS}")
-        seen = set()
-        for class_id, conf in predictions:
-            if class_id in seen:
-                raise ValueError(f"{video_id!r}: duplicate prediction for class {class_id}")
-            seen.add(class_id)
-            if not math.isfinite(conf):
-                raise ValueError(f"{video_id!r}: non-finite confidence for class {class_id}")
-        self._ids.add(video_id)
-        self.videos.append(_VideoEntry(
-            video_id=video_id,
-            labels=frozenset(int(c) for c in true_labels),
-            predictions=[(int(c), float(s)) for c, s in predictions],
-        ))
+        """Add one video: true class ids and [(class_id, confidence)]."""
+        self.append([video_id], [list(true_labels)], len(predictions),
+                    [c for c, _ in predictions], [s for _, s in predictions])
+
+    def columns(self) -> Columns:
+        if len(self._blocks) > 1:
+            self._blocks = [Columns(*map(np.concatenate, zip(*self._blocks)))]
+        return self._blocks[0]
+
+    @property
+    def videos(self) -> list:
+        """Read-only per-video view, rebuilt from the arrays on each access."""
+        col = self.columns()
+        n = len(self.video_ids)
+        pred_ends = np.cumsum(np.bincount(col.video, minlength=n)).tolist()
+        label_ends = np.cumsum(np.bincount(col.label_video, minlength=n)).tolist()
+        cls, conf, labels = col.cls.tolist(), col.conf.tolist(), col.label_cls.tolist()
+        out, p0, l0 = [], 0, 0
+        for vid, p1, l1 in zip(self.video_ids, pred_ends, label_ends):
+            out.append(_VideoEntry(vid, frozenset(labels[l0:l1]), tuple(zip(cls[p0:p1], conf[p0:p1]))))
+            p0, l0 = p1, l1
+        return out
 
     def total_true_labels(self) -> int:
-        return sum(min(len(v.labels), MAX_PREDICTIONS) for v in self.videos)
+        per_video = np.bincount(self.columns().label_video, minlength=len(self.video_ids))
+        return int(np.minimum(per_video, MAX_PREDICTIONS).sum())
 
     def pooled(self) -> list:
         """All predictions as (confidence, video_index, class_id, is_hit),
-        sorted by confidence descending with (video, class) tie-break."""
+        sorted by confidence descending with (video, class) tie-break.
+        Built per video in Python from ``videos``: the oracle's path."""
         entries = []
         for vi, video in enumerate(self.videos):
             for class_id, conf in video.predictions:
@@ -75,32 +156,36 @@ class PredictionSet:
         return entries
 
 
-def gap_at_20(preds: PredictionSet) -> float:
-    """Pooled average precision over all videos' top-20 predictions."""
-    if not preds.videos:
+def _check_scorable(preds: PredictionSet) -> int:
+    """The recall denominator; raises when GAP is undefined."""
+    if not preds.video_ids:
         raise ValueError("empty prediction set")
     total_true = preds.total_true_labels()
     if total_true == 0:
         raise ValueError("no true labels anywhere; GAP undefined")
-    pooled = preds.pooled()
-    recall_step = 1.0 / total_true
-    gap = 0.0
-    hits = 0
-    for i, entry in enumerate(pooled, start=1):
-        if entry[3]:
-            hits += 1
-            gap += (hits / i) * recall_step
+    return total_true
+
+
+def gap_at_20(preds: PredictionSet) -> float:
+    """Pooled average precision over all videos' top-20 predictions.
+
+    One lexsort ranks the pool (confidence descending, then video, then
+    class); the precision at each hit, times the recall step, is summed by
+    ``np.cumsum``, which adds in rank order like a scalar loop would.
+    """
+    recall_step = 1.0 / _check_scorable(preds)
+    col = preds.columns()
+    ranks = np.flatnonzero(col.hit[np.lexsort((col.cls, col.video, -col.conf))]) + 1
+    if not ranks.size:
+        return 0.0
+    gap = float(np.cumsum(np.arange(1, ranks.size + 1) / ranks * recall_step)[-1])
     return min(gap, 1.0)  # the true value never exceeds 1; rounding can
 
 
 def gap_reference(preds: PredictionSet) -> float:
     """Brute-force oracle: recounts precision and recall from scratch at
     every rank of the pooled list.  Quadratic; test-scale inputs only."""
-    if not preds.videos:
-        raise ValueError("empty prediction set")
-    total_true = preds.total_true_labels()
-    if total_true == 0:
-        raise ValueError("no true labels anywhere; GAP undefined")
+    total_true = _check_scorable(preds)
     pooled = preds.pooled()
     gap = 0.0
     for i in range(1, len(pooled) + 1):
@@ -127,21 +212,19 @@ def topk_predictions(scores: np.ndarray, k: int = MAX_PREDICTIONS):
 
 
 def prediction_set_from_scores(video_ids, label_sets, scores, k: int = MAX_PREDICTIONS) -> PredictionSet:
+    """Top-k of each score row; ``label_sets`` holds each video's class ids."""
     classes, confs = topk_predictions(scores, k)
     preds = PredictionSet()
-    for i, vid in enumerate(video_ids):
-        preds.add_video(vid, label_sets[i], list(zip(classes[i], confs[i])))
+    preds.append(video_ids, label_sets, classes.shape[-1], classes.reshape(-1), confs.reshape(-1))
     return preds
 
 
 def write_predictions_csv(preds: PredictionSet, path) -> None:
     """Dump as ``video_id,class_id,confidence`` rows, sorted by video id,
     then confidence descending, then class id."""
-    rows = []
-    for video in preds.videos:
-        for class_id, conf in video.predictions:
-            rows.append((video.video_id, class_id, float(conf)))
-    rows.sort(key=lambda r: (r[0], -r[2], r[1]))
+    col = preds.columns()
+    ids = [preds.video_ids[v] for v in col.video.tolist()]
+    rows = sorted(zip(ids, col.cls.tolist(), col.conf.tolist()), key=lambda r: (r[0], -r[2], r[1]))
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["video_id", "class_id", "confidence"])
@@ -153,7 +236,8 @@ def read_predictions_csv(path, num_classes: Optional[int] = None) -> dict:
     """Read a prediction dump back as {video_id: [(class_id, confidence)]}.
 
     A class id must be an integer >= 0, and below ``num_classes`` when that is
-    given; a bad row raises ValueError naming the file and line.
+    given, and a confidence a finite number; a bad row raises ValueError
+    naming the file and line.
     """
     out: dict[str, list] = {}
     with open(path, newline="") as f:
@@ -170,6 +254,8 @@ def read_predictions_csv(path, num_classes: Optional[int] = None) -> dict:
             except ValueError:
                 raise ValueError(f"{where}: class id {row[1]!r} or confidence {row[2]!r} "
                                  f"is not a number") from None
+            if not math.isfinite(conf):
+                raise ValueError(f"{where}: confidence {row[2]!r} is not finite")
             if class_id < 0 or (num_classes is not None and class_id >= num_classes):
                 bound = "" if num_classes is None else f" and < {num_classes}"
                 raise ValueError(f"{where}: class id {class_id} must be >= 0{bound}")

@@ -25,6 +25,14 @@ the counter by n.  Derived quantities:
 * integer in [0, bound):      floor(uniform * bound)
 * permutation of n:           Fisher-Yates from the high index down, using
                               one integer draw in [0, i+1) per position i
+
+The permutation's n-1 integer draws are consecutive words of the stream, and
+the swap index j_i = min(floor(u_i * (i+1)), i) depends on word i and position
+i alone, never on the permutation built so far.  So all j_i are computed in
+one vectorised pass and only the swaps run in a loop, with the same words and
+the same final counter as one draw per position.  The ``words_to_*``
+functions apply the derivations above to words drawn earlier, so a caller can
+take several quantities' words in one ``next_u64`` call.
 """
 
 from __future__ import annotations
@@ -66,6 +74,36 @@ def derive_seed(base: int, *tags: int) -> int:
     return s
 
 
+def words_to_uniform(words: np.ndarray) -> np.ndarray:
+    """Uniform doubles in [0, 1), one per word."""
+    return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def words_to_integers(words: np.ndarray, bound) -> np.ndarray:
+    """Integers in [0, bound), one per word; ``bound`` may be an array."""
+    return np.minimum((words_to_uniform(words) * bound).astype(np.int64), bound - 1)
+
+
+def words_to_normals(words: np.ndarray) -> np.ndarray:
+    """Box-Muller: two normals per consecutive pair of words (even count)."""
+    u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
+    u2 = words_to_uniform(words[1::2])
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * math.pi) * u2
+    z = np.empty(words.size, dtype=np.float64)
+    z[0::2] = r * np.cos(theta)
+    z[1::2] = r * np.sin(theta)
+    return z
+
+
+def words_to_permutation(words: np.ndarray, n: int) -> np.ndarray:
+    """Fisher-Yates permutation of n from its n-1 words (positions n-1 .. 1)."""
+    perm = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), words_to_integers(words, np.arange(n, 1, -1)).tolist()):
+        perm[i], perm[j] = perm[j], perm[i]
+    return np.array(perm, dtype=np.int64)
+
+
 class Rng:
     """Sequential view over the SplitMix64 counter stream for one seed."""
 
@@ -85,22 +123,13 @@ class Rng:
 
     def uniform(self, shape=(), dtype=np.float64) -> np.ndarray:
         n = int(np.prod(shape)) if shape else 1
-        u = (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        u = words_to_uniform(self.next_u64(n))
         out = u.reshape(shape) if shape else u[0]
         return np.asarray(out, dtype=dtype) if shape else dtype(out)
 
     def normal(self, shape=(), dtype=np.float64) -> np.ndarray:
         n = int(np.prod(shape)) if shape else 1
-        pairs = (n + 1) // 2
-        words = self.next_u64(2 * pairs)
-        u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * math.pi) * u2
-        z = np.empty(2 * pairs, dtype=np.float64)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
-        z = z[:n]
+        z = words_to_normals(self.next_u64(n + n % 2))[:n]
         out = z.reshape(shape) if shape else z[0]
         return np.asarray(out, dtype=dtype) if shape else dtype(out)
 
@@ -108,15 +137,10 @@ class Rng:
         """n independent integers in [0, bound)."""
         if bound < 1:
             raise ValueError(f"bound must be >= 1, got {bound}")
-        u = (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        return np.minimum((u * bound).astype(np.int64), bound - 1)
+        return words_to_integers(self.next_u64(n), bound)
 
     def permutation(self, n: int) -> np.ndarray:
-        perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = int(self.integers(1, i + 1)[0])
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return words_to_permutation(self.next_u64(max(n - 1, 0)), n)
 
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct integers from [0, n), in draw order."""

@@ -155,8 +155,7 @@ def predict(
         batch = make_batch(chunk, max_frames, dataset.num_classes)
         scores = ad.sigmoid(predict_logits(params, batch)).data
         classes, confs = topk_predictions(scores, k)
-        for i, r in enumerate(chunk):
-            preds.add_video(r.video_id, r.labels.tolist(), list(zip(classes[i], confs[i])))
+        preds.append(batch.video_ids, [r.labels for r in chunk], k, classes.reshape(-1), confs.reshape(-1))
     return preds
 
 

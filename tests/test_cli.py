@@ -190,6 +190,27 @@ def test_predict_then_eval_from_csv_matches(tmp_path, tiny_dataset, capsys):
     assert f"{csv_path}:" in capsys.readouterr().err
 
 
+def test_per_class_report_counts_match_a_per_video_loop(capsys):
+    from nextvlad.cli import _per_class_report
+    from nextvlad.rng import Rng
+    from nextvlad.verify import random_prediction_set
+
+    preds = random_prediction_set(Rng(70), max_videos=40)
+    true_count, pred_count, hit_count = (np.zeros(12, dtype=np.int64) for _ in range(3))
+    for video in preds.videos:
+        for cls in video.labels:
+            true_count[cls] += 1
+        for cls, _ in video.predictions:
+            pred_count[cls] += 1
+            hit_count[cls] += cls in video.labels
+    _per_class_report(preds, 12, limit=10)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["class", "true", "in_top20", "hits"]
+    assert [list(map(int, line.split())) for line in lines[1:11]] == [
+        [c, true_count[c], pred_count[c], hit_count[c]] for c in range(10)]
+    assert lines[11:] == ["... (2 more classes)"]
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)

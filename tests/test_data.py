@@ -1,5 +1,7 @@
 """FAV1/EIGV formats, synthetic generator signal, batching."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,55 @@ def test_same_seed_same_bytes(tmp_path):
     p3 = tmp_path / "c.fav"
     write_dataset(different, p3)
     assert p1.read_bytes() != p3.read_bytes()
+
+
+@pytest.mark.parametrize("spec, digest", [
+    # odd visual/audio dims: a video's visual normals end mid-pair
+    (SyntheticSpec(num_videos=40, num_classes=7, visual_dim=5, audio_dim=3, frames_min=1,
+                   frames_max=6, labels_min=1, labels_max=4, noise_sigma=0.3, seed=2024),
+     "eb4ce793398910f2b9f10a41cb2f07f5f49aa90f4c76bc5b4e87986446c08eea"),
+    # fixed label and frame counts: their draws still consume a word each
+    (SyntheticSpec(num_videos=25, num_classes=6, visual_dim=8, audio_dim=4, frames_min=3,
+                   frames_max=3, labels_min=2, labels_max=2, seed=77),
+     "17647c2b67522061a6389fa74d9f616e70826c6a97fcd9c1f0465bc4a8328127"),
+])
+def test_generator_bytes_are_pinned(tmp_path, spec, digest):
+    """The FAV1 bytes of a spec never change: the digests pin the documented
+    draw order, so a faster generator must reproduce it word for word."""
+    path = tmp_path / "pinned.fav"
+    write_dataset(gen_synthetic(spec), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def gen_synthetic_reference(spec):
+    """The generator as one draw per quantity, in the documented order."""
+    rng = Rng(spec.seed)
+    concepts = []
+    for dim in (spec.visual_dim, spec.audio_dim):
+        m = rng.normal((spec.num_classes, dim))
+        concepts.append(m / np.maximum(np.sqrt((m * m).sum(axis=1, keepdims=True)), 1e-12))
+    records = []
+    for v in range(spec.num_videos):
+        n_labels = spec.labels_min + int(rng.integers(1, spec.labels_max - spec.labels_min + 1)[0])
+        labels = np.sort(rng.choice_without_replacement(spec.num_classes, n_labels))
+        m = spec.frames_min + int(rng.integers(1, spec.frames_max - spec.frames_min + 1)[0])
+        frames = [c[labels].mean(axis=0)[None, :] + spec.noise_sigma * rng.normal((m, c.shape[1]))
+                  for c in concepts]
+        records.append(VideoRecord(f"v{v:06d}", labels, *frames))
+    return Dataset(records, spec.num_classes, spec.visual_dim, spec.audio_dim)
+
+
+@pytest.mark.parametrize("spec", [
+    SyntheticSpec(num_videos=30, num_classes=9, visual_dim=7, audio_dim=5, frames_min=1,
+                  frames_max=5, labels_min=1, labels_max=9, seed=5),
+    SyntheticSpec(num_videos=20, num_classes=1, visual_dim=1, audio_dim=2, frames_min=2,
+                  frames_max=3, labels_min=1, labels_max=1, seed=6),
+])
+def test_generator_matches_one_draw_per_quantity(tmp_path, spec):
+    fast, slow = tmp_path / "fast.fav", tmp_path / "slow.fav"
+    write_dataset(gen_synthetic(spec), fast)
+    write_dataset(gen_synthetic_reference(spec), slow)
+    assert fast.read_bytes() == slow.read_bytes()
 
 
 def test_label_range_validation():

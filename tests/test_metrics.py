@@ -47,6 +47,65 @@ def test_matches_brute_force_oracle_exactly_100_cases():
         assert gap_at_20(preds) == gap_reference(preds)
 
 
+def tie_heavy_scores(rng, videos, classes):
+    """Scores from a 3-value grid: most confidences tie within and across videos."""
+    return np.array([0.2, 0.5, 0.8])[rng.integers(videos * classes, 3)].reshape(videos, classes)
+
+
+def test_matches_brute_force_oracle_exactly_on_tie_heavy_sets():
+    rng = Rng(64)
+    for _ in range(60):
+        videos, classes = 1 + int(rng.integers(1, 12)[0]), 2 + int(rng.integers(1, 25)[0])
+        k = 1 + int(rng.integers(1, min(classes, 20))[0])
+        labels = [rng.choice_without_replacement(classes, int(rng.integers(1, 4)[0])).tolist()
+                  for _ in range(videos)]
+        labels[0] = labels[0] or [0]
+        preds = prediction_set_from_scores([f"v{i}" for i in range(videos)], labels,
+                                           tie_heavy_scores(rng, videos, classes), k=k)
+        assert gap_at_20(preds) == gap_reference(preds)
+
+
+def test_rows_added_one_by_one_equal_one_block():
+    rng = Rng(65)
+    scores = tie_heavy_scores(rng, 30, 12)
+    labels = [rng.choice_without_replacement(12, 1 + int(rng.integers(1, 3)[0])).tolist()
+              for _ in range(30)]
+    ids = [f"v{i}" for i in range(30)]
+    block = prediction_set_from_scores(ids, labels, scores, k=7)
+    classes, confs = topk_predictions(scores, 7)
+    rows = PredictionSet()
+    for i, vid in enumerate(ids):
+        rows.add_video(vid, labels[i], list(zip(classes[i].tolist(), confs[i].tolist())))
+    assert gap_at_20(rows) == gap_at_20(block) == gap_reference(block)
+    assert rows.total_true_labels() == block.total_true_labels()
+    assert rows.videos == block.videos
+    for a, b in zip(rows.columns(), block.columns()):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("ids, counts, classes, confs, match", [
+    (["a", "b", "a"], 2, [0, 1] * 3, [0.5, 0.4] * 3, "duplicate video id 'a'"),
+    (["x", "b", "c"], 2, [0, 1] * 3, [0.5, 0.4] * 3, "duplicate video id 'x'"),
+    (["a", "b", "c"], [1, 2, 1], [0, 2, 2, 1], [0.5] * 4, "'b': duplicate prediction for class 2"),
+    (["a", "b", "c"], 2, [0, 1] * 3, [0.5, 0.4, 0.3, 0.2, 0.1, np.nan],
+     "'c': non-finite confidence for class 1"),
+    (["a", "b", "c"], [0, 2, 1], [3, -1, 0], [0.5] * 3, "'b': negative class id -1"),
+    (["a", "b", "c"], [1, 21, 0], list(range(22)), [0.5] * 22, "'b': 21 predictions exceeds 20"),
+])
+def test_block_append_rejects_bad_rows_naming_the_video(ids, counts, classes, confs, match):
+    preds = PredictionSet()
+    preds.add_video("x", [0], [(0, 0.9)])
+    with pytest.raises(ValueError, match=match):
+        preds.append(ids, [[0], [1], [2]], counts, np.array(classes), np.array(confs))
+    # a rejected block leaves the set as it was
+    assert preds.video_ids == ["x"] and gap_at_20(preds) == 1.0
+    preds.append(["a", "b", "c"], [[0], [1], [2, 2]], [2, 0, 1], [0, 1, 2], [0.5, 0.4, 0.3])
+    assert preds.video_ids == ["x", "a", "b", "c"]
+    assert [(v.labels, v.predictions) for v in preds.videos[1:]] == [
+        ({0}, ((0, 0.5), (1, 0.4))), ({1}, ()), ({2}, ((2, 0.3),))]
+    assert preds.total_true_labels() == 4
+
+
 def test_invariant_under_monotone_confidence_transforms():
     rng = Rng(61)
     preds = random_prediction_set(rng)
@@ -103,6 +162,8 @@ def test_prediction_validation():
         preds.add_video("a", [0], [(c, 0.1) for c in range(21)])
     with pytest.raises(ValueError, match="finite"):
         preds.add_video("a", [0], [(0, float("nan"))])
+    with pytest.raises(ValueError, match="'a': negative true label -1"):
+        preds.add_video("a", [-1], [(0, 0.5)])
     with pytest.raises(ValueError, match="empty"):
         gap_at_20(PredictionSet())
     empty_labels = PredictionSet()
@@ -181,5 +242,14 @@ def test_predictions_csv_rejects_bad_class_id(tmp_path, class_id, match):
     path = tmp_path / "bad.csv"
     path.write_text(f"video_id,class_id,confidence\nv0,3,0.9\nv0,{class_id},0.5\n")
     with pytest.raises(ValueError, match=match) as err:
+        read_predictions_csv(path, num_classes=9)
+    assert f"{path}:3:" in str(err.value)
+
+
+@pytest.mark.parametrize("confidence", ["nan", "inf", "-inf"])
+def test_predictions_csv_rejects_non_finite_confidence(tmp_path, confidence):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"video_id,class_id,confidence\nv0,3,0.9\nv0,2,{confidence}\n")
+    with pytest.raises(ValueError, match="not finite") as err:
         read_predictions_csv(path, num_classes=9)
     assert f"{path}:3:" in str(err.value)

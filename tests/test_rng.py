@@ -59,6 +59,28 @@ def test_permutation_is_a_permutation():
         assert sorted(perm.tolist()) == list(range(n))
 
 
+def fisher_yates_oracle(seed, counter, n):
+    """Scalar Fisher-Yates over oracle words: position i (high to low) swaps
+    with j = min(floor(u * (i + 1)), i), u the word's top 53 bits in [0, 1)."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        u = (splitmix64_oracle(seed, counter) >> 11) * 2.0 ** -53
+        counter += 1
+        j = min(int(u * (i + 1)), i)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def test_permutation_matches_scalar_fisher_yates_oracle():
+    for seed, start in ((11, 0), (0xDEADBEEF, 5), (MASK, 3)):
+        for n in (0, 1, 2, 17, 2000):
+            rng = Rng(seed, start)
+            perm = rng.permutation(n)
+            assert perm.dtype == np.int64 and perm.shape == (n,)
+            assert perm.tolist() == fisher_yates_oracle(seed, start, n)
+            assert rng.counter == start + max(n - 1, 0)
+
+
 def test_choice_without_replacement_distinct():
     picks = Rng(13).choice_without_replacement(10, 10)
     assert sorted(picks.tolist()) == list(range(10))
