@@ -20,15 +20,9 @@ from . import config as cfgmod
 from . import train as trainmod
 from .data import gen_synthetic, load_eigenvalues, read_dataset, write_dataset
 from .metrics import PredictionSet, gap_at_20, read_predictions_csv, write_predictions_csv
-from .model import Eigenvalues, MixtureParams, ModelParams, SecgParams
+from .model import Eigenvalues, MixtureParams, ModelParams, stream_censuses
 from .rng import Rng, derive_seed
-from .vlad import (
-    NetVladParams,
-    NeXtVladConfig,
-    NeXtVladParams,
-    param_count_netvlad,
-    param_count_nextvlad,
-)
+from .vlad import NeXtVladConfig, param_count_netvlad, param_count_nextvlad, weight_census
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -229,31 +223,27 @@ def cmd_param_count(args) -> int:
         if cfg[key] == 0:
             cfg.set(key, default)
     model_cfg = cfgmod.model_config_from(cfg)
-
-    rows = []
-    for label, stream_cfg in (("video", model_cfg.video_vlad), ("audio", model_cfg.audio_vlad)):
-        if isinstance(stream_cfg, NeXtVladConfig):
-            formula = param_count_nextvlad(stream_cfg)
-            census = NeXtVladParams.create(stream_cfg, None).weight_census()
-            kind = "nextvlad"
-        else:
-            formula = param_count_netvlad(stream_cfg)
-            census = NetVladParams.create(stream_cfg, None).weight_census()
-            kind = "netvlad"
-        rows.append((f"{label} {kind}", formula, census))
-
-    h, r = model_cfg.hidden_dim, model_cfg.se_ratio
-    secg = SecgParams.create(h, r, None)
-    rows.append(("se context gating", 2 * h * h // r, secg.weight_census()))
-    rows.append(("classifier", h * model_cfg.num_classes, h * model_cfg.num_classes))
-
+    # zero-filled allocation: every census below is read from this one model
     params = ModelParams.create(model_cfg, None,
                                 eigenvalues=Eigenvalues(np.ones(model_cfg.video_dim))
                                 if model_cfg.reverse_whitening else None)
+
+    rows = []
+    streams = (("video", model_cfg.video_vlad), ("audio", model_cfg.audio_vlad))
+    for (label, stream_cfg), census in zip(streams, stream_censuses(params)):
+        if isinstance(stream_cfg, NeXtVladConfig):
+            rows.append((f"{label} nextvlad", param_count_nextvlad(stream_cfg), census))
+        else:
+            rows.append((f"{label} netvlad", param_count_netvlad(stream_cfg), census))
+
+    h, r, c = model_cfg.hidden_dim, model_cfg.se_ratio, model_cfg.num_classes
+    rows.append(("se context gating", 2 * h * h // r, weight_census(params.secg)))
+    rows.append(("classifier", h * c, params.classifier_w.size))
+
     total_formula = sum(r[1] for r in rows)
-    rows.append(("full model weights", total_formula, params.weight_census()))
-    named = params.named_parameters()
-    bias_bn = sum(t.size for t in named.values()) - params.weight_census()
+    census = weight_census(params)
+    rows.append(("full model weights", total_formula, census))
+    bias_bn = sum(t.size for t in params.named_parameters().values()) - census
 
     width = max(len(r[0]) for r in rows)
     print(f"{'component':<{width}} {'closed form':>14} {'census':>14}")

@@ -21,6 +21,7 @@ function of the spec (same seed, same bytes).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -104,11 +105,14 @@ class _Reader:
     def __init__(self, f, path):
         self.f = f
         self.path = path
+        self.left = os.fstat(f.fileno()).st_size - f.tell()
 
     def take(self, n: int) -> bytes:
-        buf = self.f.read(n)
+        # compared before reading, so a corrupt length never allocates its bytes
+        buf = self.f.read(n) if n <= self.left else b""
         if len(buf) != n:
-            raise ValueError(f"{self.path}: truncated file (wanted {n} bytes, got {len(buf)})")
+            raise ValueError(f"{self.path}: truncated file (wanted {n} bytes, {self.left} left)")
+        self.left -= n
         return buf
 
     def unpack(self, fmt: str):

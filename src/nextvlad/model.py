@@ -17,7 +17,7 @@ distillation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -28,13 +28,14 @@ from .vlad import (
     BatchNormParams,
     init_normal,
     FrameBatchView,
-    NetVladConfig,
-    NetVladCore,
-    NeXtVladConfig,
     NeXtVladCore,
     ReduceHead,
+    VladConfig,
+    VladCore,
+    make_core,
     netvlad_descriptor,
     nextvlad_descriptor,
+    weight_census,
 )
 
 NUM_EXPERTS = 3
@@ -59,21 +60,20 @@ class Eigenvalues:
         return len(self.values)
 
 
-def reverse_whitening(x: Tensor, eig: Eigenvalues) -> Tensor:
-    """Multiply each feature dimension by sqrt of its eigenvalue."""
-    if x.shape[-1] != len(eig):
+def reverse_whitening(x: Tensor, scale: np.ndarray) -> Tensor:
+    """Multiply each feature dimension by its scale, sqrt of its eigenvalue."""
+    if x.shape[-1] != len(scale):
         raise ValueError(
-            f"feature dim {x.shape[-1]} != eigenvalue count {len(eig)}")
-    scale = Tensor(np.sqrt(eig.values).astype(x.dtype))
-    return x * scale
+            f"feature dim {x.shape[-1]} != eigenvalue count {len(scale)}")
+    return x * Tensor(scale.astype(x.dtype))
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     video_dim: int
     audio_dim: int
-    video_vlad: Union[NetVladConfig, NeXtVladConfig]
-    audio_vlad: Union[NetVladConfig, NeXtVladConfig]
+    video_vlad: VladConfig
+    audio_vlad: VladConfig
     hidden_dim: int
     se_ratio: int
     num_classes: int
@@ -138,9 +138,6 @@ class SecgParams:
         out.update(self.bn2.named_buffers(f"{prefix}.bn2"))
         return out
 
-    def weight_census(self) -> int:
-        return self.fc1_w.size + self.fc2_w.size
-
 
 def se_context_gating(x: Tensor, params: SecgParams, training: bool = False) -> Tensor:
     """Elementwise-gate ``x`` by a bottlenecked sigmoid excitation of itself."""
@@ -156,8 +153,8 @@ def se_context_gating(x: Tensor, params: SecgParams, training: bool = False) -> 
 @dataclass
 class ModelParams:
     config: ModelConfig
-    video_core: Union[NetVladCore, NeXtVladCore]
-    audio_core: Union[NetVladCore, NeXtVladCore]
+    video_core: VladCore
+    audio_core: VladCore
     reduce: ReduceHead  # shared across streams: (concat_dim, H)
     secg: SecgParams
     classifier_w: Tensor  # (H, C)
@@ -182,8 +179,8 @@ class ModelParams:
             scale = None
         return ModelParams(
             config=cfg,
-            video_core=_make_core(cfg.video_vlad, rng, dtype),
-            audio_core=_make_core(cfg.audio_vlad, rng, dtype),
+            video_core=make_core(cfg.video_vlad, rng, dtype),
+            audio_core=make_core(cfg.audio_vlad, rng, dtype),
             reduce=ReduceHead.create(cfg.concat_dim, cfg.hidden_dim, rng, dtype),
             secg=SecgParams.create(cfg.hidden_dim, cfg.se_ratio, rng, dtype),
             classifier_w=ad.parameter(
@@ -212,20 +209,15 @@ class ModelParams:
         """Tensors covered by the classifier L2 regularizer."""
         return [self.classifier_w]
 
-    def weight_census(self) -> int:
-        return (
-            self.video_core.weight_census()
-            + self.audio_core.weight_census()
-            + self.reduce.weight_census()
-            + self.secg.weight_census()
-            + self.classifier_w.size
-        )
 
-
-def _make_core(cfg, rng, dtype):
-    if isinstance(cfg, NeXtVladConfig):
-        return NeXtVladCore.create(cfg, rng, dtype)
-    return NetVladCore.create(cfg, rng, dtype)
+def stream_censuses(params: ModelParams) -> tuple[int, int]:
+    """Weight census of the video and the audio NetVLAD/NeXtVLAD block: the
+    stream's core plus the rows of the shared reduction that its descriptor
+    feeds (video rows first, in concat order)."""
+    rows = params.config.video_vlad.descriptor_dim
+    w = params.reduce.w.data
+    return (weight_census(params.video_core) + w[:rows].size,
+            weight_census(params.audio_core) + w[rows:].size)
 
 
 def _descriptor(view: FrameBatchView, core) -> Tensor:
@@ -248,7 +240,7 @@ def model_forward(
     cfg = params.config
     video = batch.video
     if params.whiten_scale is not None:
-        scaled = video.frames * Tensor(params.whiten_scale.astype(video.frames.dtype))
+        scaled = reverse_whitening(video.frames, params.whiten_scale)
         video = FrameBatchView(frames=scaled, mask=video.mask, lengths=video.lengths)
 
     video_desc = _descriptor(video, params.video_core)
@@ -308,9 +300,6 @@ class MixtureParams:
 
     def classifier_weights(self) -> list[Tensor]:
         return [t for e in self.experts for t in e.classifier_weights()]
-
-    def weight_census(self) -> int:
-        return sum(e.weight_census() for e in self.experts) + self.gate_w.size
 
 
 def _masked_frame_mean(view: FrameBatchView) -> Tensor:

@@ -358,7 +358,7 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ValueError(f"{path}: unknown dtype code {code} for {name!r}")
             shape = r.unpack(f"<{ndim}I")
             dtype = _CODE_DTYPES[code]
-            n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+            n_bytes = math.prod(shape) * dtype.itemsize
             arr = np.frombuffer(r.take(n_bytes), dtype=dtype.newbyteorder("<"))
             tensors[name] = arr.astype(dtype).reshape(shape)
         if f.read(1):

@@ -15,15 +15,18 @@ from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
 from .gradcheck import grad_check
 from .metrics import PredictionSet, gap_at_20, gap_reference
+from .model import ModelConfig, ModelParams, stream_censuses
 from .rng import Rng
 from .vlad import (
     FrameBatchView,
     NetVladConfig,
-    NetVladParams,
+    NetVladCore,
     NeXtVladConfig,
-    NeXtVladParams,
-    netvlad_forward,
-    nextvlad_forward,
+    NeXtVladCore,
+    ReduceHead,
+    make_core,
+    netvlad_descriptor,
+    nextvlad_descriptor,
     nextvlad_reference,
     param_count_netvlad,
     param_count_nextvlad,
@@ -61,33 +64,42 @@ def cast_params(params, dtype):
     return out
 
 
-def nextvlad_params_from_netvlad(net: NetVladParams) -> NeXtVladParams:
-    """Embed NetVLAD weights into a NeXtVLAD block with one group, no
-    expansion (identity), and the attention gate saturated open."""
-    from .vlad import NeXtVladCore
+def core_and_head(cfg, rng: Rng, dtype) -> tuple:
+    """A stream's core and a reduction head for its descriptor alone, drawn
+    from ``rng`` in that order at float32 and cast to ``dtype``."""
+    core = make_core(cfg, rng, np.float32)
+    head = ReduceHead.create(cfg.descriptor_dim, cfg.hidden_dim, rng)
+    return cast_params(core, dtype), cast_params(head, dtype)
 
-    n = net.core.assign_w.shape[1]
-    k = net.core.assign_w.shape[0]
-    dtype = net.core.assign_w.dtype
-    core = NeXtVladCore(
+
+def block_leaves(view: FrameBatchView, core, head: ReduceHead) -> list:
+    """Gradient-check leaves of a stream block: the frames, then every core
+    and head parameter in name order."""
+    named = {**core.named_parameters("core"), **head.named_parameters("head")}
+    return [view.frames] + [t for _, t in sorted(named.items())]
+
+
+def nextvlad_params_from_netvlad(net: NetVladCore) -> NeXtVladCore:
+    """Embed NetVLAD weights into a NeXtVLAD core with one group, no
+    expansion (identity), and the attention gate saturated open."""
+    k, n = net.assign_w.shape
+    dtype = net.assign_w.dtype
+    return NeXtVladCore(
         expand_w=ad.parameter(np.eye(n, dtype=dtype)),
         expand_b=ad.parameter(np.zeros(n, dtype=dtype)),
         attn_w=ad.parameter(np.zeros((n, 1), dtype=dtype)),
         attn_b=ad.parameter(np.full(1, 1e9, dtype=dtype)),
-        assign_w=ad.parameter(net.core.assign_w.data.T.copy()),
-        assign_b=ad.parameter(net.core.assign_b.data.copy()),
-        anchors=ad.parameter(net.core.anchors.data.copy()),
+        assign_w=ad.parameter(net.assign_w.data.T.copy()),
+        assign_b=ad.parameter(net.assign_b.data.copy()),
+        anchors=ad.parameter(net.anchors.data.copy()),
         groups=1,
     )
-    import copy
-
-    return NeXtVladParams(core=core, head=copy.deepcopy(net.head))
 
 
-def randomize_head_bn(params, rng: Rng) -> None:
+def randomize_head_bn(head: ReduceHead, rng: Rng) -> None:
     """Give the reduction head's BN a non-identity inference transform so
     equivalence checks exercise it."""
-    bn = params.head.bn
+    bn = head.bn
     h = bn.gamma.size
     bn.gamma.data = (0.5 + rng.uniform((h,))).astype(bn.gamma.dtype)
     bn.beta.data = rng.normal((h,)).astype(bn.beta.dtype)
@@ -144,10 +156,10 @@ def gradient_checks(seed: int = 0) -> list:
 
     view = random_view(rng, 2, 3, 4)
     cfg = NeXtVladConfig(input_dim=4, clusters=2, hidden_dim=3, groups=2, expansion=2)
-    params = cast_params(NeXtVladParams.create(cfg, rng), np.float64)
-    leaves = [view.frames] + [t for _, t in sorted(params.named_parameters().items())]
-    report = grad_check(lambda *_: nextvlad_forward(view, params, training=True), leaves)
-    results.append(("grad nextvlad_forward end-to-end", report.passed, str(report)))
+    core, head = core_and_head(cfg, rng, np.float64)
+    report = grad_check(lambda *_: head(nextvlad_descriptor(view, core), True),
+                        block_leaves(view, core, head))
+    results.append(("grad nextvlad block end-to-end", report.passed, str(report)))
     return results
 
 
@@ -160,31 +172,31 @@ def oracle_checks(seed: int = 0, cases: int = 5) -> list:
         lam = 1 + int(rng.integers(1, 2)[0])
         n = g * (1 + int(rng.integers(1, 3)[0]))  # N a multiple of G keeps lam*N divisible
         cfg = NeXtVladConfig(input_dim=n, clusters=k, hidden_dim=3, groups=g, expansion=lam)
-        params64 = cast_params(NeXtVladParams.create(cfg, rng), np.float64)
-        randomize_head_bn(params64, rng)
+        core64, head64 = core_and_head(cfg, rng, np.float64)
+        randomize_head_bn(head64, rng)
         view64 = random_view(rng, 2, 4, n)
-        ref = nextvlad_reference(view64, params64)
-        got64 = nextvlad_forward(view64, params64, training=False).data
+        ref = nextvlad_reference(view64, core64, head64)
+        got64 = head64(nextvlad_descriptor(view64, core64), False).data
         err64 = np.abs(got64 - ref).max()
         results.append((f"oracle nextvlad float64 case {case}", err64 < 1e-12,
                         f"max abs err {err64:.3e}"))
-        params32 = cast_params(params64, np.float32)
+        core32, head32 = cast_params(core64, np.float32), cast_params(head64, np.float32)
         view32 = FrameBatchView(frames=Tensor(view64.frames.data.astype(np.float32)),
                                 mask=Tensor(view64.mask.data.astype(np.float32)),
                                 lengths=view64.lengths)
-        got32 = nextvlad_forward(view32, params32, training=False).data
+        got32 = head32(nextvlad_descriptor(view32, core32), False).data
         err32 = np.abs(got32.astype(np.float64) - ref).max()
         results.append((f"oracle nextvlad float32 case {case}", err32 < 1e-6,
                         f"max abs err {err32:.3e}"))
 
     # collapse to NetVLAD: one group, identity expansion, open gate
     net_cfg = NetVladConfig(input_dim=5, clusters=3, hidden_dim=4)
-    net = cast_params(NetVladParams.create(net_cfg, rng), np.float64)
-    randomize_head_bn(net, rng)
+    net, head = core_and_head(net_cfg, rng, np.float64)
+    randomize_head_bn(head, rng)
     nxt = nextvlad_params_from_netvlad(net)
     view = random_view(rng, 3, 4, 5)
-    a = netvlad_forward(view, net, training=False).data
-    b = nextvlad_forward(view, nxt, training=False).data
+    a = head(netvlad_descriptor(view, net), False).data
+    b = head(nextvlad_descriptor(view, nxt), False).data
     err = np.abs(a - b).max()
     results.append(("nextvlad collapses to netvlad", err < 1e-6, f"max abs err {err:.3e}"))
     return results
@@ -227,8 +239,9 @@ def param_count_checks(seed: int = 0, cases: int = 10) -> list:
             n = n * g
         net_cfg = NetVladConfig(input_dim=n, clusters=k, hidden_dim=h)
         nxt_cfg = NeXtVladConfig(input_dim=n, clusters=k, hidden_dim=h, groups=g, expansion=lam)
-        net_census = NetVladParams.create(net_cfg, None).weight_census()
-        nxt_census = NeXtVladParams.create(nxt_cfg, None).weight_census()
+        cfg = ModelConfig(video_dim=n, audio_dim=n, video_vlad=net_cfg, audio_vlad=nxt_cfg,
+                          hidden_dim=h, se_ratio=1, num_classes=1)
+        net_census, nxt_census = stream_censuses(ModelParams.create(cfg, None))
         if net_census != param_count_netvlad(net_cfg):
             ok, detail = False, f"netvlad {net_cfg}: census {net_census} != formula"
         if nxt_census != param_count_nextvlad(nxt_cfg):

@@ -2,12 +2,13 @@
 
 Both layers encode a batch of padded frame features (B, M, N) into a fixed
 video-level descriptor by summing soft-assigned residuals against learned
-cluster anchors, intra-normalizing each cluster block, and reducing to a
-hidden size through an affine layer plus batch norm.  NeXtVLAD first expands
-each frame by a width multiplier, splits it into groups that share one
-low-dimensional anchor table, and weights every group's contribution with a
-sigmoid attention gate, which divides the descriptor (and the dominant
-reduction layer) by the group count.
+cluster anchors and intra-normalizing each cluster block.  NeXtVLAD first
+expands each frame by a width multiplier, splits it into groups that share
+one low-dimensional anchor table, and weights every group's contribution
+with a sigmoid attention gate, which divides the descriptor (and the
+dominant reduction layer) by the group count.  The reduction to the hidden
+size, an affine layer plus batch norm (:class:`ReduceHead`), is applied once
+by the model to the concatenated descriptors of all streams.
 
 Padding is handled by a {0,1} mask multiplied into the assignment weights,
 so appended padding frames can hold arbitrary finite values without
@@ -178,11 +179,6 @@ class NetVladCore:
             f"{prefix}.anchors": self.anchors,
         }
 
-    def named_buffers(self, prefix: str) -> dict[str, np.ndarray]:
-        return {}
-
-    def weight_census(self) -> int:
-        return self.assign_w.size + self.anchors.size
 
 
 @dataclass
@@ -223,17 +219,6 @@ class NeXtVladCore:
             f"{prefix}.anchors": self.anchors,
         }
 
-    def named_buffers(self, prefix: str) -> dict[str, np.ndarray]:
-        return {}
-
-    def weight_census(self) -> int:
-        return (
-            self.expand_w.size
-            + self.attn_w.size
-            + self.assign_w.size
-            + self.anchors.size
-        )
-
 
 VladCore = Union[NetVladCore, NeXtVladCore]
 
@@ -265,56 +250,17 @@ class ReduceHead:
     def named_buffers(self, prefix: str) -> dict[str, np.ndarray]:
         return self.bn.named_buffers(f"{prefix}.bn")
 
-    def weight_census(self) -> int:
-        return self.w.size
+
+def make_core(cfg: VladConfig, rng: Optional[Rng], dtype) -> VladCore:
+    if isinstance(cfg, NeXtVladConfig):
+        return NeXtVladCore.create(cfg, rng, dtype)
+    return NetVladCore.create(cfg, rng, dtype)
 
 
-@dataclass
-class NetVladParams:
-    core: NetVladCore
-    head: ReduceHead
-
-    @staticmethod
-    def create(cfg: NetVladConfig, rng: Optional[Rng], dtype=np.float32) -> "NetVladParams":
-        return NetVladParams(
-            core=NetVladCore.create(cfg, rng, dtype),
-            head=ReduceHead.create(cfg.descriptor_dim, cfg.hidden_dim, rng, dtype),
-        )
-
-    def named_parameters(self, prefix: str = "netvlad") -> dict[str, Tensor]:
-        out = self.core.named_parameters(f"{prefix}.core")
-        out.update(self.head.named_parameters(f"{prefix}.head"))
-        return out
-
-    def named_buffers(self, prefix: str = "netvlad") -> dict[str, np.ndarray]:
-        return self.head.named_buffers(f"{prefix}.head")
-
-    def weight_census(self) -> int:
-        return self.core.weight_census() + self.head.weight_census()
-
-
-@dataclass
-class NeXtVladParams:
-    core: NeXtVladCore
-    head: ReduceHead
-
-    @staticmethod
-    def create(cfg: NeXtVladConfig, rng: Optional[Rng], dtype=np.float32) -> "NeXtVladParams":
-        return NeXtVladParams(
-            core=NeXtVladCore.create(cfg, rng, dtype),
-            head=ReduceHead.create(cfg.descriptor_dim, cfg.hidden_dim, rng, dtype),
-        )
-
-    def named_parameters(self, prefix: str = "nextvlad") -> dict[str, Tensor]:
-        out = self.core.named_parameters(f"{prefix}.core")
-        out.update(self.head.named_parameters(f"{prefix}.head"))
-        return out
-
-    def named_buffers(self, prefix: str = "nextvlad") -> dict[str, np.ndarray]:
-        return self.head.named_buffers(f"{prefix}.head")
-
-    def weight_census(self) -> int:
-        return self.core.weight_census() + self.head.weight_census()
+def weight_census(bundle) -> int:
+    """Allocated weight count of any parameter bundle: the total size of its
+    tensors with two or more dims (biases and batch norm are 1-d)."""
+    return sum(t.size for t in bundle.named_parameters("").values() if t.ndim >= 2)
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +325,6 @@ def netvlad_descriptor(view: FrameBatchView, core: NetVladCore) -> Tensor:
     return normed.reshape((b, k * n))
 
 
-def netvlad_forward(view: FrameBatchView, params: NetVladParams, training: bool = False) -> Tensor:
-    """Full NetVLAD block: descriptor, reduction to hidden size, batch norm."""
-    return params.head(netvlad_descriptor(view, params.core), training)
-
-
 def nextvlad_aggregate(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
     """Masked grouped residual aggregation, pre-normalization: (B, K, lamN/G)."""
     b, m, n = view.frames.shape
@@ -409,24 +350,20 @@ def nextvlad_descriptor(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
     return normed.reshape((b, k * d))
 
 
-def nextvlad_forward(view: FrameBatchView, params: NeXtVladParams, training: bool = False) -> Tensor:
-    """Full NeXtVLAD block: descriptor, reduction to hidden size, batch norm."""
-    return params.head(nextvlad_descriptor(view, params.core), training)
-
-
 # ---------------------------------------------------------------------------
 # loop reference (independent oracle)
 # ---------------------------------------------------------------------------
 
 
-def nextvlad_reference(view: FrameBatchView, params: NeXtVladParams) -> np.ndarray:
-    """Nested-loop NeXtVLAD forward in float64, inference-mode batch norm.
+def nextvlad_reference(view: FrameBatchView, core: NeXtVladCore, head: ReduceHead) -> np.ndarray:
+    """Nested-loop NeXtVLAD block in float64: descriptor, reduction and
+    inference-mode batch norm.
 
     Deliberately unvectorized; refuses work above M*G*K*(lamN/G) =
     ``REFERENCE_SIZE_BOUND`` per video.  Serves as the oracle for
-    :func:`nextvlad_forward`, which must never share code with it.
+    ``head(nextvlad_descriptor(view, core), False)``, which must never share
+    code with it.
     """
-    core, head = params.core, params.head
     frames = np.asarray(view.frames.data, dtype=np.float64)
     mask = np.asarray(view.mask.data, dtype=np.float64)
     expand_w = core.expand_w.data.astype(np.float64)

@@ -25,9 +25,9 @@ from nextvlad.model import (
     MixtureParams,
     ModelConfig,
     ModelParams,
-    SecgParams,
     mixture_forward,
     model_forward,
+    stream_censuses,
 )
 from nextvlad.rng import Rng, derive_seed
 from nextvlad.train import (
@@ -41,7 +41,9 @@ from nextvlad.train import (
     train_loop,
 )
 from nextvlad.verify import (
+    block_leaves,
     cast_params,
+    core_and_head,
     nextvlad_params_from_netvlad,
     random_prediction_set,
     random_view,
@@ -50,15 +52,13 @@ from nextvlad.verify import (
 from nextvlad.vlad import (
     FrameBatchView,
     NetVladConfig,
-    NetVladParams,
     NeXtVladConfig,
-    NeXtVladParams,
-    netvlad_forward,
+    netvlad_descriptor,
     nextvlad_descriptor,
-    nextvlad_forward,
     nextvlad_reference,
     param_count_netvlad,
     param_count_nextvlad,
+    weight_census,
 )
 
 
@@ -94,11 +94,13 @@ def test_criterion_1_parameter_count_identities():
                              groups=8, expansion=2)
     ok = param_count_netvlad(net_cfg) == 268_697_600
     ok &= param_count_nextvlad(nxt_cfg) == 71_352_320
-    secg = SecgParams.create(2048, 8, None)
-    ok &= secg.weight_census() == 1_048_576
-    # runtime allocation census at the same configs (zero-filled tensors)
-    ok &= NetVladParams.create(net_cfg, None).weight_census() == 268_697_600
-    ok &= NeXtVladParams.create(nxt_cfg, None).weight_census() == 71_352_320
+    # runtime allocation census at the same configs (zero-filled tensors):
+    # one model with a NetVLAD video stream and a NeXtVLAD audio stream
+    cfg = ModelConfig(video_dim=1024, audio_dim=1024, video_vlad=net_cfg, audio_vlad=nxt_cfg,
+                      hidden_dim=2048, se_ratio=8, num_classes=1)
+    params = ModelParams.create(cfg, None)
+    ok &= weight_census(params.secg) == 1_048_576
+    ok &= stream_censuses(params) == (268_697_600, 71_352_320)
     _report(1, "closed-form parameter counts equal the allocation census "
                "(268,697,600 / 71,352,320 / 1,048,576), zero tolerance", ok)
 
@@ -114,17 +116,17 @@ def test_criterion_2_gradient_correctness():
     details = []
 
     nxt_cfg = NeXtVladConfig(input_dim=4, clusters=2, hidden_dim=3, groups=2, expansion=2)
-    nxt = cast_params(NeXtVladParams.create(nxt_cfg, rng), np.float64)
+    nxt, nxt_head = core_and_head(nxt_cfg, rng, np.float64)
     view = random_view(rng, 2, 3, 4)
-    leaves = [view.frames] + [t for _, t in sorted(nxt.named_parameters().items())]
-    r_a = grad_check(lambda *_: nextvlad_forward(view, nxt, training=True), leaves)
+    r_a = grad_check(lambda *_: nxt_head(nextvlad_descriptor(view, nxt), True),
+                     block_leaves(view, nxt, nxt_head))
     details.append(f"nextvlad {r_a.max_rel_error:.2e}")
 
     net_cfg = NetVladConfig(input_dim=4, clusters=3, hidden_dim=3)
-    net = cast_params(NetVladParams.create(net_cfg, rng), np.float64)
+    net, net_head = core_and_head(net_cfg, rng, np.float64)
     view = random_view(rng, 2, 3, 4)
-    leaves = [view.frames] + [t for _, t in sorted(net.named_parameters().items())]
-    r_b = grad_check(lambda *_: netvlad_forward(view, net, training=True), leaves)
+    r_b = grad_check(lambda *_: net_head(netvlad_descriptor(view, net), True),
+                     block_leaves(view, net, net_head))
     details.append(f"netvlad {r_b.max_rel_error:.2e}")
 
     model = cast_params(ModelParams.create(toy_model_config(), rng), np.float64)
@@ -166,17 +168,17 @@ def test_criterion_3_oracle_equivalence():
         n = g * (1 + int(rng.integers(1, 3)[0]))
         m = 2 + int(rng.integers(1, 4)[0])
         cfg = NeXtVladConfig(input_dim=n, clusters=k, hidden_dim=3, groups=g, expansion=lam)
-        params = cast_params(NeXtVladParams.create(cfg, rng), np.float64)
-        randomize_head_bn(params, rng)
+        core, head = core_and_head(cfg, rng, np.float64)
+        randomize_head_bn(head, rng)
         view = random_view(rng, 2, m, n)
-        ref = nextvlad_reference(view, params)
-        worst64 = max(worst64, np.abs(nextvlad_forward(view, params).data - ref).max())
+        ref = nextvlad_reference(view, core, head)
+        worst64 = max(worst64, np.abs(head(nextvlad_descriptor(view, core), False).data - ref).max())
 
-        params32 = cast_params(params, np.float32)
+        core32, head32 = cast_params(core, np.float32), cast_params(head, np.float32)
         view32 = FrameBatchView(frames=Tensor(view.frames.data.astype(np.float32)),
                                 mask=Tensor(view.mask.data.astype(np.float32)),
                                 lengths=view.lengths)
-        got32 = nextvlad_forward(view32, params32).data.astype(np.float64)
+        got32 = head32(nextvlad_descriptor(view32, core32), False).data.astype(np.float64)
         worst32 = max(worst32, np.abs(got32 - ref).max())
     _report(3, "vectorized NeXtVLAD equals the nested-loop reference on 20 "
                "random configs (1e-12 float64, 1e-6 float32)",
@@ -195,12 +197,12 @@ def test_criterion_4_reduction_property():
     for _ in range(5):
         cfg = NetVladConfig(input_dim=4 + int(rng.integers(1, 4)[0]),
                             clusters=2 + int(rng.integers(1, 3)[0]), hidden_dim=4)
-        net = cast_params(NetVladParams.create(cfg, rng), np.float64)
-        randomize_head_bn(net, rng)
+        net, head = core_and_head(cfg, rng, np.float64)
+        randomize_head_bn(head, rng)
         nxt = nextvlad_params_from_netvlad(net)
         view = random_view(rng, 3, 4, cfg.input_dim)
-        a = netvlad_forward(view, net).data
-        b = nextvlad_forward(view, nxt).data
+        a = head(netvlad_descriptor(view, net), False).data
+        b = head(nextvlad_descriptor(view, nxt), False).data
         worst = max(worst, np.abs(a - b).max())
     _report(4, "NeXtVLAD with G=1, identity expansion, saturated attention "
                "equals NetVLAD within 1e-6", worst < 1e-6, f"max err {worst:.1e}")

@@ -1,6 +1,7 @@
 """FAV1/EIGV formats, synthetic generator signal, batching."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -83,6 +84,29 @@ def test_truncated_file_rejected(tmp_path):
     path.write_bytes(raw[: len(raw) - 5])
     with pytest.raises(ValueError, match="truncated"):
         read_dataset(path)
+
+
+HUGE = 0xFFFFFFFF
+
+
+@pytest.mark.parametrize("field", ["num_labels", "num_frames"])
+def test_dataset_length_past_end_of_file_rejected(tmp_path, field):
+    # a corrupt u32 length must fail as a truncated file, not as a ~16 GB read
+    path = tmp_path / f"huge_{field}.fav"
+    record = struct.pack("<H", 1) + b"v"
+    record += struct.pack("<II", HUGE, 0) if field == "num_labels" else struct.pack("<II", 0, HUGE)
+    path.write_bytes(b"FAV1" + struct.pack("<IIIII", 1, 1, 2, 1, 3) + record)
+    with pytest.raises(ValueError, match="truncated") as err:
+        read_dataset(path)
+    assert str(path) in str(err.value)
+
+
+def test_eigenvalue_dim_past_end_of_file_rejected(tmp_path):
+    path = tmp_path / "huge.eigv"
+    path.write_bytes(b"EIGV" + struct.pack("<II", 1, HUGE) + struct.pack("<d", 1.0))
+    with pytest.raises(ValueError, match="truncated") as err:
+        load_eigenvalues(path)
+    assert str(path) in str(err.value)
 
 
 def test_label_out_of_range_rejected(tmp_path):
@@ -327,7 +351,7 @@ def test_eigenvalues_unit_file_identity(tmp_path):
     from nextvlad.autodiff import Tensor
 
     x = Rng(71).normal((3, 2), dtype=np.float32)
-    assert np.array_equal(reverse_whitening(Tensor(x), eig).data, x)
+    assert np.array_equal(reverse_whitening(Tensor(x), np.sqrt(eig.values)).data, x)
 
 
 def test_eigenvalues_zero_rejected_with_index(tmp_path):

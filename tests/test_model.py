@@ -20,7 +20,7 @@ from nextvlad.model import (
 )
 from nextvlad.rng import Rng
 from nextvlad.verify import cast_params
-from nextvlad.vlad import NetVladConfig, NeXtVladConfig
+from nextvlad.vlad import NetVladConfig, NeXtVladConfig, weight_census
 
 
 def toy_config(num_classes=3, dropout=0.0, whitening=False):
@@ -51,12 +51,12 @@ def toy_batch(seed=5, n=3, dtype=np.float32):
 
 def test_reverse_whitening_identity_for_unit_eigenvalues():
     x = Tensor(Rng(1).normal((2, 3), dtype=np.float32))
-    out = reverse_whitening(x, Eigenvalues(np.ones(3)))
+    out = reverse_whitening(x, np.sqrt(np.ones(3)))
     assert np.array_equal(out.data, x.data)
 
 
 def test_reverse_whitening_by_hand():
-    out = reverse_whitening(Tensor([[1.0, 1.0]]), Eigenvalues([4.0, 9.0]))
+    out = reverse_whitening(Tensor([[1.0, 1.0]]), np.sqrt([4.0, 9.0]))
     assert np.allclose(out.data, [[2.0, 3.0]], atol=1e-7)
 
 
@@ -64,13 +64,13 @@ def test_reverse_whitening_inverse_roundtrip():
     rng = Rng(2)
     x = rng.normal((5, 6))
     e = 0.1 + rng.uniform((6,)) * 5
-    scaled = reverse_whitening(Tensor(x), Eigenvalues(e)).data
+    scaled = reverse_whitening(Tensor(x), np.sqrt(e)).data
     assert np.abs(scaled / np.sqrt(e) - x).max() < 1e-6
 
 
 def test_reverse_whitening_validation():
     with pytest.raises(ValueError, match="dim"):
-        reverse_whitening(Tensor(np.ones((2, 3))), Eigenvalues(np.ones(4)))
+        reverse_whitening(Tensor(np.ones((2, 3))), np.sqrt(np.ones(4)))
     with pytest.raises(ValueError, match="index 1"):
         Eigenvalues([1.0, 0.0, 2.0])
     with pytest.raises(ValueError, match="index 0"):
@@ -102,8 +102,8 @@ def test_secg_closed_gate_zeroes_output():
 
 def test_secg_weight_count_formula():
     params = SecgParams.create(2048, 8, None)
-    assert params.weight_census() == 1_048_576
-    assert params.weight_census() == 2 * 2048 * 2048 // 8
+    assert weight_census(params) == 1_048_576
+    assert weight_census(params) == 2 * 2048 * 2048 // 8
 
 
 def test_secg_output_bounded_by_input():
@@ -190,7 +190,7 @@ def test_model_census_equals_sum_of_closed_forms():
                 + param_count_nextvlad(cfg.audio_vlad)
                 + 2 * h * h // r
                 + h * c)
-    assert params.weight_census() == expected
+    assert weight_census(params) == expected
 
 
 def test_census_splits_weights_from_biases_and_bn():
@@ -201,7 +201,7 @@ def test_census_splits_weights_from_biases_and_bn():
     named = params.named_parameters()
     matrices = sum(t.size for t in named.values() if t.ndim == 2)
     vectors = sum(t.size for t in named.values() if t.ndim == 1)
-    assert params.weight_census() == matrices
+    assert weight_census(params) == matrices
     assert sum(t.size for t in named.values()) == matrices + vectors
 
 
@@ -216,7 +216,20 @@ def test_mixed_stream_kinds_census():
     params = ModelParams.create(cfg, None)
     expected = (param_count_nextvlad(cfg.video_vlad) + param_count_netvlad(cfg.audio_vlad)
                 + 2 * 8 * 8 // 2 + 8 * 3)
-    assert params.weight_census() == expected
+    assert weight_census(params) == expected
+
+
+def test_mixture_census_is_three_experts_plus_gate():
+    from nextvlad.vlad import param_count_nextvlad
+
+    cfg = toy_config()
+    mix = MixtureParams.create(cfg, None)
+    expert = weight_census(mix.experts[0])
+    assert weight_census(mix) == 3 * expert + mix.gate_w.size
+    h, r, c = cfg.hidden_dim, cfg.se_ratio, cfg.num_classes
+    closed = (param_count_nextvlad(cfg.video_vlad) + param_count_nextvlad(cfg.audio_vlad)
+              + 2 * h * h // r + h * c)
+    assert weight_census(mix) == 3 * closed + (cfg.video_dim + cfg.audio_dim) * 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Adam, LR schedule, the loop's determinism, and checkpoint round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,17 @@ def test_truncated_checkpoint_rejected(tmp_path):
     path.write_bytes(raw[: len(raw) - 7])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape", [(0xFFFFFFFF,), (0xFFFFFFFF, 0xFFFFFFFF)])
+def test_checkpoint_shape_past_end_of_file_rejected(tmp_path, shape):
+    # (2^32-1)^2 float64 elements overflow an int64 byte count
+    path = tmp_path / "huge.ckpt"
+    tensor = struct.pack("<H", 1) + b"w" + struct.pack(f"<BB{len(shape)}I", 1, len(shape), *shape)
+    path.write_bytes(b"CKPT" + struct.pack("<IQQII", 1, 0, 0, 0, 1) + tensor + b"\0" * 16)
+    with pytest.raises(ValueError, match="truncated") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
 
 
 def test_checkpoint_missing_tensor_rejected(tmp_path):

@@ -5,24 +5,23 @@ import pytest
 
 from nextvlad.autodiff import Tensor
 from nextvlad.gradcheck import grad_check
+from nextvlad.model import ModelConfig, ModelParams, stream_censuses
 from nextvlad.rng import Rng
 from nextvlad.vlad import (
     FrameBatchView,
     NetVladConfig,
-    NetVladParams,
     NeXtVladConfig,
-    NeXtVladParams,
     netvlad_descriptor,
-    netvlad_forward,
     nextvlad_aggregate,
     nextvlad_descriptor,
-    nextvlad_forward,
     nextvlad_reference,
     param_count_netvlad,
     param_count_nextvlad,
 )
 from nextvlad.verify import (
+    block_leaves,
     cast_params,
+    core_and_head,
     nextvlad_params_from_netvlad,
     random_view,
     randomize_head_bn,
@@ -102,8 +101,11 @@ def test_param_counts_equal_allocation_census_50_random_configs():
         lam = 1 + int(rng.integers(1, 3)[0])
         net_cfg = NetVladConfig(input_dim=n, clusters=k, hidden_dim=h)
         nxt_cfg = NeXtVladConfig(input_dim=n, clusters=k, hidden_dim=h, groups=g, expansion=lam)
-        assert NetVladParams.create(net_cfg, None).weight_census() == param_count_netvlad(net_cfg)
-        assert NeXtVladParams.create(nxt_cfg, None).weight_census() == param_count_nextvlad(nxt_cfg)
+        cfg = ModelConfig(video_dim=n, audio_dim=n, video_vlad=net_cfg, audio_vlad=nxt_cfg,
+                          hidden_dim=h, se_ratio=1, num_classes=1)
+        net_census, nxt_census = stream_censuses(ModelParams.create(cfg, None))
+        assert net_census == param_count_netvlad(net_cfg)
+        assert nxt_census == param_count_nextvlad(nxt_cfg)
 
 
 def test_nextvlad_divisibility_enforced():
@@ -119,38 +121,38 @@ def test_nextvlad_divisibility_enforced():
 def test_netvlad_all_masked_descriptor_is_zero():
     rng = Rng(20)
     cfg = NetVladConfig(input_dim=4, clusters=3, hidden_dim=2)
-    params = NetVladParams.create(cfg, rng)
+    core, _ = core_and_head(cfg, rng, np.float32)
     frames = rng.normal((2, 3, 4), dtype=np.float32)
     view = FrameBatchView.from_lengths(frames, [0, 0])
-    desc = netvlad_descriptor(view, params.core)
+    desc = netvlad_descriptor(view, core)
     assert np.array_equal(desc.data, np.zeros((2, 12), dtype=np.float32))
 
 
 def test_netvlad_anchor_coincidence_gives_zero():
     rng = Rng(21)
     cfg = NetVladConfig(input_dim=3, clusters=2, hidden_dim=2)
-    params = NetVladParams.create(cfg, rng)
+    core, _ = core_and_head(cfg, rng, np.float32)
     x = rng.normal((3,), dtype=np.float32)
-    params.core.anchors.data = np.stack([x, x])  # every anchor equals the frame
+    core.anchors.data = np.stack([x, x])  # every anchor equals the frame
     view = FrameBatchView.from_lengths(x.reshape(1, 1, 3), [1])
-    desc = netvlad_descriptor(view, params.core)
+    desc = netvlad_descriptor(view, core)
     assert np.abs(desc.data).max() < 1e-7
 
 
 def test_netvlad_matches_loop_oracle():
     rng = Rng(22)
     cfg = NetVladConfig(input_dim=4, clusters=2, hidden_dim=3)
-    params64 = cast_params(NetVladParams.create(cfg, rng), np.float64)
+    core64, _ = core_and_head(cfg, rng, np.float64)
     view64 = random_view(rng, 1, 3, 4, lengths=[3])
-    expected = netvlad_descriptor_loops(view64, params64.core)
-    got = netvlad_descriptor(view64, params64.core).data
+    expected = netvlad_descriptor_loops(view64, core64)
+    got = netvlad_descriptor(view64, core64).data
     assert np.abs(got - expected).max() < 1e-12
 
-    params32 = cast_params(params64, np.float32)
+    core32 = cast_params(core64, np.float32)
     view32 = FrameBatchView(frames=Tensor(view64.frames.data.astype(np.float32)),
                             mask=Tensor(view64.mask.data.astype(np.float32)),
                             lengths=view64.lengths)
-    got32 = netvlad_descriptor(view32, params32.core).data
+    got32 = netvlad_descriptor(view32, core32).data
     assert np.abs(got32 - expected).max() < 1e-6
 
 
@@ -162,57 +164,57 @@ def test_netvlad_matches_loop_oracle():
 def test_nextvlad_closed_attention_zeroes_descriptor():
     rng = Rng(23)
     cfg = NeXtVladConfig(input_dim=4, clusters=2, hidden_dim=2, groups=2, expansion=2)
-    params = NeXtVladParams.create(cfg, rng)
-    params.core.attn_w.data = np.zeros_like(params.core.attn_w.data)
-    params.core.attn_b.data = np.full_like(params.core.attn_b.data, -1e9)
+    core, _ = core_and_head(cfg, rng, np.float32)
+    core.attn_w.data = np.zeros_like(core.attn_w.data)
+    core.attn_b.data = np.full_like(core.attn_b.data, -1e9)
     view = random_view(rng, 2, 3, 4, dtype=np.float32)
-    desc = nextvlad_descriptor(view, params.core)
+    desc = nextvlad_descriptor(view, core)
     assert np.abs(desc.data).max() == 0.0
 
 
 def test_nextvlad_reduces_to_netvlad():
     rng = Rng(24)
     net_cfg = NetVladConfig(input_dim=5, clusters=3, hidden_dim=4)
-    net = cast_params(NetVladParams.create(net_cfg, rng), np.float64)
-    randomize_head_bn(net, rng)
+    net, head = core_and_head(net_cfg, rng, np.float64)
+    randomize_head_bn(head, rng)
     nxt = nextvlad_params_from_netvlad(net)
     view = random_view(rng, 3, 4, 5)
-    a = netvlad_forward(view, net, training=False).data
-    b = nextvlad_forward(view, nxt, training=False).data
+    a = head(netvlad_descriptor(view, net), False).data
+    b = head(nextvlad_descriptor(view, nxt), False).data
     assert np.abs(a - b).max() < 1e-6
 
 
 def test_nextvlad_matches_reference_oracle():
     rng = Rng(25)
     cfg = NeXtVladConfig(input_dim=4, clusters=2, hidden_dim=3, groups=2, expansion=2)
-    params = cast_params(NeXtVladParams.create(cfg, rng), np.float64)
-    randomize_head_bn(params, rng)
+    core, head = core_and_head(cfg, rng, np.float64)
+    randomize_head_bn(head, rng)
     view = random_view(rng, 2, 3, 4)
-    expected = nextvlad_reference(view, params)
-    got = nextvlad_forward(view, params, training=False).data
+    expected = nextvlad_reference(view, core, head)
+    got = head(nextvlad_descriptor(view, core), False).data
     assert np.abs(got - expected).max() < 1e-12
 
 
 def test_reference_size_bound():
     rng = Rng(26)
     cfg = NeXtVladConfig(input_dim=64, clusters=64, hidden_dim=2, groups=1, expansion=2)
-    params = NeXtVladParams.create(cfg, rng)
+    core, head = core_and_head(cfg, rng, np.float32)
     view = random_view(rng, 1, 16, 64, dtype=np.float32)  # 16*1*64*128 > 1e5
     with pytest.raises(ValueError, match="size bound"):
-        nextvlad_reference(view, params)
+        nextvlad_reference(view, core, head)
 
 
 def test_nextvlad_zero_weights_closed_form():
     # zero weights: attention sigmoid(0) = 1/2, assignment uniform over K
     rng = Rng(27)
     cfg = NeXtVladConfig(input_dim=4, clusters=2, hidden_dim=2, groups=2, expansion=1)
-    params = cast_params(NeXtVladParams.create(cfg, rng), np.float64)
-    for t in (params.core.expand_w, params.core.attn_w, params.core.assign_w,
-              params.core.anchors):
+    core, _ = core_and_head(cfg, rng, np.float64)
+    for t in (core.expand_w, core.attn_w, core.assign_w,
+              core.anchors):
         t.data = np.zeros_like(t.data)
-    params.core.expand_w.data = np.eye(4)
+    core.expand_w.data = np.eye(4)
     view = random_view(rng, 1, 3, 4, lengths=[3])
-    agg = nextvlad_aggregate(view, params.core).data  # (1, K, D)
+    agg = nextvlad_aggregate(view, core).data  # (1, K, D)
     x = view.frames.data[0].reshape(3, 2, 2)  # (M, G, D)
     expected = 0.5 * (1.0 / cfg.clusters) * x.sum(axis=(0, 1))
     for k in range(cfg.clusters):
@@ -223,15 +225,15 @@ def test_nextvlad_single_group_single_cluster_hand_expansion():
     # one group, one cluster: aggregate = 1/2 * (sum_i x_i - M*c)
     rng = Rng(28)
     cfg = NeXtVladConfig(input_dim=3, clusters=1, hidden_dim=2, groups=1, expansion=1)
-    params = cast_params(NeXtVladParams.create(cfg, rng), np.float64)
-    params.core.expand_w.data = np.eye(3)
-    params.core.expand_b.data = np.zeros(3)
-    params.core.attn_w.data = np.zeros_like(params.core.attn_w.data)
-    params.core.attn_b.data = np.zeros_like(params.core.attn_b.data)
+    core, _ = core_and_head(cfg, rng, np.float64)
+    core.expand_w.data = np.eye(3)
+    core.expand_b.data = np.zeros(3)
+    core.attn_w.data = np.zeros_like(core.attn_w.data)
+    core.attn_b.data = np.zeros_like(core.attn_b.data)
     m = 4
     view = random_view(rng, 1, m, 3, lengths=[m])
-    agg = nextvlad_aggregate(view, params.core).data[0, 0]
-    c = params.core.anchors.data[0]
+    agg = nextvlad_aggregate(view, core).data[0, 0]
+    c = core.anchors.data[0]
     expected = 0.5 * (view.frames.data[0].sum(axis=0) - m * c)
     assert np.abs(agg - expected).max() < 1e-12
 
@@ -240,14 +242,14 @@ def test_assignment_normalizes_over_clusters_not_groups():
     # with zero assignment weights the per-group softmax must give 1/K, not 1/(G*K)
     rng = Rng(29)
     cfg = NeXtVladConfig(input_dim=4, clusters=4, hidden_dim=2, groups=2, expansion=1)
-    params = cast_params(NeXtVladParams.create(cfg, rng), np.float64)
-    params.core.assign_w.data = np.zeros_like(params.core.assign_w.data)
-    params.core.assign_b.data = np.zeros_like(params.core.assign_b.data)
-    params.core.anchors.data = np.zeros_like(params.core.anchors.data)
-    params.core.attn_b.data = np.full_like(params.core.attn_b.data, 1e9)  # gate open
+    core, _ = core_and_head(cfg, rng, np.float64)
+    core.assign_w.data = np.zeros_like(core.assign_w.data)
+    core.assign_b.data = np.zeros_like(core.assign_b.data)
+    core.anchors.data = np.zeros_like(core.anchors.data)
+    core.attn_b.data = np.full_like(core.attn_b.data, 1e9)  # gate open
     view = random_view(rng, 1, 2, 4, lengths=[2])
-    agg = nextvlad_aggregate(view, params.core).data
-    x = view.frames.data[0] @ params.core.expand_w.data + params.core.expand_b.data
+    agg = nextvlad_aggregate(view, core).data
+    x = view.frames.data[0] @ core.expand_w.data + core.expand_b.data
     grouped = x.reshape(2, 2, 2).sum(axis=(0, 1))  # sum over frames and groups
     for k in range(cfg.clusters):
         assert np.abs(agg[0, k] - grouped / cfg.clusters).max() < 1e-12
@@ -269,34 +271,34 @@ def _append_junk(view, extra, rng):
 def test_mask_invariance(trial):
     rng = Rng(1000 + trial)
     cfg = NeXtVladConfig(input_dim=6, clusters=3, hidden_dim=4, groups=2, expansion=2)
-    params = NeXtVladParams.create(cfg, rng)
+    core, _ = core_and_head(cfg, rng, np.float32)
     view = random_view(rng, 3, 5, 6, dtype=np.float32)
-    base = nextvlad_descriptor(view, params.core).data
+    base = nextvlad_descriptor(view, core).data
     extra = 1 + int(rng.integers(1, 10)[0])
     padded = _append_junk(view, extra, rng)
-    got = nextvlad_descriptor(padded, params.core).data
+    got = nextvlad_descriptor(padded, core).data
     assert np.abs(got - base).max() < 1e-6
 
 
 def test_permutation_of_valid_frames_is_invariant():
     rng = Rng(31)
     cfg = NeXtVladConfig(input_dim=4, clusters=2, hidden_dim=3, groups=2, expansion=2)
-    params = NeXtVladParams.create(cfg, rng)
+    core, _ = core_and_head(cfg, rng, np.float32)
     frames = rng.normal((1, 5, 4), dtype=np.float32)
     view = FrameBatchView.from_lengths(frames, [5])
-    base = nextvlad_descriptor(view, params.core).data
+    base = nextvlad_descriptor(view, core).data
     perm = Rng(32).permutation(5)
     shuffled = FrameBatchView.from_lengths(frames[:, perm], [5])
-    got = nextvlad_descriptor(shuffled, params.core).data
+    got = nextvlad_descriptor(shuffled, core).data
     assert np.abs(got - base).max() < 1e-6
 
 
 def test_intra_normalized_blocks_have_unit_or_zero_norm():
     rng = Rng(33)
     cfg = NeXtVladConfig(input_dim=4, clusters=3, hidden_dim=2, groups=2, expansion=2)
-    params = NeXtVladParams.create(cfg, rng)
+    core, _ = core_and_head(cfg, rng, np.float32)
     view = random_view(rng, 2, 4, 4, dtype=np.float32, lengths=[4, 0])
-    desc = nextvlad_descriptor(view, params.core).data.reshape(2, 3, -1)
+    desc = nextvlad_descriptor(view, core).data.reshape(2, 3, -1)
     norms = np.linalg.norm(desc, axis=-1)
     assert np.abs(norms[0] - 1.0).max() < 1e-5  # real video: unit blocks
     assert np.abs(norms[1]).max() == 0.0  # fully masked video: zero blocks
@@ -305,24 +307,24 @@ def test_intra_normalized_blocks_have_unit_or_zero_norm():
 def test_both_forwards_grad_check_end_to_end():
     rng = Rng(34)
     net_cfg = NetVladConfig(input_dim=3, clusters=2, hidden_dim=2)
-    net = cast_params(NetVladParams.create(net_cfg, rng), np.float64)
+    net, net_head = core_and_head(net_cfg, rng, np.float64)
     view = random_view(rng, 2, 3, 3)
-    leaves = [view.frames] + [t for _, t in sorted(net.named_parameters().items())]
-    report = grad_check(lambda *_: netvlad_forward(view, net, training=True), leaves)
+    report = grad_check(lambda *_: net_head(netvlad_descriptor(view, net), True),
+                        block_leaves(view, net, net_head))
     assert report.passed, str(report)
 
     nxt_cfg = NeXtVladConfig(input_dim=4, clusters=2, hidden_dim=2, groups=2, expansion=2)
-    nxt = cast_params(NeXtVladParams.create(nxt_cfg, rng), np.float64)
+    nxt, nxt_head = core_and_head(nxt_cfg, rng, np.float64)
     view = random_view(rng, 2, 3, 4)
-    leaves = [view.frames] + [t for _, t in sorted(nxt.named_parameters().items())]
-    report = grad_check(lambda *_: nextvlad_forward(view, nxt, training=True), leaves)
+    report = grad_check(lambda *_: nxt_head(nextvlad_descriptor(view, nxt), True),
+                        block_leaves(view, nxt, nxt_head))
     assert report.passed, str(report)
 
 
 def test_frame_dim_mismatch_raises():
     rng = Rng(35)
     cfg = NeXtVladConfig(input_dim=4, clusters=2, hidden_dim=2, groups=2, expansion=2)
-    params = NeXtVladParams.create(cfg, rng)
+    core, _ = core_and_head(cfg, rng, np.float32)
     view = random_view(rng, 1, 2, 5, dtype=np.float32)
     with pytest.raises(ValueError, match="dim"):
-        nextvlad_descriptor(view, params.core)
+        nextvlad_descriptor(view, core)
