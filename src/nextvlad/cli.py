@@ -20,7 +20,7 @@ from . import config as cfgmod
 from . import train as trainmod
 from .data import gen_synthetic, load_eigenvalues, read_dataset, write_dataset
 from .metrics import PredictionSet, gap_at_20, read_predictions_csv, write_predictions_csv
-from .model import Eigenvalues, MixtureParams, ModelParams, stream_censuses
+from .model import NUM_EXPERTS, Eigenvalues, MixtureParams, ModelParams, stream_censuses
 from .rng import Rng, derive_seed
 from .vlad import NeXtVladConfig, param_count_netvlad, param_count_nextvlad, weight_census
 
@@ -42,6 +42,13 @@ def _run_config(args, shortcuts=()) -> cfgmod.RunConfig:
     return cfg
 
 
+def _params_class(cfg: cfgmod.RunConfig):
+    experts = cfg["model.experts"]
+    if experts not in (1, 3):
+        raise ValueError(f"model.experts must be 1 or 3, got {experts}")
+    return MixtureParams if experts == 3 else ModelParams
+
+
 def _build_params(cfg: cfgmod.RunConfig, for_restore: bool = False):
     """Construct model or mixture parameters from a resolved config."""
     model_cfg = cfgmod.model_config_from(cfg)
@@ -55,12 +62,7 @@ def _build_params(cfg: cfgmod.RunConfig, for_restore: bool = False):
         else:
             raise ValueError("model.reverse_whitening needs model.eigenvalues")
     rng = Rng(derive_seed(cfg["train.seed"], trainmod.TAG_INIT))
-    experts = cfg["model.experts"]
-    if experts == 3:
-        return MixtureParams.create(model_cfg, rng, eigenvalues=eig)
-    if experts == 1:
-        return ModelParams.create(model_cfg, rng, eigenvalues=eig)
-    raise ValueError(f"model.experts must be 1 or 3, got {experts}")
+    return _params_class(cfg).create(model_cfg, rng, eigenvalues=eig)
 
 
 def _restore(checkpoint_path: str):
@@ -223,10 +225,10 @@ def cmd_param_count(args) -> int:
         if cfg[key] == 0:
             cfg.set(key, default)
     model_cfg = cfgmod.model_config_from(cfg)
-    # zero-filled allocation: every census below is read from this one model
-    params = ModelParams.create(model_cfg, None,
-                                eigenvalues=Eigenvalues(np.ones(model_cfg.video_dim))
-                                if model_cfg.reverse_whitening else None)
+    # zero-filled allocation: every census below is read from this one bundle
+    eig = Eigenvalues(np.ones(model_cfg.video_dim)) if model_cfg.reverse_whitening else None
+    bundle = _params_class(cfg).create(model_cfg, None, eigenvalues=eig)
+    params = bundle.experts[0] if isinstance(bundle, MixtureParams) else bundle
 
     rows = []
     streams = (("video", model_cfg.video_vlad), ("audio", model_cfg.audio_vlad))
@@ -241,9 +243,12 @@ def cmd_param_count(args) -> int:
     rows.append(("classifier", h * c, params.classifier_w.size))
 
     total_formula = sum(r[1] for r in rows)
-    census = weight_census(params)
-    rows.append(("full model weights", total_formula, census))
-    bias_bn = sum(t.size for t in params.named_parameters().values()) - census
+    rows.append(("full model weights", total_formula, weight_census(params)))
+    if bundle is not params:
+        gate = (model_cfg.video_dim + model_cfg.audio_dim) * NUM_EXPERTS
+        rows.append((f"{NUM_EXPERTS}-expert mixture weights", NUM_EXPERTS * total_formula + gate,
+                     weight_census(bundle)))
+    bias_bn = sum(t.size for t in bundle.named_parameters().values()) - weight_census(bundle)
 
     width = max(len(r[0]) for r in rows)
     print(f"{'component':<{width}} {'closed form':>14} {'census':>14}")

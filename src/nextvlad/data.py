@@ -118,6 +118,14 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n: int, field: str) -> str:
+        """``n`` bytes decoded as UTF-8; ``field`` names them in the error."""
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{self.path}: {field} is not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+
 
 def read_dataset(path) -> Dataset:
     with open(path, "rb") as f:
@@ -128,9 +136,9 @@ def read_dataset(path) -> Dataset:
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         records = []
-        for _ in range(num_videos):
+        for i in range(num_videos):
             (id_len,) = r.unpack("<H")
-            video_id = r.take(id_len).decode("utf-8")
+            video_id = r.text(id_len, f"video id of record {i}")
             (num_labels,) = r.unpack("<I")
             labels = np.frombuffer(r.take(4 * num_labels), dtype="<u4").copy()
             if labels.size and int(labels.max()) >= num_classes:

@@ -13,7 +13,7 @@ grad flags are restored afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -32,7 +32,6 @@ class GradCheckReport:
     worst_input: int  # index into the inputs list
     worst_element: tuple  # unraveled index within that input
     tol: float
-    per_input_error: list = field(default_factory=list)
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -86,9 +85,7 @@ def grad_check(
             return float((fn(*inputs).data * cot).sum())
 
         worst = (0.0, 0, ())
-        per_input = []
         for i, t in enumerate(inputs):
-            err_i = 0.0
             flat = t.data.reshape(-1)
             a_flat = analytic[i].reshape(-1)
             for e in range(flat.size):
@@ -100,11 +97,8 @@ def grad_check(
                 flat[e] = orig
                 numeric = (f_plus - f_minus) / (2.0 * h)
                 rel = abs(a_flat[e] - numeric) / max(abs(a_flat[e]), abs(numeric), 1.0)
-                if rel > err_i:
-                    err_i = rel
                 if rel > worst[0]:
                     worst = (rel, i, np.unravel_index(e, t.data.shape))
-            per_input.append(err_i)
     finally:
         for t, flag, g in zip(inputs, saved_flags, saved_grads):
             t.requires_grad = flag
@@ -116,5 +110,4 @@ def grad_check(
         worst_input=worst[1],
         worst_element=worst[2],
         tol=tol,
-        per_input_error=per_input,
     )

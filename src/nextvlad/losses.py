@@ -84,15 +84,9 @@ def kl_divergence(p_teacher: Tensor, p_student: Tensor) -> Tensor:
 
 @dataclass
 class LossBreakdown:
-    total: float
-    bce_experts: list
-    bce_mixture: float
+    bce_total: float  # experts' BCEs, then the mixture's
     kl_raw: float
     kl_weighted: float
-
-    @property
-    def bce_total(self) -> float:
-        return sum(self.bce_experts) + self.bce_mixture
 
 
 def total_loss(
@@ -128,9 +122,7 @@ def total_loss(
         kl_weighted_value = (t * t) * kl_raw_value
 
     breakdown = LossBreakdown(
-        total=loss.item(),
-        bce_experts=[b.item() for b in expert_bces],
-        bce_mixture=mixture_bce.item(),
+        bce_total=sum(b.item() for b in expert_bces) + mixture_bce.item(),
         kl_raw=kl_raw_value,
         kl_weighted=kl_weighted_value,
     )

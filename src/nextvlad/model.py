@@ -29,6 +29,7 @@ from .vlad import (
     init_normal,
     FrameBatchView,
     NeXtVladCore,
+    ParamTree,
     ReduceHead,
     VladConfig,
     VladCore,
@@ -102,7 +103,7 @@ class ModelConfig:
 
 
 @dataclass
-class SecgParams:
+class SecgParams(ParamTree):
     """Squeeze-excitation context gate: FC -> BN -> ReLU -> FC -> BN -> sigmoid."""
 
     fc1_w: Tensor  # (F, F/r)
@@ -126,18 +127,6 @@ class SecgParams:
             bn2=BatchNormParams.create(features, dtype),
         )
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.fc1_w": self.fc1_w, f"{prefix}.fc1_b": self.fc1_b,
-               f"{prefix}.fc2_w": self.fc2_w, f"{prefix}.fc2_b": self.fc2_b}
-        out.update(self.bn1.named_parameters(f"{prefix}.bn1"))
-        out.update(self.bn2.named_parameters(f"{prefix}.bn2"))
-        return out
-
-    def named_buffers(self, prefix: str) -> dict[str, np.ndarray]:
-        out = self.bn1.named_buffers(f"{prefix}.bn1")
-        out.update(self.bn2.named_buffers(f"{prefix}.bn2"))
-        return out
-
 
 def se_context_gating(x: Tensor, params: SecgParams, training: bool = False) -> Tensor:
     """Elementwise-gate ``x`` by a bottlenecked sigmoid excitation of itself."""
@@ -151,10 +140,12 @@ def se_context_gating(x: Tensor, params: SecgParams, training: bool = False) -> 
 
 
 @dataclass
-class ModelParams:
+class ModelParams(ParamTree):
+    PREFIX = "model"
+
     config: ModelConfig
-    video_core: VladCore
-    audio_core: VladCore
+    video: VladCore
+    audio: VladCore
     reduce: ReduceHead  # shared across streams: (concat_dim, H)
     secg: SecgParams
     classifier_w: Tensor  # (H, C)
@@ -179,8 +170,8 @@ class ModelParams:
             scale = None
         return ModelParams(
             config=cfg,
-            video_core=make_core(cfg.video_vlad, rng, dtype),
-            audio_core=make_core(cfg.audio_vlad, rng, dtype),
+            video=make_core(cfg.video_vlad, rng, dtype),
+            audio=make_core(cfg.audio_vlad, rng, dtype),
             reduce=ReduceHead.create(cfg.concat_dim, cfg.hidden_dim, rng, dtype),
             secg=SecgParams.create(cfg.hidden_dim, cfg.se_ratio, rng, dtype),
             classifier_w=ad.parameter(
@@ -189,26 +180,6 @@ class ModelParams:
             whiten_scale=scale,
         )
 
-    def named_parameters(self, prefix: str = "model") -> dict[str, Tensor]:
-        out = self.video_core.named_parameters(f"{prefix}.video")
-        out.update(self.audio_core.named_parameters(f"{prefix}.audio"))
-        out.update(self.reduce.named_parameters(f"{prefix}.reduce"))
-        out.update(self.secg.named_parameters(f"{prefix}.secg"))
-        out[f"{prefix}.classifier_w"] = self.classifier_w
-        out[f"{prefix}.classifier_b"] = self.classifier_b
-        return out
-
-    def named_buffers(self, prefix: str = "model") -> dict[str, np.ndarray]:
-        out = self.reduce.named_buffers(f"{prefix}.reduce")
-        out.update(self.secg.named_buffers(f"{prefix}.secg"))
-        if self.whiten_scale is not None:
-            out[f"{prefix}.whiten_scale"] = self.whiten_scale
-        return out
-
-    def classifier_weights(self) -> list[Tensor]:
-        """Tensors covered by the classifier L2 regularizer."""
-        return [self.classifier_w]
-
 
 def stream_censuses(params: ModelParams) -> tuple[int, int]:
     """Weight census of the video and the audio NetVLAD/NeXtVLAD block: the
@@ -216,8 +187,8 @@ def stream_censuses(params: ModelParams) -> tuple[int, int]:
     feeds (video rows first, in concat order)."""
     rows = params.config.video_vlad.descriptor_dim
     w = params.reduce.w.data
-    return (weight_census(params.video_core) + w[:rows].size,
-            weight_census(params.audio_core) + w[rows:].size)
+    return (weight_census(params.video) + w[:rows].size,
+            weight_census(params.audio) + w[rows:].size)
 
 
 def _descriptor(view: FrameBatchView, core) -> Tensor:
@@ -243,8 +214,8 @@ def model_forward(
         scaled = reverse_whitening(video.frames, params.whiten_scale)
         video = FrameBatchView(frames=scaled, mask=video.mask, lengths=video.lengths)
 
-    video_desc = _descriptor(video, params.video_core)
-    audio_desc = _descriptor(batch.audio, params.audio_core)
+    video_desc = _descriptor(video, params.video)
+    audio_desc = _descriptor(batch.audio, params.audio)
     joint = ad.concat([video_desc, audio_desc], axis=1)
 
     if training and cfg.dropout_rate > 0.0:
@@ -258,8 +229,10 @@ def model_forward(
 
 
 @dataclass
-class MixtureParams:
+class MixtureParams(ParamTree):
     """Three independent experts plus a softmax gate over mean input features."""
+
+    PREFIX = "mixture"
 
     experts: list = field(default_factory=list)
     gate_w: Optional[Tensor] = None  # (video_dim + audio_dim, 3)
@@ -283,23 +256,6 @@ class MixtureParams:
     @property
     def config(self) -> ModelConfig:
         return self.experts[0].config
-
-    def named_parameters(self, prefix: str = "mixture") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, e in enumerate(self.experts):
-            out.update(e.named_parameters(f"{prefix}.expert{i}"))
-        out[f"{prefix}.gate_w"] = self.gate_w
-        out[f"{prefix}.gate_b"] = self.gate_b
-        return out
-
-    def named_buffers(self, prefix: str = "mixture") -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, e in enumerate(self.experts):
-            out.update(e.named_buffers(f"{prefix}.expert{i}"))
-        return out
-
-    def classifier_weights(self) -> list[Tensor]:
-        return [t for e in self.experts for t in e.classifier_weights()]
 
 
 def _masked_frame_mean(view: FrameBatchView) -> Tensor:

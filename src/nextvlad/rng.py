@@ -147,7 +147,3 @@ class Rng:
         if k > n:
             raise ValueError(f"cannot draw {k} distinct values from range({n})")
         return self.permutation(n)[:k]
-
-    def spawn(self, *tags: int) -> "Rng":
-        """Independent stream keyed off this generator's seed and tags."""
-        return Rng(derive_seed(self.seed, *tags))

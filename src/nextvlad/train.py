@@ -203,9 +203,9 @@ class LogRow:
 LOG_HEADER = "step,lr,loss,bce,kl,gap"
 
 
-def _classifier_l2(params, coefficient: float) -> Tensor:
+def _classifier_l2(weights: list, coefficient: float) -> Tensor:
     reg = None
-    for w in params.classifier_weights():
+    for w in weights:
         term = ad.reduce_sum(w * w)
         reg = term if reg is None else reg + term
     return reg * coefficient
@@ -231,6 +231,9 @@ def train_loop(
     total_steps = cfg.max_steps if cfg.max_steps > 0 else cfg.epochs * steps_per_epoch
     is_mixture = isinstance(state.params, MixtureParams)
     gap_source = eval_dataset if eval_dataset is not None else dataset
+    # Adam rebinds each tensor's .data, never the tensors: enumerate once
+    named = state.params.named_parameters()
+    classifier_ws = [t for name, t in named.items() if name.endswith(".classifier_w")]
 
     rows: list[LogRow] = []
     cached_epoch = -1
@@ -246,7 +249,6 @@ def train_loop(
 
         lr = lr_schedule(state.global_step, cfg)
         step_rng = Rng(derive_seed(cfg.seed, TAG_DROPOUT, state.global_step))
-        named = state.params.named_parameters()
         for t in named.values():
             t.grad = None
 
@@ -261,7 +263,7 @@ def train_loop(
             bce_value, kl_value = loss.item(), 0.0
 
         if cfg.l2_classifier > 0:
-            loss = loss + _classifier_l2(state.params, cfg.l2_classifier)
+            loss = loss + _classifier_l2(classifier_ws, cfg.l2_classifier)
         loss_value = loss.item()
         if not math.isfinite(loss_value):
             raise RuntimeError(f"non-finite loss at step {state.global_step}")
@@ -347,12 +349,12 @@ def load_checkpoint(path) -> Checkpoint:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         (echo_len,) = r.unpack("<I")
-        echo = r.take(echo_len).decode("utf-8")
+        echo = r.text(echo_len, "config echo")
         (count,) = r.unpack("<I")
         tensors = {}
-        for _ in range(count):
+        for i in range(count):
             (name_len,) = r.unpack("<H")
-            name = r.take(name_len).decode("utf-8")
+            name = r.text(name_len, f"name of tensor {i}")
             code, ndim = r.unpack("<BB")
             if code not in _CODE_DTYPES:
                 raise ValueError(f"{path}: unknown dtype code {code} for {name!r}")

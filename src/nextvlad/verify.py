@@ -9,6 +9,8 @@ returns (name, passed, detail).
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from . import autodiff as ad
@@ -42,25 +44,16 @@ def random_view(rng: Rng, b: int, m: int, n: int, dtype=np.float64,
 
 
 def cast_params(params, dtype):
-    """Recursively cast every parameter tensor and BN buffer of a param
-    bundle to ``dtype`` (fresh tensors, same values)."""
-    import copy
-
+    """A copy of a param bundle with every parameter and buffer cast to
+    ``dtype`` (fresh tensors, same values)."""
     out = copy.deepcopy(params)
-    stack = [out]
-    while stack:
-        obj = stack.pop()
-        for name in getattr(obj, "__dataclass_fields__", {}):
-            value = getattr(obj, name)
-            if isinstance(value, Tensor):
-                setattr(obj, name, Tensor(value.data.astype(dtype), requires_grad=value.requires_grad))
-            elif isinstance(value, BatchNormState):
-                value.running_mean = value.running_mean.astype(dtype)
-                value.running_var = value.running_var.astype(dtype)
-            elif isinstance(value, list):
-                stack.extend(v for v in value if hasattr(v, "__dataclass_fields__"))
-            elif hasattr(value, "__dataclass_fields__"):
-                stack.append(value)
+    for _, owner, attr in out.leaves():
+        value = getattr(owner, attr)
+        if isinstance(value, Tensor):
+            value = Tensor(value.data.astype(dtype), requires_grad=value.requires_grad)
+        else:
+            value = value.astype(dtype)
+        setattr(owner, attr, value)
     return out
 
 

@@ -17,9 +17,10 @@ affecting the output.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -122,8 +123,49 @@ def param_count_nextvlad(cfg: NeXtVladConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+class ParamTree:
+    """Base of every parameter bundle (a dataclass): one walk names all its tensors.
+
+    A ``Tensor`` field is a parameter and an ndarray field a buffer, both
+    named ``prefix.field``; a nested bundle extends the prefix with its field
+    name; the items of a list field are named ``prefix.expert{i}``; a
+    ``BatchNormState``'s running statistics are buffers of the bundle that
+    holds it.  ``PREFIX`` (a class attribute, never a field) is the default
+    prefix.
+    """
+
+    PREFIX = ""
+
+    def leaves(self, prefix: Optional[str] = None) -> Iterator[tuple]:
+        """(name, owner, attribute) of every parameter and buffer, in field order."""
+        prefix = self.PREFIX if prefix is None else prefix
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            name = f"{prefix}.{f.name}"
+            if isinstance(value, (Tensor, np.ndarray)):
+                yield name, self, f.name
+            elif isinstance(value, BatchNormState):
+                yield f"{prefix}.running_mean", value, "running_mean"
+                yield f"{prefix}.running_var", value, "running_var"
+            elif isinstance(value, ParamTree):
+                yield from value.leaves(name)
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from item.leaves(f"{prefix}.expert{i}")
+
+    def _named(self, kind, prefix: Optional[str]) -> dict:
+        named = ((name, getattr(owner, attr)) for name, owner, attr in self.leaves(prefix))
+        return {name: value for name, value in named if isinstance(value, kind)}
+
+    def named_parameters(self, prefix: Optional[str] = None) -> dict[str, Tensor]:
+        return self._named(Tensor, prefix)
+
+    def named_buffers(self, prefix: Optional[str] = None) -> dict[str, np.ndarray]:
+        return self._named(np.ndarray, prefix)
+
+
 @dataclass
-class BatchNormParams:
+class BatchNormParams(ParamTree):
     gamma: Tensor
     beta: Tensor
     state: BatchNormState
@@ -139,15 +181,6 @@ class BatchNormParams:
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return ad.batch_norm(x, self.gamma, self.beta, self.state, training)
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
-
-    def named_buffers(self, prefix: str) -> dict[str, np.ndarray]:
-        return {
-            f"{prefix}.running_mean": self.state.running_mean,
-            f"{prefix}.running_var": self.state.running_var,
-        }
-
 
 def init_normal(rng: Optional[Rng], shape, std: float, dtype) -> np.ndarray:
     if rng is None:
@@ -156,7 +189,7 @@ def init_normal(rng: Optional[Rng], shape, std: float, dtype) -> np.ndarray:
 
 
 @dataclass
-class NetVladCore:
+class NetVladCore(ParamTree):
     """Assignment and anchor weights of a NetVLAD block (no reduction)."""
 
     assign_w: Tensor  # (K, N)
@@ -172,17 +205,9 @@ class NetVladCore:
             anchors=ad.parameter(init_normal(rng, (k, n), 1.0 / np.sqrt(n), dtype)),
         )
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.assign_w": self.assign_w,
-            f"{prefix}.assign_b": self.assign_b,
-            f"{prefix}.anchors": self.anchors,
-        }
-
-
 
 @dataclass
-class NeXtVladCore:
+class NeXtVladCore(ParamTree):
     """Expansion, attention, assignment and anchor weights of a NeXtVLAD block."""
 
     expand_w: Tensor  # (N, lamN)
@@ -208,23 +233,12 @@ class NeXtVladCore:
             groups=g,
         )
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.expand_w": self.expand_w,
-            f"{prefix}.expand_b": self.expand_b,
-            f"{prefix}.attn_w": self.attn_w,
-            f"{prefix}.attn_b": self.attn_b,
-            f"{prefix}.assign_w": self.assign_w,
-            f"{prefix}.assign_b": self.assign_b,
-            f"{prefix}.anchors": self.anchors,
-        }
-
 
 VladCore = Union[NetVladCore, NeXtVladCore]
 
 
 @dataclass
-class ReduceHead:
+class ReduceHead(ParamTree):
     """Affine reduction of a flat descriptor to the hidden size, plus BN."""
 
     w: Tensor  # (descriptor_dim, H)
@@ -242,14 +256,6 @@ class ReduceHead:
     def __call__(self, flat: Tensor, training: bool) -> Tensor:
         return self.bn(ad.matmul(flat, self.w) + self.b, training)
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
-        out.update(self.bn.named_parameters(f"{prefix}.bn"))
-        return out
-
-    def named_buffers(self, prefix: str) -> dict[str, np.ndarray]:
-        return self.bn.named_buffers(f"{prefix}.bn")
-
 
 def make_core(cfg: VladConfig, rng: Optional[Rng], dtype) -> VladCore:
     if isinstance(cfg, NeXtVladConfig):
@@ -260,7 +266,7 @@ def make_core(cfg: VladConfig, rng: Optional[Rng], dtype) -> VladCore:
 def weight_census(bundle) -> int:
     """Allocated weight count of any parameter bundle: the total size of its
     tensors with two or more dims (biases and batch norm are 1-d)."""
-    return sum(t.size for t in bundle.named_parameters("").values() if t.ndim >= 2)
+    return sum(t.size for t in bundle.named_parameters().values() if t.ndim >= 2)
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ def test_criterion_5_mask_invariance():
     worst_desc = worst_logit = 0.0
     for trial in range(20):
         batch = toy_batch(dtype=np.float32, seed=1000 + trial)
-        base_desc = nextvlad_descriptor(batch.video, params.video_core).data
+        base_desc = nextvlad_descriptor(batch.video, params.video).data
         base_logits = model_forward(batch, params, training=False).data
 
         extra = 1 + int(rng.integers(1, 10)[0])
@@ -231,7 +231,7 @@ def test_criterion_5_mask_invariance():
         batch.video = FrameBatchView.from_lengths(junk(batch.video, 4), batch.video.lengths)
         batch.audio = FrameBatchView.from_lengths(junk(batch.audio, 3), batch.audio.lengths)
 
-        got_desc = nextvlad_descriptor(batch.video, params.video_core).data
+        got_desc = nextvlad_descriptor(batch.video, params.video).data
         got_logits = model_forward(batch, params, training=False).data
         worst_desc = max(worst_desc, np.abs(got_desc - base_desc).max())
         worst_logit = max(worst_logit, np.abs(got_logits - base_logits).max())

@@ -329,6 +329,20 @@ def test_param_count_mismatch_nonzero_exit(monkeypatch, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+def test_param_count_mixture_row(monkeypatch, capsys):
+    import nextvlad.cli as cli
+
+    assert main(["param-count", "--set", "model.experts=3"]) == 0
+    out = capsys.readouterr().out
+    # 3 x 88,999,936 model weights + a (1024 + 128) x 3 gate
+    assert "3-expert mixture weights" in out and out.count("267,003,264") == 2
+    assert "88,999,936" in out and "MISMATCH" not in out
+
+    monkeypatch.setattr(cli, "NUM_EXPERTS", 2)  # formula for 2 experts, census of 3
+    assert main(["param-count", "--set", "model.experts=3"]) == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
 def test_verify_command_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out

@@ -86,6 +86,15 @@ def test_truncated_file_rejected(tmp_path):
         read_dataset(path)
 
 
+def test_invalid_utf8_video_id_names_file_and_record(tmp_path):
+    path = tmp_path / "bad_id.fav"
+    record = struct.pack("<H", 2) + b"v\xff" + struct.pack("<II", 0, 1) + b"\0" * 12
+    path.write_bytes(b"FAV1" + struct.pack("<IIIII", 1, 1, 2, 1, 3) + record)
+    with pytest.raises(ValueError, match="video id of record 0 is not valid UTF-8") as err:
+        read_dataset(path)
+    assert str(path) in str(err.value)
+
+
 HUGE = 0xFFFFFFFF
 
 

@@ -8,7 +8,7 @@ import pytest
 from nextvlad.autodiff import Tensor
 from nextvlad.data import SyntheticSpec, gen_synthetic, make_batch
 from nextvlad.losses import LossConfig, bce_loss
-from nextvlad.model import MixtureParams, ModelConfig, ModelParams, model_forward
+from nextvlad.model import Eigenvalues, MixtureParams, ModelConfig, ModelParams, model_forward
 from nextvlad.rng import Rng, derive_seed
 from nextvlad.train import (
     ADAM_BETA1,
@@ -26,7 +26,7 @@ from nextvlad.train import (
     save_checkpoint,
     train_loop,
 )
-from nextvlad.vlad import NeXtVladConfig
+from nextvlad.vlad import NetVladConfig, NeXtVladConfig
 
 
 def desk_dataset(seed=90, videos=48):
@@ -335,6 +335,119 @@ def test_checkpoint_shape_past_end_of_file_rejected(tmp_path, shape):
     with pytest.raises(ValueError, match="truncated") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
+
+
+def test_checkpoint_invalid_utf8_tensor_name_names_file(tmp_path):
+    path = tmp_path / "bad_name.ckpt"
+    tensor = struct.pack("<H", 2) + b"w\xff" + struct.pack("<BBI", 1, 1, 1) + b"\0" * 8
+    path.write_bytes(b"CKPT" + struct.pack("<IQQII", 1, 0, 0, 0, 1) + tensor)
+    with pytest.raises(ValueError, match="name of tensor 0 is not valid UTF-8") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+# Checkpoint tensor names and shapes, pinned: video 6 / audio 4 dims, K = 3 / 2,
+# NeXtVLAD G = 2 with expansion 2, hidden 8, SE ratio 4, 5 classes.
+NAMING_HEAD_PARAMS = [
+    ("model.classifier_b", (5,)),
+    ("model.classifier_w", (8, 5)),
+    ("model.reduce.b", (8,)),
+    ("model.reduce.bn.beta", (8,)),
+    ("model.reduce.bn.gamma", (8,)),
+    ("model.reduce.w", (26, 8)),
+    ("model.secg.bn1.beta", (2,)),
+    ("model.secg.bn1.gamma", (2,)),
+    ("model.secg.bn2.beta", (8,)),
+    ("model.secg.bn2.gamma", (8,)),
+    ("model.secg.fc1_b", (2,)),
+    ("model.secg.fc1_w", (8, 2)),
+    ("model.secg.fc2_b", (8,)),
+    ("model.secg.fc2_w", (2, 8)),
+]
+NAMING_BN_BUFFERS = [
+    ("model.reduce.bn.running_mean", (8,)),
+    ("model.reduce.bn.running_var", (8,)),
+    ("model.secg.bn1.running_mean", (2,)),
+    ("model.secg.bn1.running_var", (2,)),
+    ("model.secg.bn2.running_mean", (8,)),
+    ("model.secg.bn2.running_var", (8,)),
+]
+NEXTVLAD_NAMES = {
+    "params": sorted(NAMING_HEAD_PARAMS + [
+        ("model.audio.anchors", (2, 4)),
+        ("model.audio.assign_b", (4,)),
+        ("model.audio.assign_w", (8, 4)),
+        ("model.audio.attn_b", (2,)),
+        ("model.audio.attn_w", (8, 2)),
+        ("model.audio.expand_b", (8,)),
+        ("model.audio.expand_w", (4, 8)),
+        ("model.video.anchors", (3, 6)),
+        ("model.video.assign_b", (6,)),
+        ("model.video.assign_w", (12, 6)),
+        ("model.video.attn_b", (2,)),
+        ("model.video.attn_w", (12, 2)),
+        ("model.video.expand_b", (12,)),
+        ("model.video.expand_w", (6, 12)),
+    ]),
+    "buffers": NAMING_BN_BUFFERS + [("model.whiten_scale", (6,))],
+}
+NETVLAD_NAMES = {
+    "params": sorted(NAMING_HEAD_PARAMS + [
+        ("model.audio.anchors", (2, 4)),
+        ("model.audio.assign_b", (2,)),
+        ("model.audio.assign_w", (2, 4)),
+        ("model.video.anchors", (3, 6)),
+        ("model.video.assign_b", (3,)),
+        ("model.video.assign_w", (3, 6)),
+    ]),
+    "buffers": NAMING_BN_BUFFERS,
+}
+
+
+def naming_config(kind):
+    if kind == "nextvlad":
+        video = NeXtVladConfig(input_dim=6, clusters=3, hidden_dim=8, groups=2)
+        audio = NeXtVladConfig(input_dim=4, clusters=2, hidden_dim=8, groups=2)
+    else:
+        video = NetVladConfig(input_dim=6, clusters=3, hidden_dim=8)
+        audio = NetVladConfig(input_dim=4, clusters=2, hidden_dim=8)
+    return ModelConfig(video_dim=6, audio_dim=4, video_vlad=video, audio_vlad=audio, hidden_dim=8,
+                       se_ratio=4, num_classes=5, reverse_whitening=kind == "nextvlad")
+
+
+def checkpoint_names(params, path):
+    """(params, buffers): sorted (name, shape) pairs as a saved checkpoint holds them."""
+    save_checkpoint(TrainState.create(params), path)
+    tensors = load_checkpoint(path).tensors
+    named = sorted((k, v.shape) for k, v in tensors.items() if not k.startswith("adam."))
+    param_names = set(params.named_parameters())
+    assert {k[len("adam.m."):] for k in tensors if k.startswith("adam.m.")} == param_names
+    assert {k[len("adam.v."):] for k in tensors if k.startswith("adam.v.")} == param_names
+    assert sorted(params.named_buffers()) == [k for k, _ in named if k not in param_names]
+    return ([(k, s) for k, s in named if k in param_names],
+            [(k, s) for k, s in named if k not in param_names])
+
+
+@pytest.mark.parametrize("kind, expected", [("nextvlad", NEXTVLAD_NAMES), ("netvlad", NETVLAD_NAMES)])
+def test_checkpoint_tensor_names_and_shapes_are_pinned(tmp_path, kind, expected):
+    eig = Eigenvalues(np.ones(6)) if kind == "nextvlad" else None
+    params = ModelParams.create(naming_config(kind), None, eigenvalues=eig)
+    got_params, got_buffers = checkpoint_names(params, tmp_path / "model.ckpt")
+    assert got_params == expected["params"]
+    assert got_buffers == expected["buffers"]
+
+
+def test_mixture_checkpoint_names_nest_the_model_names(tmp_path):
+    mix = MixtureParams.create(naming_config("nextvlad"), None, eigenvalues=Eigenvalues(np.ones(6)))
+    got_params, got_buffers = checkpoint_names(mix, tmp_path / "mix.ckpt")
+
+    def nested(pairs):
+        return [(f"mixture.expert{i}{name[len('model'):]}", shape)
+                for i in range(3) for name, shape in pairs]
+
+    assert got_params == sorted(nested(NEXTVLAD_NAMES["params"])
+                                + [("mixture.gate_b", (3,)), ("mixture.gate_w", (10, 3))])
+    assert got_buffers == sorted(nested(NEXTVLAD_NAMES["buffers"]))
 
 
 def test_checkpoint_missing_tensor_rejected(tmp_path):
