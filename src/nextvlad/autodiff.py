@@ -32,8 +32,8 @@ def _contiguous(arr: np.ndarray) -> np.ndarray:
     return arr if arr.ndim == 0 else np.ascontiguousarray(arr)
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
-    arr = np.asarray(data, dtype=dtype)
+def _as_array(data) -> np.ndarray:
+    arr = np.asarray(data)
     if arr.dtype not in FLOAT_DTYPES:
         arr = arr.astype(np.float32)
     return _contiguous(arr)
@@ -44,8 +44,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
 
-    def __init__(self, data, dtype=None, requires_grad: bool = False):
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _as_array(data)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self._parents: tuple[Tensor, ...] = ()
@@ -77,9 +77,6 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype))
 
     def __repr__(self) -> str:
         head = f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}"
@@ -152,9 +149,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, _coerce(other, self.dtype))
 
-    def __rsub__(self, other):
-        return sub(_coerce(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, _coerce(other, self.dtype))
 
@@ -163,25 +157,10 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _coerce(other, self.dtype))
 
-    def __rtruediv__(self, other):
-        return div(_coerce(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def transpose(self, axes: Sequence[int]) -> "Tensor":
-        return transpose(self, tuple(axes))
-
-    def sum(self, axes=None, keepdims: bool = False) -> "Tensor":
-        return reduce_sum(self, axes, keepdims)
 
 
 def _coerce(value, dtype) -> Tensor:
@@ -190,12 +169,8 @@ def _coerce(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
-def constant(data, dtype=None) -> Tensor:
-    return Tensor(data, dtype=dtype)
-
-
-def parameter(data, dtype=None) -> Tensor:
-    return Tensor(data, dtype=dtype, requires_grad=True)
+def parameter(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +293,6 @@ DIV = Primitive(
     ),
 )
 
-NEG = Primitive("neg", lambda a: -a, lambda g, out, a, needs: (-g,))
-
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     return apply(ADD, a, b)
@@ -335,10 +308,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     return apply(DIV, a, b)
-
-
-def neg(a: Tensor) -> Tensor:
-    return apply(NEG, a)
 
 
 # ---------------------------------------------------------------------------
@@ -467,28 +436,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return apply(CONCAT, *tensors, axis=axis)
 
 
-def _vjp_narrow(g, out, a, *, axis, start, length, needs):
-    pad = np.zeros_like(a)
-    sl = [slice(None)] * a.ndim
-    sl[axis] = slice(start, start + length)
-    pad[tuple(sl)] = g
-    return (pad,)
-
-
-NARROW = Primitive(
-    "narrow",
-    lambda a, *, axis, start, length: a[
-        tuple(slice(start, start + length) if i == axis else slice(None) for i in range(a.ndim))
-    ],
-    _vjp_narrow,
-)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of ``length`` extents along ``axis``."""
-    return apply(NARROW, a, axis=axis, start=start, length=length)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -506,17 +453,12 @@ def _norm_axes(axes, ndim: int) -> tuple[int, ...]:
 
 
 def _fw_reduce_sum(a, *, axes, keepdims):
-    axes = _norm_axes(axes, a.ndim)
-    if not axes:
-        return a.copy()
-    return a.sum(axis=axes, keepdims=keepdims)
+    return a.sum(axis=_norm_axes(axes, a.ndim), keepdims=keepdims)
 
 
 def _vjp_reduce_sum(g, out, a, *, axes, keepdims, needs):
-    axes = _norm_axes(axes, a.ndim)
-    if not axes:
-        return (g,)
     if not keepdims:
+        axes = _norm_axes(axes, a.ndim)
         expand = list(g.shape)
         for ax in sorted(axes):
             expand.insert(ax, 1)
@@ -608,13 +550,8 @@ def softplus(a: Tensor) -> Tensor:
     return apply(SOFTPLUS, a)
 
 
-EXP = Primitive("exp", np.exp, lambda g, out, a, needs: (g * out,))
 LOG = Primitive("log", np.log, lambda g, out, a, needs: (g / a,))
 SQRT = Primitive("sqrt", np.sqrt, lambda g, out, a, needs: (g * 0.5 / out,))
-
-
-def exp(a: Tensor) -> Tensor:
-    return apply(EXP, a)
 
 
 def log(a: Tensor) -> Tensor:
@@ -671,6 +608,10 @@ def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+BATCH_NORM_EPS = 1e-5
+BATCH_NORM_MOMENTUM = 0.9
+
+
 class BatchNormState:
     """Running first/second moments, owned by exactly one trainer."""
 
@@ -678,9 +619,10 @@ class BatchNormState:
         self.running_mean = np.zeros(num_features, dtype=dtype)
         self.running_var = np.ones(num_features, dtype=dtype)
 
-    def update(self, batch_mean: np.ndarray, batch_var: np.ndarray, momentum: float) -> None:
-        self.running_mean = momentum * self.running_mean + (1.0 - momentum) * batch_mean
-        self.running_var = momentum * self.running_var + (1.0 - momentum) * batch_var
+    def update(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
+        m = BATCH_NORM_MOMENTUM
+        self.running_mean = m * self.running_mean + (1.0 - m) * batch_mean
+        self.running_var = m * self.running_var + (1.0 - m) * batch_var
 
     def copy(self) -> "BatchNormState":
         out = BatchNormState.__new__(BatchNormState)
@@ -689,19 +631,8 @@ class BatchNormState:
         return out
 
 
-BATCH_NORM_EPS = 1e-5
-BATCH_NORM_MOMENTUM = 0.9
-
-
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    state: BatchNormState,
-    training: bool,
-    momentum: float = BATCH_NORM_MOMENTUM,
-    eps: float = BATCH_NORM_EPS,
-) -> Tensor:
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
+               training: bool) -> Tensor:
     """Normalize (batch, features) by batch stats (training) or running stats.
 
     Training mode updates ``state`` in place with momentum; the update is
@@ -718,11 +649,11 @@ def batch_norm(
         mu = mean(x, axes=0, keepdims=True)
         centered = x - mu
         var = mean(centered * centered, axes=0, keepdims=True)
-        state.update(mu.data.reshape(-1), var.data.reshape(-1), momentum)
-        normed = centered / sqrt(var + eps)
+        state.update(mu.data.reshape(-1), var.data.reshape(-1))
+        normed = centered / sqrt(var + BATCH_NORM_EPS)
     else:
         rm = Tensor(state.running_mean.astype(x.dtype))
-        inv = Tensor((1.0 / np.sqrt(state.running_var + eps)).astype(x.dtype))
+        inv = Tensor((1.0 / np.sqrt(state.running_var + BATCH_NORM_EPS)).astype(x.dtype))
         normed = (x - rm) * inv
     return normed * gamma + beta
 

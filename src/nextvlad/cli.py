@@ -42,6 +42,16 @@ def _run_config(args, shortcuts=()) -> cfgmod.RunConfig:
     return cfg
 
 
+def _read_dataset(path):
+    """A FAV1 dataset with finite frames only: a NaN or infinity is rejected
+    here, naming the file, rather than by the first batch that holds it."""
+    dataset = read_dataset(path)
+    for r in dataset.records:
+        if not (np.isfinite(r.visual).all() and np.isfinite(r.audio).all()):
+            raise ValueError(f"{path}: video {r.video_id!r} has a non-finite frame value")
+    return dataset
+
+
 def _params_class(cfg: cfgmod.RunConfig):
     experts = cfg["model.experts"]
     if experts not in (1, 3):
@@ -68,10 +78,12 @@ def _build_params(cfg: cfgmod.RunConfig, for_restore: bool = False):
 def _restore(checkpoint_path: str):
     """Rebuild a training state from a checkpoint's own config echo."""
     ckpt = trainmod.load_checkpoint(checkpoint_path)
-    cfg = cfgmod.RunConfig.from_echo(ckpt.config_echo)
-    params = _build_params(cfg, for_restore=True)
-    state = trainmod.TrainState.create(params)
-    trainmod.apply_checkpoint(state, ckpt)
+    cfg = cfgmod.RunConfig.from_echo(ckpt.config_echo, checkpoint_path)
+    try:
+        state = trainmod.TrainState.create(_build_params(cfg, for_restore=True))
+        trainmod.apply_checkpoint(state, ckpt)
+    except ValueError as exc:  # an echo or tensor set that cannot be rebuilt
+        raise ValueError(f"{checkpoint_path}: {exc}") from None
     return state, cfg, ckpt
 
 
@@ -103,8 +115,8 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = read_dataset(args.dataset)
-    eval_dataset = read_dataset(args.eval_dataset) if args.eval_dataset else None
+    dataset = _read_dataset(args.dataset)
+    eval_dataset = _read_dataset(args.eval_dataset) if args.eval_dataset else None
 
     if args.resume:
         state, cfg, _ = _restore(args.resume)
@@ -168,7 +180,7 @@ def _train_shortcuts(args):
 
 
 def cmd_eval(args) -> int:
-    dataset = read_dataset(args.dataset)
+    dataset = _read_dataset(args.dataset)
     if args.predictions:
         by_video = read_predictions_csv(args.predictions, dataset.num_classes)
         ids = [r.video_id for r in dataset.records]
@@ -178,8 +190,11 @@ def cmd_eval(args) -> int:
         rows = [by_video[vid] for vid in ids]
         flat = [p for row in rows for p in row]
         preds = PredictionSet()
-        preds.append(ids, [r.labels for r in dataset.records], [len(row) for row in rows],
-                     [c for c, _ in flat], [s for _, s in flat])
+        try:  # duplicate classes or over 20 predictions for a video
+            preds.append(ids, [r.labels for r in dataset.records], [len(row) for row in rows],
+                         [c for c, _ in flat], [s for _, s in flat])
+        except ValueError as exc:
+            raise ValueError(f"{args.predictions}: {exc}") from None
         source = f" (from {args.predictions})"
     else:
         preds = _predict_from_checkpoint(args.checkpoint, dataset, args.dataset)
@@ -205,11 +220,14 @@ def _per_class_report(preds: PredictionSet, num_classes: int, limit: int = 50) -
 def _predict_from_checkpoint(checkpoint_path: str, dataset, dataset_path: str) -> PredictionSet:
     state, cfg, _ = _restore(checkpoint_path)
     cfgmod.check_dims(cfg, dataset, dataset_path)
-    return trainmod.predict(state.params, dataset, cfgmod.batch_max_frames(cfg))
+    try:
+        return trainmod.predict(state.params, dataset, cfgmod.batch_max_frames(cfg))
+    except ValueError as exc:  # frames or weights so large that the float32 forward overflows
+        raise ValueError(f"{dataset_path} scored by {checkpoint_path}: {exc}") from None
 
 
 def cmd_predict(args) -> int:
-    dataset = read_dataset(args.dataset)
+    dataset = _read_dataset(args.dataset)
     preds = _predict_from_checkpoint(args.checkpoint, dataset, args.dataset)
     write_predictions_csv(preds, args.out)
     print(f"wrote top-{min(20, dataset.num_classes)} predictions for {len(dataset)} videos "
@@ -353,7 +371,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, KeyError, FileNotFoundError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
 
 

@@ -102,23 +102,27 @@ class RunConfig:
             raise KeyError(f"unknown config key {key!r}")
         return self._values[key]
 
+    def _set_line(self, line: str, where: str) -> None:
+        """Apply one ``key = value`` line; an error is prefixed with ``where``,
+        the line's source."""
+        key, sep, raw = line.partition("=")
+        try:
+            if not sep:
+                raise ValueError(f"expected 'key = value', got {line!r}")
+            self.set(key.strip(), raw.strip())
+        except (KeyError, ValueError) as exc:
+            raise type(exc)(f"{where}: {exc.args[0]}") from None
+
     def load_file(self, path) -> None:
         with open(path) as f:
             for line_no, line in enumerate(f, start=1):
                 stripped = line.split("#", 1)[0].strip()
-                if not stripped:
-                    continue
-                if "=" not in stripped:
-                    raise ValueError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
-                key, raw = stripped.split("=", 1)
-                self.set(key.strip(), raw.strip())
+                if stripped:
+                    self._set_line(stripped, f"{path}:{line_no}")
 
     def apply_overrides(self, pairs) -> None:
         for pair in pairs:
-            if "=" not in pair:
-                raise ValueError(f"override must look like key=value, got {pair!r}")
-            key, raw = pair.split("=", 1)
-            self.set(key.strip(), raw.strip())
+            self._set_line(pair, "--set")
 
     def echo(self) -> str:
         lines = []
@@ -134,14 +138,12 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_echo(text: str) -> "RunConfig":
+    def from_echo(text: str, source: str) -> "RunConfig":
+        """Rebuild a config from the echo stored in ``source`` (a checkpoint)."""
         cfg = RunConfig()
-        for line in text.splitlines():
-            stripped = line.strip()
-            if not stripped:
-                continue
-            key, raw = stripped.split("=", 1)
-            cfg.set(key.strip(), raw.strip())
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            if line.strip():
+                cfg._set_line(line, f"{source}: config echo line {line_no}")
         return cfg
 
 

@@ -251,10 +251,6 @@ class Batch:
     labels: Tensor  # (B, C) multi-hot
     video_ids: list
 
-    @property
-    def size(self) -> int:
-        return len(self.video_ids)
-
 
 def make_batch(records, max_frames: int, num_classes: int, dtype=np.float32) -> Batch:
     """Pad (or truncate) records to ``max_frames`` and build masks/labels."""
@@ -311,4 +307,7 @@ def load_eigenvalues(path, expected_dim: Optional[int] = None) -> Eigenvalues:
             raise ValueError(f"{path}: trailing bytes")
     if expected_dim is not None and dim != expected_dim:
         raise ValueError(f"{path}: {dim} eigenvalues, expected {expected_dim}")
-    return Eigenvalues(values)  # positivity (with index) checked by the type
+    try:
+        return Eigenvalues(values)  # the value range (with index) is checked by the type
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -75,8 +75,7 @@ def grad_check(
             t.requires_grad = True
             t.grad = None
         out = fn(*inputs)
-        cot = np.asarray(Rng(seed).normal(out.shape if out.shape else (1,)),
-                         dtype=np.float64).reshape(out.shape)
+        cot = Rng(seed).normal(out.shape)
         out.backward(cot)
         analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
                     for t in inputs]

@@ -14,6 +14,7 @@ ordering of confidences matters, never their scale.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from typing import NamedTuple, Optional
 
@@ -225,7 +226,7 @@ def write_predictions_csv(preds: PredictionSet, path) -> None:
     col = preds.columns()
     ids = [preds.video_ids[v] for v in col.video.tolist()]
     rows = sorted(zip(ids, col.cls.tolist(), col.conf.tolist()), key=lambda r: (r[0], -r[2], r[1]))
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["video_id", "class_id", "confidence"])
         for vid, class_id, conf in rows:
@@ -235,13 +236,20 @@ def write_predictions_csv(preds: PredictionSet, path) -> None:
 def read_predictions_csv(path, num_classes: Optional[int] = None) -> dict:
     """Read a prediction dump back as {video_id: [(class_id, confidence)]}.
 
-    A class id must be an integer >= 0, and below ``num_classes`` when that is
-    given, and a confidence a finite number; a bad row raises ValueError
-    naming the file and line.
+    The file must be UTF-8.  A class id must be an integer >= 0, and below
+    ``num_classes`` when that is given, and a confidence a finite number; a bad
+    row raises ValueError naming the file and line.
     """
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line_no}: not valid UTF-8 ({exc.reason})") from None
     out: dict[str, list] = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         header = next(reader, None)
         if header != ["video_id", "class_id", "confidence"]:
             raise ValueError(f"{path}: unexpected prediction CSV header: {header}")
@@ -260,4 +268,6 @@ def read_predictions_csv(path, num_classes: Optional[int] = None) -> dict:
                 bound = "" if num_classes is None else f" and < {num_classes}"
                 raise ValueError(f"{where}: class id {class_id} must be >= 0{bound}")
             out.setdefault(row[0], []).append((class_id, conf))
+    except csv.Error as exc:  # e.g. an unclosed quote swallowing the rest of the file
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return out

@@ -40,11 +40,13 @@ from .vlad import (
 )
 
 NUM_EXPERTS = 3
+# float32 features are scaled by sqrt(eigenvalue), and their squares summed
+EIGENVALUE_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
 class Eigenvalues:
-    """Per-dimension PCA eigenvalues; must be strictly positive."""
+    """Per-dimension PCA eigenvalues, each in (0, ``EIGENVALUE_MAX``]."""
 
     values: np.ndarray
 
@@ -52,10 +54,10 @@ class Eigenvalues:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if self.values.ndim != 1:
             raise ValueError(f"eigenvalues must be 1-d, got shape {self.values.shape}")
-        bad = np.nonzero(~(self.values > 0))[0]
+        bad = np.nonzero(~((self.values > 0) & (self.values <= EIGENVALUE_MAX)))[0]
         if bad.size:
-            raise ValueError(
-                f"eigenvalue at index {bad[0]} is {self.values[bad[0]]!r}, must be > 0")
+            raise ValueError(f"eigenvalue at index {bad[0]} is {float(self.values[bad[0]])}, "
+                             f"must be in (0, {EIGENVALUE_MAX:.4g}]")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -114,17 +116,17 @@ class SecgParams(ParamTree):
     bn2: BatchNormParams
 
     @staticmethod
-    def create(features: int, ratio: int, rng: Optional[Rng], dtype=np.float32) -> "SecgParams":
+    def create(features: int, ratio: int, rng: Optional[Rng]) -> "SecgParams":
         if features % ratio != 0:
             raise ValueError(f"ratio {ratio} must divide feature size {features}")
         squeezed = features // ratio
         return SecgParams(
-            fc1_w=ad.parameter(init_normal(rng, (features, squeezed), np.sqrt(2.0 / features), dtype)),
-            fc1_b=ad.parameter(np.zeros(squeezed, dtype=dtype)),
-            bn1=BatchNormParams.create(squeezed, dtype),
-            fc2_w=ad.parameter(init_normal(rng, (squeezed, features), np.sqrt(2.0 / squeezed), dtype)),
-            fc2_b=ad.parameter(np.zeros(features, dtype=dtype)),
-            bn2=BatchNormParams.create(features, dtype),
+            fc1_w=ad.parameter(init_normal(rng, (features, squeezed), np.sqrt(2.0 / features))),
+            fc1_b=ad.parameter(np.zeros(squeezed, dtype=np.float32)),
+            bn1=BatchNormParams.create(squeezed),
+            fc2_w=ad.parameter(init_normal(rng, (squeezed, features), np.sqrt(2.0 / squeezed))),
+            fc2_b=ad.parameter(np.zeros(features, dtype=np.float32)),
+            bn2=BatchNormParams.create(features),
         )
 
 
@@ -153,30 +155,26 @@ class ModelParams(ParamTree):
     whiten_scale: Optional[np.ndarray] = None  # sqrt(eigenvalues), video dtype
 
     @staticmethod
-    def create(
-        cfg: ModelConfig,
-        rng: Optional[Rng],
-        dtype=np.float32,
-        eigenvalues: Optional[Eigenvalues] = None,
-    ) -> "ModelParams":
+    def create(cfg: ModelConfig, rng: Optional[Rng],
+               eigenvalues: Optional[Eigenvalues] = None) -> "ModelParams":
         if cfg.reverse_whitening:
             if eigenvalues is None:
                 raise ValueError("reverse_whitening enabled but no eigenvalues given")
             if len(eigenvalues) != cfg.video_dim:
                 raise ValueError(
                     f"eigenvalue count {len(eigenvalues)} != video_dim {cfg.video_dim}")
-            scale = np.sqrt(eigenvalues.values).astype(dtype)
+            scale = np.sqrt(eigenvalues.values).astype(np.float32)
         else:
             scale = None
         return ModelParams(
             config=cfg,
-            video=make_core(cfg.video_vlad, rng, dtype),
-            audio=make_core(cfg.audio_vlad, rng, dtype),
-            reduce=ReduceHead.create(cfg.concat_dim, cfg.hidden_dim, rng, dtype),
-            secg=SecgParams.create(cfg.hidden_dim, cfg.se_ratio, rng, dtype),
+            video=make_core(cfg.video_vlad, rng),
+            audio=make_core(cfg.audio_vlad, rng),
+            reduce=ReduceHead.create(cfg.concat_dim, cfg.hidden_dim, rng),
+            secg=SecgParams.create(cfg.hidden_dim, cfg.se_ratio, rng),
             classifier_w=ad.parameter(
-                init_normal(rng, (cfg.hidden_dim, cfg.num_classes), np.sqrt(2.0 / cfg.hidden_dim), dtype)),
-            classifier_b=ad.parameter(np.zeros(cfg.num_classes, dtype=dtype)),
+                init_normal(rng, (cfg.hidden_dim, cfg.num_classes), np.sqrt(2.0 / cfg.hidden_dim))),
+            classifier_b=ad.parameter(np.zeros(cfg.num_classes, dtype=np.float32)),
             whiten_scale=scale,
         )
 
@@ -239,23 +237,15 @@ class MixtureParams(ParamTree):
     gate_b: Optional[Tensor] = None  # (3,)
 
     @staticmethod
-    def create(
-        cfg: ModelConfig,
-        rng: Optional[Rng],
-        dtype=np.float32,
-        eigenvalues: Optional[Eigenvalues] = None,
-    ) -> "MixtureParams":
-        experts = [ModelParams.create(cfg, rng, dtype, eigenvalues) for _ in range(NUM_EXPERTS)]
+    def create(cfg: ModelConfig, rng: Optional[Rng],
+               eigenvalues: Optional[Eigenvalues] = None) -> "MixtureParams":
+        experts = [ModelParams.create(cfg, rng, eigenvalues) for _ in range(NUM_EXPERTS)]
         gate_in = cfg.video_dim + cfg.audio_dim
         return MixtureParams(
             experts=experts,
-            gate_w=ad.parameter(init_normal(rng, (gate_in, NUM_EXPERTS), np.sqrt(2.0 / gate_in), dtype)),
-            gate_b=ad.parameter(np.zeros(NUM_EXPERTS, dtype=dtype)),
+            gate_w=ad.parameter(init_normal(rng, (gate_in, NUM_EXPERTS), np.sqrt(2.0 / gate_in))),
+            gate_b=ad.parameter(np.zeros(NUM_EXPERTS, dtype=np.float32)),
         )
-
-    @property
-    def config(self) -> ModelConfig:
-        return self.experts[0].config
 
 
 def _masked_frame_mean(view: FrameBatchView) -> Tensor:
@@ -265,6 +255,14 @@ def _masked_frame_mean(view: FrameBatchView) -> Tensor:
     total = ad.reduce_sum(masked, axes=1)  # (B, N)
     count = ad.reduce_sum(view.mask, axes=1, keepdims=True)  # (B, 1)
     return total / ad.clip_min(count, 1.0)
+
+
+def gated_mixture(gates: Tensor, expert_logits: list) -> Tensor:
+    """sum over m of gates[:, m] * expert_logits[m], (B, C), summed along a
+    stacked expert axis."""
+    b, c = expert_logits[0].shape
+    stacked = ad.concat([z.reshape((b, 1, c)) for z in expert_logits], axis=1)  # (B, E, C)
+    return ad.reduce_sum(gates.reshape((b, len(expert_logits), 1)) * stacked, axes=1)
 
 
 def mixture_forward(
@@ -284,9 +282,4 @@ def mixture_forward(
     mean_features = ad.concat(
         [_masked_frame_mean(batch.video), _masked_frame_mean(batch.audio)], axis=1)
     gates = ad.softmax(ad.matmul(mean_features, mix.gate_w) + mix.gate_b, axis=-1)  # (B, 3)
-
-    mixture = None
-    for m, logits in enumerate(expert_logits):
-        contrib = ad.narrow(gates, axis=1, start=m, length=1) * logits
-        mixture = contrib if mixture is None else mixture + contrib
-    return expert_logits, mixture, gates
+    return expert_logits, gated_mixture(gates, expert_logits), gates

@@ -121,17 +121,13 @@ class Rng:
         self.counter = (self.counter + n) & _MASK
         return out
 
-    def uniform(self, shape=(), dtype=np.float64) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        u = words_to_uniform(self.next_u64(n))
-        out = u.reshape(shape) if shape else u[0]
-        return np.asarray(out, dtype=dtype) if shape else dtype(out)
+    def uniform(self, shape, dtype=np.float64) -> np.ndarray:
+        n = math.prod(shape)
+        return np.asarray(words_to_uniform(self.next_u64(n)).reshape(shape), dtype=dtype)
 
-    def normal(self, shape=(), dtype=np.float64) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        z = words_to_normals(self.next_u64(n + n % 2))[:n]
-        out = z.reshape(shape) if shape else z[0]
-        return np.asarray(out, dtype=dtype) if shape else dtype(out)
+    def normal(self, shape, dtype=np.float64) -> np.ndarray:
+        n = math.prod(shape)
+        return np.asarray(words_to_normals(self.next_u64(n + n % 2))[:n].reshape(shape), dtype=dtype)
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n independent integers in [0, bound)."""

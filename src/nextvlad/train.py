@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset, make_batch
 from .losses import LossConfig, bce_loss, total_loss
-from .metrics import PredictionSet, gap_at_20, topk_predictions
+from .metrics import MAX_PREDICTIONS, PredictionSet, gap_at_20, topk_predictions
 from .model import MixtureParams, ModelParams, mixture_forward, model_forward
 from .rng import Rng, derive_seed
 
@@ -134,22 +134,17 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def predict_logits(params, batch, training: bool = False, rng: Optional[Rng] = None) -> Tensor:
+def predict_logits(params, batch) -> Tensor:
+    """Inference-mode logits of a model or of a mixture."""
     if isinstance(params, MixtureParams):
-        return mixture_forward(batch, params, training, rng)[1]
-    return model_forward(batch, params, training, rng)
+        return mixture_forward(batch, params)[1]
+    return model_forward(batch, params)
 
 
-def predict(
-    params,
-    dataset: Dataset,
-    max_frames: int,
-    batch_size: int = 64,
-    top_k: int = 20,
-) -> PredictionSet:
-    """Top-k sigmoid scores of every video, inference mode, in dataset order."""
+def predict(params, dataset: Dataset, max_frames: int, batch_size: int = 64) -> PredictionSet:
+    """Top-20 sigmoid scores of every video, inference mode, in dataset order."""
     preds = PredictionSet()
-    k = min(top_k, dataset.num_classes)
+    k = min(MAX_PREDICTIONS, dataset.num_classes)
     for start in range(0, len(dataset.records), batch_size):
         chunk = dataset.records[start:start + batch_size]
         batch = make_batch(chunk, max_frames, dataset.num_classes)
@@ -159,15 +154,9 @@ def predict(
     return preds
 
 
-def evaluate_gap(
-    params,
-    dataset: Dataset,
-    max_frames: int,
-    batch_size: int = 64,
-    top_k: int = 20,
-) -> float:
-    """GAP@k of the model over a dataset, inference mode."""
-    return gap_at_20(predict(params, dataset, max_frames, batch_size, top_k))
+def evaluate_gap(params, dataset: Dataset, max_frames: int, batch_size: int = 64) -> float:
+    """GAP@20 of the model over a dataset, inference mode."""
+    return gap_at_20(predict(params, dataset, max_frames, batch_size))
 
 
 # ---------------------------------------------------------------------------

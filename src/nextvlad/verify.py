@@ -60,7 +60,7 @@ def cast_params(params, dtype):
 def core_and_head(cfg, rng: Rng, dtype) -> tuple:
     """A stream's core and a reduction head for its descriptor alone, drawn
     from ``rng`` in that order at float32 and cast to ``dtype``."""
-    core = make_core(cfg, rng, np.float32)
+    core = make_core(cfg, rng)
     head = ReduceHead.create(cfg.descriptor_dim, cfg.hidden_dim, rng)
     return cast_params(core, dtype), cast_params(head, dtype)
 
@@ -138,7 +138,7 @@ def gradient_checks(seed: int = 0) -> list:
     check("softplus", ad.SOFTPLUS, t(6,))
     check("l2_normalize", lambda x: ad.l2_normalize(x, axis=-1), t(3, 4))
     check("reduce_sum", lambda x: ad.reduce_sum(x, axes=(0, 2)), t(2, 3, 4))
-    check("concat+narrow", lambda a, b: ad.narrow(ad.concat([a, b], axis=1), 1, 2, 3), t(2, 3), t(2, 4))
+    check("concat", lambda a, b: ad.concat([a, b], axis=1), t(2, 3), t(2, 4))
 
     bn_state = BatchNormState(4, dtype=np.float64)
     check("batch_norm train",

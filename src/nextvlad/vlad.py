@@ -171,21 +171,22 @@ class BatchNormParams(ParamTree):
     state: BatchNormState
 
     @staticmethod
-    def create(num_features: int, dtype=np.float32) -> "BatchNormParams":
+    def create(num_features: int) -> "BatchNormParams":
         return BatchNormParams(
-            gamma=ad.parameter(np.ones(num_features, dtype=dtype)),
-            beta=ad.parameter(np.zeros(num_features, dtype=dtype)),
-            state=BatchNormState(num_features, dtype=dtype),
+            gamma=ad.parameter(np.ones(num_features, dtype=np.float32)),
+            beta=ad.parameter(np.zeros(num_features, dtype=np.float32)),
+            state=BatchNormState(num_features),
         )
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return ad.batch_norm(x, self.gamma, self.beta, self.state, training)
 
 
-def init_normal(rng: Optional[Rng], shape, std: float, dtype) -> np.ndarray:
+def init_normal(rng: Optional[Rng], shape, std: float) -> np.ndarray:
+    """Float32 N(0, std^2) weights, or zeros when there is no ``rng``."""
     if rng is None:
-        return np.zeros(shape, dtype=dtype)
-    return (rng.normal(shape) * std).astype(dtype)
+        return np.zeros(shape, dtype=np.float32)
+    return (rng.normal(shape) * std).astype(np.float32)
 
 
 @dataclass
@@ -197,12 +198,12 @@ class NetVladCore(ParamTree):
     anchors: Tensor  # (K, N)
 
     @staticmethod
-    def create(cfg: NetVladConfig, rng: Optional[Rng], dtype=np.float32) -> "NetVladCore":
+    def create(cfg: NetVladConfig, rng: Optional[Rng]) -> "NetVladCore":
         n, k = cfg.input_dim, cfg.clusters
         return NetVladCore(
-            assign_w=ad.parameter(init_normal(rng, (k, n), np.sqrt(2.0 / n), dtype)),
-            assign_b=ad.parameter(np.zeros(k, dtype=dtype)),
-            anchors=ad.parameter(init_normal(rng, (k, n), 1.0 / np.sqrt(n), dtype)),
+            assign_w=ad.parameter(init_normal(rng, (k, n), np.sqrt(2.0 / n))),
+            assign_b=ad.parameter(np.zeros(k, dtype=np.float32)),
+            anchors=ad.parameter(init_normal(rng, (k, n), 1.0 / np.sqrt(n))),
         )
 
 
@@ -220,16 +221,16 @@ class NeXtVladCore(ParamTree):
     groups: int
 
     @staticmethod
-    def create(cfg: NeXtVladConfig, rng: Optional[Rng], dtype=np.float32) -> "NeXtVladCore":
+    def create(cfg: NeXtVladConfig, rng: Optional[Rng]) -> "NeXtVladCore":
         n, lam_n, g, k, d = cfg.input_dim, cfg.expanded_dim, cfg.groups, cfg.clusters, cfg.group_dim
         return NeXtVladCore(
-            expand_w=ad.parameter(init_normal(rng, (n, lam_n), np.sqrt(2.0 / n), dtype)),
-            expand_b=ad.parameter(np.zeros(lam_n, dtype=dtype)),
-            attn_w=ad.parameter(init_normal(rng, (lam_n, g), np.sqrt(2.0 / lam_n), dtype)),
-            attn_b=ad.parameter(np.zeros(g, dtype=dtype)),
-            assign_w=ad.parameter(init_normal(rng, (lam_n, g * k), np.sqrt(2.0 / lam_n), dtype)),
-            assign_b=ad.parameter(np.zeros(g * k, dtype=dtype)),
-            anchors=ad.parameter(init_normal(rng, (k, d), 1.0 / np.sqrt(d), dtype)),
+            expand_w=ad.parameter(init_normal(rng, (n, lam_n), np.sqrt(2.0 / n))),
+            expand_b=ad.parameter(np.zeros(lam_n, dtype=np.float32)),
+            attn_w=ad.parameter(init_normal(rng, (lam_n, g), np.sqrt(2.0 / lam_n))),
+            attn_b=ad.parameter(np.zeros(g, dtype=np.float32)),
+            assign_w=ad.parameter(init_normal(rng, (lam_n, g * k), np.sqrt(2.0 / lam_n))),
+            assign_b=ad.parameter(np.zeros(g * k, dtype=np.float32)),
+            anchors=ad.parameter(init_normal(rng, (k, d), 1.0 / np.sqrt(d))),
             groups=g,
         )
 
@@ -246,21 +247,21 @@ class ReduceHead(ParamTree):
     bn: BatchNormParams
 
     @staticmethod
-    def create(in_dim: int, hidden_dim: int, rng: Optional[Rng], dtype=np.float32) -> "ReduceHead":
+    def create(in_dim: int, hidden_dim: int, rng: Optional[Rng]) -> "ReduceHead":
         return ReduceHead(
-            w=ad.parameter(init_normal(rng, (in_dim, hidden_dim), np.sqrt(2.0 / in_dim), dtype)),
-            b=ad.parameter(np.zeros(hidden_dim, dtype=dtype)),
-            bn=BatchNormParams.create(hidden_dim, dtype),
+            w=ad.parameter(init_normal(rng, (in_dim, hidden_dim), np.sqrt(2.0 / in_dim))),
+            b=ad.parameter(np.zeros(hidden_dim, dtype=np.float32)),
+            bn=BatchNormParams.create(hidden_dim),
         )
 
     def __call__(self, flat: Tensor, training: bool) -> Tensor:
         return self.bn(ad.matmul(flat, self.w) + self.b, training)
 
 
-def make_core(cfg: VladConfig, rng: Optional[Rng], dtype) -> VladCore:
+def make_core(cfg: VladConfig, rng: Optional[Rng]) -> VladCore:
     if isinstance(cfg, NeXtVladConfig):
-        return NeXtVladCore.create(cfg, rng, dtype)
-    return NetVladCore.create(cfg, rng, dtype)
+        return NeXtVladCore.create(cfg, rng)
+    return NetVladCore.create(cfg, rng)
 
 
 def weight_census(bundle) -> int:
@@ -292,14 +293,6 @@ class FrameBatchView:
             raise ValueError(f"lengths shape {lengths.shape} != ({b},)")
         mask = (np.arange(m_max)[None, :] < lengths[:, None]).astype(frames.dtype)
         return FrameBatchView(frames=frames, mask=Tensor(mask), lengths=lengths)
-
-    @property
-    def batch_size(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def max_frames(self) -> int:
-        return self.frames.shape[1]
 
     @property
     def feature_dim(self) -> int:

@@ -1,5 +1,7 @@
 """Config parsing and the command-line surface, end to end on tiny runs."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,16 @@ def test_config_file_parsing_with_comments(tmp_path):
     assert cfg["train.lr_staircase"] is True
 
 
+def test_config_file_errors_name_file_and_line(tmp_path, capsys):
+    f = tmp_path / "run.cfg"
+    f.write_text("# a comment\ntrain.steps = many\n")
+    assert main(["param-count", "--config", str(f)]) == 1
+    assert capsys.readouterr().err == f"error: {f}:2: train.steps: expected int, got 'many'\n"
+    f.write_text("train.sead = 3\n")
+    assert main(["param-count", "--config", str(f)]) == 1
+    assert capsys.readouterr().err == f"error: {f}:1: unknown config key 'train.sead'\n"
+
+
 def test_type_validation():
     cfg = RunConfig()
     with pytest.raises(ValueError, match="int"):
@@ -54,7 +66,7 @@ def test_echo_roundtrip():
     cfg.set("train.base_lr", "0.00125")
     cfg.set("model.experts", "3")
     cfg.set("model.reverse_whitening", "true")
-    back = RunConfig.from_echo(cfg.echo())
+    back = RunConfig.from_echo(cfg.echo(), "run.ckpt")
     assert back.echo() == cfg.echo()
     assert back["train.base_lr"] == 0.00125
     assert back["model.experts"] == 3
@@ -136,7 +148,7 @@ def test_train_lr_zero_checkpoint_equals_init(tmp_path, tiny_dataset):
     ckpt = load_checkpoint(out / "checkpoint.ckpt")
 
     from nextvlad.cli import _build_params
-    cfg = RunConfig.from_echo(ckpt.config_echo)
+    cfg = RunConfig.from_echo(ckpt.config_echo, str(out / "checkpoint.ckpt"))
     fresh = _build_params(cfg)
     for name, t in fresh.named_parameters().items():
         assert np.array_equal(ckpt.tensors[name], t.data), name
@@ -303,6 +315,35 @@ def test_resume_rejects_model_overrides(tmp_path, tiny_dataset, capsys, extra):
     assert repr(key) in capsys.readouterr().err
     assert ckpt.read_bytes() == before
     assert main(["eval", "--dataset", str(tiny_dataset), "--checkpoint", str(ckpt)]) == 0
+
+
+def _replace_echo_line(ckpt, old: str, new: str) -> int:
+    """Rewrite one line of a checkpoint's config echo in place; returns its
+    1-based line number.  The echo length sits after the 24-byte header."""
+    raw = ckpt.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 24)
+    lines = raw[28:28 + n].decode("utf-8").split("\n")
+    line_no = lines.index(old) + 1
+    lines[line_no - 1] = new
+    echo = "\n".join(lines).encode("utf-8")
+    ckpt.write_bytes(raw[:24] + struct.pack("<I", len(echo)) + echo + raw[28 + n:])
+    return line_no
+
+
+@pytest.mark.parametrize("line, message", [
+    ("train.seed 3", "expected 'key = value', got 'train.seed 3'"),
+    ("train.sead = 3", "unknown config key 'train.sead'"),
+    ("train.seed = x", "train.seed: expected int, got 'x'"),
+])
+def test_corrupt_config_echo_names_checkpoint_and_line(tmp_path, tiny_dataset, capsys, line, message):
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+                 "--steps", "1", "--batch-size", "8", "--seed", "3"] + TINY) == 0
+    ckpt = out / "checkpoint.ckpt"
+    line_no = _replace_echo_line(ckpt, "train.seed = 3", line)
+    capsys.readouterr()
+    assert main(["eval", "--dataset", str(tiny_dataset), "--checkpoint", str(ckpt)]) == 1
+    assert capsys.readouterr().err == f"error: {ckpt}: config echo line {line_no}: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,19 @@ def test_eigenvalues_zero_rejected_with_index(tmp_path):
         load_eigenvalues(path)
 
 
+@pytest.mark.parametrize("value, shown", [(-1.0, "-1.0"), (np.nan, "nan"), (np.inf, "inf"),
+                                          (1e68, "1e+68")])
+def test_eigenvalue_errors_name_the_file_and_a_plain_value(tmp_path, value, shown):
+    path = tmp_path / "bad.eigv"
+    write_eigenvalues(Eigenvalues([1.0, 2.0]), path)
+    raw = bytearray(path.read_bytes())
+    raw[20:28] = np.float64(value).tobytes()  # the second value
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as info:
+        load_eigenvalues(path)
+    assert str(info.value) == f"{path}: eigenvalue at index 1 is {shown}, must be in (0, 3.403e+38]"
+
+
 def test_eigenvalues_bad_magic_and_dim(tmp_path):
     path = tmp_path / "bad.eigv"
     path.write_bytes(b"XXXX" + b"\0" * 8)

@@ -230,10 +230,8 @@ def test_total_loss_is_differentiable():
         from nextvlad import autodiff as ad
 
         gates = ad.softmax(mixture_w, axis=0)
-        mix = None
-        for m, z in enumerate(experts):
-            contrib = ad.narrow(gates.reshape((1, 3)), 1, m, 1) * z
-            mix = contrib if mix is None else mix + contrib
+        stacked = ad.concat([z.reshape((2, 1, 3)) for z in experts], axis=1)
+        mix = ad.reduce_sum(gates.reshape((1, 3, 1)) * stacked, axes=1)
         return total_loss(experts, mix, labels, cfg)[0]
 
     report = grad_check(f, experts + [mixture_w])

@@ -246,6 +246,23 @@ def test_predictions_csv_rejects_bad_class_id(tmp_path, class_id, match):
     assert f"{path}:3:" in str(err.value)
 
 
+def test_predictions_csv_not_utf8_names_file_and_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"video_id,class_id,confidence\nv0,3,0.9\nv\xff,2,0.5\n")
+    with pytest.raises(ValueError) as err:
+        read_predictions_csv(path)
+    assert str(err.value) == f"{path}:3: not valid UTF-8 (invalid start byte)"
+
+
+def test_predictions_csv_unclosed_quote_names_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    rows = "".join(f"v{i},1,0.5\n" for i in range(20000))  # past csv's 128 KiB field limit
+    path.write_text(f'video_id,class_id,confidence\n"v,3,0.9\n{rows}')
+    with pytest.raises(ValueError, match="field limit") as err:
+        read_predictions_csv(path)
+    assert str(err.value).startswith(f"{path}:")
+
+
 @pytest.mark.parametrize("confidence", ["nan", "inf", "-inf"])
 def test_predictions_csv_rejects_non_finite_confidence(tmp_path, confidence):
     path = tmp_path / "bad.csv"

@@ -13,6 +13,7 @@ from nextvlad.model import (
     ModelConfig,
     ModelParams,
     SecgParams,
+    gated_mixture,
     mixture_forward,
     model_forward,
     reverse_whitening,
@@ -267,6 +268,25 @@ def test_mixture_matches_hand_computed_weighted_sum():
     expert_logits, mixture_logits, gates = mixture_forward(batch, mix, training=False)
     expected = sum(gates.data[:, m:m + 1] * expert_logits[m].data for m in range(3))
     assert np.abs(mixture_logits.data - expected).max() < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stacked_combine_is_bit_exact_to_the_per_expert_sum(dtype):
+    # 150 classes: the gate's row sums take numpy's pairwise path
+    mix = cast_params(MixtureParams.create(toy_config(num_classes=150), Rng(21)), dtype)
+    expert_logits, mixture_logits, gates = mixture_forward(toy_batch(dtype=dtype), mix)
+    g, (z0, z1, z2) = gates.data, [z.data for z in expert_logits]
+    assert mixture_logits.dtype == dtype
+    assert mixture_logits.data.tobytes() == (g[:, :1] * z0 + g[:, 1:2] * z1 + g[:, 2:] * z2).tobytes()
+
+    gates = Tensor(g, requires_grad=True)
+    experts = [Tensor(z, requires_grad=True) for z in (z0, z1, z2)]
+    cot = Rng(22).normal(mixture_logits.shape, dtype=dtype)
+    gated_mixture(gates, experts).backward(cot)
+    for m, e in enumerate(experts):
+        assert e.grad.tobytes() == (cot * g[:, m:m + 1]).tobytes()
+    rows = [(cot * z).sum(axis=1, keepdims=True) for z in (z0, z1, z2)]
+    assert gates.grad.tobytes() == np.concatenate(rows, axis=1).tobytes()
 
 
 def test_gates_sum_to_one_and_mixture_in_convex_hull():
