@@ -11,6 +11,7 @@ is echoed into the run log and the checkpoint.
 from __future__ import annotations
 
 import argparse
+import copy
 import sys
 from pathlib import Path
 
@@ -31,14 +32,19 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
                    metavar="KEY=VALUE", help="override one config key (repeatable)")
 
 
-def _run_config(args, shortcuts=()) -> cfgmod.RunConfig:
-    cfg = cfgmod.RunConfig()
-    if getattr(args, "config", None):
+def _run_config(args, cfg=None) -> cfgmod.RunConfig:
+    """The defaults (or ``cfg``), then ``--config``, then ``--set``, then every
+    shortcut flag, whose ``dest`` is the config key it sets."""
+    cfg = cfg or cfgmod.RunConfig()
+    if args.config:
         cfg.load_file(args.config)
     cfg.apply_overrides(args.overrides)
-    for key, value in shortcuts:
-        if value is not None:
+    for key, value in vars(args).items():
+        if key in cfgmod.REGISTRY and value is not None:
             cfg.set(key, value)
+    if getattr(args, "labels_per_video", None) is not None:
+        cfg.set("data.labels_min", args.labels_per_video)
+        cfg.set("data.labels_max", args.labels_per_video)
     return cfg
 
 
@@ -52,27 +58,26 @@ def _read_dataset(path):
     return dataset
 
 
-def _params_class(cfg: cfgmod.RunConfig):
-    experts = cfg["model.experts"]
+def _build_params(cfg: cfgmod.RunConfig, init: bool = True):
+    """Model or mixture parameters for a resolved config.  ``init`` draws the
+    seeded weights and loads the EIGV file; otherwise the weights are zeros and
+    the whitening scale is one, for a checkpoint to fill or a census to count."""
+    model_cfg = cfgmod.model_config_from(cfg)
+    experts, eig_path = cfg["model.experts"], cfg["model.eigenvalues"]
     if experts not in (1, 3):
         raise ValueError(f"model.experts must be 1 or 3, got {experts}")
-    return MixtureParams if experts == 3 else ModelParams
-
-
-def _build_params(cfg: cfgmod.RunConfig, for_restore: bool = False):
-    """Construct model or mixture parameters from a resolved config."""
-    model_cfg = cfgmod.model_config_from(cfg)
-    eig = None
-    if model_cfg.reverse_whitening:
-        if for_restore:
-            # placeholder scale; the checkpoint buffer carries the real one
-            eig = Eigenvalues(np.ones(model_cfg.video_dim))
-        elif cfg["model.eigenvalues"]:
-            eig = load_eigenvalues(cfg["model.eigenvalues"], expected_dim=model_cfg.video_dim)
-        else:
-            raise ValueError("model.reverse_whitening needs model.eigenvalues")
-    rng = Rng(derive_seed(cfg["train.seed"], trainmod.TAG_INIT))
-    return _params_class(cfg).create(model_cfg, rng, eigenvalues=eig)
+    rng = eig = None
+    if init:
+        if eig_path and not model_cfg.reverse_whitening:
+            raise ValueError("model.eigenvalues is set but model.reverse_whitening is false")
+        if model_cfg.reverse_whitening:
+            if not eig_path:
+                raise ValueError("model.reverse_whitening needs model.eigenvalues")
+            eig = load_eigenvalues(eig_path, expected_dim=model_cfg.video_dim)
+        rng = Rng(derive_seed(cfg["train.seed"], trainmod.TAG_INIT))
+    elif model_cfg.reverse_whitening:
+        eig = Eigenvalues(np.ones(model_cfg.video_dim))
+    return (MixtureParams if experts == 3 else ModelParams).create(model_cfg, rng, eigenvalues=eig)
 
 
 def _restore(checkpoint_path: str):
@@ -80,11 +85,11 @@ def _restore(checkpoint_path: str):
     ckpt = trainmod.load_checkpoint(checkpoint_path)
     cfg = cfgmod.RunConfig.from_echo(ckpt.config_echo, checkpoint_path)
     try:
-        state = trainmod.TrainState.create(_build_params(cfg, for_restore=True))
+        state = trainmod.TrainState.create(_build_params(cfg, init=False))
         trainmod.apply_checkpoint(state, ckpt)
     except ValueError as exc:  # an echo or tensor set that cannot be rebuilt
         raise ValueError(f"{checkpoint_path}: {exc}") from None
-    return state, cfg, ckpt
+    return state, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +98,7 @@ def _restore(checkpoint_path: str):
 
 
 def cmd_gen_data(args) -> int:
-    shortcuts = [
-        ("data.num_videos", args.videos),
-        ("data.num_classes", args.classes),
-        ("data.seed", args.seed),
-        ("data.noise_sigma", args.noise_sigma),
-    ]
-    if args.labels_per_video is not None:
-        shortcuts += [("data.labels_min", args.labels_per_video),
-                      ("data.labels_max", args.labels_per_video)]
-    cfg = _run_config(args, shortcuts)
+    cfg = _run_config(args)
     spec = cfgmod.synthetic_spec_from(cfg)
     dataset = gen_synthetic(spec)
     write_dataset(dataset, args.out)
@@ -119,22 +115,18 @@ def cmd_train(args) -> int:
     eval_dataset = _read_dataset(args.eval_dataset) if args.eval_dataset else None
 
     if args.resume:
-        state, cfg, _ = _restore(args.resume)
-        shortcuts = [(k, v) for k, v in _train_shortcuts(args) if v is not None]
-        keys = [pair.split("=", 1)[0].strip() for pair in args.overrides] + [k for k, _ in shortcuts]
-        for key in keys:
-            if key.startswith(("model.", "vlad.")) or key.endswith("_dim"):
+        state, saved = _restore(args.resume)
+        cfg = _run_config(args, copy.deepcopy(saved))
+        for key in cfgmod.REGISTRY:  # the model is fixed, whatever source sets a key
+            if (key.startswith(("model.", "vlad.")) or key.endswith("_dim")) and cfg[key] != saved[key]:
                 raise ValueError(f"--resume cannot override {key!r}: the checkpoint fixes the model")
-        cfg.apply_overrides(args.overrides)
-        for key, value in shortcuts:
-            cfg.set(key, value)
     else:
-        cfg = _run_config(args, _train_shortcuts(args))
-        cfgmod.resolve_dims(cfg, dataset)
-        state = trainmod.TrainState.create(_build_params(cfg))
-    cfgmod.check_dims(cfg, dataset, args.dataset)
+        cfg = _run_config(args)
+    cfgmod.resolve_dims(cfg, dataset, args.dataset)
     if eval_dataset is not None:
-        cfgmod.check_dims(cfg, eval_dataset, args.eval_dataset)
+        cfgmod.resolve_dims(cfg, eval_dataset, args.eval_dataset)
+    if not args.resume:
+        state = trainmod.TrainState.create(_build_params(cfg))
 
     train_cfg = cfgmod.train_config_from(cfg)
     max_frames = cfgmod.batch_max_frames(cfg)
@@ -161,22 +153,6 @@ def cmd_train(args) -> int:
         gap = trainmod.evaluate_gap(state.params, gap_source, max_frames)
     print(f"trained {state.global_step} steps; checkpoint {ckpt_path}; GAP {gap:.4f}")
     return 0
-
-
-def _train_shortcuts(args):
-    return [
-        ("model.kind", args.model),
-        ("model.experts", args.mixture),
-        ("kd.temperature", args.kd_temperature),
-        ("train.steps", args.steps),
-        ("train.epochs", args.epochs),
-        ("train.base_lr", args.lr),
-        ("train.batch_size", args.batch_size),
-        ("train.seed", args.seed),
-        ("train.eval_every", args.eval_every),
-        ("train.lr_staircase", args.lr_staircase),
-        ("model.eigenvalues", args.eigenvalues),
-    ]
 
 
 def cmd_eval(args) -> int:
@@ -218,11 +194,12 @@ def _per_class_report(preds: PredictionSet, num_classes: int, limit: int = 50) -
 
 
 def _predict_from_checkpoint(checkpoint_path: str, dataset, dataset_path: str) -> PredictionSet:
-    state, cfg, _ = _restore(checkpoint_path)
-    cfgmod.check_dims(cfg, dataset, dataset_path)
-    try:
-        return trainmod.predict(state.params, dataset, cfgmod.batch_max_frames(cfg))
-    except ValueError as exc:  # frames or weights so large that the float32 forward overflows
+    state, cfg = _restore(checkpoint_path)
+    cfgmod.resolve_dims(cfg, dataset, dataset_path)
+    try:  # frames or weights so large that the float32 forward overflows
+        with np.errstate(over="raise", invalid="raise"):
+            return trainmod.predict(state.params, dataset, cfgmod.batch_max_frames(cfg))
+    except (ValueError, FloatingPointError) as exc:
         raise ValueError(f"{dataset_path} scored by {checkpoint_path}: {exc}") from None
 
 
@@ -242,11 +219,9 @@ def cmd_param_count(args) -> int:
                          ("model.num_classes", 3862)):
         if cfg[key] == 0:
             cfg.set(key, default)
-    model_cfg = cfgmod.model_config_from(cfg)
-    # zero-filled allocation: every census below is read from this one bundle
-    eig = Eigenvalues(np.ones(model_cfg.video_dim)) if model_cfg.reverse_whitening else None
-    bundle = _params_class(cfg).create(model_cfg, None, eigenvalues=eig)
+    bundle = _build_params(cfg, init=False)  # every census below is read from this bundle
     params = bundle.experts[0] if isinstance(bundle, MixtureParams) else bundle
+    model_cfg = params.config
 
     rows = []
     streams = (("video", model_cfg.video_vlad), ("audio", model_cfg.audio_vlad))
@@ -314,11 +289,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic FAV1 dataset")
     _add_config_args(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--videos", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--labels-per-video", type=int)
-    p.add_argument("--noise-sigma", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--videos", type=int, dest="data.num_videos")
+    p.add_argument("--classes", type=int, dest="data.num_classes")
+    p.add_argument("--labels-per-video", type=int, help="sets data.labels_min and labels_max")
+    p.add_argument("--noise-sigma", type=float, dest="data.noise_sigma")
+    p.add_argument("--seed", type=int, dest="data.seed")
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model or 3-expert mixture")
@@ -327,17 +302,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--eval-dataset")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--model", choices=["netvlad", "nextvlad"])
-    p.add_argument("--mixture", type=int, choices=[1, 3])
-    p.add_argument("--kd-temperature", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--eval-every", type=int)
-    p.add_argument("--eigenvalues")
-    p.add_argument("--lr-staircase", action="store_true", default=None,
+    p.add_argument("--model", choices=["netvlad", "nextvlad"], dest="model.kind")
+    p.add_argument("--mixture", type=int, choices=[1, 3], dest="model.experts")
+    p.add_argument("--kd-temperature", type=float, dest="kd.temperature")
+    p.add_argument("--steps", type=int, dest="train.steps")
+    p.add_argument("--epochs", type=int, dest="train.epochs")
+    p.add_argument("--lr", type=float, dest="train.base_lr")
+    p.add_argument("--batch-size", type=int, dest="train.batch_size")
+    p.add_argument("--seed", type=int, dest="train.seed")
+    p.add_argument("--eval-every", type=int, dest="train.eval_every")
+    p.add_argument("--eigenvalues", dest="model.eigenvalues")
+    p.add_argument("--lr-staircase", action="store_true", default=None, dest="train.lr_staircase",
                    help="floor the decay exponent instead of continuous decay")
     p.set_defaults(fn=cmd_train)
 
@@ -365,12 +340,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "eval" and not (args.checkpoint or args.predictions):
-        print("eval needs --checkpoint or --predictions", file=sys.stderr)
+    if args.command == "eval" and bool(args.checkpoint) == bool(args.predictions):
+        print("eval needs exactly one of --checkpoint or --predictions", file=sys.stderr)
         return 2
     try:
         return args.fn(args)
-    except (ValueError, KeyError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:
         # str() of a KeyError is the repr of its message
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1

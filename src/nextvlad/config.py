@@ -8,6 +8,7 @@ can be rebuilt from its own record.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .data import SyntheticSpec
@@ -93,9 +94,14 @@ class RunConfig:
         self._values = {k: spec.default for k, spec in REGISTRY.items()}
 
     def set(self, key: str, value) -> None:
+        """Set one key; every number in the registry is a count, size, seed,
+        rate or coefficient, so a negative or non-finite one is rejected."""
         if key not in REGISTRY:
             raise KeyError(f"unknown config key {key!r}")
-        self._values[key] = _parse(key, value) if isinstance(value, str) else value
+        value = _parse(key, value) if isinstance(value, str) else value
+        if REGISTRY[key].type in (int, float) and not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{key}: expected a finite number >= 0, got {value!r}")
+        self._values[key] = value
 
     def __getitem__(self, key: str):
         if key not in REGISTRY:
@@ -114,8 +120,12 @@ class RunConfig:
             raise type(exc)(f"{where}: {exc.args[0]}") from None
 
     def load_file(self, path) -> None:
-        with open(path) as f:
-            for line_no, line in enumerate(f, start=1):
+        with open(path, "rb") as f:
+            for line_no, raw in enumerate(f, start=1):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}:{line_no}: not valid UTF-8 ({exc.reason})") from None
                 stripped = line.split("#", 1)[0].strip()
                 if stripped:
                     self._set_line(stripped, f"{path}:{line_no}")
@@ -185,19 +195,13 @@ _DATASET_DIMS = (("model.video_dim", "visual_dim"),
                  ("model.num_classes", "num_classes"))
 
 
-def resolve_dims(cfg: RunConfig, dataset=None) -> None:
-    """Fill the 0 = "take from dataset" dims in place so the echo is concrete."""
+def resolve_dims(cfg: RunConfig, dataset, path) -> None:
+    """Fill the 0 = "take from dataset" dims in place so the echo is concrete,
+    and reject a dataset (read from ``path``) whose dims differ from the model's."""
     for key, attr in _DATASET_DIMS:
         if cfg[key] == 0:
-            if dataset is None:
-                raise ValueError(f"{key} unset and no dataset to take it from")
             cfg.set(key, getattr(dataset, attr))
-
-
-def check_dims(cfg: RunConfig, dataset, path) -> None:
-    """Reject a dataset (read from ``path``) whose dims differ from the model's."""
-    for key, attr in _DATASET_DIMS:
-        if cfg[key] != getattr(dataset, attr):
+        elif cfg[key] != getattr(dataset, attr):
             raise ValueError(f"{path}: {attr} is {getattr(dataset, attr)} but the model "
                              f"has {key} = {cfg[key]}")
 

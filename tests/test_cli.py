@@ -7,7 +7,7 @@ import pytest
 
 from nextvlad.cli import main
 from nextvlad.config import RunConfig, batch_max_frames, model_config_from, resolve_dims
-from nextvlad.data import read_dataset
+from nextvlad.data import read_dataset, write_dataset
 from nextvlad.train import load_checkpoint
 
 
@@ -61,6 +61,26 @@ def test_type_validation():
         cfg.set("train.lr_staircase", "maybe")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("train.steps", "-5"), ("train.steps", -5), ("data.max_frames", "-3"),
+    ("train.l2_classifier", "-1"), ("train.base_lr", "nan"), ("train.base_lr", float("nan")),
+    ("kd.temperature", "inf"), ("model.dropout", "-inf"),
+])
+def test_negative_or_non_finite_numbers_rejected(key, value):
+    cfg = RunConfig()
+    with pytest.raises(ValueError, match=f"^{key}: expected a finite number >= 0"):
+        cfg.set(key, value)
+    assert cfg[key] == RunConfig()[key]
+
+
+def test_config_file_not_utf8_names_file_and_line(tmp_path, capsys):
+    f = tmp_path / "run.cfg"
+    f.write_bytes(b"train.steps = 3\ntrain.seed = \xff\n")
+    assert main(["param-count", "--config", str(f)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {f}:2: not valid UTF-8 (invalid start byte)\n")
+
+
 def test_echo_roundtrip():
     cfg = RunConfig()
     cfg.set("train.base_lr", "0.00125")
@@ -82,7 +102,7 @@ def test_resolve_dims_from_dataset(tmp_path):
     cfg.set("model.se_ratio", "4")
     cfg.set("vlad.clusters", "2")
     cfg.set("vlad.groups", "2")
-    resolve_dims(cfg, ds)
+    resolve_dims(cfg, ds, path)
     mc = model_config_from(cfg)
     assert mc.video_dim == 8 and mc.audio_dim == 4 and mc.num_classes == 3
     assert batch_max_frames(cfg) == cfg["data.frames_max"]
@@ -317,6 +337,118 @@ def test_resume_rejects_model_overrides(tmp_path, tiny_dataset, capsys, extra):
     assert main(["eval", "--dataset", str(tiny_dataset), "--checkpoint", str(ckpt)]) == 0
 
 
+@pytest.mark.parametrize("extra", [
+    ["--eval-every", "-4"], ["--set", "data.max_frames=-3"], ["--set", "train.l2_classifier=-1"],
+    ["--steps", "-5", "--epochs", "-2"], ["--set", "train.base_lr=nan"],
+])
+def test_train_rejects_negative_or_non_finite_numbers(tmp_path, tiny_dataset, capsys, extra):
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+                 "--batch-size", "8"] + TINY + extra) == 1
+    key = {"--eval-every": "train.eval_every", "--steps": "train.steps"}.get(extra[0])
+    key = key or extra[1].split("=")[0]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key}: expected a finite number >= 0" in err
+    assert not (out / "config.txt").exists()
+
+
+def test_resume_honours_config_file(tmp_path, tiny_dataset, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+                 "--steps", "2", "--batch-size", "8", "--seed", "3"] + TINY) == 0
+    ckpt = out / "checkpoint.ckpt"
+    before = ckpt.read_bytes()
+    cfg_file = tmp_path / "more.cfg"
+    resume = ["train", "--dataset", str(tiny_dataset), "--out", str(out), "--resume", str(ckpt),
+              "--config", str(cfg_file)]
+
+    cfg_file.write_text("train.steps = 4\nmodel.hidden = 32\n")
+    capsys.readouterr()
+    assert main(resume) == 1
+    assert "--resume cannot override 'model.hidden'" in capsys.readouterr().err
+    assert ckpt.read_bytes() == before
+
+    # repeating the checkpoint's own model keys is no change
+    model_keys = [l for l in (out / "config.txt").read_text().splitlines()
+                  if l.startswith(("model.", "vlad."))]
+    cfg_file.write_text("\n".join(["train.steps = 5"] + model_keys) + "\n")
+    assert main(resume) == 0
+    assert "train.steps = 5\n" in (out / "config.txt").read_text()
+    rows = (out / "train_log.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["1", "2", "3", "4", "5"]
+    assert capsys.readouterr().out.startswith("trained 5 steps")
+
+
+@pytest.fixture()
+def eig(tmp_path):
+    from nextvlad.data import write_eigenvalues
+    from nextvlad.model import Eigenvalues
+
+    path = tmp_path / "e.eigv"
+    write_eigenvalues(Eigenvalues(np.ones(8)), path)
+    return path
+
+
+def test_eigenvalues_need_reverse_whitening(tmp_path, tiny_dataset, eig, capsys):
+    out = tmp_path / "run"
+    base = ["train", "--dataset", str(tiny_dataset), "--out", str(out), "--steps", "1",
+            "--batch-size", "8", "--eigenvalues", str(eig)] + TINY
+    capsys.readouterr()
+    assert main(base) == 1
+    assert capsys.readouterr().err == (
+        "error: model.eigenvalues is set but model.reverse_whitening is false\n")
+    assert not (out / "checkpoint.ckpt").exists()
+
+
+def test_checkpoint_with_eigenvalues_but_no_whitening_still_loads(tmp_path, tiny_dataset, eig):
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(out), "--steps", "1",
+                 "--batch-size", "8", "--eigenvalues", str(eig),
+                 "--set", "model.reverse_whitening=true"] + TINY) == 0
+    ckpt = out / "checkpoint.ckpt"
+    _replace_echo_line(ckpt, "model.reverse_whitening = true", "model.reverse_whitening = false")
+    assert main(["eval", "--dataset", str(tiny_dataset), "--checkpoint", str(ckpt)]) == 0
+
+
+def test_wrong_explicit_dim_fails_before_building(tmp_path, tiny_dataset, monkeypatch, capsys):
+    import nextvlad.cli as cli
+
+    calls = _count_calls(monkeypatch, cli, "_build_params")
+    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(tmp_path / "run"),
+                 "--steps", "1", "--set", "model.video_dim=6"] + TINY) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tiny_dataset}: visual_dim is 8 but the model has model.video_dim = 6\n")
+    assert calls == []
+
+
+def test_scoring_overflow_names_dataset_and_checkpoint(tmp_path, tiny_dataset, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+                 "--steps", "1", "--batch-size", "8"] + TINY) == 0
+    ckpt = str(out / "checkpoint.ckpt")
+    dataset = read_dataset(tiny_dataset)
+    dataset.records[0].visual[0, 0] = 3e30
+    huge = tmp_path / "huge.fav"
+    write_dataset(dataset, huge)
+    capsys.readouterr()
+    for argv in (["eval", "--checkpoint", ckpt, "--dataset", str(huge)],
+                 ["predict", "--checkpoint", ckpt, "--dataset", str(huge),
+                  "--out", str(tmp_path / "p.csv")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {huge} scored by {ckpt}: ") and err.count("\n") == 1
+
+
+def test_os_errors_name_the_path(tmp_path, tiny_dataset, capsys):
+    a_file = tmp_path / "taken"
+    a_file.write_text("")
+    for argv, path in ((["--dataset", str(tmp_path), "--out", str(tmp_path / "run")], tmp_path),
+                       (["--dataset", str(tiny_dataset), "--out", str(a_file)], a_file)):
+        assert main(["train", "--steps", "1"] + argv + TINY) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
+
 def _replace_echo_line(ckpt, old: str, new: str) -> int:
     """Rewrite one line of a checkpoint's config echo in place; returns its
     1-based line number.  The echo length sits after the 24-byte header."""
@@ -413,3 +545,9 @@ def test_dataset_dims_must_match_the_model(tmp_path, tiny_dataset, capsys):
 
 def test_eval_requires_source(capsys, tmp_path, tiny_dataset):
     assert main(["eval", "--dataset", str(tiny_dataset)]) == 2
+    csv_path = tmp_path / "p.csv"
+    csv_path.write_text("video_id,class_id,confidence\n")
+    assert main(["eval", "--dataset", str(tiny_dataset), "--checkpoint", str(tmp_path / "c.ckpt"),
+                 "--predictions", str(csv_path)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "eval needs exactly one of --checkpoint or --predictions\n")
