@@ -2,8 +2,9 @@
 
 A :class:`Tensor` wraps a C-contiguous float32/float64 numpy array.  Every
 operation is a :class:`Primitive` exposing a forward evaluation and a
-vector-Jacobian product; :meth:`Tensor.backward` composes the recorded VJPs
-in reverse topological order.  There is no symbolic or forward-mode
+vector-Jacobian product; a result that needs a gradient records its
+primitive and inputs, and :meth:`Tensor.backward`, the one caller of the VJPs,
+runs them in reverse topological order.  There is no symbolic or forward-mode
 machinery, and no dependency on an ML framework.
 
 Conventions:
@@ -42,15 +43,16 @@ def _as_array(data) -> np.ndarray:
 class Tensor:
     """Row-major numeric array plus gradient bookkeeping."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_prim", "_kw")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
+        # the node that made this tensor, recorded only where a gradient flows
         self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
-        self._op = ""
+        self._prim: Optional[Primitive] = None
+        self._kw: dict = {}
 
     # -- basic views ------------------------------------------------------
 
@@ -80,8 +82,8 @@ class Tensor:
 
     def __repr__(self) -> str:
         head = f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}"
-        if self._op:
-            head += f", op={self._op}"
+        if self._prim is not None:
+            head += f", op={self._prim.name}"
         return head + ")"
 
     # -- autodiff ---------------------------------------------------------
@@ -107,12 +109,16 @@ class Tensor:
             g = flowing.pop(id(node), None)
             if g is None:
                 continue
-            if node._vjp is None:
+            if node._prim is None:
                 node.grad = g if node.grad is None else node.grad + g
                 continue
-            parent_grads = node._vjp(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or not parent.requires_grad:
+            # arrays are never written once built, so these are the forward's operands
+            parents = node._parents
+            needs = tuple(p.requires_grad for p in parents)
+            parent_grads = node._prim.vjp(g, node.data, *(p.data for p in parents),
+                                          needs=needs, **node._kw)
+            for parent, need, pg in zip(parents, needs, parent_grads):
+                if pg is None or not need:
                     continue
                 key = id(parent)
                 if key in flowing:
@@ -195,25 +201,11 @@ class Primitive:
 
 
 def apply(prim: Primitive, *inputs: Tensor, **kw) -> Tensor:
-    arrays = tuple(t.data for t in inputs)
-    out_data = prim.forward(*arrays, **kw)
     out = Tensor.__new__(Tensor)
-    out.data = _contiguous(out_data)
+    out.data = _contiguous(prim.forward(*(t.data for t in inputs), **kw))
     out.grad = None
-    out._op = prim.name
-    needs = tuple(t.requires_grad for t in inputs)
-    if any(needs):
-        out.requires_grad = True
-        out._parents = inputs
-
-        def _vjp(cot, _arrays=arrays, _out=out.data, _kw=kw):
-            return prim.vjp(cot, _out, *_arrays, needs=needs, **_kw)
-
-        out._vjp = _vjp
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._vjp = None
+    out.requires_grad = any(t.requires_grad for t in inputs)
+    out._parents, out._prim, out._kw = (inputs, prim, kw) if out.requires_grad else ((), None, {})
     return out
 
 
@@ -579,28 +571,30 @@ def clip_min(a: Tensor, lo: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _fw_l2_normalize(a, *, axis, eps):
-    norm = np.sqrt((a * a).sum(axis=axis, keepdims=True))
-    return a / np.maximum(norm, eps)
+L2_NORMALIZE_EPS = 1e-12
 
 
-def _vjp_l2_normalize(g, out, a, *, axis, eps, needs):
+def _fw_l2_normalize(a, *, axis):
     norm = np.sqrt((a * a).sum(axis=axis, keepdims=True))
-    denom = np.maximum(norm, eps)
+    return a / np.maximum(norm, L2_NORMALIZE_EPS)
+
+
+def _vjp_l2_normalize(g, out, a, *, axis, needs):
+    norm = np.sqrt((a * a).sum(axis=axis, keepdims=True))
+    denom = np.maximum(norm, L2_NORMALIZE_EPS)
     inner = (g * out).sum(axis=axis, keepdims=True)
     # in the clamped region the denominator is the constant eps
-    da = np.where(norm > eps, (g - out * inner) / denom, g / denom)
+    da = np.where(norm > L2_NORMALIZE_EPS, (g - out * inner) / denom, g / denom)
     return (da,)
 
 
 L2_NORMALIZE = Primitive("l2_normalize", _fw_l2_normalize, _vjp_l2_normalize)
 
 
-def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """Scale slices along ``axis`` to unit L2 norm; zero slices stay zero."""
-    if eps <= 0:
-        raise ValueError(f"l2_normalize eps must be > 0, got {eps}")
-    return apply(L2_NORMALIZE, a, axis=axis, eps=eps)
+def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
+    """Scale slices along ``axis`` to unit L2 norm (at most ``L2_NORMALIZE_EPS``
+    in the denominator); zero slices stay zero."""
+    return apply(L2_NORMALIZE, a, axis=axis)
 
 
 # ---------------------------------------------------------------------------

@@ -130,11 +130,21 @@ def cmd_train(args) -> int:
 
     train_cfg = cfgmod.train_config_from(cfg)
     max_frames = cfgmod.batch_max_frames(cfg)
+
+    gap_source = eval_dataset if eval_dataset is not None else dataset
+    rows = None
+    try:  # frames or weights so large that the float32 step overflows: nothing is written
+        with np.errstate(over="raise", invalid="raise"):
+            rows = trainmod.train_loop(state, dataset, train_cfg, max_frames, eval_dataset)
+            # train_loop scores its final step; a resumed run already past its budget scores here
+            gap = rows[-1].gap if rows else trainmod.evaluate_gap(state.params, gap_source, max_frames)
+    except FloatingPointError as exc:
+        names = args.dataset if eval_dataset is None else f"{args.dataset} and {args.eval_dataset}"
+        step = state.global_step + (rows is None)  # the step in progress, or the one a resume scores
+        raise ValueError(f"{names}: training step {step}: {exc}") from None
+
     echo = cfg.echo()
     (out_dir / "config.txt").write_text(echo)
-
-    rows = trainmod.train_loop(state, dataset, train_cfg, max_frames, eval_dataset)
-
     log_path = out_dir / "train_log.csv"
     mode = "a" if (args.resume and log_path.exists()) else "w"
     with open(log_path, mode) as f:
@@ -145,12 +155,6 @@ def cmd_train(args) -> int:
 
     ckpt_path = out_dir / "checkpoint.ckpt"
     trainmod.save_checkpoint(state, ckpt_path, echo)
-
-    if rows:
-        gap = rows[-1].gap  # train_loop always scores its final step
-    else:  # a resumed run already past its step budget
-        gap_source = eval_dataset if eval_dataset is not None else dataset
-        gap = trainmod.evaluate_gap(state.params, gap_source, max_frames)
     print(f"trained {state.global_step} steps; checkpoint {ckpt_path}; GAP {gap:.4f}")
     return 0
 

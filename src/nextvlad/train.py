@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Dataset, make_batch
+from .data import Dataset, _Reader, make_batch
 from .losses import LossConfig, bce_loss, total_loss
 from .metrics import MAX_PREDICTIONS, PredictionSet, gap_at_20, topk_predictions
 from .model import MixtureParams, ModelParams, mixture_forward, model_forward
@@ -86,7 +86,6 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
-    scratch: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def create(named_params: dict) -> "AdamState":
@@ -97,7 +96,7 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place; temporaries live in ``state.scratch``.
+    """One bias-corrected Adam update: the moments in place, each tensor's ``.data`` rebound.
 
     ``params`` maps names to tensors, ``grads`` names to arrays (missing or
     None entries count as zero).  A NaN gradient aborts, naming the tensor.
@@ -116,16 +115,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
             raise ValueError(f"gradient shape {g.shape} != param shape {p.data.shape} for {name!r}")
         m = state.m[name]
         v = state.v[name]
-        buf = state.scratch.get(m.dtype)
-        if buf is None or buf.size < 2 * m.size:
-            buf = state.scratch[m.dtype] = np.empty(2 * m.size, m.dtype)
-        a, b = buf[:2 * m.size].reshape((2,) + m.shape)  # views, never copies
         m *= ADAM_BETA1
-        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+        m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
-        v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=a), out=a)
-        denom = np.add(np.sqrt(np.divide(v, bias2, out=a), out=a), ADAM_EPS, out=a)
-        step = np.divide(np.multiply(lr, np.divide(m, bias1, out=b), out=b), denom, out=b)
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        step = lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         p.data = p.data - step.astype(p.data.dtype, copy=False)
 
 
@@ -228,6 +222,7 @@ def train_loop(
     cached_epoch = -1
     perm = None
     while state.global_step < total_steps:
+        step = state.global_step + 1  # as the log counts it; set once the step is scored
         epoch = state.global_step // steps_per_epoch
         pos = state.global_step % steps_per_epoch
         if epoch != cached_epoch:
@@ -260,18 +255,13 @@ def train_loop(
         loss.backward()
         grads = {name: t.grad for name, t in named.items()}
         adam_step(named, grads, state.adam, lr)
-        state.global_step += 1
 
         gap = None
-        if cfg.eval_every > 0:
-            due = state.global_step % cfg.eval_every == 0 or state.global_step == total_steps
-        else:
-            due = state.global_step % steps_per_epoch == 0 or state.global_step == total_steps
-        if due:
+        if step % (cfg.eval_every or steps_per_epoch) == 0 or step == total_steps:
             gap = evaluate_gap(state.params, gap_source, max_frames,
                                batch_size=min(cfg.batch_size, 64))
-        rows.append(LogRow(step=state.global_step, lr=lr, loss=loss_value,
-                           bce=bce_value, kl=kl_value, gap=gap))
+        rows.append(LogRow(step=step, lr=lr, loss=loss_value, bce=bce_value, kl=kl_value, gap=gap))
+        state.global_step = step
     return rows
 
 
@@ -328,8 +318,6 @@ def save_checkpoint(state: TrainState, path, config_echo: str = "") -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    from .data import _Reader
-
     with open(path, "rb") as f:
         r = _Reader(f, path)
         if r.take(4) != CHECKPOINT_MAGIC:

@@ -28,8 +28,6 @@ from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
 from .rng import Rng
 
-INTRA_NORM_EPS = 1e-12
-
 # upper bound on M * G * K * (lam N / G) accepted by the loop reference
 REFERENCE_SIZE_BOUND = 100_000
 
@@ -320,7 +318,7 @@ def netvlad_descriptor(view: FrameBatchView, core: NetVladCore) -> Tensor:
     """Intra-normalized flat descriptor: (B, K*N), cluster-major."""
     agg = netvlad_aggregate(view, core)
     b, k, n = agg.shape
-    normed = ad.l2_normalize(agg, axis=-1, eps=INTRA_NORM_EPS)
+    normed = ad.l2_normalize(agg, axis=-1)
     return normed.reshape((b, k * n))
 
 
@@ -345,7 +343,7 @@ def nextvlad_descriptor(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
     """Intra-normalized flat descriptor: (B, K*lamN/G), cluster-major."""
     agg = nextvlad_aggregate(view, core)
     b, k, d = agg.shape
-    normed = ad.l2_normalize(agg, axis=-1, eps=INTRA_NORM_EPS)
+    normed = ad.l2_normalize(agg, axis=-1)
     return normed.reshape((b, k * d))
 
 
@@ -419,7 +417,7 @@ def nextvlad_reference(view: FrameBatchView, core: NeXtVladCore, head: ReduceHea
         flat = np.zeros(k * d)
         for ki in range(k):
             norm = math.sqrt(sum(agg[ki, j] ** 2 for j in range(d)))
-            denom = max(norm, INTRA_NORM_EPS)
+            denom = max(norm, ad.L2_NORMALIZE_EPS)
             for j in range(d):
                 flat[ki * d + j] = agg[ki, j] / denom
         # reduction + inference batch norm

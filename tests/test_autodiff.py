@@ -158,11 +158,6 @@ def test_l2_normalize_unit_norm():
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
-def test_l2_normalize_eps_validation():
-    with pytest.raises(ValueError):
-        ad.l2_normalize(Tensor([1.0]), axis=0, eps=0.0)
-
-
 # ---------------------------------------------------------------------------
 # reduce_sum / reshape
 # ---------------------------------------------------------------------------
@@ -443,6 +438,16 @@ def test_binary_vjps_skip_unneeded_inputs(prim):
     assert second is None and np.array_equal(first, full[0])
     first, second = prim.vjp(cot, None, a, b, needs=(False, True))
     assert first is None and np.array_equal(second, full[1])
+
+
+def test_node_records_its_primitive_only_where_a_gradient_flows():
+    x, w = Tensor(np.ones((2, 3))), ad.parameter(np.ones((3, 3)))
+    node = ad.softmax(ad.matmul(x, w), axis=0)
+    assert node._prim is ad.SOFTMAX and node._kw == {"axis": 0} and node._parents[0]._prim is ad.MATMUL
+    assert repr(node) == "Tensor(shape=(2, 3), dtype=float64, op=softmax)"
+    const = ad.softmax(ad.matmul(x, x.reshape((3, 2))), axis=0)
+    assert const._parents == () and const._prim is None and not const.requires_grad
+    assert repr(const) == "Tensor(shape=(2, 2), dtype=float64)"
 
 
 def test_frames_get_no_cotangent_through_matmul():

@@ -439,6 +439,23 @@ def test_scoring_overflow_names_dataset_and_checkpoint(tmp_path, tiny_dataset, c
         assert err.startswith(f"error: {huge} scored by {ckpt}: ") and err.count("\n") == 1
 
 
+def test_training_overflow_names_dataset_and_step(tmp_path, tiny_dataset, capsys):
+    dataset = read_dataset(tiny_dataset)
+    dataset.records[0].visual[0, 0] = 3e30
+    huge = tmp_path / "huge.fav"
+    write_dataset(dataset, huge)
+    out = tmp_path / "run"
+    cases = ((huge, [], f"{huge}", 1),
+             (huge, ["--eval-dataset", str(tiny_dataset)], f"{huge} and {tiny_dataset}", 1),
+             (tiny_dataset, ["--eval-dataset", str(huge)], f"{tiny_dataset} and {huge}", 2))
+    for train_set, extra, names, step in cases:  # the last fails scoring after step 2
+        assert main(["train", "--dataset", str(train_set), "--out", str(out), "--steps", "3",
+                     "--eval-every", "2", "--batch-size", "24"] + extra + TINY) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {names}: training step {step}: ") and err.count("\n") == 1
+        assert not any(out.iterdir())
+
+
 def test_os_errors_name_the_path(tmp_path, tiny_dataset, capsys):
     a_file = tmp_path / "taken"
     a_file.write_text("")
