@@ -4,8 +4,9 @@ A :class:`Tensor` wraps a C-contiguous float32/float64 numpy array.  Every
 operation is a :class:`Primitive` exposing a forward evaluation and a
 vector-Jacobian product; a result that needs a gradient records its
 primitive and inputs, and :meth:`Tensor.backward`, the one caller of the VJPs,
-runs them in reverse topological order.  There is no symbolic or forward-mode
-machinery, and no dependency on an ML framework.
+runs them in reverse topological order and returns the leaves' gradients.
+Leaves require a gradient only inside :func:`differentiating`.  There is no
+symbolic or forward-mode machinery, and no dependency on an ML framework.
 
 Conventions:
 
@@ -18,8 +19,9 @@ Conventions:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -41,14 +43,13 @@ def _as_array(data) -> np.ndarray:
 
 
 class Tensor:
-    """Row-major numeric array plus gradient bookkeeping."""
+    """Row-major numeric array plus the node that made it; hashes by identity."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_prim", "_kw")
+    __slots__ = ("data", "requires_grad", "_parents", "_prim", "_kw")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.requires_grad = requires_grad
-        self.grad: Optional[np.ndarray] = None
         # the node that made this tensor, recorded only where a gradient flows
         self._parents: tuple[Tensor, ...] = ()
         self._prim: Optional[Primitive] = None
@@ -88,8 +89,8 @@ class Tensor:
 
     # -- autodiff ---------------------------------------------------------
 
-    def backward(self, cotangent: Optional[np.ndarray] = None) -> None:
-        """Accumulate d(self)/d(leaf) into .grad of every reachable leaf.
+    def backward(self, cotangent: Optional[np.ndarray] = None) -> dict:
+        """``{leaf: d(self)/d(leaf)}`` for every reachable leaf that requires a gradient.
 
         ``cotangent`` defaults to ones and must match this tensor's shape;
         for non-scalar outputs it is the vector of the vector-Jacobian
@@ -105,12 +106,13 @@ class Tensor:
 
         order = self._toposort()
         flowing: dict[int, np.ndarray] = {id(self): cotangent}
+        grads: dict[Tensor, np.ndarray] = {}
         for node in order:
             g = flowing.pop(id(node), None)
             if g is None:
                 continue
             if node._prim is None:
-                node.grad = g if node.grad is None else node.grad + g
+                grads[node] = g
                 continue
             # arrays are never written once built, so these are the forward's operands
             parents = node._parents
@@ -125,6 +127,7 @@ class Tensor:
                     flowing[key] = flowing[key] + pg
                 else:
                     flowing[key] = pg
+        return grads
 
     def _toposort(self) -> list["Tensor"]:
         # iterative post-order DFS; reversed result visits consumers first
@@ -175,8 +178,19 @@ def _coerce(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
-def parameter(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
+@contextmanager
+def differentiating(leaves: Iterable[Tensor]):
+    """Make ``leaves`` require a gradient inside the block; each flag is
+    restored on exit, also when the block raises."""
+    leaves = list(leaves)
+    saved = [t.requires_grad for t in leaves]
+    try:
+        for t in leaves:
+            t.requires_grad = True
+        yield
+    finally:
+        for t, flag in zip(leaves, saved):
+            t.requires_grad = flag
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +217,6 @@ class Primitive:
 def apply(prim: Primitive, *inputs: Tensor, **kw) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = _contiguous(prim.forward(*(t.data for t in inputs), **kw))
-    out.grad = None
     out.requires_grad = any(t.requires_grad for t in inputs)
     out._parents, out._prim, out._kw = (inputs, prim, kw) if out.requires_grad else ((), None, {})
     return out

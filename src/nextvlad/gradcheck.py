@@ -8,7 +8,7 @@ differentiated both ways, and per-element relative errors are compared.
 The function may close over its inputs instead of reading its arguments;
 ``grad_check`` perturbs the tensors' buffers in place, so whatever ``fn``
 evaluates must go through the exact tensor objects passed in.  Buffers and
-grad flags are restored afterwards.
+``requires_grad`` flags are restored afterwards.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .autodiff import Primitive, Tensor, apply
+from .autodiff import Primitive, Tensor, apply, differentiating
 from .rng import Rng
 
 DEFAULT_STEP = 1e-5
@@ -68,40 +68,30 @@ def grad_check(
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
 
-    saved_flags = [t.requires_grad for t in inputs]
-    saved_grads = [t.grad for t in inputs]
-    try:
-        for t in inputs:
-            t.requires_grad = True
-            t.grad = None
+    with differentiating(inputs):
         out = fn(*inputs)
         cot = Rng(seed).normal(out.shape)
-        out.backward(cot)
-        analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-                    for t in inputs]
+        grads = out.backward(cot)
+    analytic = [grads.get(t, np.zeros_like(t.data)) for t in inputs]
 
-        def scalar() -> float:
-            return float((fn(*inputs).data * cot).sum())
+    def scalar() -> float:
+        return float((fn(*inputs).data * cot).sum())
 
-        worst = (0.0, 0, ())
-        for i, t in enumerate(inputs):
-            flat = t.data.reshape(-1)
-            a_flat = analytic[i].reshape(-1)
-            for e in range(flat.size):
-                orig = flat[e]
-                flat[e] = orig + h
-                f_plus = scalar()
-                flat[e] = orig - h
-                f_minus = scalar()
-                flat[e] = orig
-                numeric = (f_plus - f_minus) / (2.0 * h)
-                rel = abs(a_flat[e] - numeric) / max(abs(a_flat[e]), abs(numeric), 1.0)
-                if rel > worst[0]:
-                    worst = (rel, i, np.unravel_index(e, t.data.shape))
-    finally:
-        for t, flag, g in zip(inputs, saved_flags, saved_grads):
-            t.requires_grad = flag
-            t.grad = g
+    worst = (0.0, 0, ())
+    for i, t in enumerate(inputs):
+        flat = t.data.reshape(-1)
+        a_flat = analytic[i].reshape(-1)
+        for e in range(flat.size):
+            orig = flat[e]
+            flat[e] = orig + h
+            f_plus = scalar()
+            flat[e] = orig - h
+            f_minus = scalar()
+            flat[e] = orig
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            rel = abs(a_flat[e] - numeric) / max(abs(a_flat[e]), abs(numeric), 1.0)
+            if rel > worst[0]:
+                worst = (rel, i, np.unravel_index(e, t.data.shape))
 
     return GradCheckReport(
         passed=worst[0] < tol,

@@ -121,11 +121,11 @@ class SecgParams(ParamTree):
             raise ValueError(f"ratio {ratio} must divide feature size {features}")
         squeezed = features // ratio
         return SecgParams(
-            fc1_w=ad.parameter(init_normal(rng, (features, squeezed), np.sqrt(2.0 / features))),
-            fc1_b=ad.parameter(np.zeros(squeezed, dtype=np.float32)),
+            fc1_w=Tensor(init_normal(rng, (features, squeezed), np.sqrt(2.0 / features))),
+            fc1_b=Tensor(np.zeros(squeezed, dtype=np.float32)),
             bn1=BatchNormParams.create(squeezed),
-            fc2_w=ad.parameter(init_normal(rng, (squeezed, features), np.sqrt(2.0 / squeezed))),
-            fc2_b=ad.parameter(np.zeros(features, dtype=np.float32)),
+            fc2_w=Tensor(init_normal(rng, (squeezed, features), np.sqrt(2.0 / squeezed))),
+            fc2_b=Tensor(np.zeros(features, dtype=np.float32)),
             bn2=BatchNormParams.create(features),
         )
 
@@ -172,9 +172,9 @@ class ModelParams(ParamTree):
             audio=make_core(cfg.audio_vlad, rng),
             reduce=ReduceHead.create(cfg.concat_dim, cfg.hidden_dim, rng),
             secg=SecgParams.create(cfg.hidden_dim, cfg.se_ratio, rng),
-            classifier_w=ad.parameter(
+            classifier_w=Tensor(
                 init_normal(rng, (cfg.hidden_dim, cfg.num_classes), np.sqrt(2.0 / cfg.hidden_dim))),
-            classifier_b=ad.parameter(np.zeros(cfg.num_classes, dtype=np.float32)),
+            classifier_b=Tensor(np.zeros(cfg.num_classes, dtype=np.float32)),
             whiten_scale=scale,
         )
 
@@ -243,8 +243,8 @@ class MixtureParams(ParamTree):
         gate_in = cfg.video_dim + cfg.audio_dim
         return MixtureParams(
             experts=experts,
-            gate_w=ad.parameter(init_normal(rng, (gate_in, NUM_EXPERTS), np.sqrt(2.0 / gate_in))),
-            gate_b=ad.parameter(np.zeros(NUM_EXPERTS, dtype=np.float32)),
+            gate_w=Tensor(init_normal(rng, (gate_in, NUM_EXPERTS), np.sqrt(2.0 / gate_in))),
+            gate_b=Tensor(np.zeros(NUM_EXPERTS, dtype=np.float32)),
         )
 
 

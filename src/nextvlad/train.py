@@ -186,12 +186,38 @@ class LogRow:
 LOG_HEADER = "step,lr,loss,bce,kl,gap"
 
 
-def _classifier_l2(weights: list, coefficient: float) -> Tensor:
+def _classifier_l2(named: dict, coefficient: float) -> Tensor:
     reg = None
-    for w in weights:
+    for w in (t for name, t in named.items() if name.endswith(".classifier_w")):
         term = ad.reduce_sum(w * w)
         reg = term if reg is None else reg + term
     return reg * coefficient
+
+
+def _train_step(state: TrainState, named: dict, batch, cfg: TrainConfig) -> LogRow:
+    """One Adam step on ``batch``, logged without a GAP; its graph and
+    gradients live only inside this call."""
+    step = state.global_step + 1  # as the log counts it
+    lr = lr_schedule(state.global_step, cfg)
+    rng = Rng(derive_seed(cfg.seed, TAG_DROPOUT, state.global_step))
+    with ad.differentiating(named.values()):
+        if isinstance(state.params, MixtureParams):
+            expert_logits, mixture_logits, _ = mixture_forward(
+                batch, state.params, training=True, rng=rng)
+            loss, breakdown = total_loss(expert_logits, mixture_logits, batch.labels, cfg.loss)
+            bce_value, kl_value = breakdown.bce_total, breakdown.kl_weighted
+        else:
+            logits = model_forward(batch, state.params, training=True, rng=rng)
+            loss = bce_loss(logits, batch.labels)
+            bce_value, kl_value = loss.item(), 0.0
+        if cfg.l2_classifier > 0:
+            loss = loss + _classifier_l2(named, cfg.l2_classifier)
+        loss_value = loss.item()
+        if not math.isfinite(loss_value):
+            raise RuntimeError(f"non-finite loss at step {step}")
+        grads = loss.backward()
+    adam_step(named, {name: grads.get(t) for name, t in named.items()}, state.adam, lr)
+    return LogRow(step=step, lr=lr, loss=loss_value, bce=bce_value, kl=kl_value)
 
 
 def train_loop(
@@ -212,17 +238,14 @@ def train_loop(
     n = len(records)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.max_steps if cfg.max_steps > 0 else cfg.epochs * steps_per_epoch
-    is_mixture = isinstance(state.params, MixtureParams)
     gap_source = eval_dataset if eval_dataset is not None else dataset
     # Adam rebinds each tensor's .data, never the tensors: enumerate once
     named = state.params.named_parameters()
-    classifier_ws = [t for name, t in named.items() if name.endswith(".classifier_w")]
 
     rows: list[LogRow] = []
     cached_epoch = -1
     perm = None
     while state.global_step < total_steps:
-        step = state.global_step + 1  # as the log counts it; set once the step is scored
         epoch = state.global_step // steps_per_epoch
         pos = state.global_step % steps_per_epoch
         if epoch != cached_epoch:
@@ -231,37 +254,12 @@ def train_loop(
         idx = perm[pos * cfg.batch_size:(pos + 1) * cfg.batch_size]
         batch = make_batch([records[i] for i in idx], max_frames, dataset.num_classes)
 
-        lr = lr_schedule(state.global_step, cfg)
-        step_rng = Rng(derive_seed(cfg.seed, TAG_DROPOUT, state.global_step))
-        for t in named.values():
-            t.grad = None
-
-        if is_mixture:
-            expert_logits, mixture_logits, _ = mixture_forward(
-                batch, state.params, training=True, rng=step_rng)
-            loss, breakdown = total_loss(expert_logits, mixture_logits, batch.labels, cfg.loss)
-            bce_value, kl_value = breakdown.bce_total, breakdown.kl_weighted
-        else:
-            logits = model_forward(batch, state.params, training=True, rng=step_rng)
-            loss = bce_loss(logits, batch.labels)
-            bce_value, kl_value = loss.item(), 0.0
-
-        if cfg.l2_classifier > 0:
-            loss = loss + _classifier_l2(classifier_ws, cfg.l2_classifier)
-        loss_value = loss.item()
-        if not math.isfinite(loss_value):
-            raise RuntimeError(f"non-finite loss at step {state.global_step}")
-
-        loss.backward()
-        grads = {name: t.grad for name, t in named.items()}
-        adam_step(named, grads, state.adam, lr)
-
-        gap = None
-        if step % (cfg.eval_every or steps_per_epoch) == 0 or step == total_steps:
-            gap = evaluate_gap(state.params, gap_source, max_frames,
-                               batch_size=min(cfg.batch_size, 64))
-        rows.append(LogRow(step=step, lr=lr, loss=loss_value, bce=bce_value, kl=kl_value, gap=gap))
-        state.global_step = step
+        row = _train_step(state, named, batch, cfg)
+        if row.step % (cfg.eval_every or steps_per_epoch) == 0 or row.step == total_steps:
+            row.gap = evaluate_gap(state.params, gap_source, max_frames,
+                                   batch_size=min(cfg.batch_size, 64))
+        rows.append(row)
+        state.global_step = row.step
     return rows
 
 
@@ -361,10 +359,8 @@ def apply_checkpoint(state: TrainState, ckpt: Checkpoint) -> None:
             raise ValueError(
                 f"checkpoint tensor {name!r} is {arr.dtype}{arr.shape}, "
                 f"expected {target.dtype}{target.shape}")
-    named = state.params.named_parameters()
-    for name, t in named.items():
+    for name, t in state.params.named_parameters().items():
         t.data = ckpt.tensors[name].copy()
-        t.grad = None
     for name, buf in state.params.named_buffers().items():
         buf[...] = ckpt.tensors[name]
     for name in state.adam.m:

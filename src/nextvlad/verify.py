@@ -50,7 +50,7 @@ def cast_params(params, dtype):
     for _, owner, attr in out.leaves():
         value = getattr(owner, attr)
         if isinstance(value, Tensor):
-            value = Tensor(value.data.astype(dtype), requires_grad=value.requires_grad)
+            value = Tensor(value.data.astype(dtype))
         else:
             value = value.astype(dtype)
         setattr(owner, attr, value)
@@ -78,13 +78,13 @@ def nextvlad_params_from_netvlad(net: NetVladCore) -> NeXtVladCore:
     k, n = net.assign_w.shape
     dtype = net.assign_w.dtype
     return NeXtVladCore(
-        expand_w=ad.parameter(np.eye(n, dtype=dtype)),
-        expand_b=ad.parameter(np.zeros(n, dtype=dtype)),
-        attn_w=ad.parameter(np.zeros((n, 1), dtype=dtype)),
-        attn_b=ad.parameter(np.full(1, 1e9, dtype=dtype)),
-        assign_w=ad.parameter(net.assign_w.data.T.copy()),
-        assign_b=ad.parameter(net.assign_b.data.copy()),
-        anchors=ad.parameter(net.anchors.data.copy()),
+        expand_w=Tensor(np.eye(n, dtype=dtype)),
+        expand_b=Tensor(np.zeros(n, dtype=dtype)),
+        attn_w=Tensor(np.zeros((n, 1), dtype=dtype)),
+        attn_b=Tensor(np.full(1, 1e9, dtype=dtype)),
+        assign_w=Tensor(net.assign_w.data.T.copy()),
+        assign_b=Tensor(net.assign_b.data.copy()),
+        anchors=Tensor(net.anchors.data.copy()),
         groups=1,
     )
 

@@ -171,8 +171,8 @@ class BatchNormParams(ParamTree):
     @staticmethod
     def create(num_features: int) -> "BatchNormParams":
         return BatchNormParams(
-            gamma=ad.parameter(np.ones(num_features, dtype=np.float32)),
-            beta=ad.parameter(np.zeros(num_features, dtype=np.float32)),
+            gamma=Tensor(np.ones(num_features, dtype=np.float32)),
+            beta=Tensor(np.zeros(num_features, dtype=np.float32)),
             state=BatchNormState(num_features),
         )
 
@@ -199,9 +199,9 @@ class NetVladCore(ParamTree):
     def create(cfg: NetVladConfig, rng: Optional[Rng]) -> "NetVladCore":
         n, k = cfg.input_dim, cfg.clusters
         return NetVladCore(
-            assign_w=ad.parameter(init_normal(rng, (k, n), np.sqrt(2.0 / n))),
-            assign_b=ad.parameter(np.zeros(k, dtype=np.float32)),
-            anchors=ad.parameter(init_normal(rng, (k, n), 1.0 / np.sqrt(n))),
+            assign_w=Tensor(init_normal(rng, (k, n), np.sqrt(2.0 / n))),
+            assign_b=Tensor(np.zeros(k, dtype=np.float32)),
+            anchors=Tensor(init_normal(rng, (k, n), 1.0 / np.sqrt(n))),
         )
 
 
@@ -222,13 +222,13 @@ class NeXtVladCore(ParamTree):
     def create(cfg: NeXtVladConfig, rng: Optional[Rng]) -> "NeXtVladCore":
         n, lam_n, g, k, d = cfg.input_dim, cfg.expanded_dim, cfg.groups, cfg.clusters, cfg.group_dim
         return NeXtVladCore(
-            expand_w=ad.parameter(init_normal(rng, (n, lam_n), np.sqrt(2.0 / n))),
-            expand_b=ad.parameter(np.zeros(lam_n, dtype=np.float32)),
-            attn_w=ad.parameter(init_normal(rng, (lam_n, g), np.sqrt(2.0 / lam_n))),
-            attn_b=ad.parameter(np.zeros(g, dtype=np.float32)),
-            assign_w=ad.parameter(init_normal(rng, (lam_n, g * k), np.sqrt(2.0 / lam_n))),
-            assign_b=ad.parameter(np.zeros(g * k, dtype=np.float32)),
-            anchors=ad.parameter(init_normal(rng, (k, d), 1.0 / np.sqrt(d))),
+            expand_w=Tensor(init_normal(rng, (n, lam_n), np.sqrt(2.0 / n))),
+            expand_b=Tensor(np.zeros(lam_n, dtype=np.float32)),
+            attn_w=Tensor(init_normal(rng, (lam_n, g), np.sqrt(2.0 / lam_n))),
+            attn_b=Tensor(np.zeros(g, dtype=np.float32)),
+            assign_w=Tensor(init_normal(rng, (lam_n, g * k), np.sqrt(2.0 / lam_n))),
+            assign_b=Tensor(np.zeros(g * k, dtype=np.float32)),
+            anchors=Tensor(init_normal(rng, (k, d), 1.0 / np.sqrt(d))),
             groups=g,
         )
 
@@ -247,8 +247,8 @@ class ReduceHead(ParamTree):
     @staticmethod
     def create(in_dim: int, hidden_dim: int, rng: Optional[Rng]) -> "ReduceHead":
         return ReduceHead(
-            w=ad.parameter(init_normal(rng, (in_dim, hidden_dim), np.sqrt(2.0 / in_dim))),
-            b=ad.parameter(np.zeros(hidden_dim, dtype=np.float32)),
+            w=Tensor(init_normal(rng, (in_dim, hidden_dim), np.sqrt(2.0 / in_dim))),
+            b=Tensor(np.zeros(hidden_dim, dtype=np.float32)),
             bn=BatchNormParams.create(hidden_dim),
         )
 

@@ -351,8 +351,22 @@ def test_grad_check_dropout_with_frozen_mask():
 def test_backward_accumulates_over_reuse():
     x = Tensor(np.array([2.0]), requires_grad=True)
     y = x * x + x * 3.0  # dy/dx = 2x + 3 = 7
-    y.backward()
-    assert np.allclose(x.grad, [7.0])
+    assert np.allclose(y.backward()[x], [7.0])
+
+
+def test_differentiating_restores_each_flag_also_when_the_block_raises():
+    a, b = Tensor(np.ones(2)), Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(KeyError):
+        with ad.differentiating([a, b]):
+            assert a.requires_grad and b.requires_grad
+            raise KeyError("inside")
+    assert not a.requires_grad and b.requires_grad
+
+
+def test_grad_check_leaves_each_input_flag_as_it_found_it():
+    a, b = t64(Rng(16), 3, 4), Tensor(Rng(17).normal((4, 2)), requires_grad=True)
+    assert grad_check(ad.MATMUL, [a, b]).passed
+    assert not a.requires_grad and b.requires_grad
 
 
 def test_backward_rejects_bad_cotangent_shape():
@@ -441,7 +455,7 @@ def test_binary_vjps_skip_unneeded_inputs(prim):
 
 
 def test_node_records_its_primitive_only_where_a_gradient_flows():
-    x, w = Tensor(np.ones((2, 3))), ad.parameter(np.ones((3, 3)))
+    x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)), requires_grad=True)
     node = ad.softmax(ad.matmul(x, w), axis=0)
     assert node._prim is ad.SOFTMAX and node._kw == {"axis": 0} and node._parents[0]._prim is ad.MATMUL
     assert repr(node) == "Tensor(shape=(2, 3), dtype=float64, op=softmax)"
@@ -458,9 +472,9 @@ def test_frames_get_no_cotangent_through_matmul():
         return ad.MATMUL.vjp(g, out, a, b, needs=needs)
 
     prim = Primitive("probe", ad.MATMUL.forward, probe_vjp)
-    frames, w = Tensor(np.ones((2, 3))), ad.parameter(np.ones((3, 2)))
-    ad.reduce_sum(ad.apply(prim, frames, w)).backward()
-    assert seen == [(False, True)] and frames.grad is None and w.grad is not None
+    frames, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)), requires_grad=True)
+    grads = ad.reduce_sum(ad.apply(prim, frames, w)).backward()
+    assert seen == [(False, True)] and frames not in grads and w in grads
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from nextvlad import autodiff as ad
 from nextvlad.autodiff import Tensor
 from nextvlad.data import SyntheticSpec, gen_synthetic, make_batch
 from nextvlad.losses import LossConfig, bce_loss
@@ -23,6 +24,7 @@ from nextvlad.train import (
     evaluate_gap,
     load_checkpoint,
     lr_schedule,
+    predict_logits,
     save_checkpoint,
     train_loop,
 )
@@ -123,7 +125,7 @@ def adam_reference(p, g, m, v, t, lr):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_bytes_match_allocating_form(dtype):
     rng = Rng(60)
-    shapes = {"small": (3,), "big": (40, 30), "mid": (7, 5)}  # scratch grows mid-step
+    shapes = {"small": (3,), "big": (40, 30), "mid": (7, 5)}
     params = {k: Tensor(rng.normal(s).astype(dtype), requires_grad=True) for k, s in shapes.items()}
     ref = {k: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)) for k, t in params.items()}
     state = AdamState.create(params)
@@ -208,14 +210,13 @@ def test_l2_touches_only_classifier_gradients():
         params = ModelParams.create(cfg, Rng(derive_seed(4, TAG_INIT)))
         batch = make_batch(ds.records[:8], 5, 5)
         named = params.named_parameters()
-        logits = model_forward(batch, params, training=True, rng=Rng(123))
-        loss = bce_loss(logits, batch.labels)
-        if coeff:
-            from nextvlad import autodiff as ad
-
-            loss = loss + ad.reduce_sum(params.classifier_w * params.classifier_w) * coeff
-        loss.backward()
-        grads[coeff] = {k: t.grad.copy() for k, t in named.items()}
+        with ad.differentiating(named.values()):
+            logits = model_forward(batch, params, training=True, rng=Rng(123))
+            loss = bce_loss(logits, batch.labels)
+            if coeff:
+                loss = loss + ad.reduce_sum(params.classifier_w * params.classifier_w) * coeff
+            leaf_grads = loss.backward()
+        grads[coeff] = {k: leaf_grads[t] for k, t in named.items()}
     for name in grads[0.0]:
         same = np.array_equal(grads[0.0][name], grads[1e-5][name])
         if name.endswith("classifier_w"):
@@ -230,8 +231,9 @@ def test_non_finite_loss_aborts_with_step_number():
     state.params.classifier_b.data[:] = np.float32(1e38)  # drives bce to inf
     cfg = desk_train_config(max_steps=1)
     with np.errstate(over="ignore"):
-        with pytest.raises(RuntimeError, match="step 0"):
+        with pytest.raises(RuntimeError, match=r"step 1\b"):
             train_loop(state, ds, cfg, max_frames=5)
+    assert not any(t.requires_grad for t in state.params.named_parameters().values())
 
 
 def test_eval_rows_carry_gap():
@@ -242,6 +244,23 @@ def test_eval_rows_carry_gap():
     assert gaps[0] is None and gaps[1] is not None
     assert gaps[2] is None and gaps[3] is not None
     assert 0.0 <= rows[1].gap <= 1.0
+
+
+def untracked(t: Tensor) -> bool:
+    return t._prim is None and t._parents == ()
+
+
+@pytest.mark.parametrize("experts", [1, 3])
+def test_inference_records_no_graph_before_or_after_training(experts):
+    ds = desk_dataset()
+    rng = Rng(derive_seed(4, TAG_INIT))
+    params = (MixtureParams if experts == 3 else ModelParams).create(desk_model_config(), rng)
+    state = TrainState.create(params)
+    batch = make_batch(ds.records[:8], 5, ds.num_classes)
+    assert untracked(predict_logits(params, batch))
+    train_loop(state, ds, desk_train_config(max_steps=2), max_frames=5)
+    assert not any(t.requires_grad for t in params.named_parameters().values())
+    assert untracked(predict_logits(params, batch))
 
 
 def test_evaluate_gap_runs_on_mixture():
