@@ -342,28 +342,41 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return apply(MATMUL, a, b)
 
 
-def _fw_residual_aggregate(assign, feats, anchors, gate, *, mask):
-    _check_same_dtype("residual_aggregate", assign, feats, anchors, gate, mask)
-    b, m, g, k = assign.shape
-    w = (assign * (gate * mask[:, :, None])[..., None]).reshape(b, m * g, k)
-    agg = np.swapaxes(w, 1, 2) @ feats.reshape(b, m * g, -1)
+def _to_padded(x, rows, padded_rows):
+    # packed rows (T, ...) scattered into zeros; no copy when they cover all
+    if len(rows) == padded_rows:
+        return x
+    out = np.zeros((padded_rows,) + x.shape[1:], dtype=x.dtype)
+    out[rows] = x
+    return out
+
+
+def _to_rows(x, rows):
+    return x if len(rows) == x.shape[0] else x[rows]
+
+
+def _fw_residual_aggregate(assign, feats, anchors, gate, *, rows, shape):
+    _check_same_dtype("residual_aggregate", assign, feats, anchors, gate)
+    (b, m), (_, g, k) = shape, assign.shape
+    w = _to_padded(assign * gate[..., None], rows, b * m).reshape(b, m * g, k)
+    agg = np.swapaxes(w, 1, 2) @ _to_padded(feats, rows, b * m).reshape(b, m * g, -1)
     agg -= w.sum(axis=1)[:, :, None] * anchors
     return agg
 
 
-def _vjp_residual_aggregate(g_out, out, assign, feats, anchors, gate, *, mask, needs):
-    b, m, g, k = assign.shape
-    scale = (gate * mask[:, :, None])[..., None]
-    w = (assign * scale).reshape(b, m * g, k)
-    d_feats = (w @ g_out).reshape(feats.shape) if needs[1] else None
+def _vjp_residual_aggregate(g_out, out, assign, feats, anchors, gate, *, rows, shape, needs):
+    (b, m), (_, g, k) = shape, assign.shape
+    scale = gate[..., None]
+    w = _to_padded(assign * scale, rows, b * m).reshape(b, m * g, k)
+    d_feats = _to_rows((w @ g_out).reshape((b * m,) + feats.shape[1:]), rows) if needs[1] else None
     d_anchors = -np.einsum("bk,bkd->kd", w.sum(axis=1), g_out) if needs[2] else None
     if not (needs[0] or needs[3]):
         return (None, d_feats, d_anchors, None)
     # d/dw of sum w * (feats - anchors), shaped like assign
-    dw = feats.reshape(b, m * g, -1) @ np.swapaxes(g_out, 1, 2)
+    dw = _to_padded(feats, rows, b * m).reshape(b, m * g, -1) @ np.swapaxes(g_out, 1, 2)
     dw -= np.einsum("bkd,kd->bk", g_out, anchors)[:, None, :]
-    dw = dw.reshape(assign.shape)
-    d_gate = np.einsum("bmgk,bmgk->bmg", dw, assign) * mask[:, :, None] if needs[3] else None
+    dw = _to_rows(dw.reshape((b * m,) + assign.shape[1:]), rows)
+    d_gate = np.einsum("tgk,tgk->tg", dw, assign) if needs[3] else None
     d_assign = np.multiply(dw, scale, out=dw) if needs[0] else None
     return (d_assign, d_feats, d_anchors, d_gate)
 
@@ -372,16 +385,17 @@ RESIDUAL_AGGREGATE = Primitive("residual_aggregate", _fw_residual_aggregate, _vj
 
 
 def residual_aggregate(assign: Tensor, feats: Tensor, anchors: Tensor, gate: Tensor,
-                       mask: np.ndarray) -> Tensor:
-    """VLAD residual sum before normalization, (B, K, D): out[b,k] = sum over
-    frames m and groups g of mask[b,m] gate[b,m,g] assign[b,m,g,k] (feats[b,m,g]
-    - anchors[k]), for assign (B, M, G, K) and feats (B, M, G, D)."""
-    (b, m, g, k), d = assign.shape, feats.shape[-1]
-    got = (feats.shape, anchors.shape, gate.shape, mask.shape)
-    if got != ((b, m, g, d), (k, d), (b, m, g), (b, m)):
-        raise ValueError(f"residual_aggregate: feats, anchors, gate and mask shaped {got} "
+                       rows: np.ndarray, shape: tuple) -> Tensor:
+    """VLAD residual sum before normalization, (B, K, D): out[b,k] = sum over the
+    rows t of video b and groups g of gate[t,g] assign[t,g,k] (feats[t,g] - anchors[k]),
+    for assign (T, G, K) and feats (T, G, D) at places ``rows`` of a (B, M) ``shape``
+    (as ``take_rows`` takes them: strictly increasing)."""
+    (t, g, k), d = assign.shape, feats.shape[-1]
+    got = (feats.shape, anchors.shape, gate.shape, rows.shape)
+    if got != ((t, g, d), (k, d), (t, g), (t,)):
+        raise ValueError(f"residual_aggregate: feats, anchors, gate and rows shaped {got} "
                          f"do not fit assign {assign.shape}")
-    return apply(RESIDUAL_AGGREGATE, assign, feats, anchors, gate, mask=mask)
+    return apply(RESIDUAL_AGGREGATE, assign, feats, anchors, gate, rows=rows, shape=tuple(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +435,23 @@ TRANSPOSE = Primitive(
 
 def transpose(a: Tensor, axes) -> Tensor:
     return apply(TRANSPOSE, a, axes=tuple(axes))
+
+
+TAKE_ROWS = Primitive(
+    "take_rows",
+    lambda a, *, rows: _to_rows(a, rows),
+    lambda g, out, a, *, rows, needs: (_to_padded(g, rows, a.shape[0]),),
+)
+
+
+def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    """The rows ``rows`` (strictly increasing) of ``a`` along its first axis;
+    the gradient scatters back, zero elsewhere."""
+    limit = a.shape[0]
+    if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size and (
+            rows[0] < 0 or rows[-1] >= limit or (np.diff(rows) <= 0).any()):
+        raise ValueError(f"take_rows: rows must be 1-d integers increasing strictly in [0, {limit})")
+    return apply(TAKE_ROWS, a, rows=rows)
 
 
 def _fw_concat(*arrays, axis):

@@ -170,13 +170,18 @@ def _check_scorable(preds: PredictionSet) -> int:
 def gap_at_20(preds: PredictionSet) -> float:
     """Pooled average precision over all videos' top-20 predictions.
 
-    One lexsort ranks the pool (confidence descending, then video, then
-    class); the precision at each hit, times the recall step, is summed by
-    ``np.cumsum``, which adds in rank order like a scalar loop would.
+    One sort of unique integer keys (rank among the distinct confidences
+    descending, then video, then class) ranks the pool; the precision at each
+    hit, times the recall step, is summed by ``np.cumsum`` in rank order.
     """
     recall_step = 1.0 / _check_scorable(preds)
     col = preds.columns()
-    ranks = np.flatnonzero(col.hit[np.lexsort((col.cls, col.video, -col.conf))]) + 1
+    distinct, conf_rank = np.unique(-col.conf, return_inverse=True)
+    videos, width = len(preds.video_ids), 1 + int(col.cls.max(initial=0))
+    if distinct.size * videos * width >= 2 ** 63:
+        raise ValueError(f"{col.conf.size} predictions over {videos} videos overflow the rank keys")
+    key = (conf_rank * videos + col.video) * width + col.cls
+    ranks = np.flatnonzero(col.hit[np.argsort(key)]) + 1
     if not ranks.size:
         return 0.0
     gap = float(np.cumsum(np.arange(1, ranks.size + 1) / ranks * recall_step)[-1])

@@ -256,8 +256,7 @@ def train_loop(
 
         row = _train_step(state, named, batch, cfg)
         if row.step % (cfg.eval_every or steps_per_epoch) == 0 or row.step == total_steps:
-            row.gap = evaluate_gap(state.params, gap_source, max_frames,
-                                   batch_size=min(cfg.batch_size, 64))
+            row.gap = evaluate_gap(state.params, gap_source, max_frames)
         rows.append(row)
         state.global_step = row.step
     return rows

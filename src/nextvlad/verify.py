@@ -130,9 +130,11 @@ def gradient_checks(seed: int = 0) -> list:
 
     t = lambda *shape: Tensor(rng.normal(shape))  # noqa: E731
     check("matmul", ad.MATMUL, t(3, 4), t(4, 2))
-    mask = (rng.uniform((2, 3)) > 0.3).astype(np.float64)
-    check("residual_aggregate", lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, mask),
-          t(2, 3, 2, 4), t(2, 3, 2, 5), t(4, 5), t(2, 3, 2))
+    rows = np.flatnonzero(rng.uniform((2, 3)) > 0.3)
+    packed = lambda *shape: Tensor(t(2, 3, *shape).data.reshape(6, *shape)[rows])  # noqa: E731
+    check("residual_aggregate", lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, rows, (2, 3)),
+          packed(2, 4), packed(2, 5), t(4, 5), packed(2))
+    check("take_rows", lambda x: ad.take_rows(x, rows), t(6, 3))
     check("softmax", lambda x: ad.softmax(x, axis=-1), t(3, 5))
     check("sigmoid", ad.SIGMOID, t(4,))
     check("softplus", ad.SOFTPLUS, t(6,))

@@ -10,9 +10,9 @@ dominant reduction layer) by the group count.  The reduction to the hidden
 size, an affine layer plus batch norm (:class:`ReduceHead`), is applied once
 by the model to the concatenated descriptors of all streams.
 
-Padding is handled by a {0,1} mask multiplied into the assignment weights,
-so appended padding frames can hold arbitrary finite values without
-affecting the output.
+NeXtVLAD takes the valid frames out of the padded grid before its first
+matmul, so padding may hold any value.  NetVLAD runs on every frame and gates
+padding shut with the {0,1} mask, so padding may hold any finite value.
 """
 
 from __future__ import annotations
@@ -303,15 +303,15 @@ class FrameBatchView:
 
 
 def netvlad_aggregate(view: FrameBatchView, core: NetVladCore) -> Tensor:
-    """Masked residual aggregation, pre-normalization: (B, K, N)."""
+    """Residual aggregation gated shut on padding, pre-normalization: (B, K, N)."""
     b, m, n = view.frames.shape
     if n != core.assign_w.shape[1]:
         raise ValueError(f"frame dim {n} != assignment dim {core.assign_w.shape[1]}")
     logits = ad.matmul(view.frames.reshape((b * m, n)), ad.transpose(core.assign_w, (1, 0)))
     alpha = ad.softmax(logits + core.assign_b, axis=-1)  # (B*M, K)
-    gate = Tensor(np.ones((b, m, 1), dtype=view.frames.dtype))  # one group, always open
-    return ad.residual_aggregate(alpha.reshape((b, m, 1, -1)), view.frames.reshape((b, m, 1, n)),
-                                 core.anchors, gate, mask=view.mask.data)
+    return ad.residual_aggregate(alpha.reshape((b * m, 1, -1)), view.frames.reshape((b * m, 1, n)),
+                                 core.anchors, view.mask.reshape((b * m, 1)),
+                                 np.arange(b * m), (b, m))
 
 
 def netvlad_descriptor(view: FrameBatchView, core: NetVladCore) -> Tensor:
@@ -323,20 +323,21 @@ def netvlad_descriptor(view: FrameBatchView, core: NetVladCore) -> Tensor:
 
 
 def nextvlad_aggregate(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
-    """Masked grouped residual aggregation, pre-normalization: (B, K, lamN/G)."""
+    """Grouped residual aggregation of valid frames, pre-normalization: (B, K, lamN/G)."""
     b, m, n = view.frames.shape
     if n != core.expand_w.shape[0]:
         raise ValueError(f"frame dim {n} != expansion dim {core.expand_w.shape[0]}")
     g = core.groups
     k, d = core.anchors.shape
-    flat = view.frames.reshape((b * m, n))
-    expanded = ad.matmul(flat, core.expand_w) + core.expand_b  # (B*M, lamN)
+    rows = np.flatnonzero(view.mask.data.reshape(-1))  # the valid frames' places in B*M
+    valid = ad.take_rows(view.frames.reshape((b * m, n)), rows)
+    expanded = ad.matmul(valid, core.expand_w) + core.expand_b  # (T, lamN)
 
-    attn = ad.sigmoid(ad.matmul(expanded, core.attn_w) + core.attn_b)  # (B*M, G)
-    assign_logits = (ad.matmul(expanded, core.assign_w) + core.assign_b).reshape((b, m, g, k))
-    assign = ad.softmax(assign_logits, axis=-1)  # (B, M, G, K)
-    return ad.residual_aggregate(assign, expanded.reshape((b, m, g, d)), core.anchors,
-                                 attn.reshape((b, m, g)), mask=view.mask.data)
+    attn = ad.sigmoid(ad.matmul(expanded, core.attn_w) + core.attn_b)  # (T, G)
+    assign_logits = (ad.matmul(expanded, core.assign_w) + core.assign_b).reshape((-1, g, k))
+    assign = ad.softmax(assign_logits, axis=-1)  # (T, G, K)
+    return ad.residual_aggregate(assign, expanded.reshape((-1, g, d)), core.anchors, attn,
+                                 rows, (b, m))
 
 
 def nextvlad_descriptor(view: FrameBatchView, core: NeXtVladCore) -> Tensor:

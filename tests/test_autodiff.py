@@ -234,6 +234,21 @@ def test_batch_norm_two_element_batch_by_hand():
     assert np.allclose(state.running_var, 0.9 * 1.0 + 0.1 * var)
 
 
+def test_batch_norm_running_moments_follow_the_momentum_recurrence():
+    # pins the running variance that inference normalises by, not only the mean
+    gamma, beta, state = _bn_params(3)
+    rm, rv = np.zeros(3), np.ones(3)
+    rng = Rng(48)
+    for _ in range(4):
+        x = 2.0 + 3.0 * rng.normal((5, 3))
+        ad.batch_norm(Tensor(x), gamma, beta, state, training=True)
+        mu = x.mean(axis=0)
+        rm = 0.9 * rm + 0.1 * mu
+        rv = 0.9 * rv + 0.1 * ((x - mu) ** 2).mean(axis=0)
+    assert np.abs(state.running_mean - rm).max() < 1e-12
+    assert np.abs(state.running_var - rv).max() < 1e-12
+
+
 def test_batch_norm_empty_batch_rejected():
     gamma, beta, state = _bn_params(2)
     with pytest.raises(ValueError, match="empty"):
@@ -381,10 +396,30 @@ def test_backward_rejects_bad_cotangent_shape():
 # ---------------------------------------------------------------------------
 
 
-def residual_inputs(rng, b=2, m=3, g=2, k=3, d=4):
-    mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])[:b, :m]
+# valid-frame masks over (B, M) = (2, 3): the kernel sees only the set rows
+MASKS = {
+    "ragged": [[1, 1, 0], [1, 0, 0]],
+    "empty video": [[0, 0, 0], [1, 0, 1]],
+    "no rows": [[0, 0, 0], [0, 0, 0]],
+    "full": [[1, 1, 1], [1, 1, 1]],
+}
+
+
+def residual_inputs(rng, mask="ragged", g=2, k=3, d=4):
+    """Padded (B, M, ...) inputs with their mask, as the loop oracle takes them."""
+    mask = np.array(MASKS[mask], dtype=np.float64)
+    b, m = mask.shape
     return (t64(rng, b, m, g, k), t64(rng, b, m, g, d), t64(rng, k, d),
             Tensor(0.5 + rng.uniform((b, m, g))), mask)
+
+
+def packed_inputs(rng, mask="ragged"):
+    """The kernel's inputs: the rows of the padded ones where the mask is
+    set and their places in B*M; then the padded arrays and the mask."""
+    a, x, c, s, mask = residual_inputs(rng, mask)
+    rows = np.flatnonzero(mask)
+    pack = lambda t: Tensor(t.data.reshape((-1,) + t.shape[2:])[rows])  # noqa: E731
+    return (pack(a), pack(x), c, pack(s), rows), (a.data, x.data, c.data, s.data, mask)
 
 
 def residual_loops(assign, feats, anchors, gate, mask):
@@ -400,45 +435,68 @@ def residual_loops(assign, feats, anchors, gate, mask):
 
 
 def test_residual_aggregate_matches_loops():
-    a, x, c, s, mask = residual_inputs(Rng(40))
-    got = ad.residual_aggregate(a, x, c, s, mask).data
-    assert np.abs(got - residual_loops(a.data, x.data, c.data, s.data, mask)).max() < 1e-12
+    for mask in MASKS:
+        (a, x, c, s, rows), padded = packed_inputs(Rng(40), mask)
+        got = ad.residual_aggregate(a, x, c, s, rows, (2, 3)).data
+        assert np.abs(got - residual_loops(*padded)).max() < 1e-12, mask
 
 
 def test_residual_aggregate_shape_mismatch_rejected():
-    a, x, c, s, mask = residual_inputs(Rng(41))
+    (a, x, c, s, rows), _ = packed_inputs(Rng(41))
     with pytest.raises(ValueError, match="residual_aggregate"):
-        ad.residual_aggregate(a, x, t64(Rng(1), 2, 4), s, mask)
+        ad.residual_aggregate(a, x, t64(Rng(1), 2, 4), s, rows, (2, 3))
     with pytest.raises(ValueError, match="residual_aggregate"):
-        ad.residual_aggregate(a, x, c, s, mask[:, :2])
+        ad.residual_aggregate(a, x, c, s, rows[:2], (2, 3))
 
 
 @pytest.mark.parametrize("gated", [True, False])
 def test_residual_aggregate_grad_checks(gated):
-    a, x, c, s, mask = residual_inputs(Rng(42))
-    if gated:
-        report = grad_check(lambda *ts: ad.residual_aggregate(*ts, mask), [a, x, c, s])
-    else:
-        ones = Tensor(np.ones(s.shape))
-        report = grad_check(lambda a, x, c: ad.residual_aggregate(a, x, c, ones, mask), [a, x, c])
-    assert report.passed, str(report)
+    for mask in MASKS:
+        (a, x, c, s, rows), _ = packed_inputs(Rng(42), mask)
+        if gated:
+            report = grad_check(lambda *ts: ad.residual_aggregate(*ts, rows, (2, 3)), [a, x, c, s])
+        else:
+            ones = Tensor(np.ones(s.shape))
+            report = grad_check(lambda a, x, c: ad.residual_aggregate(a, x, c, ones, rows, (2, 3)),
+                                [a, x, c])
+        assert report.passed, f"{mask}: {report}"
 
 
 def test_residual_aggregate_grad_checks_with_constant_inputs():
-    a, x, c, s, mask = residual_inputs(Rng(43))
-    report = grad_check(lambda a, c: ad.residual_aggregate(a, x, c, s, mask), [a, c])
+    (a, x, c, s, rows), _ = packed_inputs(Rng(43))
+    report = grad_check(lambda a, c: ad.residual_aggregate(a, x, c, s, rows, (2, 3)), [a, c])
     assert report.passed, str(report)
 
 
 def test_residual_aggregate_vjp_skips_unneeded_inputs():
-    a, x, c, s, mask = residual_inputs(Rng(44))
-    arrays = (a.data, x.data, c.data, s.data)
     cot = Rng(45).normal((2, 3, 4))
-    full = ad.RESIDUAL_AGGREGATE.vjp(cot, None, *arrays, mask=mask, needs=(True,) * 4)
-    for needs in [(True, False, True, False), (False, True, False, True), (False, False, True, False)]:
-        part = ad.RESIDUAL_AGGREGATE.vjp(cot, None, *arrays, mask=mask, needs=needs)
-        for need, got, ref in zip(needs, part, full):
-            assert (got is None) if not need else np.array_equal(got, ref)
+    for mask in MASKS:
+        (a, x, c, s, rows), _ = packed_inputs(Rng(44), mask)
+        arrays = (a.data, x.data, c.data, s.data)
+        kw = dict(rows=rows, shape=(2, 3))
+        full = ad.RESIDUAL_AGGREGATE.vjp(cot, None, *arrays, **kw, needs=(True,) * 4)
+        for needs in [(True, False, True, False), (False, True, False, True),
+                      (False, False, True, False)]:
+            part = ad.RESIDUAL_AGGREGATE.vjp(cot, None, *arrays, **kw, needs=needs)
+            for need, got, ref in zip(needs, part, full):
+                assert (got is None) if not need else np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("mask", MASKS)
+def test_take_rows_gathers_and_scatters_back(mask):
+    rows = np.flatnonzero(MASKS[mask])
+    x = t64(Rng(47), 6, 3)
+    assert np.array_equal(ad.take_rows(x, rows).data, x.data[rows])
+    report = grad_check(lambda x: ad.take_rows(x, rows), [x])
+    assert report.passed, str(report)
+
+
+def test_take_rows_rejects_rows_that_are_not_strictly_increasing_places():
+    x = t64(Rng(48), 6, 3)
+    for bad in (np.array([3, 1, 0]), np.array([0, 0]), np.array([4, 6]), np.array([-1, 2]),
+                np.array([0.0, 1.0]), np.zeros((1, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match="take_rows: rows"):
+            ad.take_rows(x, bad)
 
 
 @pytest.mark.parametrize("prim", [ad.MATMUL, ad.MUL, ad.DIV], ids=lambda p: p.name)

@@ -147,6 +147,15 @@ def test_tie_break_is_video_then_class():
     assert abs(gap_at_20(preds) - 0.5) < 1e-15
 
 
+def test_rank_keys_past_int64_are_rejected_not_wrapped():
+    preds = PredictionSet()
+    preds.add_video("a", [0], [(0, 0.5), (1, 0.25)])
+    # a class id this large cannot pass append's tables, so plant it in the columns
+    preds._blocks = [preds.columns()._replace(cls=np.array([0, 2 ** 62]))]
+    with pytest.raises(ValueError, match="overflow the rank keys"):
+        gap_at_20(preds)
+
+
 def test_duplicate_video_and_class_rejected():
     preds = PredictionSet()
     preds.add_video("a", [0], [(0, 0.5)])

@@ -21,7 +21,7 @@ from nextvlad.model import (
 )
 from nextvlad.rng import Rng
 from nextvlad.verify import cast_params
-from nextvlad.vlad import NetVladConfig, NeXtVladConfig, weight_census
+from nextvlad.vlad import FrameBatchView, NetVladConfig, NeXtVladConfig, weight_census
 
 
 def toy_config(num_classes=3, dropout=0.0, whitening=False):
@@ -316,8 +316,6 @@ def test_gate_uses_masked_mean_zero_when_all_masked():
 
 
 def test_gate_input_ignores_padding():
-    from nextvlad.vlad import FrameBatchView
-
     cfg = toy_config()
     mix = MixtureParams.create(cfg, Rng(21))
     batch = toy_batch()
@@ -330,3 +328,24 @@ def test_gate_input_ignores_padding():
     assert batch.video.mask.data[0, -1] == 0.0
     _, _, gates_junk = mixture_forward(batch, mix, training=False)
     assert np.array_equal(gates_base.data, gates_junk.data)
+
+
+def test_mixture_ignores_appended_padding():
+    # 1-10 extra padded frames per video grow M: the gate's frame mean must
+    # still divide by the valid count, and every expert ignore the padding
+    cfg = toy_config()
+    mix = MixtureParams.create(cfg, Rng(22))
+    rng = Rng(23)
+    for trial in range(5):
+        batch = toy_batch(seed=30 + trial)
+        _, base_logits, base_gates = mixture_forward(batch, mix, training=False)
+        extra = 1 + int(rng.integers(1, 10)[0])
+        for name in ("video", "audio"):
+            view = getattr(batch, name)
+            b, _, n = view.frames.shape
+            junk = (rng.uniform((b, extra, n)) * 20 - 10).astype(np.float32)
+            setattr(batch, name, FrameBatchView.from_lengths(
+                np.concatenate([view.frames.data, junk], axis=1), view.lengths))
+        _, logits, gates = mixture_forward(batch, mix, training=False)
+        assert np.abs(logits.data - base_logits.data).max() < 1e-6
+        assert np.abs(gates.data - base_gates.data).max() < 1e-6

@@ -246,6 +246,24 @@ def test_eval_rows_carry_gap():
     assert 0.0 <= rows[1].gap <= 1.0
 
 
+def test_logged_gap_is_what_evaluation_reproduces():
+    # a batch-16 run scores at evaluate_gap's batch size: scoring at 16 moves
+    # this config's GAP in the last bits (row-count-dependent BLAS rounding)
+    c = 100
+    ds = gen_synthetic(SyntheticSpec(
+        num_videos=640, num_classes=c, visual_dim=128, audio_dim=32, frames_min=2,
+        frames_max=20, labels_min=1, labels_max=2, noise_sigma=1.0, seed=90))
+    model_cfg = ModelConfig(
+        video_dim=128, audio_dim=32, hidden_dim=256, se_ratio=4, num_classes=c, dropout_rate=0.2,
+        video_vlad=NeXtVladConfig(input_dim=128, clusters=16, hidden_dim=256, groups=8, expansion=2),
+        audio_vlad=NeXtVladConfig(input_dim=32, clusters=16, hidden_dim=256, groups=8, expansion=2))
+    state = fresh_state(cfg=model_cfg)
+    cfg = desk_train_config(loss=LossConfig(num_classes=c, temperature=0.0, kd_enabled=False),
+                            max_steps=4, batch_size=16)
+    rows = train_loop(state, ds, cfg, max_frames=20)
+    assert rows[-1].gap == evaluate_gap(state.params, ds, max_frames=20)
+
+
 def untracked(t: Tensor) -> bool:
     return t._prim is None and t._parents == ()
 

@@ -280,6 +280,19 @@ def test_mask_invariance(trial):
     assert np.abs(got - base).max() < 1e-6
 
 
+def test_nan_padding_leaves_nextvlad_descriptor_unchanged():
+    # NeXtVLAD never reads a padded position, so not even a NaN there matters
+    rng = Rng(34)
+    cfg = NeXtVladConfig(input_dim=4, clusters=2, hidden_dim=3, groups=2, expansion=2)
+    core, _ = core_and_head(cfg, rng, np.float32)
+    view = random_view(rng, 3, 4, 4, dtype=np.float32, lengths=[2, 0, 4])
+    base = nextvlad_descriptor(view, core).data
+    view.frames.data[0, 2:] = np.nan
+    view.frames.data[1] = np.nan
+    got = nextvlad_descriptor(view, core).data
+    assert np.isfinite(got).all() and np.array_equal(got, base)
+
+
 def test_permutation_of_valid_frames_is_invariant():
     rng = Rng(31)
     cfg = NeXtVladConfig(input_dim=4, clusters=2, hidden_dim=3, groups=2, expansion=2)
