@@ -355,47 +355,65 @@ def _to_rows(x, rows):
     return x if len(rows) == x.shape[0] else x[rows]
 
 
-def _fw_residual_aggregate(assign, feats, anchors, gate, *, rows, shape):
-    _check_same_dtype("residual_aggregate", assign, feats, anchors, gate)
-    (b, m), (_, g, k) = shape, assign.shape
-    w = _to_padded(assign * gate[..., None], rows, b * m).reshape(b, m * g, k)
+def _softmax_rows_last(logits):
+    # softmax over K of (T, G, K) taken as (G, K, T): the max (by pairwise halving,
+    # exact in any order) and the sum then reduce a leading axis
+    a = top = logits.transpose(1, 2, 0).copy()  # a copy also where the view is contiguous
+    while top.shape[1] > 1:
+        h = (top.shape[1] + 1) // 2
+        top = np.maximum(top[:, :h], top[:, -h:])
+    a = np.exp(np.subtract(a, top, out=a), out=a)
+    a /= a.sum(axis=1, keepdims=True)
+    return np.ascontiguousarray(a.transpose(2, 0, 1))
+
+
+def _fw_residual_aggregate(logits, feats, anchors, gate, *, rows, shape):
+    _check_same_dtype("residual_aggregate", logits, feats, anchors, gate)
+    if np.isnan(logits).any():
+        raise ValueError("residual_aggregate: NaN in logits")
+    (b, m), (_, g, k) = shape, logits.shape
+    w = _softmax_rows_last(logits)
+    w = _to_padded(np.multiply(w, gate[..., None], out=w), rows, b * m).reshape(b, m * g, k)
     agg = np.swapaxes(w, 1, 2) @ _to_padded(feats, rows, b * m).reshape(b, m * g, -1)
-    agg -= w.sum(axis=1)[:, :, None] * anchors
+    agg -= (np.ones(m * g, w.dtype) @ w)[:, :, None] * anchors
     return agg
 
 
-def _vjp_residual_aggregate(g_out, out, assign, feats, anchors, gate, *, rows, shape, needs):
-    (b, m), (_, g, k) = shape, assign.shape
-    scale = gate[..., None]
-    w = _to_padded(assign * scale, rows, b * m).reshape(b, m * g, k)
-    d_feats = _to_rows((w @ g_out).reshape((b * m,) + feats.shape[1:]), rows) if needs[1] else None
-    d_anchors = -np.einsum("bk,bkd->kd", w.sum(axis=1), g_out) if needs[2] else None
+def _vjp_residual_aggregate(g_out, out, logits, feats, anchors, gate, *, rows, shape, needs):
+    (b, m), (_, g, k) = shape, logits.shape
+    a = _softmax_rows_last(logits)
+    w = a * gate[..., None]
+    wp = _to_padded(w, rows, b * m).reshape(b, m * g, k)
+    d_feats = _to_rows((wp @ g_out).reshape((b * m,) + feats.shape[1:]), rows) if needs[1] else None
+    wsum = np.ones(m * g, wp.dtype) @ wp  # (B, K)
+    d_anchors = -(wsum.T[:, None, :] @ g_out.transpose(1, 0, 2))[:, 0] if needs[2] else None
     if not (needs[0] or needs[3]):
         return (None, d_feats, d_anchors, None)
-    # d/dw of sum w * (feats - anchors), shaped like assign
+    # d/dw of sum w * (feats - anchors), shaped like logits; sums over K, like
+    # wsum, are BLAS products with ones, not reductions over a short inner axis
     dw = _to_padded(feats, rows, b * m).reshape(b, m * g, -1) @ np.swapaxes(g_out, 1, 2)
-    dw -= np.einsum("bkd,kd->bk", g_out, anchors)[:, None, :]
-    dw = _to_rows(dw.reshape((b * m,) + assign.shape[1:]), rows)
-    d_gate = np.einsum("tgk,tgk->tg", dw, assign) if needs[3] else None
-    d_assign = np.multiply(dw, scale, out=dw) if needs[0] else None
-    return (d_assign, d_feats, d_anchors, d_gate)
+    dw -= (g_out.transpose(1, 0, 2) @ anchors[:, :, None])[:, :, 0].T[:, None, :]
+    dw = _to_rows(dw.reshape(b * m, g, k), rows)
+    d_gate = (np.multiply(a, dw, out=a).reshape(-1, k) @ np.ones(k, a.dtype)).reshape(gate.shape)
+    d_logits = np.multiply(np.subtract(dw, d_gate[..., None], out=dw), w, out=dw) if needs[0] else None
+    return (d_logits, d_feats, d_anchors, d_gate if needs[3] else None)
 
 
 RESIDUAL_AGGREGATE = Primitive("residual_aggregate", _fw_residual_aggregate, _vjp_residual_aggregate)
 
 
-def residual_aggregate(assign: Tensor, feats: Tensor, anchors: Tensor, gate: Tensor,
+def residual_aggregate(logits: Tensor, feats: Tensor, anchors: Tensor, gate: Tensor,
                        rows: np.ndarray, shape: tuple) -> Tensor:
-    """VLAD residual sum before normalization, (B, K, D): out[b,k] = sum over the
-    rows t of video b and groups g of gate[t,g] assign[t,g,k] (feats[t,g] - anchors[k]),
-    for assign (T, G, K) and feats (T, G, D) at places ``rows`` of a (B, M) ``shape``
-    (as ``take_rows`` takes them: strictly increasing)."""
-    (t, g, k), d = assign.shape, feats.shape[-1]
+    """VLAD residual sum before normalization, (B, K, D): out[b,k] = sum over the rows t
+    of video b and groups g of gate[t,g] a[t,g,k] (feats[t,g] - anchors[k]), a the softmax
+    over K of ``logits`` (T, G, K), for feats (T, G, D) at places ``rows`` of a (B, M)
+    ``shape`` (as ``take_rows`` takes them: strictly increasing).  Rejects NaN logits."""
+    (t, g, k), d = logits.shape, feats.shape[-1]
     got = (feats.shape, anchors.shape, gate.shape, rows.shape)
     if got != ((t, g, d), (k, d), (t, g), (t,)):
         raise ValueError(f"residual_aggregate: feats, anchors, gate and rows shaped {got} "
-                         f"do not fit assign {assign.shape}")
-    return apply(RESIDUAL_AGGREGATE, assign, feats, anchors, gate, rows=rows, shape=tuple(shape))
+                         f"do not fit logits {logits.shape}")
+    return apply(RESIDUAL_AGGREGATE, logits, feats, anchors, gate, rows=rows, shape=tuple(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -618,17 +636,22 @@ def clip_min(a: Tensor, lo: float) -> Tensor:
 L2_NORMALIZE_EPS = 1e-12
 
 
+def _row_dot(x, y, axis):  # dot products along ``axis``, kept as a length-1 axis
+    dots = np.einsum("...d,...d->...", np.moveaxis(x, axis, -1), np.moveaxis(y, axis, -1))
+    # einsum signals no overflow; redone as ufuncs, a non-finite dot raises under np.errstate
+    return np.expand_dims(dots, axis) if np.isfinite(dots).all() else (x * y).sum(axis, keepdims=True)
+
+
 def _fw_l2_normalize(a, *, axis):
-    norm = np.sqrt((a * a).sum(axis=axis, keepdims=True))
-    return a / np.maximum(norm, L2_NORMALIZE_EPS)
+    return a / np.maximum(np.sqrt(_row_dot(a, a, axis)), L2_NORMALIZE_EPS)
 
 
 def _vjp_l2_normalize(g, out, a, *, axis, needs):
-    norm = np.sqrt((a * a).sum(axis=axis, keepdims=True))
+    norm = np.sqrt(_row_dot(a, a, axis))
     denom = np.maximum(norm, L2_NORMALIZE_EPS)
-    inner = (g * out).sum(axis=axis, keepdims=True)
-    # in the clamped region the denominator is the constant eps
-    da = np.where(norm > L2_NORMALIZE_EPS, (g - out * inner) / denom, g / denom)
+    da = (g - out * _row_dot(g, out, axis)) / denom
+    if not (norm > L2_NORMALIZE_EPS).all():  # where clamped, the denominator is a constant
+        da = np.where(norm > L2_NORMALIZE_EPS, da, g / denom)
     return (da,)
 
 

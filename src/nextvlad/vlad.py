@@ -10,9 +10,12 @@ dominant reduction layer) by the group count.  The reduction to the hidden
 size, an affine layer plus batch norm (:class:`ReduceHead`), is applied once
 by the model to the concatenated descriptors of all streams.
 
-NeXtVLAD takes the valid frames out of the padded grid before its first
-matmul, so padding may hold any value.  NetVLAD runs on every frame and gates
-padding shut with the {0,1} mask, so padding may hold any finite value.
+Both pass their assignment logits, attention gate and frames to one kernel,
+``ad.residual_aggregate`` (softmax over clusters, gated residual sum), then
+intra-normalize with ``ad.l2_normalize``.  NeXtVLAD takes the valid frames out
+of the padded grid before its first matmul, so padding may hold any value.
+NetVLAD, one group, runs on every frame and gates padding shut with the {0,1}
+mask, so padding may hold any finite value.
 """
 
 from __future__ import annotations
@@ -308,18 +311,15 @@ def netvlad_aggregate(view: FrameBatchView, core: NetVladCore) -> Tensor:
     if n != core.assign_w.shape[1]:
         raise ValueError(f"frame dim {n} != assignment dim {core.assign_w.shape[1]}")
     logits = ad.matmul(view.frames.reshape((b * m, n)), ad.transpose(core.assign_w, (1, 0)))
-    alpha = ad.softmax(logits + core.assign_b, axis=-1)  # (B*M, K)
-    return ad.residual_aggregate(alpha.reshape((b * m, 1, -1)), view.frames.reshape((b * m, 1, n)),
-                                 core.anchors, view.mask.reshape((b * m, 1)),
-                                 np.arange(b * m), (b, m))
+    return ad.residual_aggregate((logits + core.assign_b).reshape((b * m, 1, -1)),
+                                 view.frames.reshape((b * m, 1, n)), core.anchors,
+                                 view.mask.reshape((b * m, 1)), np.arange(b * m), (b, m))
 
 
 def netvlad_descriptor(view: FrameBatchView, core: NetVladCore) -> Tensor:
     """Intra-normalized flat descriptor: (B, K*N), cluster-major."""
     agg = netvlad_aggregate(view, core)
-    b, k, n = agg.shape
-    normed = ad.l2_normalize(agg, axis=-1)
-    return normed.reshape((b, k * n))
+    return ad.l2_normalize(agg, axis=-1).reshape((agg.shape[0], -1))
 
 
 def nextvlad_aggregate(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
@@ -335,17 +335,14 @@ def nextvlad_aggregate(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
 
     attn = ad.sigmoid(ad.matmul(expanded, core.attn_w) + core.attn_b)  # (T, G)
     assign_logits = (ad.matmul(expanded, core.assign_w) + core.assign_b).reshape((-1, g, k))
-    assign = ad.softmax(assign_logits, axis=-1)  # (T, G, K)
-    return ad.residual_aggregate(assign, expanded.reshape((-1, g, d)), core.anchors, attn,
+    return ad.residual_aggregate(assign_logits, expanded.reshape((-1, g, d)), core.anchors, attn,
                                  rows, (b, m))
 
 
 def nextvlad_descriptor(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
     """Intra-normalized flat descriptor: (B, K*lamN/G), cluster-major."""
     agg = nextvlad_aggregate(view, core)
-    b, k, d = agg.shape
-    normed = ad.l2_normalize(agg, axis=-1)
-    return normed.reshape((b, k * d))
+    return ad.l2_normalize(agg, axis=-1).reshape((agg.shape[0], -1))
 
 
 # ---------------------------------------------------------------------------

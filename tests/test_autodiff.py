@@ -1,6 +1,8 @@
 """Tensor primitives: forward semantics against independent oracles, plus
 gradient checks of every vector-Jacobian product."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -150,6 +152,14 @@ def test_l2_normalize_three_four_five():
 def test_l2_normalize_zero_guard():
     out = ad.l2_normalize(Tensor([0.0, 0.0]), axis=0)
     assert np.array_equal(out.data, [0.0, 0.0])
+
+
+def test_l2_normalize_squared_norm_overflow_is_signalled():
+    x = Tensor(np.array([[3e30, 1.0], [1.0, 2.0]], dtype=np.float32))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        ad.l2_normalize(x, axis=-1)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        ad.L2_NORMALIZE.vjp(x.data, x.data, x.data, axis=-1, needs=(True,))
 
 
 def test_l2_normalize_unit_norm():
@@ -401,6 +411,7 @@ MASKS = {
     "ragged": [[1, 1, 0], [1, 0, 0]],
     "empty video": [[0, 0, 0], [1, 0, 1]],
     "no rows": [[0, 0, 0], [0, 0, 0]],
+    "one row": [[0, 0, 1], [0, 0, 0]],  # its (T, G, K) logits seen as (G, K, T) are contiguous
     "full": [[1, 1, 1], [1, 1, 1]],
 }
 
@@ -422,14 +433,16 @@ def packed_inputs(rng, mask="ragged"):
     return (pack(a), pack(x), c, pack(s), rows), (a.data, x.data, c.data, s.data, mask)
 
 
-def residual_loops(assign, feats, anchors, gate, mask):
-    b, m, g, k = assign.shape
+def residual_loops(logits, feats, anchors, gate, mask):
+    b, m, g, k = logits.shape
     out = np.zeros((b, k, feats.shape[-1]))
     for bi in range(b):
         for mi in range(m):
             for gi in range(g):
+                top = max(logits[bi, mi, gi])
+                z = [math.exp(v - top) for v in logits[bi, mi, gi]]
                 for ki in range(k):
-                    w = mask[bi, mi] * gate[bi, mi, gi] * assign[bi, mi, gi, ki]
+                    w = mask[bi, mi] * gate[bi, mi, gi] * z[ki] / sum(z)
                     out[bi, ki] += w * (feats[bi, mi, gi] - anchors[ki])
     return out
 
@@ -447,6 +460,23 @@ def test_residual_aggregate_shape_mismatch_rejected():
         ad.residual_aggregate(a, x, t64(Rng(1), 2, 4), s, rows, (2, 3))
     with pytest.raises(ValueError, match="residual_aggregate"):
         ad.residual_aggregate(a, x, c, s, rows[:2], (2, 3))
+
+
+def test_residual_aggregate_nan_logits_rejected():
+    (a, x, c, s, rows), _ = packed_inputs(Rng(41))
+    a.data[1, 0, 2] = np.nan
+    with pytest.raises(ValueError, match="residual_aggregate"):
+        ad.residual_aggregate(a, x, c, s, rows, (2, 3))
+
+
+def test_residual_aggregate_is_shift_invariant_without_overflow():
+    # logits 1000s apart overflow exp unless the max over K is taken exactly
+    (a, x, c, s, rows), _ = packed_inputs(Rng(49), "full")
+    big = a.data * 1000
+    got = ad.residual_aggregate(Tensor(big), x, c, s, rows, (2, 3)).data
+    shifted = Tensor(big - big.max(axis=-1, keepdims=True))
+    assert np.isfinite(got).all()
+    assert np.array_equal(got, ad.residual_aggregate(shifted, x, c, s, rows, (2, 3)).data)
 
 
 @pytest.mark.parametrize("gated", [True, False])
