@@ -207,16 +207,24 @@ class Primitive:
     cotangent per input, shaped like it.  ``needs`` holds one bool per input,
     true where it requires a gradient; an input whose flag is false (frames,
     masks, constants) may get ``None`` instead of a cotangent nobody reads.
+    Where ``saves`` is true the forward returns ``(array, saved)``: ``saved``
+    maps names to arrays the forward made that the VJP takes as keywords,
+    kept on the node only where a gradient flows.
     """
 
     name: str
     forward: Callable[..., np.ndarray]
     vjp: Callable[..., tuple]
+    saves: bool = False
 
 
 def apply(prim: Primitive, *inputs: Tensor, **kw) -> Tensor:
     out = Tensor.__new__(Tensor)
-    out.data = _contiguous(prim.forward(*(t.data for t in inputs), **kw))
+    data = prim.forward(*(t.data for t in inputs), **kw)
+    if prim.saves:
+        data, saved = data
+        kw = {**kw, **saved}
+    out.data = _contiguous(data)
     out.requires_grad = any(t.requires_grad for t in inputs)
     out._parents, out._prim, out._kw = (inputs, prim, kw) if out.requires_grad else ((), None, {})
     return out
@@ -356,13 +364,10 @@ def _to_rows(x, rows):
 
 
 def _softmax_rows_last(logits):
-    # softmax over K of (T, G, K) taken as (G, K, T): the max (by pairwise halving,
-    # exact in any order) and the sum then reduce a leading axis
-    a = top = logits.transpose(1, 2, 0).copy()  # a copy also where the view is contiguous
-    while top.shape[1] > 1:
-        h = (top.shape[1] + 1) // 2
-        top = np.maximum(top[:, :h], top[:, -h:])
-    a = np.exp(np.subtract(a, top, out=a), out=a)
+    # softmax over K of (T, G, K) taken as (G, K, T): the max and the sum then
+    # reduce a leading axis, which numpy does fast, not a short innermost one
+    a = logits.transpose(1, 2, 0).copy()  # a copy also where the view is contiguous
+    a = np.exp(np.subtract(a, a.max(axis=1, keepdims=True), out=a), out=a)
     a /= a.sum(axis=1, keepdims=True)
     return np.ascontiguousarray(a.transpose(2, 0, 1))
 
@@ -372,16 +377,16 @@ def _fw_residual_aggregate(logits, feats, anchors, gate, *, rows, shape):
     if np.isnan(logits).any():
         raise ValueError("residual_aggregate: NaN in logits")
     (b, m), (_, g, k) = shape, logits.shape
-    w = _softmax_rows_last(logits)
-    w = _to_padded(np.multiply(w, gate[..., None], out=w), rows, b * m).reshape(b, m * g, k)
+    a = _softmax_rows_last(logits)
+    w = _to_padded(a * gate[..., None], rows, b * m).reshape(b, m * g, k)
     agg = np.swapaxes(w, 1, 2) @ _to_padded(feats, rows, b * m).reshape(b, m * g, -1)
     agg -= (np.ones(m * g, w.dtype) @ w)[:, :, None] * anchors
-    return agg
+    return agg, {"softmax": a}  # unpadded; the VJP redoes the padding
 
 
-def _vjp_residual_aggregate(g_out, out, logits, feats, anchors, gate, *, rows, shape, needs):
-    (b, m), (_, g, k) = shape, logits.shape
-    a = _softmax_rows_last(logits)
+def _vjp_residual_aggregate(g_out, out, logits, feats, anchors, gate, *, rows, shape, softmax,
+                            needs):
+    (b, m), (_, g, k), a = shape, logits.shape, softmax
     w = a * gate[..., None]
     wp = _to_padded(w, rows, b * m).reshape(b, m * g, k)
     d_feats = _to_rows((wp @ g_out).reshape((b * m,) + feats.shape[1:]), rows) if needs[1] else None
@@ -394,12 +399,13 @@ def _vjp_residual_aggregate(g_out, out, logits, feats, anchors, gate, *, rows, s
     dw = _to_padded(feats, rows, b * m).reshape(b, m * g, -1) @ np.swapaxes(g_out, 1, 2)
     dw -= (g_out.transpose(1, 0, 2) @ anchors[:, :, None])[:, :, 0].T[:, None, :]
     dw = _to_rows(dw.reshape(b * m, g, k), rows)
-    d_gate = (np.multiply(a, dw, out=a).reshape(-1, k) @ np.ones(k, a.dtype)).reshape(gate.shape)
+    d_gate = ((a * dw).reshape(-1, k) @ np.ones(k, a.dtype)).reshape(gate.shape)
     d_logits = np.multiply(np.subtract(dw, d_gate[..., None], out=dw), w, out=dw) if needs[0] else None
     return (d_logits, d_feats, d_anchors, d_gate if needs[3] else None)
 
 
-RESIDUAL_AGGREGATE = Primitive("residual_aggregate", _fw_residual_aggregate, _vjp_residual_aggregate)
+RESIDUAL_AGGREGATE = Primitive("residual_aggregate", _fw_residual_aggregate, _vjp_residual_aggregate,
+                               saves=True)
 
 
 def residual_aggregate(logits: Tensor, feats: Tensor, anchors: Tensor, gate: Tensor,

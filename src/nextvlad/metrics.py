@@ -118,19 +118,9 @@ class PredictionSet:
         self._ids |= block_ids
 
     def add_video(self, video_id: str, true_labels, predictions) -> None:
-        """Add one video: true class ids and [(class_id, confidence)], as ``append`` would."""
-        labels = sorted({int(c) for c in true_labels})
-        classes, confs = [int(c) for c, _ in predictions], [float(s) for _, s in predictions]
-        if not (video_id not in self._ids and len(set(classes)) == len(classes) <= MAX_PREDICTIONS
-                and min(labels + classes, default=0) >= 0 and all(map(math.isfinite, confs))):
-            return self.append([video_id], [labels], len(classes), classes, confs)  # names the fault
-        first, hits = len(self.video_ids), set(labels)
-        self._blocks.append(Columns(
-            np.full(len(classes), first, dtype=np.int64), np.array(classes, dtype=np.int64),
-            np.array(confs, dtype=np.float64), np.array([c in hits for c in classes], dtype=bool),
-            np.full(len(labels), first, dtype=np.int64), np.array(labels, dtype=np.int64)))
-        self.video_ids.append(video_id)
-        self._ids.add(video_id)
+        """Add one video: true class ids and [(class_id, confidence)]."""
+        self.append([video_id], [list(true_labels)], len(predictions),
+                    [c for c, _ in predictions], [s for _, s in predictions])
 
     def columns(self) -> Columns:
         if len(self._blocks) > 1:

@@ -319,7 +319,9 @@ def netvlad_aggregate(view: FrameBatchView, core: NetVladCore) -> Tensor:
 def netvlad_descriptor(view: FrameBatchView, core: NetVladCore) -> Tensor:
     """Intra-normalized flat descriptor: (B, K*N), cluster-major."""
     agg = netvlad_aggregate(view, core)
-    return ad.l2_normalize(agg, axis=-1).reshape((agg.shape[0], -1))
+    b, k, n = agg.shape
+    normed = ad.l2_normalize(agg, axis=-1)
+    return normed.reshape((b, k * n))
 
 
 def nextvlad_aggregate(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
@@ -342,7 +344,9 @@ def nextvlad_aggregate(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
 def nextvlad_descriptor(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
     """Intra-normalized flat descriptor: (B, K*lamN/G), cluster-major."""
     agg = nextvlad_aggregate(view, core)
-    return ad.l2_normalize(agg, axis=-1).reshape((agg.shape[0], -1))
+    b, k, d = agg.shape
+    normed = ad.l2_normalize(agg, axis=-1)
+    return normed.reshape((b, k * d))
 
 
 # ---------------------------------------------------------------------------

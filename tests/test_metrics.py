@@ -83,20 +83,6 @@ def test_rows_added_one_by_one_equal_one_block():
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def test_add_video_columns_equal_append_byte_for_byte():
-    # repeated and unpredicted labels, no labels, no predictions, unsorted classes
-    rows = [("a", [3, 1, 3], [(1, 0.25), (0, 0.5), (7, 0.125)]), ("b", [], [(2, 0.75)]),
-            ("c", [4], []), ("d", [0, 9], [(9, -1.5), (0, 2.0)])]
-    one_by_one, block = PredictionSet(), PredictionSet()
-    for vid, labels, predictions in rows:
-        one_by_one.add_video(vid, labels, predictions)
-    block.append([r[0] for r in rows], [r[1] for r in rows], [len(r[2]) for r in rows],
-                 [c for r in rows for c, _ in r[2]], [s for r in rows for _, s in r[2]])
-    for got, want in zip(one_by_one.columns(), block.columns()):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert one_by_one.video_ids == block.video_ids
-
-
 @pytest.mark.parametrize("ids, counts, classes, confs, match", [
     (["a", "b", "a"], 2, [0, 1] * 3, [0.5, 0.4] * 3, "duplicate video id 'a'"),
     (["x", "b", "c"], 2, [0, 1] * 3, [0.5, 0.4] * 3, "duplicate video id 'x'"),
