@@ -100,9 +100,19 @@ MUTANTS = [
     Mutant("l2_normalize hides an overflowed norm", AUTODIFF,
            "if np.isfinite(dots).all() else", "if True else",
            ("tests/test_autodiff.py::test_l2_normalize_squared_norm_overflow_is_signalled",)),
+    # batch norm's VJP and log_softmax's VJP
+    Mutant("batch norm VJP without - mean(dn)", AUTODIFF,
+           "(g - (g_sum + normed * gn_sum)", "(g - (normed * gn_sum)",
+           ("tests/test_autodiff.py::test_grad_check_batch_norm_training_mode",)),
+    Mutant("batch norm VJP without the normed projection", AUTODIFF,
+           "(g - (g_sum + normed * gn_sum)", "(g - (g_sum)",
+           ("tests/test_autodiff.py::test_grad_check_batch_norm_training_mode",)),
+    Mutant("log_softmax VJP without - softmax * sum(g)", AUTODIFF,
+           "(g - np.exp(out) * g.sum(axis=axis, keepdims=True),)", "(g,)",
+           ("tests/test_autodiff.py::test_every_primitive_grad_checks_on_random_shapes",)),
     # the two mutants that survived the suite before their tests came
     Mutant("mixture gate mean divides by all frames", "src/nextvlad/model.py",
-           "return total / ad.clip_min(count, 1.0)", "return total * (1.0 / m)",
+           "return total * Tensor(1.0 / np.maximum(count, 1.0))", "return total * (1.0 / m)",
            ("tests/test_model.py::test_mixture_ignores_appended_padding",)),
     Mutant("running variance with swapped momentum", AUTODIFF,
            "self.running_var = m * self.running_var + (1.0 - m) * batch_var",

@@ -78,9 +78,6 @@ class Tensor:
             raise ValueError(f"item() needs a one-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         head = f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}"
         if self._prim is not None:
@@ -162,9 +159,6 @@ class Tensor:
         return mul(self, _coerce(other, self.dtype))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other, self.dtype))
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -292,21 +286,6 @@ MUL = Primitive(
 )
 
 
-def _fw_div(a, b):
-    _check_same_dtype("div", a, b)
-    return a / b
-
-
-DIV = Primitive(
-    "div",
-    _fw_div,
-    lambda g, out, a, b, needs: (
-        _unbroadcast(g / b, a.shape) if needs[0] else None,
-        _unbroadcast(-g * a / (b * b), b.shape) if needs[1] else None,
-    ),
-)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     return apply(ADD, a, b)
 
@@ -317,10 +296,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return apply(MUL, a, b)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return apply(DIV, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +323,12 @@ MATMUL = Primitive("matmul", _fw_matmul, _vjp_matmul)
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     return apply(MATMUL, a, b)
+
+
+def _check_rows(name, rows, limit):
+    if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size and (
+            rows[0] < 0 or rows[-1] >= limit or (np.diff(rows) <= 0).any()):
+        raise ValueError(f"{name}: rows must be 1-d integers increasing strictly in [0, {limit})")
 
 
 def _to_padded(x, rows, padded_rows):
@@ -413,12 +394,14 @@ def residual_aggregate(logits: Tensor, feats: Tensor, anchors: Tensor, gate: Ten
     """VLAD residual sum before normalization, (B, K, D): out[b,k] = sum over the rows t
     of video b and groups g of gate[t,g] a[t,g,k] (feats[t,g] - anchors[k]), a the softmax
     over K of ``logits`` (T, G, K), for feats (T, G, D) at places ``rows`` of a (B, M)
-    ``shape`` (as ``take_rows`` takes them: strictly increasing).  Rejects NaN logits."""
+    ``shape``, checked as ``take_rows`` checks them (strictly increasing, in range).
+    Rejects NaN logits."""
     (t, g, k), d = logits.shape, feats.shape[-1]
     got = (feats.shape, anchors.shape, gate.shape, rows.shape)
     if got != ((t, g, d), (k, d), (t, g), (t,)):
         raise ValueError(f"residual_aggregate: feats, anchors, gate and rows shaped {got} "
                          f"do not fit logits {logits.shape}")
+    _check_rows("residual_aggregate", rows, shape[0] * shape[1])
     return apply(RESIDUAL_AGGREGATE, logits, feats, anchors, gate, rows=rows, shape=tuple(shape))
 
 
@@ -471,10 +454,7 @@ TAKE_ROWS = Primitive(
 def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     """The rows ``rows`` (strictly increasing) of ``a`` along its first axis;
     the gradient scatters back, zero elsewhere."""
-    limit = a.shape[0]
-    if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size and (
-            rows[0] < 0 or rows[-1] >= limit or (np.diff(rows) <= 0).any()):
-        raise ValueError(f"take_rows: rows must be 1-d integers increasing strictly in [0, {limit})")
+    _check_rows("take_rows", rows, a.shape[0])
     return apply(TAKE_ROWS, a, rows=rows)
 
 
@@ -572,6 +552,24 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return apply(SOFTMAX, a, axis=axis)
 
 
+def _fw_log_softmax(a, *, axis):
+    shifted = a - a.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+LOG_SOFTMAX = Primitive(
+    "log_softmax",
+    _fw_log_softmax,
+    lambda g, out, a, *, axis, needs: (g - np.exp(out) * g.sum(axis=axis, keepdims=True),),
+)
+
+
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """log softmax(a) along ``axis``, finite for finite input: the shifted
+    logits minus the log of their exponentials' sum."""
+    return apply(LOG_SOFTMAX, a, axis=axis)
+
+
 def _fw_sigmoid(a):
     # two-branch form: never exponentiates a positive argument; min(a, -a)
     # rather than -|a| keeps the sign bit of a NaN input
@@ -608,30 +606,6 @@ SOFTPLUS = Primitive("softplus", _fw_softplus, lambda g, out, a, needs: (g * _fw
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x) without overflow; d/dx = sigmoid(x)."""
     return apply(SOFTPLUS, a)
-
-
-LOG = Primitive("log", np.log, lambda g, out, a, needs: (g / a,))
-SQRT = Primitive("sqrt", np.sqrt, lambda g, out, a, needs: (g * 0.5 / out,))
-
-
-def log(a: Tensor) -> Tensor:
-    return apply(LOG, a)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    return apply(SQRT, a)
-
-
-CLIP_MIN = Primitive(
-    "clip_min",
-    lambda a, *, lo: np.maximum(a, lo),
-    lambda g, out, a, *, lo, needs: (g * (a > lo),),
-)
-
-
-def clip_min(a: Tensor, lo: float) -> Tensor:
-    """max(x, lo) elementwise; gradient passes only where x > lo."""
-    return apply(CLIP_MIN, a, lo=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -698,13 +672,37 @@ class BatchNormState:
         return out
 
 
+def _fw_batch_norm(x, gamma, beta, *, state):
+    _check_same_dtype("batch_norm", x, gamma, beta)
+    scale = x.dtype.type(1.0 / x.shape[0])
+    mu = x.sum(axis=0, keepdims=True) * scale
+    centered = x - mu
+    var = (centered * centered).sum(axis=0, keepdims=True) * scale
+    state.update(mu.reshape(-1), var.reshape(-1))
+    std = np.sqrt(var + x.dtype.type(BATCH_NORM_EPS))
+    normed = centered / std
+    return normed * gamma + beta, {"normed": normed, "std": std}
+
+
+def _vjp_batch_norm(g, out, x, gamma, beta, *, state, normed, std, needs):
+    # with dn = g * gamma: dx = (dn - mean(dn) - normed * mean(dn * normed)) / std
+    g_sum, gn_sum = g.sum(axis=0), (g * normed).sum(axis=0)
+    dx = None
+    if needs[0]:
+        dx = (g - (g_sum + normed * gn_sum) * x.dtype.type(1.0 / x.shape[0])) * (gamma / std)
+    return (dx, gn_sum if needs[1] else None, g_sum if needs[2] else None)
+
+
+BATCH_NORM = Primitive("batch_norm", _fw_batch_norm, _vjp_batch_norm, saves=True)
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                training: bool) -> Tensor:
     """Normalize (batch, features) by batch stats (training) or running stats.
 
-    Training mode updates ``state`` in place with momentum; the update is
-    detached from the graph.  Built from differentiable pieces, so gradients
-    flow through the batch statistics.
+    Training mode is one primitive whose VJP flows through the batch
+    statistics; its forward updates ``state`` in place with momentum, once
+    per call, whether or not a gradient is taken.
     """
     if x.ndim != 2:
         raise ValueError(f"batch_norm expects (batch, features), got {x.shape}")
@@ -713,16 +711,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     if x.shape[1] != gamma.size:
         raise ValueError(f"batch_norm: {x.shape[1]} features vs {gamma.size} params")
     if training:
-        mu = mean(x, axes=0, keepdims=True)
-        centered = x - mu
-        var = mean(centered * centered, axes=0, keepdims=True)
-        state.update(mu.data.reshape(-1), var.data.reshape(-1))
-        normed = centered / sqrt(var + BATCH_NORM_EPS)
-    else:
-        rm = Tensor(state.running_mean.astype(x.dtype))
-        inv = Tensor((1.0 / np.sqrt(state.running_var + BATCH_NORM_EPS)).astype(x.dtype))
-        normed = (x - rm) * inv
-    return normed * gamma + beta
+        return apply(BATCH_NORM, x, gamma, beta, state=state)
+    rm = Tensor(state.running_mean.astype(x.dtype))
+    inv = Tensor((1.0 / np.sqrt(state.running_var + BATCH_NORM_EPS)).astype(x.dtype))
+    return (x - rm) * inv * gamma + beta
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ REGISTRY: dict[str, _Key] = {
     "vlad.audio_groups": _Key(int, 0, "group count for audio (0 = same as video)"),
     # distillation
     "kd.temperature": _Key(float, 3.0, "softening temperature T; 0 disables distillation"),
-    "kd.stop_teacher_gradient": _Key(bool, False, "detach the mixture distribution in the KL term"),
     # optimization
     "train.base_lr": _Key(float, 0.0002, "initial Adam learning rate"),
     "train.batch_size": _Key(int, 160, "videos per step"),
@@ -230,7 +229,6 @@ def loss_config_from(cfg: RunConfig) -> LossConfig:
         num_classes=cfg["model.num_classes"],
         temperature=temperature,
         kd_enabled=cfg["model.experts"] > 1 and temperature > 0,
-        kd_stop_teacher_gradient=cfg["kd.stop_teacher_gradient"],
     )
 
 

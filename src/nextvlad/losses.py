@@ -4,8 +4,8 @@ distributions, KL divergence, and the combined distillation loss
     L = sum_m bce(expert_m) + bce(mixture) + T^2 * sum_m KL(p_mix || p_m)
 
 where the p's are softmaxes over classes of logits / T.  The mixture acts
-as an on-the-fly teacher; by default its gradient is not stopped, so the
-distillation term trains teacher and students jointly.
+as an on-the-fly teacher whose gradient is never stopped: the distillation
+term always trains teacher and students jointly.
 """
 
 from __future__ import annotations
@@ -18,15 +18,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-KL_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class LossConfig:
     num_classes: int
     temperature: float = 3.0
     kd_enabled: bool = True
-    kd_stop_teacher_gradient: bool = False
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -66,20 +63,26 @@ def rank_soft_prediction(logits: Tensor, temperature: float) -> Tensor:
     return ad.softmax(logits * (1.0 / temperature), axis=-1)
 
 
-def kl_divergence(p_teacher: Tensor, p_student: Tensor) -> Tensor:
-    """Mean over the batch of sum_c p_t(c) * ln(p_t(c) / p_s(c)).
+def kl_divergence(teacher_logits: Tensor, student_logits: Sequence[Tensor],
+                  temperature: float) -> Tensor:
+    """Sum over the students of the batch mean of KL(p_t || p_s) =
+    sum_c p_t(c) (log p_t(c) - log p_s(c)), each p the softmax over classes
+    of logits / T.
 
-    Zero-probability teacher entries contribute zero; both logs are
-    eps-clamped so no infinities enter the graph.
+    The teacher's softmax and log-softmax are taken once.  The logs come
+    from ``log_softmax``, so finite logits give finite logs, and a teacher
+    probability that underflows to zero contributes zero.
     """
-    if p_teacher.shape != p_student.shape:
-        raise ValueError(f"shape mismatch {p_teacher.shape} vs {p_student.shape}")
-    if (p_teacher.data < 0).any() or (p_student.data < 0).any():
-        raise ValueError("negative probabilities")
-    log_t = ad.log(ad.clip_min(p_teacher, KL_EPS))
-    log_s = ad.log(ad.clip_min(p_student, KL_EPS))
-    per_row = ad.reduce_sum(p_teacher * (log_t - log_s), axes=1)
-    return ad.mean(per_row)
+    p_t = rank_soft_prediction(teacher_logits, temperature)
+    log_t = ad.log_softmax(teacher_logits * (1.0 / temperature), axis=-1)
+    total = None
+    for z in student_logits:
+        if z.shape != p_t.shape:
+            raise ValueError(f"shape mismatch {p_t.shape} vs {z.shape}")
+        log_s = ad.log_softmax(z * (1.0 / temperature), axis=-1)
+        term = ad.mean(ad.reduce_sum(p_t * (log_t - log_s), axes=1))
+        total = term if total is None else total + term
+    return total
 
 
 @dataclass
@@ -110,13 +113,7 @@ def total_loss(
     kl_weighted_value = 0.0
     if cfg.kd_enabled and cfg.temperature > 0:
         t = cfg.temperature
-        p_teacher = rank_soft_prediction(mixture_logits, t)
-        if cfg.kd_stop_teacher_gradient:
-            p_teacher = p_teacher.detach()
-        kl_sum = None
-        for z in expert_logits:
-            term = kl_divergence(p_teacher, rank_soft_prediction(z, t))
-            kl_sum = term if kl_sum is None else kl_sum + term
+        kl_sum = kl_divergence(mixture_logits, expert_logits, t)
         loss = loss + kl_sum * (t * t)
         kl_raw_value = kl_sum.item()
         kl_weighted_value = (t * t) * kl_raw_value

@@ -253,8 +253,8 @@ def _masked_frame_mean(view: FrameBatchView) -> Tensor:
     b, m, _ = view.frames.shape
     masked = view.frames * view.mask.reshape((b, m, 1))
     total = ad.reduce_sum(masked, axes=1)  # (B, N)
-    count = ad.reduce_sum(view.mask, axes=1, keepdims=True)  # (B, 1)
-    return total / ad.clip_min(count, 1.0)
+    count = view.mask.data.sum(axis=1, keepdims=True)  # (B, 1), a constant
+    return total * Tensor(1.0 / np.maximum(count, 1.0))
 
 
 def gated_mixture(gates: Tensor, expert_logits: list) -> Tensor:

@@ -136,6 +136,7 @@ def gradient_checks(seed: int = 0) -> list:
           packed(2, 4), packed(2, 5), t(4, 5), packed(2))
     check("take_rows", lambda x: ad.take_rows(x, rows), t(6, 3))
     check("softmax", lambda x: ad.softmax(x, axis=-1), t(3, 5))
+    check("log_softmax", lambda x: ad.log_softmax(x, axis=-1), t(3, 5))
     check("sigmoid", ad.SIGMOID, t(4,))
     check("softplus", ad.SOFTPLUS, t(6,))
     check("l2_normalize", lambda x: ad.l2_normalize(x, axis=-1), t(3, 4))

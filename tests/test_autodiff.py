@@ -259,6 +259,32 @@ def test_batch_norm_running_moments_follow_the_momentum_recurrence():
     assert np.abs(state.running_var - rv).max() < 1e-12
 
 
+@pytest.mark.parametrize("grad", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_norm_training_bytes_match_the_composed_form(dtype, grad):
+    # the primitive runs the ops the composed graph ran, in its order, and
+    # moves the running moments once, with or without a gradient
+    rng = Rng(49)
+    x = (3.0 + 2.0 * rng.normal((64, 16))).astype(dtype)
+    gamma, beta = (1.0 + rng.normal((16,))).astype(dtype), rng.normal((16,)).astype(dtype)
+    state = BatchNormState(16, dtype=dtype)
+    params = [Tensor(gamma), Tensor(beta)]
+    with ad.differentiating(params if grad else []):
+        out = ad.batch_norm(Tensor(x), *params, state, training=True)
+    assert out.requires_grad == grad
+    scale = np.asarray(1.0 / 64, dtype=dtype)
+    mu = x.sum(axis=0, keepdims=True) * scale
+    centered = x - mu
+    var = (centered * centered).sum(axis=0, keepdims=True) * scale
+    normed = centered / np.sqrt(var + np.asarray(ad.BATCH_NORM_EPS, dtype=dtype))
+    assert out.data.tobytes() == (normed * gamma + beta).tobytes()
+    m = ad.BATCH_NORM_MOMENTUM
+    rm = m * np.zeros(16, dtype) + (1.0 - m) * mu.reshape(-1)
+    rv = m * np.ones(16, dtype) + (1.0 - m) * var.reshape(-1)
+    assert state.running_mean.tobytes() == rm.tobytes()
+    assert state.running_var.tobytes() == rv.tobytes()
+
+
 def test_batch_norm_empty_batch_rejected():
     gamma, beta, state = _bn_params(2)
     with pytest.raises(ValueError, match="empty"):
@@ -329,18 +355,15 @@ PRIMITIVE_CASES = [
     ("add", lambda a, b: a + b, 2),
     ("sub", lambda a, b: a - b, 2),
     ("mul", lambda a, b: a * b, 2),
-    ("div", lambda a, b: a / (b * b + 1.0), 2),
     ("matmul", lambda a, b: ad.matmul(a.reshape((2, -1)), b.reshape((-1, 2))), 2),
     ("softmax", lambda a: ad.softmax(a, axis=-1), 1),
+    ("log_softmax", lambda a: ad.log_softmax(a, axis=-1), 1),
     ("sigmoid", ad.sigmoid, 1),
     ("relu", ad.relu, 1),
     ("softplus", ad.softplus, 1),
-    ("log", lambda a: ad.log(a * a + 1.0), 1),
-    ("sqrt", lambda a: ad.sqrt(a * a + 1.0), 1),
     ("l2_normalize", lambda a: ad.l2_normalize(a, axis=-1), 1),
     ("reduce_sum", lambda a: ad.reduce_sum(a, axes=0), 1),
     ("mean", lambda a: ad.mean(a), 1),
-    ("clip_min", lambda a: ad.clip_min(a, 0.25), 1),
     ("transpose", lambda a: ad.transpose(a.reshape((2, -1)), (1, 0)), 1),
     ("concat", lambda a, b: ad.concat([a, b], axis=0), 2),
 ]
@@ -462,6 +485,16 @@ def test_residual_aggregate_shape_mismatch_rejected():
         ad.residual_aggregate(a, x, c, s, rows[:2], (2, 3))
 
 
+def test_residual_aggregate_rejects_rows_that_are_not_strictly_increasing_places():
+    (a, x, c, s, rows), _ = packed_inputs(Rng(41), "full")
+    (ra, rx, _, rs, ragged), _ = packed_inputs(Rng(41))
+    for args in ((a, x, c, s, rows[::-1]),
+                 (ra, rx, c, rs, np.array([ragged[0], ragged[1], ragged[1]])),
+                 (ra, rx, c, rs, np.array([ragged[0], ragged[1], 6]))):
+        with pytest.raises(ValueError, match="residual_aggregate: rows"):
+            ad.residual_aggregate(*args, (2, 3))
+
+
 def test_residual_aggregate_nan_logits_rejected():
     (a, x, c, s, rows), _ = packed_inputs(Rng(41))
     a.data[1, 0, 2] = np.nan
@@ -530,7 +563,7 @@ def test_take_rows_rejects_rows_that_are_not_strictly_increasing_places():
             ad.take_rows(x, bad)
 
 
-@pytest.mark.parametrize("prim", [ad.MATMUL, ad.MUL, ad.DIV], ids=lambda p: p.name)
+@pytest.mark.parametrize("prim", [ad.MATMUL, ad.MUL], ids=lambda p: p.name)
 def test_binary_vjps_skip_unneeded_inputs(prim):
     rng = Rng(46)
     a, b = rng.normal((3, 4)), 2.0 + rng.uniform((4, 4) if prim is ad.MATMUL else (3, 4))
