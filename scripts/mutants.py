@@ -82,8 +82,9 @@ MUTANTS = [
            "Tensor(np.ones((b * m, 1), view.frames.dtype)), np.arange(b * m)",
            ("tests/test_vlad.py::test_netvlad_all_masked_descriptor_is_zero",
             "tests/test_vlad.py::test_netvlad_matches_loop_oracle")),
-    Mutant("softmax's halving compares the first half with itself", AUTODIFF,
-           "np.maximum(top[..., :h], top[..., -h:])", "np.maximum(top[..., :h], top[..., :h])",
+    Mutant("softmax shifted by the max over the first axis", AUTODIFF,
+           "e = np.exp(a - a.max(axis=axis, keepdims=True))",
+           "e = np.exp(a - a.max(axis=0, keepdims=True))",
            ("tests/test_autodiff.py::test_softmax_bytes_match_reduce_max_form",)),
     # take_rows
     Mutant("take_rows accepts a repeated row", AUTODIFF,
@@ -109,6 +110,19 @@ MUTANTS = [
            ("tests/test_autodiff.py::test_grad_check_batch_norm_training_mode",)),
     Mutant("log_softmax VJP without - softmax * sum(g)", AUTODIFF,
            "(g - np.exp(out) * g.sum(axis=axis, keepdims=True),)", "(g,)",
+           ("tests/test_autodiff.py::test_every_primitive_grad_checks_on_random_shapes",)),
+    # affine's VJP and bce's VJP
+    Mutant("affine's bias gradient not summed over rows", AUTODIFF,
+           "g.sum(axis=0) if needs[2]", "g[0] if needs[2]",
+           ("tests/test_autodiff.py::test_grad_check_affine_passes",)),
+    Mutant("affine's weight gradient taken as g.T @ x", AUTODIFF,
+           "x.T @ g if needs[1]", "g.T @ x if needs[1]",
+           ("tests/test_autodiff.py::test_grad_check_affine_passes",)),
+    Mutant("bce VJP without - y", AUTODIFF,
+           "(gz * _fw_sigmoid(z) + (-gz) * labels,)", "(gz * _fw_sigmoid(z),)",
+           ("tests/test_autodiff.py::test_every_primitive_grad_checks_on_random_shapes",)),
+    Mutant("bce VJP without 1/B", AUTODIFF,
+           "gz = g * z.dtype.type(1.0 / z.shape[0])", "gz = g",
            ("tests/test_autodiff.py::test_every_primitive_grad_checks_on_random_shapes",)),
     # the two mutants that survived the suite before their tests came
     Mutant("mixture gate mean divides by all frames", "src/nextvlad/model.py",

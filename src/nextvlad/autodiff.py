@@ -299,30 +299,29 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# matmul and residual aggregation
+# dense layers and residual aggregation
 # ---------------------------------------------------------------------------
 
 
-def _fw_matmul(a, b):
-    _check_same_dtype("matmul", a, b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    return a @ b
+def _fw_affine(x, w, b):
+    _check_same_dtype("affine", x, w, b)
+    return x @ w + b
 
 
-def _vjp_matmul(g, out, a, b, needs):
-    da = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape) if needs[0] else None
-    db = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape) if needs[1] else None
-    return (da, db)
+def _vjp_affine(g, out, x, w, b, needs):
+    return (g @ w.T if needs[0] else None, x.T @ g if needs[1] else None,
+            g.sum(axis=0) if needs[2] else None)
 
 
-MATMUL = Primitive("matmul", _fw_matmul, _vjp_matmul)
+AFFINE = Primitive("affine", _fw_affine, _vjp_affine)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return apply(MATMUL, a, b)
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer ``x @ w + b`` of rows x (R, I), weights w (I, O) and bias b (O,)."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ValueError(f"affine: x {x.shape} @ w {w.shape} + b {b.shape} "
+                         "do not fit (R, I) @ (I, O) + (O,)")
+    return apply(AFFINE, x, w, b)
 
 
 def _check_rows(name, rows, limit):
@@ -513,14 +512,6 @@ def reduce_sum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     return apply(REDUCE_SUM, a, axes=axes, keepdims=keepdims)
 
 
-def mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
-    axes_n = _norm_axes(axes, a.ndim)
-    count = 1
-    for ax in axes_n:
-        count *= a.shape[ax]
-    return reduce_sum(a, axes, keepdims) * (1.0 / max(count, 1))
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
@@ -529,13 +520,7 @@ def mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 def _fw_softmax(a, *, axis):
     if np.isnan(a).any():
         raise ValueError("softmax: NaN in input")
-    # the max by pairwise halving: on a short axis np.maximum beats a.max,
-    # and the maximum does not depend on the order of comparison
-    top = np.moveaxis(a, axis, -1)
-    while top.shape[-1] > 1:
-        h = (top.shape[-1] + 1) // 2
-        top = np.maximum(top[..., :h], top[..., -h:])
-    e = np.exp(a - np.moveaxis(top, -1, axis))
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
     e /= e.sum(axis=axis, keepdims=True)
     return e
 
@@ -596,16 +581,28 @@ def relu(a: Tensor) -> Tensor:
     return apply(RELU, a)
 
 
-def _fw_softplus(a):
-    return np.maximum(a, 0) + np.log1p(np.exp(-np.abs(a)))
+def _fw_bce(z, *, labels):
+    _check_same_dtype("bce", z, labels)
+    per_element = np.maximum(z, 0) + np.log1p(np.exp(-np.abs(z))) - z * labels
+    return per_element.sum(axis=1).sum() * z.dtype.type(1.0 / z.shape[0])
 
 
-SOFTPLUS = Primitive("softplus", _fw_softplus, lambda g, out, a, needs: (g * _fw_sigmoid(a),))
+def _vjp_bce(g, out, z, *, labels, needs):
+    gz = g * z.dtype.type(1.0 / z.shape[0])
+    return (gz * _fw_sigmoid(z) + (-gz) * labels,)
 
 
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + e^x) without overflow; d/dx = sigmoid(x)."""
-    return apply(SOFTPLUS, a)
+BCE = Primitive("bce", _fw_bce, _vjp_bce)
+
+
+def bce(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Binary cross entropy of logits z (B, C) against constant labels y, summed
+    over classes and averaged over rows: log(1 + e^z) - z*y, taken as
+    max(z, 0) + log1p(e^-|z|) - z*y, finite for finite z; d/dz = sigmoid(z) - y."""
+    if logits.ndim != 2 or labels.shape != logits.shape or not logits.shape[0]:
+        raise ValueError(f"bce: labels shape {labels.shape} does not fit logits shape "
+                         f"{logits.shape}, which must be (B >= 1, C)")
+    return apply(BCE, logits, labels=labels)
 
 
 # ---------------------------------------------------------------------------

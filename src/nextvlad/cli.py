@@ -20,7 +20,8 @@ import numpy as np
 from . import config as cfgmod
 from . import train as trainmod
 from .data import gen_synthetic, load_eigenvalues, read_dataset, write_dataset
-from .metrics import PredictionSet, gap_at_20, read_predictions_csv, write_predictions_csv
+from .metrics import (MAX_PREDICTIONS, PredictionSet, gap_at_20, read_predictions_csv,
+                      write_predictions_csv)
 from .model import NUM_EXPERTS, Eigenvalues, MixtureParams, ModelParams, stream_censuses
 from .rng import Rng, derive_seed
 from .vlad import NeXtVladConfig, param_count_netvlad, param_count_nextvlad, weight_census
@@ -211,8 +212,8 @@ def cmd_predict(args) -> int:
     dataset = _read_dataset(args.dataset)
     preds = _predict_from_checkpoint(args.checkpoint, dataset, args.dataset)
     write_predictions_csv(preds, args.out)
-    print(f"wrote top-{min(20, dataset.num_classes)} predictions for {len(dataset)} videos "
-          f"to {args.out}")
+    print(f"wrote top-{min(MAX_PREDICTIONS, dataset.num_classes)} predictions for "
+          f"{len(dataset)} videos to {args.out}")
     return 0
 
 

@@ -44,15 +44,10 @@ def _label_array(labels: Union[Tensor, np.ndarray], dtype) -> np.ndarray:
 def bce_loss(logits: Tensor, labels: Union[Tensor, np.ndarray]) -> Tensor:
     """Binary cross entropy from logits: mean over batch, sum over classes.
 
-    Uses softplus(z) - z*y, which never forms an explicit sigmoid and stays
-    finite for any finite logits.
+    One ``ad.bce`` node, which never forms an explicit sigmoid in the forward
+    and stays finite for any finite logits.
     """
-    y = Tensor(_label_array(labels, logits.dtype))
-    if y.shape != logits.shape:
-        raise ValueError(f"labels shape {y.shape} != logits shape {logits.shape}")
-    per_element = ad.softplus(logits) - logits * y
-    per_video = ad.reduce_sum(per_element, axes=1)
-    return ad.mean(per_video)
+    return ad.bce(logits, _label_array(labels, logits.dtype))
 
 
 def rank_soft_prediction(logits: Tensor, temperature: float) -> Tensor:
@@ -80,7 +75,7 @@ def kl_divergence(teacher_logits: Tensor, student_logits: Sequence[Tensor],
         if z.shape != p_t.shape:
             raise ValueError(f"shape mismatch {p_t.shape} vs {z.shape}")
         log_s = ad.log_softmax(z * (1.0 / temperature), axis=-1)
-        term = ad.mean(ad.reduce_sum(p_t * (log_t - log_s), axes=1))
+        term = ad.reduce_sum(ad.reduce_sum(p_t * (log_t - log_s), axes=1)) * (1.0 / p_t.shape[0])
         total = term if total is None else total + term
     return total
 
@@ -111,7 +106,7 @@ def total_loss(
 
     kl_raw_value = 0.0
     kl_weighted_value = 0.0
-    if cfg.kd_enabled and cfg.temperature > 0:
+    if cfg.kd_enabled:
         t = cfg.temperature
         kl_sum = kl_divergence(mixture_logits, expert_logits, t)
         loss = loss + kl_sum * (t * t)

@@ -134,9 +134,9 @@ def se_context_gating(x: Tensor, params: SecgParams, training: bool = False) -> 
     """Elementwise-gate ``x`` by a bottlenecked sigmoid excitation of itself."""
     if x.shape[-1] != params.fc1_w.shape[0]:
         raise ValueError(f"feature dim {x.shape[-1]} != gate dim {params.fc1_w.shape[0]}")
-    h = params.bn1(ad.matmul(x, params.fc1_w) + params.fc1_b, training)
+    h = params.bn1(ad.affine(x, params.fc1_w, params.fc1_b), training)
     h = ad.relu(h)
-    h = params.bn2(ad.matmul(h, params.fc2_w) + params.fc2_b, training)
+    h = params.bn2(ad.affine(h, params.fc2_w, params.fc2_b), training)
     gate = ad.sigmoid(h)
     return x * gate
 
@@ -223,7 +223,7 @@ def model_forward(
 
     hidden = params.reduce(joint, training)
     gated = se_context_gating(hidden, params.secg, training)
-    return ad.matmul(gated, params.classifier_w) + params.classifier_b
+    return ad.affine(gated, params.classifier_w, params.classifier_b)
 
 
 @dataclass
@@ -281,5 +281,5 @@ def mixture_forward(
 
     mean_features = ad.concat(
         [_masked_frame_mean(batch.video), _masked_frame_mean(batch.audio)], axis=1)
-    gates = ad.softmax(ad.matmul(mean_features, mix.gate_w) + mix.gate_b, axis=-1)  # (B, 3)
+    gates = ad.softmax(ad.affine(mean_features, mix.gate_w, mix.gate_b), axis=-1)  # (B, 3)
     return expert_logits, gated_mixture(gates, expert_logits), gates

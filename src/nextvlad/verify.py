@@ -129,7 +129,7 @@ def gradient_checks(seed: int = 0) -> list:
         results.append((f"grad {name}", report.passed, str(report)))
 
     t = lambda *shape: Tensor(rng.normal(shape))  # noqa: E731
-    check("matmul", ad.MATMUL, t(3, 4), t(4, 2))
+    check("affine", ad.AFFINE, t(3, 4), t(4, 2), t(2,))
     rows = np.flatnonzero(rng.uniform((2, 3)) > 0.3)
     packed = lambda *shape: Tensor(t(2, 3, *shape).data.reshape(6, *shape)[rows])  # noqa: E731
     check("residual_aggregate", lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, rows, (2, 3)),
@@ -138,7 +138,8 @@ def gradient_checks(seed: int = 0) -> list:
     check("softmax", lambda x: ad.softmax(x, axis=-1), t(3, 5))
     check("log_softmax", lambda x: ad.log_softmax(x, axis=-1), t(3, 5))
     check("sigmoid", ad.SIGMOID, t(4,))
-    check("softplus", ad.SOFTPLUS, t(6,))
+    labels = (rng.uniform((3, 5)) < 0.5).astype(np.float64)
+    check("bce", lambda z: ad.bce(z, labels), t(3, 5))
     check("l2_normalize", lambda x: ad.l2_normalize(x, axis=-1), t(3, 4))
     check("reduce_sum", lambda x: ad.reduce_sum(x, axes=(0, 2)), t(2, 3, 4))
     check("concat", lambda a, b: ad.concat([a, b], axis=1), t(2, 3), t(2, 4))

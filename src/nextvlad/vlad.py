@@ -13,7 +13,7 @@ by the model to the concatenated descriptors of all streams.
 Both pass their assignment logits, attention gate and frames to one kernel,
 ``ad.residual_aggregate`` (softmax over clusters, gated residual sum), then
 intra-normalize with ``ad.l2_normalize``.  NeXtVLAD takes the valid frames out
-of the padded grid before its first matmul, so padding may hold any value.
+of the padded grid before its first affine layer, so padding may hold any value.
 NetVLAD, one group, runs on every frame and gates padding shut with the {0,1}
 mask, so padding may hold any finite value.
 """
@@ -256,7 +256,7 @@ class ReduceHead(ParamTree):
         )
 
     def __call__(self, flat: Tensor, training: bool) -> Tensor:
-        return self.bn(ad.matmul(flat, self.w) + self.b, training)
+        return self.bn(ad.affine(flat, self.w, self.b), training)
 
 
 def make_core(cfg: VladConfig, rng: Optional[Rng]) -> VladCore:
@@ -310,8 +310,9 @@ def netvlad_aggregate(view: FrameBatchView, core: NetVladCore) -> Tensor:
     b, m, n = view.frames.shape
     if n != core.assign_w.shape[1]:
         raise ValueError(f"frame dim {n} != assignment dim {core.assign_w.shape[1]}")
-    logits = ad.matmul(view.frames.reshape((b * m, n)), ad.transpose(core.assign_w, (1, 0)))
-    return ad.residual_aggregate((logits + core.assign_b).reshape((b * m, 1, -1)),
+    logits = ad.affine(view.frames.reshape((b * m, n)), ad.transpose(core.assign_w, (1, 0)),
+                       core.assign_b)
+    return ad.residual_aggregate(logits.reshape((b * m, 1, -1)),
                                  view.frames.reshape((b * m, 1, n)), core.anchors,
                                  view.mask.reshape((b * m, 1)), np.arange(b * m), (b, m))
 
@@ -333,10 +334,10 @@ def nextvlad_aggregate(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
     k, d = core.anchors.shape
     rows = np.flatnonzero(view.mask.data.reshape(-1))  # the valid frames' places in B*M
     valid = ad.take_rows(view.frames.reshape((b * m, n)), rows)
-    expanded = ad.matmul(valid, core.expand_w) + core.expand_b  # (T, lamN)
+    expanded = ad.affine(valid, core.expand_w, core.expand_b)  # (T, lamN)
 
-    attn = ad.sigmoid(ad.matmul(expanded, core.attn_w) + core.attn_b)  # (T, G)
-    assign_logits = (ad.matmul(expanded, core.assign_w) + core.assign_b).reshape((-1, g, k))
+    attn = ad.sigmoid(ad.affine(expanded, core.attn_w, core.attn_b))  # (T, G)
+    assign_logits = ad.affine(expanded, core.assign_w, core.assign_b).reshape((-1, g, k))
     return ad.residual_aggregate(assign_logits, expanded.reshape((-1, g, d)), core.anchors, attn,
                                  rows, (b, m))
 

@@ -1,7 +1,9 @@
 """Tensor primitives: forward semantics against independent oracles, plus
 gradient checks of every vector-Jacobian product."""
 
+import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -18,48 +20,48 @@ def t64(rng, *shape):
 
 
 # ---------------------------------------------------------------------------
-# matmul
+# affine
 # ---------------------------------------------------------------------------
 
 
-def matmul_loops(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n), dtype=a.dtype)
+def affine_loops(x, w, b):
+    m, k = x.shape
+    n = w.shape[1]
+    out = np.zeros((m, n), dtype=x.dtype)
     for i in range(m):
         for j in range(n):
+            out[i, j] = b[j]
             for s in range(k):
-                out[i, j] += a[i, s] * b[s, j]
+                out[i, j] += x[i, s] * w[s, j]
     return out
 
 
-def test_matmul_identity():
-    out = ad.matmul(Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([[3.0], [4.0]]))
-    assert np.array_equal(out.data, [[3.0], [4.0]])
+def test_affine_by_hand():
+    eye = ad.affine(Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([[3.0], [4.0]]), Tensor([0.0]))
+    assert np.array_equal(eye.data, [[3.0], [4.0]])
+    out = ad.affine(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]), Tensor([0.5]))
+    assert np.array_equal(out.data, [[11.5]])
 
 
-def test_matmul_by_hand():
-    out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-    assert np.array_equal(out.data, [[11.0]])
-
-
-def test_matmul_matches_triple_loop():
+def test_affine_matches_triple_loop():
     rng = Rng(0)
-    a, b = rng.normal((3, 4)), rng.normal((4, 2))
-    got = ad.matmul(Tensor(a), Tensor(b)).data
-    assert np.abs(got - matmul_loops(a, b)).max() < 1e-12
+    x, w, b = rng.normal((3, 4)), rng.normal((4, 2)), rng.normal((2,))
+    got = ad.affine(Tensor(x), Tensor(w), Tensor(b)).data
+    assert np.abs(got - affine_loops(x, w, b)).max() < 1e-12
 
 
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+def test_affine_shape_error_names_every_shape():
+    for x, w, b in [((2, 3), (2, 2), (2,)), ((2, 3), (3, 2), (3,)), ((1, 2, 3), (3, 2), (2,)),
+                    ((2, 3), (3, 2, 1), (2,))]:
+        with pytest.raises(ValueError, match=re.escape(f"affine: x {x} @ w {w} + b {b}")):
+            ad.affine(Tensor(np.zeros(x)), Tensor(np.zeros(w)), Tensor(np.zeros(b)))
 
 
 def test_dtype_mismatch_rejected():
     a = Tensor(np.zeros((2, 2), dtype=np.float32))
     b = Tensor(np.zeros((2, 2), dtype=np.float64))
     with pytest.raises(TypeError, match="float32.*float64"):
-        ad.matmul(a, b)
+        ad.affine(a, b, Tensor(np.zeros(2)))
     with pytest.raises(TypeError):
         a + b
 
@@ -109,7 +111,7 @@ def test_softmax_rows_sum_to_one():
 
 
 # ---------------------------------------------------------------------------
-# sigmoid / softplus
+# sigmoid / bce
 # ---------------------------------------------------------------------------
 
 
@@ -131,12 +133,22 @@ def test_sigmoid_propagates_nan():
     assert np.isnan(ad.sigmoid(Tensor([np.nan])).data[0])
 
 
-def test_softplus_matches_log1p_exp():
-    x = Rng(3).normal((50,)) * 10
-    got = ad.softplus(Tensor(x)).data
-    with mpmath.workdps(50):
-        expected = [float(mpmath.log(1 + mpmath.e ** v)) for v in x]
-    assert np.abs(got - expected).max() < 1e-13
+def test_bce_matches_log1p_exp():
+    # one logit per call, so the loss is log(1 + e^z) - z*y of that logit alone
+    for z in Rng(3).normal((50,)) * 10:
+        for y in (0.0, 1.0):
+            got = ad.bce(Tensor([[z]]), np.array([[y]])).item()
+            with mpmath.workdps(50):
+                expected = float(mpmath.log(1 + mpmath.e ** z) - z * y)
+            assert abs(got - expected) < 1e-13
+
+
+def test_bce_rejects_labels_that_do_not_fit():
+    z = Tensor(np.zeros((2, 3)))
+    for logits, labels in [(z, np.zeros((3, 2))), (z.reshape((6,)), np.zeros(6)),
+                           (Tensor(np.zeros((0, 3))), np.zeros((0, 3)))]:
+        with pytest.raises(ValueError, match="bce: labels shape"):
+            ad.bce(logits, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +335,9 @@ def test_dropout_survivor_fraction():
 # ---------------------------------------------------------------------------
 
 
-def test_grad_check_matmul_passes():
+def test_grad_check_affine_passes():
     rng = Rng(11)
-    report = grad_check(ad.MATMUL, [t64(rng, 2, 3), t64(rng, 3, 2)])
+    report = grad_check(ad.AFFINE, [t64(rng, 2, 3), t64(rng, 3, 2), t64(rng, 2)])
     assert report.passed, str(report)
 
 
@@ -351,19 +363,24 @@ def test_grad_check_requires_float64():
         grad_check(ad.SIGMOID, [Tensor(np.zeros(3, dtype=np.float32))])
 
 
+def fixed_labels(shape):
+    """Multi-hot labels that depend only on the shape, the same in every call."""
+    return (np.arange(math.prod(shape)).reshape(shape) % 3 == 0).astype(np.float64)
+
+
 PRIMITIVE_CASES = [
     ("add", lambda a, b: a + b, 2),
     ("sub", lambda a, b: a - b, 2),
     ("mul", lambda a, b: a * b, 2),
-    ("matmul", lambda a, b: ad.matmul(a.reshape((2, -1)), b.reshape((-1, 2))), 2),
+    ("affine", lambda x, w, b: ad.affine(x.reshape((2, -1)), w.reshape((-1, 2)),
+                                         ad.reduce_sum(b.reshape((-1, 2)), axes=0)), 3),
     ("softmax", lambda a: ad.softmax(a, axis=-1), 1),
     ("log_softmax", lambda a: ad.log_softmax(a, axis=-1), 1),
     ("sigmoid", ad.sigmoid, 1),
     ("relu", ad.relu, 1),
-    ("softplus", ad.softplus, 1),
+    ("bce", lambda z: ad.bce(z.reshape((2, -1)), fixed_labels((2, z.size // 2))), 1),
     ("l2_normalize", lambda a: ad.l2_normalize(a, axis=-1), 1),
     ("reduce_sum", lambda a: ad.reduce_sum(a, axes=0), 1),
-    ("mean", lambda a: ad.mean(a), 1),
     ("transpose", lambda a: ad.transpose(a.reshape((2, -1)), (1, 0)), 1),
     ("concat", lambda a, b: ad.concat([a, b], axis=0), 2),
 ]
@@ -413,7 +430,7 @@ def test_differentiating_restores_each_flag_also_when_the_block_raises():
 
 def test_grad_check_leaves_each_input_flag_as_it_found_it():
     a, b = t64(Rng(16), 3, 4), Tensor(Rng(17).normal((4, 2)), requires_grad=True)
-    assert grad_check(ad.MATMUL, [a, b]).passed
+    assert grad_check(ad.AFFINE, [a, b, t64(Rng(18), 2)]).passed
     assert not a.requires_grad and b.requires_grad
 
 
@@ -563,10 +580,10 @@ def test_take_rows_rejects_rows_that_are_not_strictly_increasing_places():
             ad.take_rows(x, bad)
 
 
-@pytest.mark.parametrize("prim", [ad.MATMUL, ad.MUL], ids=lambda p: p.name)
+@pytest.mark.parametrize("prim", [ad.MUL], ids=lambda p: p.name)
 def test_binary_vjps_skip_unneeded_inputs(prim):
     rng = Rng(46)
-    a, b = rng.normal((3, 4)), 2.0 + rng.uniform((4, 4) if prim is ad.MATMUL else (3, 4))
+    a, b = rng.normal((3, 4)), 2.0 + rng.uniform((3, 4))
     cot = rng.normal(prim.forward(a, b).shape)
     full = prim.vjp(cot, None, a, b, needs=(True, True))
     assert all(g is not None for g in full)
@@ -576,27 +593,40 @@ def test_binary_vjps_skip_unneeded_inputs(prim):
     assert first is None and np.array_equal(second, full[1])
 
 
+def test_affine_vjp_skips_unneeded_inputs():
+    rng = Rng(46)
+    x, w, b = rng.normal((3, 4)), rng.normal((4, 2)), rng.normal((2,))
+    cot = rng.normal((3, 2))
+    full = ad.AFFINE.vjp(cot, None, x, w, b, needs=(True,) * 3)
+    assert all(g is not None for g in full)
+    for needs in itertools.product((False, True), repeat=3):
+        part = ad.AFFINE.vjp(cot, None, x, w, b, needs=needs)
+        for need, got, ref in zip(needs, part, full):
+            assert np.array_equal(got, ref) if need else got is None
+
+
 def test_node_records_its_primitive_only_where_a_gradient_flows():
     x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)), requires_grad=True)
-    node = ad.softmax(ad.matmul(x, w), axis=0)
-    assert node._prim is ad.SOFTMAX and node._kw == {"axis": 0} and node._parents[0]._prim is ad.MATMUL
+    node = ad.softmax(ad.affine(x, w, Tensor(np.zeros(3))), axis=0)
+    assert node._prim is ad.SOFTMAX and node._kw == {"axis": 0} and node._parents[0]._prim is ad.AFFINE
     assert repr(node) == "Tensor(shape=(2, 3), dtype=float64, op=softmax)"
-    const = ad.softmax(ad.matmul(x, x.reshape((3, 2))), axis=0)
+    const = ad.softmax(ad.affine(x, x.reshape((3, 2)), Tensor(np.zeros(2))), axis=0)
     assert const._parents == () and const._prim is None and not const.requires_grad
     assert repr(const) == "Tensor(shape=(2, 2), dtype=float64)"
 
 
-def test_frames_get_no_cotangent_through_matmul():
+def test_frames_get_no_cotangent_through_affine():
     seen = []
 
-    def probe_vjp(g, out, a, b, needs):
+    def probe_vjp(g, out, x, w, b, needs):
         seen.append(needs)
-        return ad.MATMUL.vjp(g, out, a, b, needs=needs)
+        return ad.AFFINE.vjp(g, out, x, w, b, needs=needs)
 
-    prim = Primitive("probe", ad.MATMUL.forward, probe_vjp)
-    frames, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)), requires_grad=True)
-    grads = ad.reduce_sum(ad.apply(prim, frames, w)).backward()
-    assert seen == [(False, True)] and frames not in grads and w in grads
+    prim = Primitive("probe", ad.AFFINE.forward, probe_vjp)
+    frames = Tensor(np.ones((2, 3)))
+    w, b = Tensor(np.ones((3, 2)), requires_grad=True), Tensor(np.ones(2), requires_grad=True)
+    grads = ad.reduce_sum(ad.apply(prim, frames, w, b)).backward()
+    assert seen == [(False, True, True)] and frames not in grads and w in grads and b in grads
 
 
 # ---------------------------------------------------------------------------
@@ -636,3 +666,45 @@ def test_softmax_bytes_match_reduce_max_form(shape, axis, dtype):
     x.reshape(-1)[::5] = -np.inf
     with np.errstate(invalid="ignore"):
         assert ad.softmax(Tensor(x), axis=axis).data.tobytes() == softmax_reduce_max(x, axis).tobytes()
+
+
+@pytest.mark.parametrize("grad", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_affine_bytes_match_matmul_plus_bias(dtype, grad):
+    # one node for x @ w + b, with the bytes of a matmul node and a bias add node
+    rng = Rng(52)
+    x, w, b = (rng.normal(shape).astype(dtype) for shape in ((64, 48), (48, 20), (20,)))
+    g = rng.normal((64, 20)).astype(dtype)
+    leaves = [Tensor(x), Tensor(w), Tensor(b)]
+    with ad.differentiating(leaves if grad else []):
+        out = ad.affine(*leaves)
+        grads = out.backward(g)
+    assert out.requires_grad == grad and (out._prim is ad.AFFINE) == grad
+    assert out.data.tobytes() == (x @ w + b).tobytes()
+    if grad:
+        assert grads[leaves[0]].tobytes() == (g @ np.swapaxes(w, -1, -2)).tobytes()
+        assert grads[leaves[1]].tobytes() == (np.swapaxes(x, -1, -2) @ g).tobytes()
+        assert grads[leaves[2]].tobytes() == g.sum(axis=(0,)).tobytes()
+
+
+@pytest.mark.parametrize("grad", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bce_bytes_match_the_composed_form(dtype, grad):
+    # one node for the six of softplus(z) - z*y, summed over classes, then
+    # over rows, times 1/B; the VJP adds the two paths' cotangents
+    rng = Rng(53)
+    z = np.concatenate([rng.normal((60, 20)) * 4, rng.normal((4, 20)) * 60]).astype(dtype)
+    y = (rng.uniform((64, 20)) < 0.2).astype(dtype)
+    g = np.asarray(0.7, dtype=dtype)
+    logits = Tensor(z)
+    with ad.differentiating([logits] if grad else []):
+        out = ad.bce(logits, y)
+        grads = out.backward(g)
+    assert out.requires_grad == grad and (out._prim is ad.BCE) == grad
+    softplus = np.maximum(z, 0) + np.log1p(np.exp(-np.abs(z)))
+    inv_b = np.asarray(1.0 / 64, dtype=dtype)
+    assert out.data.tobytes() == ((softplus - z * y).sum(axis=(1,)).sum(axis=(0,)) * inv_b).tobytes()
+    if grad:
+        gz = np.broadcast_to(g * inv_b, z.shape).copy()
+        expected = gz * sigmoid_boolean_scatter(z) + (-gz) * y
+        assert grads[logits].tobytes() == expected.tobytes()
