@@ -36,9 +36,17 @@ def affine_loops(x, w, b):
     return out
 
 
+def test_matmul_identity():
+    out = ad.affine(Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([[3.0], [4.0]]), Tensor([0.0]))
+    assert np.array_equal(out.data, [[3.0], [4.0]])
+
+
+def test_matmul_by_hand():
+    out = ad.affine(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]), Tensor([0.0]))
+    assert np.array_equal(out.data, [[11.0]])
+
+
 def test_affine_by_hand():
-    eye = ad.affine(Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([[3.0], [4.0]]), Tensor([0.0]))
-    assert np.array_equal(eye.data, [[3.0], [4.0]])
     out = ad.affine(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]), Tensor([0.5]))
     assert np.array_equal(out.data, [[11.5]])
 
