@@ -36,6 +36,8 @@ KERNEL_TESTS = (
     "tests/test_vlad.py::test_assignment_normalizes_over_clusters_not_groups",
 )
 
+STACKED_TESTS = ("tests/test_model.py::test_stacked_experts_match_each_expert_run_alone",)
+
 
 class Mutant(NamedTuple):
     name: str
@@ -48,32 +50,33 @@ class Mutant(NamedTuple):
 MUTANTS = [
     # the assignment kernel, forward
     Mutant("softmax sums over groups, not clusters", AUTODIFF,
-           "a /= a.sum(axis=1, keepdims=True)", "a /= a.sum(axis=0, keepdims=True)", KERNEL_TESTS),
+           "a /= a.sum(axis=-2, keepdims=True)", "a /= a.sum(axis=-3, keepdims=True)", KERNEL_TESTS),
     Mutant("softmax shifted by the max over groups", AUTODIFF,
-           "a.max(axis=1, keepdims=True)", "a.max(axis=0, keepdims=True)", KERNEL_TESTS),
+           "a.max(axis=-2, keepdims=True)", "a.max(axis=-3, keepdims=True)", KERNEL_TESTS),
     Mutant("no NaN guard", AUTODIFF,
            "if np.isnan(logits).any():", "if False:", KERNEL_TESTS),
     Mutant("softmax written into the logits of a single row", AUTODIFF,
-           "a = logits.transpose(1, 2, 0).copy()",
-           "a = np.ascontiguousarray(logits.transpose(1, 2, 0))", KERNEL_TESTS),
+           "a = logits.transpose(lead + (n - 2, n - 1, n - 3)).copy()",
+           "a = np.ascontiguousarray(logits.transpose(lead + (n - 2, n - 1, n - 3)))", KERNEL_TESTS),
     Mutant("anchor term added in the forward", AUTODIFF,
-           "agg -= (np.ones(m * g, w.dtype) @ w)", "agg += (np.ones(m * g, w.dtype) @ w)",
+           "agg -= (np.ones(w.shape[-2], w.dtype) @ w)", "agg += (np.ones(w.shape[-2], w.dtype) @ w)",
            KERNEL_TESTS),
     Mutant("packed features scattered to the first rows", AUTODIFF,
-           "agg = np.swapaxes(w, 1, 2) @ _to_padded(feats, rows, b * m)",
-           "agg = np.swapaxes(w, 1, 2) @ _to_padded(feats, np.arange(len(rows)), b * m)",
+           "agg = w.swapaxes(-1, -2) @ _padded(feats, rows, shape)",
+           "agg = w.swapaxes(-1, -2) @ _padded(feats, np.arange(len(rows)), shape)",
            KERNEL_TESTS),
     # the assignment kernel, VJP
     Mutant("anchor gradient with the wrong sign", AUTODIFF,
-           "d_anchors = -(wsum.T", "d_anchors = (wsum.T", KERNEL_TESTS),
+           "d_anchors = -(wsum", "d_anchors = (wsum", KERNEL_TESTS),
     Mutant("gate kept in d_gate", AUTODIFF,
            "((a * dw).reshape(-1, k)", "((w * dw).reshape(-1, k)", KERNEL_TESTS),
     Mutant("- d_gate dropped from d_logits", AUTODIFF,
            "np.multiply(np.subtract(dw, d_gate[..., None], out=dw), w, out=dw)",
            "np.multiply(dw, w, out=dw)", KERNEL_TESTS),
     Mutant("packed dw taken from the first rows", AUTODIFF,
-           "dw = _to_rows(dw.reshape(b * m, g, k), rows)",
-           "dw = dw.reshape(b * m, g, k)[:len(rows)]", KERNEL_TESTS),
+           "dw = _to_rows(dw.reshape(a.shape[:r] + (b * m, g, k)), rows, r)",
+           "dw = _to_rows(dw.reshape(a.shape[:r] + (b * m, g, k)), np.arange(len(rows)), r)",
+           KERNEL_TESTS),
     Mutant("full rows come back reversed", AUTODIFF,
            "    if len(rows) == padded_rows:\n        return x\n",
            "    if len(rows) == padded_rows:\n        return x[::-1]\n", KERNEL_TESTS),
@@ -103,27 +106,45 @@ MUTANTS = [
            ("tests/test_autodiff.py::test_l2_normalize_squared_norm_overflow_is_signalled",)),
     # batch norm's VJP and log_softmax's VJP
     Mutant("batch norm VJP without - mean(dn)", AUTODIFF,
-           "(g - (g_sum + normed * gn_sum)", "(g - (normed * gn_sum)",
+           "(g - (g_sum[..., None, :] + normed * gn_sum[..., None, :])",
+           "(g - (normed * gn_sum[..., None, :])",
            ("tests/test_autodiff.py::test_grad_check_batch_norm_training_mode",)),
     Mutant("batch norm VJP without the normed projection", AUTODIFF,
-           "(g - (g_sum + normed * gn_sum)", "(g - (g_sum)",
+           "(g - (g_sum[..., None, :] + normed * gn_sum[..., None, :])", "(g - (g_sum[..., None, :])",
            ("tests/test_autodiff.py::test_grad_check_batch_norm_training_mode",)),
     Mutant("log_softmax VJP without - softmax * sum(g)", AUTODIFF,
            "(g - np.exp(out) * g.sum(axis=axis, keepdims=True),)", "(g,)",
            ("tests/test_autodiff.py::test_every_primitive_grad_checks_on_random_shapes",)),
     # affine's VJP and bce's VJP
     Mutant("affine's bias gradient not summed over rows", AUTODIFF,
-           "g.sum(axis=0) if needs[2]", "g[0] if needs[2]",
+           "g.sum(axis=-2) if needs[2]", "g[..., 0, :] if needs[2]",
            ("tests/test_autodiff.py::test_grad_check_affine_passes",)),
     Mutant("affine's weight gradient taken as g.T @ x", AUTODIFF,
-           "x.T @ g if needs[1]", "g.T @ x if needs[1]",
+           "x.swapaxes(-1, -2) @ g if needs[1]", "g.swapaxes(-1, -2) @ x if needs[1]",
            ("tests/test_autodiff.py::test_grad_check_affine_passes",)),
     Mutant("bce VJP without - y", AUTODIFF,
            "(gz * _fw_sigmoid(z) + (-gz) * labels,)", "(gz * _fw_sigmoid(z),)",
            ("tests/test_autodiff.py::test_every_primitive_grad_checks_on_random_shapes",)),
     Mutant("bce VJP without 1/B", AUTODIFF,
-           "gz = g * z.dtype.type(1.0 / z.shape[0])", "gz = g",
+           "gz = (g * z.dtype.type(1.0 / z.shape[-2]))[..., None, None]", "gz = g[..., None, None]",
            ("tests/test_autodiff.py::test_every_primitive_grad_checks_on_random_shapes",)),
+    # experts stacked on a leading axis: each must see its own slice, in expert order
+    Mutant("stacked bias gradient summed over experts, not rows", AUTODIFF,
+           "g.sum(axis=-2) if needs[2]", "g.sum(axis=0) if needs[2]",
+           ("tests/test_autodiff.py::test_every_primitive_grad_checks_on_random_shapes",)),
+    Mutant("stacked batch-norm mean taken over experts, not the batch", AUTODIFF,
+           "mu = x.sum(axis=-2, keepdims=True) * scale", "mu = x.sum(axis=0, keepdims=True) * scale",
+           STACKED_TESTS),
+    Mutant("an expert's weights paired with another expert's anchors", AUTODIFF,
+           "[..., None] * anchors[..., None, :, :]", "[..., None] * anchors[..., None, :, :][::-1]",
+           STACKED_TESTS + ("tests/test_autodiff.py::test_residual_aggregate_matches_loops",)),
+    Mutant("dropout mask drawn expert-minor", AUTODIFF,
+           "keep = (rng.uniform(x.shape) >= rate)",
+           "keep = (np.moveaxis(rng.uniform(x.shape[1:] + x.shape[:1]), -1, 0) >= rate)",
+           STACKED_TESTS),
+    Mutant("gated_mixture reads the (B, E) gates as (E, B)", "src/nextvlad/model.py",
+           "ad.transpose(gates, (1, 0)).reshape((e, b, 1))", "gates.reshape((e, b, 1))",
+           ("tests/test_model.py::test_stacked_combine_is_bit_exact_to_the_per_expert_sum",)),
     # the two mutants that survived the suite before their tests came
     Mutant("mixture gate mean divides by all frames", "src/nextvlad/model.py",
            "return total * Tensor(1.0 / np.maximum(count, 1.0))", "return total * (1.0 / m)",

@@ -305,22 +305,28 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def _fw_affine(x, w, b):
     _check_same_dtype("affine", x, w, b)
-    return x @ w + b
+    return x @ w + b[..., None, :]
 
 
 def _vjp_affine(g, out, x, w, b, needs):
-    return (g @ w.T if needs[0] else None, x.T @ g if needs[1] else None,
-            g.sum(axis=0) if needs[2] else None)
+    # shared rows under stacked weights take the sum of every expert's cotangent
+    return (_unbroadcast(g @ w.swapaxes(-1, -2), x.shape) if needs[0] else None,
+            x.swapaxes(-1, -2) @ g if needs[1] else None,
+            g.sum(axis=-2) if needs[2] else None)
 
 
 AFFINE = Primitive("affine", _fw_affine, _vjp_affine)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Dense layer ``x @ w + b`` of rows x (R, I), weights w (I, O) and bias b (O,)."""
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ValueError(f"affine: x {x.shape} @ w {w.shape} + b {b.shape} "
-                         "do not fit (R, I) @ (I, O) + (O,)")
+    """Dense layer ``x @ w + b`` of rows x (R, I), weights w (I, O) and bias b (O,).
+    Weights (E, I, O) and bias (E, O) stacked on a leading expert axis take
+    rows shared by every expert (R, I) or rows of their own (E, R, I)."""
+    xs, ws = x.shape, w.shape
+    if (len(ws) not in (2, 3) or len(xs) not in (2, len(ws)) or xs[-1] != ws[-2]
+            or xs[:-2] != ws[:len(xs) - 2] or b.shape != ws[:-2] + ws[-1:]):
+        raise ValueError(f"affine: x {xs} @ w {ws} + b {b.shape} "
+                         "do not fit (R, I) @ (I, O) + (O,), nor with a leading expert axis")
     return apply(AFFINE, x, w, b)
 
 
@@ -330,58 +336,71 @@ def _check_rows(name, rows, limit):
         raise ValueError(f"{name}: rows must be 1-d integers increasing strictly in [0, {limit})")
 
 
-def _to_padded(x, rows, padded_rows):
-    # packed rows (T, ...) scattered into zeros; no copy when they cover all
+def _to_padded(x, rows, padded_rows, axis=0):
+    # packed rows (T along ``axis``) scattered into zeros; no copy when they cover all
     if len(rows) == padded_rows:
         return x
-    out = np.zeros((padded_rows,) + x.shape[1:], dtype=x.dtype)
-    out[rows] = x
+    out = np.zeros(x.shape[:axis] + (padded_rows,) + x.shape[axis + 1:], dtype=x.dtype)
+    out[(slice(None),) * axis + (rows,)] = x
     return out
 
 
-def _to_rows(x, rows):
-    return x if len(rows) == x.shape[0] else x[rows]
+def _to_rows(x, rows, axis=0):
+    return x if len(rows) == x.shape[axis] else np.take(x, rows, axis=axis)
 
 
 def _softmax_rows_last(logits):
-    # softmax over K of (T, G, K) taken as (G, K, T): the max and the sum then
-    # reduce a leading axis, which numpy does fast, not a short innermost one
-    a = logits.transpose(1, 2, 0).copy()  # a copy also where the view is contiguous
-    a = np.exp(np.subtract(a, a.max(axis=1, keepdims=True), out=a), out=a)
-    a /= a.sum(axis=1, keepdims=True)
-    return np.ascontiguousarray(a.transpose(2, 0, 1))
+    # softmax over K of (..., T, G, K) taken as (..., G, K, T): the max and the sum
+    # then reduce a leading axis, which numpy does fast, not a short innermost one
+    n = logits.ndim
+    lead = tuple(range(n - 3))
+    # a copy also where the view is contiguous
+    a = logits.transpose(lead + (n - 2, n - 1, n - 3)).copy()
+    a = np.exp(np.subtract(a, a.max(axis=-2, keepdims=True), out=a), out=a)
+    a /= a.sum(axis=-2, keepdims=True)
+    return np.ascontiguousarray(a.transpose(lead + (n - 1, n - 3, n - 2)))
+
+
+def _padded(x, rows, shape):
+    # (..., T, G, D) rows -> (..., B, M*G, D), the layout the residual sums run in
+    (b, m), r = shape, x.ndim - 3
+    return _to_padded(x, rows, b * m, r).reshape(x.shape[:r] + (b, m * x.shape[-2], x.shape[-1]))
 
 
 def _fw_residual_aggregate(logits, feats, anchors, gate, *, rows, shape):
     _check_same_dtype("residual_aggregate", logits, feats, anchors, gate)
     if np.isnan(logits).any():
         raise ValueError("residual_aggregate: NaN in logits")
-    (b, m), (_, g, k) = shape, logits.shape
     a = _softmax_rows_last(logits)
-    w = _to_padded(a * gate[..., None], rows, b * m).reshape(b, m * g, k)
-    agg = np.swapaxes(w, 1, 2) @ _to_padded(feats, rows, b * m).reshape(b, m * g, -1)
-    agg -= (np.ones(m * g, w.dtype) @ w)[:, :, None] * anchors
+    w = _padded(a * gate[..., None], rows, shape)
+    agg = w.swapaxes(-1, -2) @ _padded(feats, rows, shape)
+    agg -= (np.ones(w.shape[-2], w.dtype) @ w)[..., None] * anchors[..., None, :, :]
     return agg, {"softmax": a}  # unpadded; the VJP redoes the padding
 
 
 def _vjp_residual_aggregate(g_out, out, logits, feats, anchors, gate, *, rows, shape, softmax,
                             needs):
-    (b, m), (_, g, k), a = shape, logits.shape, softmax
+    (b, m), (g, k), r, a = shape, logits.shape[-2:], logits.ndim - 3, softmax
     w = a * gate[..., None]
-    wp = _to_padded(w, rows, b * m).reshape(b, m * g, k)
-    d_feats = _to_rows((wp @ g_out).reshape((b * m,) + feats.shape[1:]), rows) if needs[1] else None
-    wsum = np.ones(m * g, wp.dtype) @ wp  # (B, K)
-    d_anchors = -(wsum.T[:, None, :] @ g_out.transpose(1, 0, 2))[:, 0] if needs[2] else None
+    wp = _padded(w, rows, shape)
+    d_feats = None
+    if needs[1]:  # shared feats take the sum over experts
+        d_feats = _to_rows((wp @ g_out).reshape(a.shape[:r] + (b * m, g, -1)), rows, r)
+        d_feats = _unbroadcast(d_feats, feats.shape)
+    wsum = np.ones(m * g, wp.dtype) @ wp  # (..., B, K)
+    d_anchors = None
+    if needs[2]:
+        d_anchors = -(wsum.swapaxes(-1, -2)[..., None, :] @ g_out.swapaxes(-3, -2))[..., 0, :]
     if not (needs[0] or needs[3]):
         return (None, d_feats, d_anchors, None)
     # d/dw of sum w * (feats - anchors), shaped like logits; sums over K, like
     # wsum, are BLAS products with ones, not reductions over a short inner axis
-    dw = _to_padded(feats, rows, b * m).reshape(b, m * g, -1) @ np.swapaxes(g_out, 1, 2)
-    dw -= (g_out.transpose(1, 0, 2) @ anchors[:, :, None])[:, :, 0].T[:, None, :]
-    dw = _to_rows(dw.reshape(b * m, g, k), rows)
-    d_gate = ((a * dw).reshape(-1, k) @ np.ones(k, a.dtype)).reshape(gate.shape)
+    dw = _padded(feats, rows, shape) @ g_out.swapaxes(-1, -2)
+    dw -= (g_out.swapaxes(-3, -2) @ anchors[..., None])[..., 0].swapaxes(-1, -2)[..., None, :]
+    dw = _to_rows(dw.reshape(a.shape[:r] + (b * m, g, k)), rows, r)
+    d_gate = ((a * dw).reshape(-1, k) @ np.ones(k, a.dtype)).reshape(a.shape[:-1])
     d_logits = np.multiply(np.subtract(dw, d_gate[..., None], out=dw), w, out=dw) if needs[0] else None
-    return (d_logits, d_feats, d_anchors, d_gate if needs[3] else None)
+    return (d_logits, d_feats, d_anchors, _unbroadcast(d_gate, gate.shape) if needs[3] else None)
 
 
 RESIDUAL_AGGREGATE = Primitive("residual_aggregate", _fw_residual_aggregate, _vjp_residual_aggregate,
@@ -394,10 +413,13 @@ def residual_aggregate(logits: Tensor, feats: Tensor, anchors: Tensor, gate: Ten
     of video b and groups g of gate[t,g] a[t,g,k] (feats[t,g] - anchors[k]), a the softmax
     over K of ``logits`` (T, G, K), for feats (T, G, D) at places ``rows`` of a (B, M)
     ``shape``, checked as ``take_rows`` checks them (strictly increasing, in range).
-    Rejects NaN logits."""
-    (t, g, k), d = logits.shape, feats.shape[-1]
+    With a leading expert axis E on logits and anchors (E, K, D), the output is
+    (E, B, K, D); feats and gate may have the axis or be shared.  Rejects NaN logits."""
+    (t, g, k), d, lead = logits.shape[-3:], feats.shape[-1], logits.shape[:-3]
     got = (feats.shape, anchors.shape, gate.shape, rows.shape)
-    if got != ((t, g, d), (k, d), (t, g), (t,)):
+    if (len(lead) > 1 or anchors.shape != lead + (k, d) or rows.shape != (t,)
+            or feats.shape not in ((t, g, d), lead + (t, g, d))
+            or gate.shape not in ((t, g), lead + (t, g))):
         raise ValueError(f"residual_aggregate: feats, anchors, gate and rows shaped {got} "
                          f"do not fit logits {logits.shape}")
     _check_rows("residual_aggregate", rows, shape[0] * shape[1])
@@ -584,11 +606,11 @@ def relu(a: Tensor) -> Tensor:
 def _fw_bce(z, *, labels):
     _check_same_dtype("bce", z, labels)
     per_element = np.maximum(z, 0) + np.log1p(np.exp(-np.abs(z))) - z * labels
-    return per_element.sum(axis=1).sum() * z.dtype.type(1.0 / z.shape[0])
+    return per_element.sum(axis=-1).sum(axis=-1) * z.dtype.type(1.0 / z.shape[-2])
 
 
 def _vjp_bce(g, out, z, *, labels, needs):
-    gz = g * z.dtype.type(1.0 / z.shape[0])
+    gz = (g * z.dtype.type(1.0 / z.shape[-2]))[..., None, None]
     return (gz * _fw_sigmoid(z) + (-gz) * labels,)
 
 
@@ -598,10 +620,11 @@ BCE = Primitive("bce", _fw_bce, _vjp_bce)
 def bce(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Binary cross entropy of logits z (B, C) against constant labels y, summed
     over classes and averaged over rows: log(1 + e^z) - z*y, taken as
-    max(z, 0) + log1p(e^-|z|) - z*y, finite for finite z; d/dz = sigmoid(z) - y."""
-    if logits.ndim != 2 or labels.shape != logits.shape or not logits.shape[0]:
+    max(z, 0) + log1p(e^-|z|) - z*y, finite for finite z; d/dz = sigmoid(z) - y.
+    Logits (E, B, C) stacked on a leading expert axis give one loss per expert, (E,)."""
+    if logits.ndim not in (2, 3) or labels.shape != logits.shape[-2:] or not logits.shape[-2]:
         raise ValueError(f"bce: labels shape {labels.shape} does not fit logits shape "
-                         f"{logits.shape}, which must be (B >= 1, C)")
+                         f"{logits.shape}, which must be (B >= 1, C) or (E, B >= 1, C)")
     return apply(BCE, logits, labels=labels)
 
 
@@ -651,7 +674,8 @@ BATCH_NORM_MOMENTUM = 0.9
 
 
 class BatchNormState:
-    """Running first/second moments, owned by exactly one trainer."""
+    """Running first/second moments, (F,) or (E, F) on an expert axis, owned by
+    exactly one trainer."""
 
     def __init__(self, num_features: int, dtype=np.float32):
         self.running_mean = np.zeros(num_features, dtype=dtype)
@@ -671,22 +695,23 @@ class BatchNormState:
 
 def _fw_batch_norm(x, gamma, beta, *, state):
     _check_same_dtype("batch_norm", x, gamma, beta)
-    scale = x.dtype.type(1.0 / x.shape[0])
-    mu = x.sum(axis=0, keepdims=True) * scale
+    scale = x.dtype.type(1.0 / x.shape[-2])
+    mu = x.sum(axis=-2, keepdims=True) * scale
     centered = x - mu
-    var = (centered * centered).sum(axis=0, keepdims=True) * scale
-    state.update(mu.reshape(-1), var.reshape(-1))
+    var = (centered * centered).sum(axis=-2, keepdims=True) * scale
+    state.update(mu[..., 0, :], var[..., 0, :])
     std = np.sqrt(var + x.dtype.type(BATCH_NORM_EPS))
     normed = centered / std
-    return normed * gamma + beta, {"normed": normed, "std": std}
+    return normed * gamma[..., None, :] + beta[..., None, :], {"normed": normed, "std": std}
 
 
 def _vjp_batch_norm(g, out, x, gamma, beta, *, state, normed, std, needs):
     # with dn = g * gamma: dx = (dn - mean(dn) - normed * mean(dn * normed)) / std
-    g_sum, gn_sum = g.sum(axis=0), (g * normed).sum(axis=0)
+    g_sum, gn_sum = g.sum(axis=-2), (g * normed).sum(axis=-2)
     dx = None
     if needs[0]:
-        dx = (g - (g_sum + normed * gn_sum) * x.dtype.type(1.0 / x.shape[0])) * (gamma / std)
+        dx = (g - (g_sum[..., None, :] + normed * gn_sum[..., None, :])
+              * x.dtype.type(1.0 / x.shape[-2])) * (gamma[..., None, :] / std)
     return (dx, gn_sum if needs[1] else None, g_sum if needs[2] else None)
 
 
@@ -696,21 +721,27 @@ BATCH_NORM = Primitive("batch_norm", _fw_batch_norm, _vjp_batch_norm, saves=True
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                training: bool) -> Tensor:
     """Normalize (batch, features) by batch stats (training) or running stats.
+    With a leading expert axis, x (E, B, F) takes gamma, beta and ``state``
+    shaped (E, F), and each expert normalizes over its own batch.
 
     Training mode is one primitive whose VJP flows through the batch
     statistics; its forward updates ``state`` in place with momentum, once
     per call, whether or not a gradient is taken.
     """
-    if x.ndim != 2:
-        raise ValueError(f"batch_norm expects (batch, features), got {x.shape}")
-    if x.shape[0] == 0:
+    xs = x.shape
+    if len(xs) not in (2, 3):
+        raise ValueError(f"batch_norm expects (batch, features), got {xs}")
+    if xs[-2] == 0:
         raise ValueError("batch_norm: empty batch")
-    if x.shape[1] != gamma.size:
-        raise ValueError(f"batch_norm: {x.shape[1]} features vs {gamma.size} params")
+    if gamma.shape != xs[:-2] + xs[-1:]:
+        raise ValueError(f"batch_norm: {xs[-1]} features vs {gamma.shape} params")
     if training:
         return apply(BATCH_NORM, x, gamma, beta, state=state)
-    rm = Tensor(state.running_mean.astype(x.dtype))
-    inv = Tensor((1.0 / np.sqrt(state.running_var + BATCH_NORM_EPS)).astype(x.dtype))
+    shape = x.shape[:-2] + (1, x.shape[-1])
+    rm = Tensor(state.running_mean.reshape(shape).astype(x.dtype))
+    inv = Tensor((1.0 / np.sqrt(state.running_var + BATCH_NORM_EPS)).reshape(shape).astype(x.dtype))
+    if x.ndim == 3:  # per-expert parameters, (E, F), broadcast over each expert's batch
+        gamma, beta = gamma.reshape(shape), beta.reshape(shape)
     return (x - rm) * inv * gamma + beta
 
 

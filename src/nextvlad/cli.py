@@ -225,7 +225,8 @@ def cmd_param_count(args) -> int:
         if cfg[key] == 0:
             cfg.set(key, default)
     bundle = _build_params(cfg, init=False)  # every census below is read from this bundle
-    params = bundle.experts[0] if isinstance(bundle, MixtureParams) else bundle
+    mixture = isinstance(bundle, MixtureParams)
+    params = bundle.experts if mixture else bundle  # a mixture's experts: one stacked model
     model_cfg = params.config
 
     rows = []
@@ -242,7 +243,8 @@ def cmd_param_count(args) -> int:
 
     total_formula = sum(r[1] for r in rows)
     rows.append(("full model weights", total_formula, weight_census(params)))
-    if bundle is not params:
+    if mixture:  # the rows above counted every stacked expert: one model's share
+        rows = [(label, formula, census // bundle.gate_b.size) for label, formula, census in rows]
         gate = (model_cfg.video_dim + model_cfg.audio_dim) * NUM_EXPERTS
         rows.append((f"{NUM_EXPERTS}-expert mixture weights", NUM_EXPERTS * total_formula + gate,
                      weight_census(bundle)))

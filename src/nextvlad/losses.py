@@ -5,13 +5,14 @@ distributions, KL divergence, and the combined distillation loss
 
 where the p's are softmaxes over classes of logits / T.  The mixture acts
 as an on-the-fly teacher whose gradient is never stopped: the distillation
-term always trains teacher and students jointly.
+term always trains teacher and students jointly.  The experts' logits come
+stacked on a leading expert axis, (E, B, C), and each term takes them as one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -42,7 +43,8 @@ def _label_array(labels: Union[Tensor, np.ndarray], dtype) -> np.ndarray:
 
 
 def bce_loss(logits: Tensor, labels: Union[Tensor, np.ndarray]) -> Tensor:
-    """Binary cross entropy from logits: mean over batch, sum over classes.
+    """Binary cross entropy from logits: mean over batch, sum over classes;
+    one per expert, (E,), for logits (E, B, C).
 
     One ``ad.bce`` node, which never forms an explicit sigmoid in the forward
     and stays finite for any finite logits.
@@ -58,11 +60,11 @@ def rank_soft_prediction(logits: Tensor, temperature: float) -> Tensor:
     return ad.softmax(logits * (1.0 / temperature), axis=-1)
 
 
-def kl_divergence(teacher_logits: Tensor, student_logits: Sequence[Tensor],
-                  temperature: float) -> Tensor:
+def kl_divergence(teacher_logits: Tensor, student_logits: Tensor, temperature: float) -> Tensor:
     """Sum over the students of the batch mean of KL(p_t || p_s) =
     sum_c p_t(c) (log p_t(c) - log p_s(c)), each p the softmax over classes
-    of logits / T.
+    of logits / T, for teacher logits (B, C) and one student (B, C) or
+    students stacked on a leading axis (E, B, C), summed in student order.
 
     The teacher's softmax and log-softmax are taken once.  The logs come
     from ``log_softmax``, so finite logits give finite logs, and a teacher
@@ -70,14 +72,11 @@ def kl_divergence(teacher_logits: Tensor, student_logits: Sequence[Tensor],
     """
     p_t = rank_soft_prediction(teacher_logits, temperature)
     log_t = ad.log_softmax(teacher_logits * (1.0 / temperature), axis=-1)
-    total = None
-    for z in student_logits:
-        if z.shape != p_t.shape:
-            raise ValueError(f"shape mismatch {p_t.shape} vs {z.shape}")
-        log_s = ad.log_softmax(z * (1.0 / temperature), axis=-1)
-        term = ad.reduce_sum(ad.reduce_sum(p_t * (log_t - log_s), axes=1)) * (1.0 / p_t.shape[0])
-        total = term if total is None else total + term
-    return total
+    if student_logits.shape[-2:] != p_t.shape or student_logits.ndim > 3:
+        raise ValueError(f"shape mismatch {p_t.shape} vs {student_logits.shape}")
+    log_s = ad.log_softmax(student_logits * (1.0 / temperature), axis=-1)
+    per_row = ad.reduce_sum(p_t * (log_t - log_s), axes=-1)
+    return ad.reduce_sum(ad.reduce_sum(per_row, axes=-1) * (1.0 / p_t.shape[0]))
 
 
 @dataclass
@@ -88,21 +87,23 @@ class LossBreakdown:
 
 
 def total_loss(
-    expert_logits: Sequence[Tensor],
+    expert_logits: Tensor,
     mixture_logits: Tensor,
     labels: Union[Tensor, np.ndarray],
     cfg: LossConfig,
 ) -> tuple[Tensor, LossBreakdown]:
-    """Combined objective over the 3-expert mixture.
+    """Combined objective over the mixture, for expert logits stacked on a
+    leading expert axis (E, B, C) and mixture logits (B, C).
 
     Returns the differentiable scalar and a float breakdown whose
     ``kl_weighted`` is exactly ``temperature**2 * kl_raw``.
     """
-    if len(expert_logits) != 3:
-        raise ValueError(f"expected 3 experts, got {len(expert_logits)}")
-    expert_bces = [bce_loss(z, labels) for z in expert_logits]
+    if expert_logits.ndim != 3 or expert_logits.shape[1:] != mixture_logits.shape:
+        raise ValueError(f"expert logits {expert_logits.shape} need a leading expert axis "
+                         f"over the mixture's {mixture_logits.shape}")
+    expert_bces = bce_loss(expert_logits, labels)  # (E,)
     mixture_bce = bce_loss(mixture_logits, labels)
-    loss = expert_bces[0] + expert_bces[1] + expert_bces[2] + mixture_bce
+    loss = ad.reduce_sum(expert_bces) + mixture_bce
 
     kl_raw_value = 0.0
     kl_weighted_value = 0.0
@@ -114,7 +115,7 @@ def total_loss(
         kl_weighted_value = (t * t) * kl_raw_value
 
     breakdown = LossBreakdown(
-        bce_total=sum(b.item() for b in expert_bces) + mixture_bce.item(),
+        bce_total=sum(expert_bces.data.tolist()) + mixture_bce.item(),
         kl_raw=kl_raw_value,
         kl_weighted=kl_weighted_value,
     )

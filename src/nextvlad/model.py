@@ -11,12 +11,15 @@ the distance-based encoding.
 
 A gated mixture of three such models, with the gate fed by the masked mean
 of the raw input frames, provides the ensemble logits used for on-the-fly
-distillation.
+distillation.  The three are one model whose every tensor is stacked on a
+leading expert axis E, so one forward pass runs them all: the frames, their
+valid rows and the whitening are shared, each expert's layers run as one
+stacked op.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -132,8 +135,8 @@ class SecgParams(ParamTree):
 
 def se_context_gating(x: Tensor, params: SecgParams, training: bool = False) -> Tensor:
     """Elementwise-gate ``x`` by a bottlenecked sigmoid excitation of itself."""
-    if x.shape[-1] != params.fc1_w.shape[0]:
-        raise ValueError(f"feature dim {x.shape[-1]} != gate dim {params.fc1_w.shape[0]}")
+    if x.shape[-1] != params.fc1_w.shape[-2]:
+        raise ValueError(f"feature dim {x.shape[-1]} != gate dim {params.fc1_w.shape[-2]}")
     h = params.bn1(ad.affine(x, params.fc1_w, params.fc1_b), training)
     h = ad.relu(h)
     h = params.bn2(ad.affine(h, params.fc2_w, params.fc2_b), training)
@@ -182,11 +185,11 @@ class ModelParams(ParamTree):
 def stream_censuses(params: ModelParams) -> tuple[int, int]:
     """Weight census of the video and the audio NetVLAD/NeXtVLAD block: the
     stream's core plus the rows of the shared reduction that its descriptor
-    feeds (video rows first, in concat order)."""
+    feeds (video rows first, in concat order); of all experts if stacked."""
     rows = params.config.video_vlad.descriptor_dim
     w = params.reduce.w.data
-    return (weight_census(params.video) + w[:rows].size,
-            weight_census(params.audio) + w[rows:].size)
+    return (weight_census(params.video) + w[..., :rows, :].size,
+            weight_census(params.audio) + w[..., rows:, :].size)
 
 
 def _descriptor(view: FrameBatchView, core) -> Tensor:
@@ -201,20 +204,26 @@ def model_forward(
     training: bool = False,
     rng: Optional[Rng] = None,
 ) -> Tensor:
-    """Logits (B, C) for a batch with ``.video`` and ``.audio`` frame views.
+    """Logits (B, C) for a batch with ``.video`` and ``.audio`` frame views;
+    (E, B, C) for a model stacked on an expert axis.
 
     ``rng`` feeds the dropout mask and is only consulted in training mode
-    with a nonzero dropout rate.
+    with a nonzero dropout rate; stacked experts draw theirs in expert order.
     """
     cfg = params.config
     video = batch.video
     if params.whiten_scale is not None:
-        scaled = reverse_whitening(video.frames, params.whiten_scale)
+        scale = params.whiten_scale
+        if scale.ndim == 2:  # stacked experts share the frames, so one scale
+            if (scale != scale[0]).any():
+                raise ValueError("stacked experts' whitening scales differ")
+            scale = scale[0]
+        scaled = reverse_whitening(video.frames, scale)
         video = FrameBatchView(frames=scaled, mask=video.mask, lengths=video.lengths)
 
     video_desc = _descriptor(video, params.video)
     audio_desc = _descriptor(batch.audio, params.audio)
-    joint = ad.concat([video_desc, audio_desc], axis=1)
+    joint = ad.concat([video_desc, audio_desc], axis=-1)
 
     if training and cfg.dropout_rate > 0.0:
         if rng is None:
@@ -228,24 +237,45 @@ def model_forward(
 
 @dataclass
 class MixtureParams(ParamTree):
-    """Three independent experts plus a softmax gate over mean input features."""
+    """Three independent experts, stacked as one model, plus a softmax gate
+    over mean input features.  Slice i of an expert tensor is saved as model
+    i alone names it, under ``mixture.expert{i}``."""
 
     PREFIX = "mixture"
 
-    experts: list = field(default_factory=list)
-    gate_w: Optional[Tensor] = None  # (video_dim + audio_dim, 3)
-    gate_b: Optional[Tensor] = None  # (3,)
+    experts: ModelParams  # every tensor and buffer (E, ...): slice i is expert i
+    gate_w: Tensor  # (video_dim + audio_dim, E)
+    gate_b: Tensor  # (E,)
 
     @staticmethod
     def create(cfg: ModelConfig, rng: Optional[Rng],
                eigenvalues: Optional[Eigenvalues] = None) -> "MixtureParams":
         experts = [ModelParams.create(cfg, rng, eigenvalues) for _ in range(NUM_EXPERTS)]
         gate_in = cfg.video_dim + cfg.audio_dim
+        stacked = experts[0]  # takes the stack of every expert's leaf
+        for (_, owner, attr), *others in zip(stacked.leaves(), *(e.leaves() for e in experts[1:])):
+            slices = [getattr(owner, attr)] + [getattr(o, a) for _, o, a in others]
+            data = np.stack([v.data if isinstance(v, Tensor) else v for v in slices])
+            setattr(owner, attr, Tensor(data) if isinstance(slices[0], Tensor) else data)
         return MixtureParams(
-            experts=experts,
+            experts=stacked,
             gate_w=Tensor(init_normal(rng, (gate_in, NUM_EXPERTS), np.sqrt(2.0 / gate_in))),
             gate_b=Tensor(np.zeros(NUM_EXPERTS, dtype=np.float32)),
         )
+
+    def unstack(self, named: dict, prefix: Optional[str] = None) -> dict:
+        prefix = self.PREFIX if prefix is None else prefix
+        stacked = f"{prefix}.experts."
+        out = {}
+        for name, value in named.items():
+            if not name.startswith(stacked):
+                out[name] = value
+                continue
+            rest = name[len(stacked):]  # slice i takes the name model i alone would have
+            for i in range(value.shape[0]):
+                part = Tensor(value.data[i]) if isinstance(value, Tensor) else value[i]
+                out[f"{prefix}.expert{i}.{rest}"] = part
+        return out
 
 
 def _masked_frame_mean(view: FrameBatchView) -> Tensor:
@@ -257,12 +287,11 @@ def _masked_frame_mean(view: FrameBatchView) -> Tensor:
     return total * Tensor(1.0 / np.maximum(count, 1.0))
 
 
-def gated_mixture(gates: Tensor, expert_logits: list) -> Tensor:
-    """sum over m of gates[:, m] * expert_logits[m], (B, C), summed along a
-    stacked expert axis."""
-    b, c = expert_logits[0].shape
-    stacked = ad.concat([z.reshape((b, 1, c)) for z in expert_logits], axis=1)  # (B, E, C)
-    return ad.reduce_sum(gates.reshape((b, len(expert_logits), 1)) * stacked, axes=1)
+def gated_mixture(gates: Tensor, expert_logits: Tensor) -> Tensor:
+    """sum over m of gates[:, m] * expert_logits[m], (B, C), for gates (B, E)
+    and expert logits (E, B, C), summed along the expert axis in expert order."""
+    e, b, _ = expert_logits.shape
+    return ad.reduce_sum(ad.transpose(gates, (1, 0)).reshape((e, b, 1)) * expert_logits, axes=0)
 
 
 def mixture_forward(
@@ -270,16 +299,17 @@ def mixture_forward(
     mix: MixtureParams,
     training: bool = False,
     rng: Optional[Rng] = None,
-) -> tuple[list[Tensor], Tensor, Tensor]:
-    """Run all experts and their gate.
+) -> tuple[Tensor, Tensor, Tensor]:
+    """Run all experts, as one stacked model, and their gate.
 
-    Returns (expert_logits, mixture_logits, gates); mixture logits are the
-    gate-weighted sum of expert logits, the gate is a softmax over a linear
-    map of the mask-aware mean of the raw concatenated input frames.
+    Returns (expert_logits (E, B, C), mixture_logits (B, C), gates (B, E));
+    mixture logits are the gate-weighted sum of expert logits, the gate is a
+    softmax over a linear map of the mask-aware mean of the raw concatenated
+    input frames.
     """
-    expert_logits = [model_forward(batch, e, training, rng) for e in mix.experts]
+    expert_logits = model_forward(batch, mix.experts, training, rng)
 
     mean_features = ad.concat(
         [_masked_frame_mean(batch.video), _masked_frame_mean(batch.audio)], axis=1)
-    gates = ad.softmax(ad.affine(mean_features, mix.gate_w, mix.gate_b), axis=-1)  # (B, 3)
+    gates = ad.softmax(ad.affine(mean_features, mix.gate_w, mix.gate_b), axis=-1)  # (B, E)
     return expert_logits, gated_mixture(gates, expert_logits), gates

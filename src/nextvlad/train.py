@@ -166,7 +166,7 @@ class TrainState:
 
     @staticmethod
     def create(params) -> "TrainState":
-        return TrainState(params=params, adam=AdamState.create(params.named_parameters()))
+        return TrainState(params=params, adam=AdamState.create(params.leaf_parameters()))
 
 
 @dataclass
@@ -240,7 +240,7 @@ def train_loop(
     total_steps = cfg.max_steps if cfg.max_steps > 0 else cfg.epochs * steps_per_epoch
     gap_source = eval_dataset if eval_dataset is not None else dataset
     # Adam rebinds each tensor's .data, never the tensors: enumerate once
-    named = state.params.named_parameters()
+    named = state.params.leaf_parameters()
 
     rows: list[LogRow] = []
     cached_epoch = -1
@@ -276,12 +276,13 @@ class Checkpoint:
 
 
 def _gather_tensors(state: TrainState) -> dict:
-    out = {name: t.data for name, t in state.params.named_parameters().items()}
-    out.update(state.params.named_buffers())
-    for name, arr in state.adam.m.items():
-        out[f"adam.m.{name}"] = arr
-    for name, arr in state.adam.v.items():
-        out[f"adam.v.{name}"] = arr
+    """Every array a checkpoint holds, by saved name: a stacked mixture's
+    parameters, buffers and moments slice by slice, under each expert's name."""
+    params = state.params
+    out = {name: t.data for name, t in params.named_parameters().items()}
+    out.update(params.named_buffers())
+    for tag, moments in (("m", state.adam.m), ("v", state.adam.v)):
+        out.update({f"adam.{tag}.{name}": a for name, a in params.unstack(moments).items()})
     return out
 
 
@@ -358,12 +359,18 @@ def apply_checkpoint(state: TrainState, ckpt: Checkpoint) -> None:
             raise ValueError(
                 f"checkpoint tensor {name!r} is {arr.dtype}{arr.shape}, "
                 f"expected {target.dtype}{target.shape}")
-    for name, t in state.params.named_parameters().items():
-        t.data = ckpt.tensors[name].copy()
-    for name, buf in state.params.named_buffers().items():
+    params = state.params
+
+    def stacked(prefix, name, like):  # the saved slices of one walk-named array, restacked
+        parts = [ckpt.tensors[prefix + saved] for saved in params.unstack({name: like})]
+        return np.stack(parts) if like.ndim > parts[0].ndim else parts[0].copy()
+
+    for name, t in params.leaf_parameters().items():
+        t.data = stacked("", name, t.data)
+    for name, buf in params.named_buffers().items():  # views into the stacked buffers
         buf[...] = ckpt.tensors[name]
-    for name in state.adam.m:
-        state.adam.m[name] = ckpt.tensors[f"adam.m.{name}"].copy()
-        state.adam.v[name] = ckpt.tensors[f"adam.v.{name}"].copy()
+    for name, m in state.adam.m.items():
+        state.adam.m[name] = stacked("adam.m.", name, m)
+        state.adam.v[name] = stacked("adam.v.", name, m)
     state.adam.step = ckpt.adam_step
     state.global_step = ckpt.global_step

@@ -134,6 +134,10 @@ def gradient_checks(seed: int = 0) -> list:
     packed = lambda *shape: Tensor(t(2, 3, *shape).data.reshape(6, *shape)[rows])  # noqa: E731
     check("residual_aggregate", lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, rows, (2, 3)),
           packed(2, 4), packed(2, 5), t(4, 5), packed(2))
+    stacked = lambda *shape: Tensor(t(3, 2, 3, *shape).data.reshape(3, 6, *shape)[:, rows])  # noqa: E731
+    check("residual_aggregate, 3 experts stacked",
+          lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, rows, (2, 3)),
+          stacked(2, 4), stacked(2, 5), t(3, 4, 5), stacked(2))
     check("take_rows", lambda x: ad.take_rows(x, rows), t(6, 3))
     check("softmax", lambda x: ad.softmax(x, axis=-1), t(3, 5))
     check("log_softmax", lambda x: ad.log_softmax(x, axis=-1), t(3, 5))

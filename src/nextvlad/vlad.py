@@ -129,10 +129,11 @@ class ParamTree:
 
     A ``Tensor`` field is a parameter and an ndarray field a buffer, both
     named ``prefix.field``; a nested bundle extends the prefix with its field
-    name; the items of a list field are named ``prefix.expert{i}``; a
-    ``BatchNormState``'s running statistics are buffers of the bundle that
-    holds it.  ``PREFIX`` (a class attribute, never a field) is the default
-    prefix.
+    name; a ``BatchNormState``'s running statistics are buffers of the bundle
+    that holds it.  ``PREFIX`` (a class attribute, never a field) is the
+    default prefix.  These walk names key the graph's leaves and the optimizer;
+    a bundle that stacks models on an expert axis saves each slice under a
+    name of its own (:meth:`unstack`).
     """
 
     PREFIX = ""
@@ -150,19 +151,27 @@ class ParamTree:
                 yield f"{prefix}.running_var", value, "running_var"
             elif isinstance(value, ParamTree):
                 yield from value.leaves(name)
-            elif isinstance(value, list):
-                for i, item in enumerate(value):
-                    yield from item.leaves(f"{prefix}.expert{i}")
 
     def _named(self, kind, prefix: Optional[str]) -> dict:
         named = ((name, getattr(owner, attr)) for name, owner, attr in self.leaves(prefix))
         return {name: value for name, value in named if isinstance(value, kind)}
 
-    def named_parameters(self, prefix: Optional[str] = None) -> dict[str, Tensor]:
+    def unstack(self, named: dict, prefix: Optional[str] = None) -> dict:
+        """Walk name -> array or tensor, as saved: unchanged but for a bundle
+        that stacks models on an expert axis."""
+        return named
+
+    def leaf_parameters(self, prefix: Optional[str] = None) -> dict[str, Tensor]:
+        """Every parameter by walk name, whole: the graph's leaves, expert axis kept."""
         return self._named(Tensor, prefix)
 
+    def named_parameters(self, prefix: Optional[str] = None) -> dict[str, Tensor]:
+        """Every parameter as saved, a stacked one slice by slice."""
+        return self.unstack(self._named(Tensor, prefix), prefix)
+
     def named_buffers(self, prefix: Optional[str] = None) -> dict[str, np.ndarray]:
-        return self._named(np.ndarray, prefix)
+        """Every buffer as saved, a stacked one slice by slice (views, writable)."""
+        return self.unstack(self._named(np.ndarray, prefix), prefix)
 
 
 @dataclass
@@ -267,8 +276,12 @@ def make_core(cfg: VladConfig, rng: Optional[Rng]) -> VladCore:
 
 def weight_census(bundle) -> int:
     """Allocated weight count of any parameter bundle: the total size of its
-    tensors with two or more dims (biases and batch norm are 1-d)."""
-    return sum(t.size for t in bundle.named_parameters().values() if t.ndim >= 2)
+    tensors with more dims than its biases and batch norm, which are 1-d, or
+    (E, F) in a model stacked on an expert axis.  A mixture counts the slices
+    it saves."""
+    named = bundle.named_parameters().values()
+    bias_dims = min(t.ndim for t in named)
+    return sum(t.size for t in named if t.ndim > bias_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -306,48 +319,50 @@ class FrameBatchView:
 
 
 def netvlad_aggregate(view: FrameBatchView, core: NetVladCore) -> Tensor:
-    """Residual aggregation gated shut on padding, pre-normalization: (B, K, N)."""
+    """Residual aggregation gated shut on padding, pre-normalization: (B, K, N),
+    or (E, B, K, N) for a core stacked on an expert axis."""
     b, m, n = view.frames.shape
-    if n != core.assign_w.shape[1]:
-        raise ValueError(f"frame dim {n} != assignment dim {core.assign_w.shape[1]}")
-    logits = ad.affine(view.frames.reshape((b * m, n)), ad.transpose(core.assign_w, (1, 0)),
+    w = core.assign_w  # (K, N), or (E, K, N) on an expert axis
+    if n != w.shape[-1]:
+        raise ValueError(f"frame dim {n} != assignment dim {w.shape[-1]}")
+    lead = w.shape[:-2]
+    logits = ad.affine(view.frames.reshape((b * m, n)), ad.transpose(w, (0, 2, 1) if lead else (1, 0)),
                        core.assign_b)
-    return ad.residual_aggregate(logits.reshape((b * m, 1, -1)),
+    return ad.residual_aggregate(logits.reshape(lead + (b * m, 1, -1)),
                                  view.frames.reshape((b * m, 1, n)), core.anchors,
                                  view.mask.reshape((b * m, 1)), np.arange(b * m), (b, m))
 
 
 def netvlad_descriptor(view: FrameBatchView, core: NetVladCore) -> Tensor:
-    """Intra-normalized flat descriptor: (B, K*N), cluster-major."""
+    """Intra-normalized flat descriptor: (B, K*N), cluster-major; (E, B, K*N) for
+    a core stacked on an expert axis."""
     agg = netvlad_aggregate(view, core)
-    b, k, n = agg.shape
-    normed = ad.l2_normalize(agg, axis=-1)
-    return normed.reshape((b, k * n))
+    return ad.l2_normalize(agg, axis=-1).reshape(agg.shape[:-2] + (-1,))
 
 
 def nextvlad_aggregate(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
-    """Grouped residual aggregation of valid frames, pre-normalization: (B, K, lamN/G)."""
+    """Grouped residual aggregation of valid frames, pre-normalization: (B, K, lamN/G),
+    or (E, B, K, lamN/G) for a core stacked on an expert axis."""
     b, m, n = view.frames.shape
-    if n != core.expand_w.shape[0]:
-        raise ValueError(f"frame dim {n} != expansion dim {core.expand_w.shape[0]}")
+    if n != core.expand_w.shape[-2]:
+        raise ValueError(f"frame dim {n} != expansion dim {core.expand_w.shape[-2]}")
     g = core.groups
-    k, d = core.anchors.shape
+    lead, (k, d) = core.anchors.shape[:-2], core.anchors.shape[-2:]  # lead: () or (E,)
     rows = np.flatnonzero(view.mask.data.reshape(-1))  # the valid frames' places in B*M
-    valid = ad.take_rows(view.frames.reshape((b * m, n)), rows)
-    expanded = ad.affine(valid, core.expand_w, core.expand_b)  # (T, lamN)
+    valid = ad.take_rows(view.frames.reshape((b * m, n)), rows)  # shared by every expert
+    expanded = ad.affine(valid, core.expand_w, core.expand_b)  # (..., T, lamN)
 
-    attn = ad.sigmoid(ad.affine(expanded, core.attn_w, core.attn_b))  # (T, G)
-    assign_logits = ad.affine(expanded, core.assign_w, core.assign_b).reshape((-1, g, k))
-    return ad.residual_aggregate(assign_logits, expanded.reshape((-1, g, d)), core.anchors, attn,
-                                 rows, (b, m))
+    attn = ad.sigmoid(ad.affine(expanded, core.attn_w, core.attn_b))  # (..., T, G)
+    assign_logits = ad.affine(expanded, core.assign_w, core.assign_b).reshape(lead + (-1, g, k))
+    return ad.residual_aggregate(assign_logits, expanded.reshape(lead + (-1, g, d)), core.anchors,
+                                 attn, rows, (b, m))
 
 
 def nextvlad_descriptor(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
-    """Intra-normalized flat descriptor: (B, K*lamN/G), cluster-major."""
+    """Intra-normalized flat descriptor: (B, K*lamN/G), cluster-major; (E, B, ...)
+    for a core stacked on an expert axis."""
     agg = nextvlad_aggregate(view, core)
-    b, k, d = agg.shape
-    normed = ad.l2_normalize(agg, axis=-1)
-    return normed.reshape((b, k * d))
+    return ad.l2_normalize(agg, axis=-1).reshape(agg.shape[:-2] + (-1,))
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_criterion_2_gradient_correctness():
     mix = cast_params(MixtureParams.create(toy_model_config(), rng), np.float64)
     loss_cfg = LossConfig(num_classes=3, temperature=3.0, kd_enabled=True)
     leaves = [batch.video.frames, batch.audio.frames]
-    leaves += [t for _, t in sorted(mix.named_parameters().items())]
+    leaves += [t for _, t in sorted(mix.leaf_parameters().items())]
 
     def mixture_loss(*_):
         expert_logits, mixture_logits, _ = mixture_forward(batch, mix, training=True, rng=Rng(9))
@@ -324,10 +324,8 @@ def test_criterion_8_kd_machinery():
     t0 = time.time()
     # (a) shared weights: KL is zero at float64 machine precision
     mix = cast_params(MixtureParams.create(toy_model_config(0.0), Rng(80)), np.float64)
-    first = mix.experts[0].named_parameters("p")
-    for expert in mix.experts[1:]:
-        for name, tensor in expert.named_parameters("p").items():
-            tensor.data = first[name].data.copy()
+    for tensor in mix.experts.named_parameters().values():
+        tensor.data = np.repeat(tensor.data[:1], 3, axis=0)
     batch = toy_batch()
     expert_logits, mixture_logits, _ = mixture_forward(batch, mix, training=False)
     cfg3 = LossConfig(num_classes=3, temperature=3.0, kd_enabled=True)

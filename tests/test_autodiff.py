@@ -394,12 +394,36 @@ PRIMITIVE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,fn,arity", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
+def stacked_state(features):
+    """Batch-norm statistics of E = 3 experts, (3, F)."""
+    state = BatchNormState(features, dtype=np.float64)
+    state.running_mean, state.running_var = np.zeros((3, features)), np.ones((3, features))
+    return state
+
+
+STACKED_ROWS = np.array([0, 1, 3])  # valid places of a (2, 3) grid
+# E = 3 experts on a leading axis: inputs shaped by a case, from R = size of the shape / 2 rows
+STACKED_CASES = [
+    ("affine E=3 shared rows", ad.affine, lambda r: [(r, 2), (3, 2, 4), (3, 4)]),
+    ("affine E=3 own rows", ad.affine, lambda r: [(3, r, 2), (3, 2, 4), (3, 4)]),
+    ("batch_norm E=3", lambda x, g, b: ad.batch_norm(x, g, b, stacked_state(4), training=True),
+     lambda r: [(3, r + 1, 4), (3, 4), (3, 4)]),
+    ("residual_aggregate E=3", lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, STACKED_ROWS, (2, 3)),
+     lambda r: [(3, 3, 2, r), (3, 3, 2, 4), (3, r, 4), (3, 3, 2)]),
+    ("residual_aggregate E=3 shared feats and gate",
+     lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, STACKED_ROWS, (2, 3)),
+     lambda r: [(3, 3, 2, r), (3, 2, 4), (3, r, 4), (3, 2)]),
+]
+
+
+@pytest.mark.parametrize("name,fn,inputs", PRIMITIVE_CASES + STACKED_CASES,
+                         ids=[c[0] for c in PRIMITIVE_CASES + STACKED_CASES])
 @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 2, 2)])
-def test_every_primitive_grad_checks_on_random_shapes(name, fn, arity, shape):
+def test_every_primitive_grad_checks_on_random_shapes(name, fn, inputs, shape):
+    # ``inputs`` counts inputs shaped ``shape``, or maps a row count to their shapes
     rng = Rng(hash(name) % 2**32)
-    inputs = [Tensor(rng.normal(shape) + 0.1) for _ in range(arity)]
-    report = grad_check(fn, inputs)
+    shapes = [shape] * inputs if isinstance(inputs, int) else inputs(math.prod(shape) // 2)
+    report = grad_check(fn, [Tensor(rng.normal(s) + 0.1) for s in shapes])
     assert report.passed, f"{name} {shape}: {report}"
 
 
@@ -500,6 +524,16 @@ def test_residual_aggregate_matches_loops():
         (a, x, c, s, rows), padded = packed_inputs(Rng(40), mask)
         got = ad.residual_aggregate(a, x, c, s, rows, (2, 3)).data
         assert np.abs(got - residual_loops(*padded)).max() < 1e-12, mask
+        # three experts on a leading axis, each with its own anchors; their
+        # feats and gate their own, or shared as NetVLAD shares its frames
+        experts = [packed_inputs(Rng(41 + e), mask) for e in range(3)]
+        stacked = [Tensor(np.stack([ins[i].data for ins, _ in experts])) for i in range(4)]
+        got = ad.residual_aggregate(*stacked, rows, (2, 3)).data
+        shared = ad.residual_aggregate(stacked[0], x, stacked[2], s, rows, (2, 3)).data
+        for e, (_, (pa, px, pc, ps, _)) in enumerate(experts):
+            assert np.abs(got[e] - residual_loops(pa, px, pc, ps, padded[4])).max() < 1e-12, (mask, e)
+            alone = residual_loops(pa, padded[1], pc, padded[3], padded[4])
+            assert np.abs(shared[e] - alone).max() < 1e-12, (mask, e)
 
 
 def test_residual_aggregate_shape_mismatch_rejected():

@@ -42,7 +42,7 @@ def kl_oracle(zt, zs):
 def kl(p_logits, q_logits, temperature=1.0):
     """KL(softmax(p) || softmax(q)) of one student, from float64 logits."""
     return kl_divergence(Tensor(np.asarray(p_logits, dtype=np.float64)),
-                         [Tensor(np.asarray(q_logits, dtype=np.float64))], temperature).item()
+                         Tensor(np.asarray(q_logits, dtype=np.float64)), temperature).item()
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +170,14 @@ def test_kl_nonnegative_and_zero_iff_equal():
 
 
 def _toy_logits(seed, b=2, c=4):
+    """Three experts' logits stacked on a leading expert axis."""
     rng = Rng(seed)
-    return [Tensor(rng.normal((b, c)) * 2) for _ in range(3)]
+    return Tensor(np.stack([rng.normal((b, c)) * 2 for _ in range(3)]))
 
 
 def test_total_loss_identical_experts_zero_kl():
     z = Tensor(Rng(45).normal((2, 4)))
-    experts = [z, z, z]
+    experts = Tensor(np.stack([z.data] * 3))
     labels = np.zeros((2, 4))
     labels[:, 0] = 1.0
     cfg = LossConfig(num_classes=4, temperature=3.0, kd_enabled=True)
@@ -192,7 +193,8 @@ def test_total_loss_kd_disabled_is_pure_bce():
     labels = (Rng(48).uniform((2, 4)) < 0.4).astype(np.float64)
     cfg = LossConfig(num_classes=4, temperature=0.0, kd_enabled=False)
     loss, breakdown = total_loss(experts, mixture, labels, cfg)
-    expected = sum(bce_loss(z, labels).item() for z in experts) + bce_loss(mixture, labels).item()
+    expected = sum(bce_loss(Tensor(z), labels).item() for z in experts.data)
+    expected += bce_loss(mixture, labels).item()
     assert abs(loss.item() - expected) < 1e-9
     assert breakdown.kl_raw == 0.0 and breakdown.kl_weighted == 0.0
 
@@ -205,9 +207,9 @@ def test_total_loss_matches_hand_assembled_components():
     cfg = LossConfig(num_classes=4, temperature=t, kd_enabled=True)
     loss, breakdown = total_loss(experts, mixture, labels, cfg)
 
-    expected = sum(bce_loss(z, labels).item() for z in experts)
+    expected = sum(bce_loss(Tensor(z), labels).item() for z in experts.data)
     expected += bce_loss(mixture, labels).item()
-    expected += t * t * sum(kl_divergence(mixture, [z], t).item() for z in experts)
+    expected += t * t * sum(kl_divergence(mixture, Tensor(z), t).item() for z in experts.data)
     assert abs(loss.item() - expected) < 1e-8
 
 
@@ -223,7 +225,7 @@ def test_breakdown_weighted_kl_is_exactly_t_squared_raw():
 
 def test_total_loss_is_differentiable():
     rng = Rng(55)
-    experts = [Tensor(rng.normal((2, 3))) for _ in range(3)]
+    experts = Tensor(rng.normal((3, 2, 3)))
     mixture_w = Tensor(rng.normal((3,)))  # mix logits through a fake gate so all inputs matter
     labels = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     cfg = LossConfig(num_classes=3, temperature=2.0, kd_enabled=True)
@@ -232,11 +234,10 @@ def test_total_loss_is_differentiable():
         from nextvlad import autodiff as ad
 
         gates = ad.softmax(mixture_w, axis=0)
-        stacked = ad.concat([z.reshape((2, 1, 3)) for z in experts], axis=1)
-        mix = ad.reduce_sum(gates.reshape((1, 3, 1)) * stacked, axes=1)
+        mix = ad.reduce_sum(gates.reshape((3, 1, 1)) * experts, axes=0)
         return total_loss(experts, mix, labels, cfg)[0]
 
-    report = grad_check(f, experts + [mixture_w])
+    report = grad_check(f, [experts, mixture_w])
     assert report.passed, str(report)
 
 
@@ -245,6 +246,6 @@ def test_loss_config_validation():
         LossConfig(num_classes=3, temperature=0.0, kd_enabled=True)
     with pytest.raises(ValueError):
         LossConfig(num_classes=3, temperature=-1.0, kd_enabled=False)
-    with pytest.raises(ValueError, match="3 experts"):
-        total_loss([Tensor(np.zeros((1, 2)))] * 2, Tensor(np.zeros((1, 2))),
+    with pytest.raises(ValueError, match="leading expert axis"):
+        total_loss(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))),
                    np.zeros((1, 2)), LossConfig(num_classes=2, kd_enabled=False, temperature=1.0))

@@ -1,5 +1,7 @@
 """Two-stream model: whitening, SE gating, forward wiring, mixture gate."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -225,7 +227,8 @@ def test_mixture_census_is_three_experts_plus_gate():
 
     cfg = toy_config()
     mix = MixtureParams.create(cfg, None)
-    expert = weight_census(mix.experts[0])
+    expert = weight_census(ModelParams.create(cfg, None))
+    assert weight_census(mix.experts) == 3 * expert  # stacked biases (3, O) are not weights
     assert weight_census(mix) == 3 * expert + mix.gate_w.size
     h, r, c = cfg.hidden_dim, cfg.se_ratio, cfg.num_classes
     closed = (param_count_nextvlad(cfg.video_vlad) + param_count_nextvlad(cfg.audio_vlad)
@@ -241,13 +244,12 @@ def test_mixture_census_is_three_experts_plus_gate():
 def test_identical_experts_make_mixture_equal_experts():
     cfg = toy_config()
     mix = MixtureParams.create(cfg, Rng(16))
-    for e in mix.experts[1:]:
-        for name, t in e.named_parameters("p").items():
-            t.data = dict(mix.experts[0].named_parameters("p"))[name].data.copy()
+    for t in mix.experts.named_parameters().values():
+        t.data = np.repeat(t.data[:1], 3, axis=0)
     batch = toy_batch()
     expert_logits, mixture_logits, gates = mixture_forward(batch, mix, training=False)
-    for z in expert_logits:
-        assert np.abs(mixture_logits.data - z.data).max() < 1e-5
+    for z in expert_logits.data:
+        assert np.abs(mixture_logits.data - z).max() < 1e-5
 
 
 def test_one_hot_gate_selects_first_expert_exactly():
@@ -258,7 +260,7 @@ def test_one_hot_gate_selects_first_expert_exactly():
     batch = toy_batch()
     expert_logits, mixture_logits, gates = mixture_forward(batch, mix, training=False)
     assert np.array_equal(gates.data, np.tile([1.0, 0.0, 0.0], (3, 1)))
-    assert np.array_equal(mixture_logits.data, expert_logits[0].data)
+    assert np.array_equal(mixture_logits.data, expert_logits.data[0])
 
 
 def test_mixture_matches_hand_computed_weighted_sum():
@@ -266,7 +268,7 @@ def test_mixture_matches_hand_computed_weighted_sum():
     mix = MixtureParams.create(cfg, Rng(18))
     batch = toy_batch()
     expert_logits, mixture_logits, gates = mixture_forward(batch, mix, training=False)
-    expected = sum(gates.data[:, m:m + 1] * expert_logits[m].data for m in range(3))
+    expected = sum(gates.data[:, m:m + 1] * expert_logits.data[m] for m in range(3))
     assert np.abs(mixture_logits.data - expected).max() < 1e-6
 
 
@@ -275,16 +277,16 @@ def test_stacked_combine_is_bit_exact_to_the_per_expert_sum(dtype):
     # 150 classes: the gate's row sums take numpy's pairwise path
     mix = cast_params(MixtureParams.create(toy_config(num_classes=150), Rng(21)), dtype)
     expert_logits, mixture_logits, gates = mixture_forward(toy_batch(dtype=dtype), mix)
-    g, (z0, z1, z2) = gates.data, [z.data for z in expert_logits]
+    g, (z0, z1, z2) = gates.data, expert_logits.data
     assert mixture_logits.dtype == dtype
     assert mixture_logits.data.tobytes() == (g[:, :1] * z0 + g[:, 1:2] * z1 + g[:, 2:] * z2).tobytes()
 
     gates = Tensor(g, requires_grad=True)
-    experts = [Tensor(z, requires_grad=True) for z in (z0, z1, z2)]
+    experts = Tensor(expert_logits.data, requires_grad=True)
     cot = Rng(22).normal(mixture_logits.shape, dtype=dtype)
     grads = gated_mixture(gates, experts).backward(cot)
-    for m, e in enumerate(experts):
-        assert grads[e].tobytes() == (cot * g[:, m:m + 1]).tobytes()
+    for m in range(3):
+        assert grads[experts][m].tobytes() == (cot * g[:, m:m + 1]).tobytes()
     rows = [(cot * z).sum(axis=1, keepdims=True) for z in (z0, z1, z2)]
     assert grads[gates].tobytes() == np.concatenate(rows, axis=1).tobytes()
 
@@ -295,8 +297,7 @@ def test_gates_sum_to_one_and_mixture_in_convex_hull():
     batch = toy_batch()
     expert_logits, mixture_logits, gates = mixture_forward(batch, mix, training=False)
     assert np.abs(gates.data.sum(axis=1) - 1.0).max() < 1e-6
-    stacked = np.stack([z.data for z in expert_logits])
-    lo, hi = stacked.min(axis=0), stacked.max(axis=0)
+    lo, hi = expert_logits.data.min(axis=0), expert_logits.data.max(axis=0)
     assert (mixture_logits.data >= lo - 1e-6).all()
     assert (mixture_logits.data <= hi + 1e-6).all()
 
@@ -349,3 +350,67 @@ def test_mixture_ignores_appended_padding():
         _, logits, gates = mixture_forward(batch, mix, training=False)
         assert np.abs(logits.data - base_logits.data).max() < 1e-6
         assert np.abs(gates.data - base_gates.data).max() < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# stacked experts against each expert alone
+# ---------------------------------------------------------------------------
+
+
+def expert_alone(stacked: ModelParams, i: int) -> ModelParams:
+    """Expert ``i`` of a model stacked on an expert axis, as a model of its own:
+    a copy of slice ``i`` of every tensor and buffer."""
+    alone = copy.deepcopy(stacked)
+    for _, owner, attr in alone.leaves():
+        value = getattr(owner, attr)
+        if isinstance(value, Tensor):
+            setattr(owner, attr, Tensor(value.data[i].copy()))
+        else:
+            setattr(owner, attr, value[i].copy())
+    return alone
+
+
+@pytest.mark.parametrize("audio_kind", ["nextvlad", "netvlad"])
+@pytest.mark.parametrize("training", [False, True])
+def test_stacked_experts_match_each_expert_run_alone(audio_kind, training):
+    # float64, padded videos of 1-5 frames, whitening, dropout and batch norm:
+    # every expert's logits, gradients and running moments must be what its
+    # slice gives alone, with the dropout words drawn in expert order
+    audio = (NeXtVladConfig(input_dim=3, clusters=2, hidden_dim=8, groups=3, expansion=2)
+             if audio_kind == "nextvlad" else NetVladConfig(input_dim=3, clusters=3, hidden_dim=8))
+    cfg = ModelConfig(video_dim=4, audio_dim=3, hidden_dim=8, se_ratio=2, num_classes=5,
+                      video_vlad=NeXtVladConfig(input_dim=4, clusters=3, hidden_dim=8, groups=2),
+                      audio_vlad=audio, dropout_rate=0.3, reverse_whitening=True)
+    eig = Eigenvalues(0.5 + Rng(30).uniform((4,)))
+    mix = cast_params(MixtureParams.create(cfg, Rng(31), eigenvalues=eig), np.float64)
+    ds = gen_synthetic(SyntheticSpec(num_videos=6, num_classes=5, visual_dim=4, audio_dim=3,
+                                     frames_min=1, frames_max=5, seed=32))
+    batch = make_batch(ds.records, 5, 5, dtype=np.float64)
+    cot = Rng(33).normal((3, 6, 5))
+
+    alone = [expert_alone(mix.experts, i) for i in range(3)]
+    named = mix.experts.leaf_parameters()
+    with ad.differentiating(named.values()):
+        logits = model_forward(batch, mix.experts, training, Rng(7))
+        grads = logits.backward(cot)
+    rng = Rng(7)
+    for i, expert in enumerate(alone):
+        own = expert.leaf_parameters()
+        with ad.differentiating(own.values()):
+            z = model_forward(batch, expert, training, rng)
+            own_grads = z.backward(cot[i])
+        assert np.abs(logits.data[i] - z.data).max() <= 1e-12
+        for name, t in named.items():
+            assert np.abs(grads[t][i] - own_grads[own[name]]).max() <= 1e-12, name
+        buffers = expert.named_buffers()
+        for name, buf in mix.experts.named_buffers().items():
+            assert np.abs(buf[i] - buffers[name]).max() <= 1e-12, name
+
+
+def test_stacked_experts_must_share_the_whitening_scale():
+    # the experts share the whitened frames, so a saved scale that differs
+    # between their slices cannot be honoured
+    mix = MixtureParams.create(toy_config(whitening=True), Rng(34), eigenvalues=Eigenvalues(np.ones(4)))
+    mix.experts.whiten_scale[1] *= 2
+    with pytest.raises(ValueError, match="whitening scales differ"):
+        mixture_forward(toy_batch(), mix)

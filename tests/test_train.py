@@ -54,9 +54,9 @@ def desk_train_config(**kw):
     return TrainConfig(**defaults)
 
 
-def fresh_state(seed=4, cfg=None):
-    params = ModelParams.create(cfg or desk_model_config(), Rng(derive_seed(seed, TAG_INIT)))
-    return TrainState.create(params)
+def fresh_state(seed=4, cfg=None, experts=1):
+    kind = MixtureParams if experts == 3 else ModelParams
+    return TrainState.create(kind.create(cfg or desk_model_config(), Rng(derive_seed(seed, TAG_INIT))))
 
 
 # ---------------------------------------------------------------------------
@@ -312,24 +312,33 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         assert np.array_equal(ckpt.tensors[f"adam.m.{name}"], arr)
 
 
-def test_resume_matches_uninterrupted_run(tmp_path):
+@pytest.mark.parametrize("experts", [1, 3])
+def test_resume_matches_uninterrupted_run(tmp_path, experts):
+    # a mixture saves each expert's slice under its own name and restacks on load
     ds = desk_dataset()
-    full_rows = train_loop(fresh_state(), ds, desk_train_config(max_steps=8), max_frames=5)
+    kd = {"loss": LossConfig(num_classes=5, temperature=3.0, kd_enabled=True)} if experts == 3 else {}
+    config = lambda steps: desk_train_config(max_steps=steps, **kd)  # noqa: E731
+    full = fresh_state(experts=experts)
+    full_rows = train_loop(full, ds, config(8), max_frames=5)
 
-    state = fresh_state()
-    head = train_loop(state, ds, desk_train_config(max_steps=4), max_frames=5)
+    state = fresh_state(experts=experts)
+    head = train_loop(state, ds, config(4), max_frames=5)
     path = tmp_path / "half.ckpt"
     save_checkpoint(state, path)
 
-    resumed = fresh_state(seed=999)  # different init: everything must come from the file
+    resumed = fresh_state(seed=999, experts=experts)  # different init: everything must come from the file
     apply_checkpoint(resumed, load_checkpoint(path))
     assert resumed.global_step == 4
-    tail = train_loop(resumed, ds, desk_train_config(max_steps=8), max_frames=5)
+    tail = train_loop(resumed, ds, config(8), max_frames=5)
 
     # the trajectory must be bit-identical; the gap column may differ because
     # each run also evaluates at its own final step
     trajectory = lambda rows: [(r.step, r.lr, r.loss, r.bce, r.kl) for r in rows]  # noqa: E731
     assert trajectory(head + tail) == trajectory(full_rows)
+    assert all(full_rows[i].kl != 0.0 for i in range(8)) == (experts == 3)
+    final = full.params.named_parameters()
+    for name, t in resumed.params.named_parameters().items():
+        assert t.data.tobytes() == final[name].data.tobytes(), name
 
 
 def test_failed_save_leaves_previous_checkpoint_intact(tmp_path):
