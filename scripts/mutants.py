@@ -38,6 +38,12 @@ KERNEL_TESTS = (
 
 STACKED_TESTS = ("tests/test_model.py::test_stacked_experts_match_each_expert_run_alone",)
 
+TRAIN = "src/nextvlad/train.py"
+ADAM_TESTS = (
+    "tests/test_train.py::test_adam_bytes_match_allocating_form",
+    "tests/test_train.py::test_adam_nan_past_the_first_block_names_tensor",
+)
+
 
 class Mutant(NamedTuple):
     name: str
@@ -145,6 +151,17 @@ MUTANTS = [
     Mutant("gated_mixture reads the (B, E) gates as (E, B)", "src/nextvlad/model.py",
            "ad.transpose(gates, (1, 0)).reshape((e, b, 1))", "gates.reshape((e, b, 1))",
            ("tests/test_model.py::test_stacked_combine_is_bit_exact_to_the_per_expert_sum",)),
+    # the blocked Adam pass over the parameter arena
+    Mutant("Adam skips the last partial block", TRAIN,
+           "for lo in range(0, n, ADAM_BLOCK):", "for lo in range(0, n - n % ADAM_BLOCK, ADAM_BLOCK):",
+           ADAM_TESTS),
+    Mutant("Adam's bias correction with t - 1", TRAIN,
+           "bias1 = 1.0 - ADAM_BETA1 ** t", "bias1 = 1.0 - ADAM_BETA1 ** (t - 1)", ADAM_TESTS),
+    Mutant("Adam copies a gradient past a block border one element early", TRAIN,
+           "max(s, lo) - s, min(e, hi) - s)", "max(s, lo) - s - (s < lo), min(e, hi) - s - (s < lo))",
+           ADAM_TESTS),
+    Mutant("a missing gradient left unzeroed in the scratch block", TRAIN,
+           "piece.fill(0)", "pass", ADAM_TESTS),
     # the two mutants that survived the suite before their tests came
     Mutant("mixture gate mean divides by all frames", "src/nextvlad/model.py",
            "return total * Tensor(1.0 / np.maximum(count, 1.0))", "return total * (1.0 / m)",

@@ -14,7 +14,9 @@ Conventions:
 * mixing dtypes between two tensors is an error; python scalars are cast
   to the tensor's dtype.
 * values are immutable once constructed; mutable state (batch-norm running
-  moments, RNG counters) lives outside the graph.
+  moments, RNG counters) lives outside the graph.  The one exception is a
+  trained parameter: Adam writes its array in place after ``backward``
+  returns, so a graph must not be reused across an optimizer step.
 """
 
 from __future__ import annotations

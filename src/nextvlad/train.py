@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -34,6 +34,7 @@ TAG_DROPOUT = 0xD0D0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 16  # elements per block of the Adam pass: its scratch stays in cache
 
 CHECKPOINT_MAGIC = b"CKPT"
 CHECKPOINT_VERSION = 1
@@ -83,44 +84,90 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Adam's moments over one flat arena that holds every parameter.
+
+    ``create`` copies the parameters into row 0 of ``arena`` and rebinds each
+    tensor's ``.data`` to its view there; rows 1 and 2 are the first and
+    second moments, and ``m`` / ``v`` map names to views of them.  Adam then
+    writes the parameters in place, so a tensor must keep its view.
+    """
+
+    m: dict
+    v: dict
+    views: dict  # name -> the parameter's view of arena row 0
+    arena: np.ndarray  # (3, n): parameters, m, v
+    blocks: list  # (start, stop, pieces): the (name, from, to) gradient slices that fill it, in order
+    scratch: np.ndarray  # (3, block): the gradient and two temporaries
     step: int = 0
 
     @staticmethod
     def create(named_params: dict) -> "AdamState":
-        return AdamState(
-            m={k: np.zeros_like(t.data) for k, t in named_params.items()},
-            v={k: np.zeros_like(t.data) for k, t in named_params.items()},
-        )
+        dtypes = {t.dtype for t in named_params.values()}
+        if len(dtypes) != 1:
+            raise ValueError(f"Adam's arena holds parameters of one dtype, got {sorted(map(str, dtypes))}")
+        n = sum(t.size for t in named_params.values())
+        arena = np.zeros((3, n), dtypes.pop())
+        views, m, v, spans, start = {}, {}, {}, [], 0
+        for name, t in named_params.items():
+            views[name], m[name], v[name] = (row[start:start + t.size].reshape(t.shape) for row in arena)
+            views[name][...] = t.data
+            t.data = views[name]
+            spans.append((name, start, start + t.size))
+            start += t.size
+        blocks = []
+        for lo in range(0, n, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, n)
+            blocks.append((lo, hi, [(name, max(s, lo) - s, min(e, hi) - s)
+                                    for name, s, e in spans if s < hi and lo < e]))
+        return AdamState(m, v, views, arena, blocks, np.empty((3, min(n, ADAM_BLOCK)), arena.dtype))
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update: the moments in place, each tensor's ``.data`` rebound.
+    """One bias-corrected Adam update, written in place into the arena.
 
     ``params`` maps names to tensors, ``grads`` names to arrays (missing or
-    None entries count as zero).  A NaN gradient aborts, naming the tensor.
+    None entries count as zero).  A NaN gradient aborts, naming the tensor, as
+    does a parameter whose ``.data`` is no longer its arena view.  The pass
+    walks the arena block by block: it copies the block's gradient into
+    scratch, then updates m, v and the parameters in place with the
+    operations of the plain per-tensor update, in its order, so the bytes
+    match it.
     """
+    flat = {}
+    for name, view in state.views.items():
+        if params[name].data is not view:
+            raise ValueError(f"parameter {name!r} was rebound: write into its .data, Adam owns the array")
+        g = grads.get(name)
+        if g is not None:
+            if g.shape != view.shape:
+                raise ValueError(f"gradient shape {g.shape} != param shape {view.shape} for {name!r}")
+            flat[name] = g.reshape(-1)
     state.step += 1
     t = state.step
     bias1 = 1.0 - ADAM_BETA1 ** t
     bias2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        if np.isnan(g).any():
-            raise ValueError(f"NaN gradient for tensor {name!r}")
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.data.shape} for {name!r}")
-        m = state.m[name]
-        v = state.v[name]
+    for lo, hi, pieces in state.blocks:
+        g, a, b = state.scratch[:, :hi - lo]
+        at = 0
+        for name, start, stop in pieces:
+            piece = g[at:at + stop - start]
+            at += stop - start
+            if name not in flat:
+                piece.fill(0)
+            else:
+                piece[...] = flat[name][start:stop]
+                if np.isnan(np.dot(piece, piece)):  # a sum of squares is NaN only where an element is
+                    raise ValueError(f"NaN gradient for tensor {name!r}")
+        p, m, v = state.arena[:, lo:hi]
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        step = lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-        p.data = p.data - step.astype(p.data.dtype, copy=False)
+        np.multiply(g, g, out=a)
+        v += np.multiply(a, 1.0 - ADAM_BETA2, out=a)
+        np.sqrt(np.divide(v, bias2, out=a), out=a)
+        a += ADAM_EPS
+        np.multiply(np.divide(m, bias1, out=b), lr, out=b)
+        p -= np.divide(b, a, out=b)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +286,7 @@ def train_loop(
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.max_steps if cfg.max_steps > 0 else cfg.epochs * steps_per_epoch
     gap_source = eval_dataset if eval_dataset is not None else dataset
-    # Adam rebinds each tensor's .data, never the tensors: enumerate once
+    # Adam writes each tensor's arena view in place, never rebinds it: enumerate once
     named = state.params.leaf_parameters()
 
     rows: list[LogRow] = []
@@ -359,18 +406,7 @@ def apply_checkpoint(state: TrainState, ckpt: Checkpoint) -> None:
             raise ValueError(
                 f"checkpoint tensor {name!r} is {arr.dtype}{arr.shape}, "
                 f"expected {target.dtype}{target.shape}")
-    params = state.params
-
-    def stacked(prefix, name, like):  # the saved slices of one walk-named array, restacked
-        parts = [ckpt.tensors[prefix + saved] for saved in params.unstack({name: like})]
-        return np.stack(parts) if like.ndim > parts[0].ndim else parts[0].copy()
-
-    for name, t in params.leaf_parameters().items():
-        t.data = stacked("", name, t.data)
-    for name, buf in params.named_buffers().items():  # views into the stacked buffers
-        buf[...] = ckpt.tensors[name]
-    for name, m in state.adam.m.items():
-        state.adam.m[name] = stacked("adam.m.", name, m)
-        state.adam.v[name] = stacked("adam.v.", name, m)
+    for name, target in expected.items():  # views into the arena and the buffers
+        target[...] = ckpt.tensors[name]
     state.adam.step = ckpt.adam_step
     state.global_step = ckpt.global_step

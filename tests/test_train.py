@@ -14,6 +14,7 @@ from nextvlad.rng import Rng, derive_seed
 from nextvlad.train import (
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_BLOCK,
     ADAM_EPS,
     TAG_INIT,
     AdamState,
@@ -124,19 +125,42 @@ def adam_reference(p, g, m, v, t, lr):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_bytes_match_allocating_form(dtype):
+    # the second set spans a full block and a partial one, "mid" straddling
+    # their border; "mid" has no gradient on even steps
     rng = Rng(60)
-    shapes = {"small": (3,), "big": (40, 30), "mid": (7, 5)}
-    params = {k: Tensor(rng.normal(s).astype(dtype), requires_grad=True) for k, s in shapes.items()}
-    ref = {k: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)) for k, t in params.items()}
+    for shapes in ({"small": (3,), "big": (40, 30), "mid": (7, 5)},
+                   {"small": (3,), "big": (ADAM_BLOCK - 20,), "mid": (7, 5), "last": (300, 4)}):
+        params = {k: Tensor(rng.normal(s).astype(dtype), requires_grad=True) for k, s in shapes.items()}
+        ref = {k: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)) for k, t in params.items()}
+        state = AdamState.create(params)
+        for t in range(1, 6):
+            grads = {k: (rng.normal(s) * 10 ** (t - 3)).astype(dtype) for k, s in shapes.items()}
+            if t % 2 == 0:
+                grads["mid"] = None
+            lr = 1e-3 * 0.8 ** t
+            adam_step(params, grads, state, lr)
+            for k, (p, m, v) in ref.items():
+                g = np.zeros_like(p) if grads[k] is None else grads[k]
+                ref[k] = (adam_reference(p, g, m, v, t, lr), m, v)
+                assert params[k].data.tobytes() == ref[k][0].tobytes(), (k, t)
+                assert state.m[k].tobytes() == m.tobytes() and state.v[k].tobytes() == v.tobytes()
+
+
+def test_adam_nan_past_the_first_block_names_tensor():
+    params = {name: Tensor(np.zeros(ADAM_BLOCK - 1), requires_grad=True) for name in ("first", "second")}
+    grads = {name: np.ones(ADAM_BLOCK - 1) for name in params}
+    grads["second"][-1] = np.nan
+    with pytest.raises(ValueError, match="NaN gradient for tensor 'second'"):
+        adam_step(params, grads, AdamState.create(params), 0.1)
+
+
+def test_adam_rejects_a_rebound_parameter():
+    params = {name: Tensor(np.zeros(3), requires_grad=True) for name in ("kept", "rebound")}
     state = AdamState.create(params)
-    for t in range(1, 6):
-        grads = {k: (rng.normal(s) * 10 ** (t - 3)).astype(dtype) for k, s in shapes.items()}
-        lr = 1e-3 * 0.8 ** t
-        adam_step(params, grads, state, lr)
-        for k, (p, m, v) in ref.items():
-            ref[k] = (adam_reference(p, grads[k], m, v, t, lr), m, v)
-            assert params[k].data.tobytes() == ref[k][0].tobytes()
-            assert state.m[k].tobytes() == m.tobytes() and state.v[k].tobytes() == v.tobytes()
+    params["kept"].data[...] = 1.0  # writing into the view is allowed
+    params["rebound"].data = np.ones(3)
+    with pytest.raises(ValueError, match="'rebound' was rebound"):
+        adam_step(params, {}, state, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +363,19 @@ def test_resume_matches_uninterrupted_run(tmp_path, experts):
     final = full.params.named_parameters()
     for name, t in resumed.params.named_parameters().items():
         assert t.data.tobytes() == final[name].data.tobytes(), name
+
+
+@pytest.mark.parametrize("experts", [1, 3])
+def test_apply_checkpoint_writes_into_the_arena(tmp_path, experts):
+    state = fresh_state(experts=experts)
+    train_loop(state, desk_dataset(), desk_train_config(max_steps=2), max_frames=5)
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(state, path)
+    resumed = fresh_state(seed=999, experts=experts)
+    apply_checkpoint(resumed, load_checkpoint(path))
+    for name, t in resumed.params.leaf_parameters().items():
+        assert t.data is resumed.adam.views[name], name
+    assert resumed.adam.arena.tobytes() == state.adam.arena.tobytes()
 
 
 def test_failed_save_leaves_previous_checkpoint_intact(tmp_path):
