@@ -44,6 +44,12 @@ ADAM_TESTS = (
     "tests/test_train.py::test_adam_nan_past_the_first_block_names_tensor",
 )
 
+DATA = "src/nextvlad/data.py"
+BATCH_TESTS = (
+    "tests/test_data.py::test_gathered_batches_match_per_record_padding",
+    "tests/test_data.py::test_non_finite_frame_is_found_once_and_counted_within_max_frames",
+)
+
 
 class Mutant(NamedTuple):
     name: str
@@ -162,6 +168,19 @@ MUTANTS = [
            ADAM_TESTS),
     Mutant("a missing gradient left unzeroed in the scratch block", TRAIN,
            "piece.fill(0)", "pass", ADAM_TESTS),
+    # batches gathered from the packed frame store
+    Mutant("padding reads the last frame, not the zero row", DATA,
+           "starts[:, None] + steps, store.offsets[-1])", "starts[:, None] + steps, store.offsets[-1] - 1)",
+           BATCH_TESTS),
+    Mutant("lengths not clamped to max_frames", DATA,
+           "lengths = np.minimum(store.offsets[idx + 1] - starts, max_frames)",
+           "lengths = store.offsets[idx + 1] - starts", BATCH_TESTS),
+    Mutant("label CSR positions not rebased to each video's first label", DATA,
+           "np.repeat(label_starts - np.cumsum(counts) + counts, counts)",
+           "np.repeat(label_starts, counts)", BATCH_TESTS),
+    Mutant("first bad frame counted from the store's start, not the video's", DATA,
+           "np.minimum.at(first_bad, owner, bad - offsets[owner])", "np.minimum.at(first_bad, owner, bad)",
+           BATCH_TESTS),
     # the two mutants that survived the suite before their tests came
     Mutant("mixture gate mean divides by all frames", "src/nextvlad/model.py",
            "return total * Tensor(1.0 / np.maximum(count, 1.0))", "return total * (1.0 / m)",

@@ -580,11 +580,11 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def _fw_sigmoid(a):
-    # two-branch form: never exponentiates a positive argument; min(a, -a)
-    # rather than -|a| keeps the sign bit of a NaN input
+    # two-branch form: never exponentiates a positive argument; min(a, -a) rather than -|a|
+    # keeps a NaN's sign bit.  As e <= 1, max(e, a >= 0) is 1 where a >= 0 and e elsewhere
     e = np.exp(np.minimum(a, -a))
     d = 1.0 + e
-    return np.where(a >= 0, 1.0 / d, e / d)
+    return np.maximum(e, a >= 0) / d
 
 
 SIGMOID = Primitive("sigmoid", _fw_sigmoid, lambda g, out, a, needs: (g * out * (1.0 - out),))

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -63,10 +63,15 @@ class VideoRecord:
 
 @dataclass
 class Dataset:
+    """Records and the ``FrameStore`` batches are gathered from.  ``read_dataset``
+    reads frames straight into the store, so records hold views of it; a dataset
+    built from records packs a copy on its first batch.  Write frames in place."""
+
     records: list
     num_classes: int
     visual_dim: int
     audio_dim: int
+    store: Optional["FrameStore"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for r in self.records:
@@ -78,6 +83,43 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def rows(self, index) -> "Rows":
+        self.store = self.store or FrameStore.of(self.records, (self.visual_dim, self.audio_dim))
+        return Rows(self.store, np.asarray(index))
+
+
+class FrameStore(NamedTuple):
+    """Records packed in order (``of`` copies them, unless given them packed): record i
+    is rows ``offsets[i]:offsets[i + 1]`` of each (F + 1, N) float32 array of ``frames``
+    (visual, audio; the last row is zeros) and ``label_offsets[i]:label_offsets[i + 1]``
+    of ``label_ids``.  ``first_bad[i]`` is its first frame with a NaN or inf, else its length."""
+
+    records: list
+    frames: tuple
+    offsets: np.ndarray
+    label_offsets: np.ndarray
+    label_ids: np.ndarray
+    first_bad: np.ndarray
+
+    @staticmethod
+    def of(records: list, dims: tuple, frames: Optional[tuple] = None) -> "FrameStore":
+        frames = frames or tuple(np.concatenate([getattr(r, s) for r in records] + [np.zeros((1, n), "<f4")])
+                                 for s, n in zip(("visual", "audio"), dims))
+        offsets = np.cumsum([0] + [r.num_frames for r in records])
+        # max and min are finite only where every value is, and unlike isfinite need no (F, N) temporary
+        bad = np.flatnonzero(~np.all([np.isfinite(a[:-1].max(axis=1, initial=0))
+                                      & np.isfinite(a[:-1].min(axis=1, initial=0)) for a in frames], axis=0))
+        owner = np.searchsorted(offsets, bad, side="right") - 1
+        first_bad = np.diff(offsets)
+        np.minimum.at(first_bad, owner, bad - offsets[owner])
+        return FrameStore(records, frames, offsets, np.cumsum([0] + [r.labels.size for r in records]),
+                          np.concatenate([r.labels for r in records] + [np.zeros(0, np.uint32)]), first_bad)
+
+
+class Rows(NamedTuple):  # records ``index`` of a store, in that order: a batch for make_batch
+    store: FrameStore
+    index: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +157,12 @@ class _Reader:
         self.left -= n
         return buf
 
+    def skip(self, n: int) -> None:
+        if n > self.left:
+            raise ValueError(f"{self.path}: truncated file (wanted {n} bytes, {self.left} left)")
+        self.f.seek(n, os.SEEK_CUR)
+        self.left -= n
+
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
@@ -128,6 +176,7 @@ class _Reader:
 
 
 def read_dataset(path) -> Dataset:
+    """Frames go straight into the store, in a second pass after every length is checked."""
     with open(path, "rb") as f:
         r = _Reader(f, path)
         if r.take(4) != DATASET_MAGIC:
@@ -135,7 +184,7 @@ def read_dataset(path) -> Dataset:
         version, num_videos, visual_dim, audio_dim, num_classes = r.unpack("<IIIII")
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        records = []
+        heads = []  # (video id, labels, frame count, file position of its frames)
         for i in range(num_videos):
             (id_len,) = r.unpack("<H")
             video_id = r.text(id_len, f"video id of record {i}")
@@ -146,18 +195,23 @@ def read_dataset(path) -> Dataset:
                     f"{path}: record {video_id!r} has label {int(labels.max())} "
                     f">= num_classes {num_classes}")
             (m,) = r.unpack("<I")
-            visual = np.frombuffer(r.take(4 * m * visual_dim), dtype="<f4")
-            audio = np.frombuffer(r.take(4 * m * audio_dim), dtype="<f4")
-            records.append(VideoRecord(
-                video_id=video_id,
-                labels=labels,
-                visual=visual.reshape(m, visual_dim).copy(),
-                audio=audio.reshape(m, audio_dim).copy(),
-            ))
+            if m < 1 or visual_dim + audio_dim < 1:  # else the frames would not bound the store
+                raise ValueError(f"{path}: record {video_id!r}: {m} frames of {visual_dim + audio_dim} values")
+            heads.append((video_id, labels, m, f.tell()))
+            r.skip(4 * m * (visual_dim + audio_dim))
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after last record")
-    return Dataset(records=records, num_classes=num_classes,
-                   visual_dim=visual_dim, audio_dim=audio_dim)
+        offsets = np.cumsum([0] + [m for _, _, m, _ in heads])
+        frames = tuple(np.zeros((offsets[-1] + 1, n), "<f4") for n in (visual_dim, audio_dim))
+        records = []
+        for (video_id, labels, m, pos), at in zip(heads, offsets):
+            f.seek(pos)
+            visual, audio = (a[at:at + m] for a in frames)
+            if f.readinto(visual) + f.readinto(audio) != visual.nbytes + audio.nbytes:
+                raise ValueError(f"{path}: truncated file (record {video_id!r} changed under the read)")
+            records.append(VideoRecord(video_id=video_id, labels=labels, visual=visual, audio=audio))
+    return Dataset(records=records, num_classes=num_classes, visual_dim=visual_dim, audio_dim=audio_dim,
+                   store=FrameStore.of(records, (visual_dim, audio_dim), frames))
 
 
 # ---------------------------------------------------------------------------
@@ -252,33 +306,39 @@ class Batch:
     video_ids: list
 
 
-def make_batch(records, max_frames: int, num_classes: int, dtype=np.float32) -> Batch:
-    """Pad (or truncate) records to ``max_frames`` and build masks/labels."""
-    if not records:
+def make_batch(selection, max_frames: int, num_classes: int, dtype=np.float32) -> Batch:
+    """Pad (or truncate) to ``max_frames``, with masks and labels.  ``selection`` is
+    ``dataset.rows(index)``, one ``take`` per stream from the store (padding reads
+    its zero row; frames reach it as ``Dataset`` says), or a list of records,
+    packed on the spot.  A NaN or inf within ``max_frames`` names the video."""
+    if not isinstance(selection, Rows):
+        dims = (selection[0].visual.shape[1], selection[0].audio.shape[1]) if selection else (0, 0)
+        selection = Rows(FrameStore.of(selection, dims), np.arange(len(selection)))
+    store, idx = selection
+    if not idx.size:
         raise ValueError("empty batch")
-    b = len(records)
-    visual_dim = records[0].visual.shape[1]
-    audio_dim = records[0].audio.shape[1]
-    visual = np.zeros((b, max_frames, visual_dim), dtype=dtype)
-    audio = np.zeros((b, max_frames, audio_dim), dtype=dtype)
-    lengths = np.zeros(b, dtype=np.int64)
-    labels = np.zeros((b, num_classes), dtype=dtype)
-    for i, r in enumerate(records):
-        m = min(r.num_frames, max_frames)
-        lengths[i] = m
-        visual[i, :m] = r.visual[:m]
-        audio[i, :m] = r.audio[:m]
-        labels[i, r.labels] = 1.0
-    for stream, frames in (("visual", visual), ("audio", audio)):
-        if not np.isfinite(frames).all():
-            i = int(np.flatnonzero(~np.isfinite(frames).reshape(b, -1).all(axis=1))[0])
-            kind = "NaN" if np.isnan(frames[i]).any() else "infinite"
-            raise ValueError(f"video {records[i].video_id!r}: {kind} value in {stream} frames")
+    starts = store.offsets[idx]
+    lengths = np.minimum(store.offsets[idx + 1] - starts, max_frames)
+    steps = np.arange(max_frames)
+    at = np.where(steps < lengths[:, None], starts[:, None] + steps, store.offsets[-1])
+    visual, audio = (a.take(at, axis=0).astype(dtype, copy=False) for a in store.frames)
+    bad = np.flatnonzero(store.first_bad[idx] < lengths)
+    if bad.size:
+        i = bad[0]
+        stream, frames = ("visual", visual[i]) if not np.isfinite(visual[i]).all() else ("audio", audio[i])
+        kind = "NaN" if np.isnan(frames).any() else "infinite"
+        raise ValueError(f"video {store.records[idx[i]].video_id!r}: {kind} value in {stream} frames")
+    label_starts = store.label_offsets[idx]
+    counts = store.label_offsets[idx + 1] - label_starts
+    # positions in label_ids: each video's start, less its first place among the batch's labels
+    flat = np.repeat(label_starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    labels = np.zeros((idx.size, num_classes), dtype=dtype)
+    labels[np.repeat(np.arange(idx.size), counts), store.label_ids[flat]] = 1.0
     return Batch(
         video=FrameBatchView.from_lengths(visual, lengths),
         audio=FrameBatchView.from_lengths(audio, lengths),
         labels=Tensor(labels),
-        video_ids=[r.video_id for r in records],
+        video_ids=[store.records[i].video_id for i in idx],
     )
 
 

@@ -188,7 +188,7 @@ def predict(params, dataset: Dataset, max_frames: int, batch_size: int = 64) -> 
     k = min(MAX_PREDICTIONS, dataset.num_classes)
     for start in range(0, len(dataset.records), batch_size):
         chunk = dataset.records[start:start + batch_size]
-        batch = make_batch(chunk, max_frames, dataset.num_classes)
+        batch = make_batch(dataset.rows(range(start, start + len(chunk))), max_frames, dataset.num_classes)
         scores = ad.sigmoid(predict_logits(params, batch)).data
         classes, confs = topk_predictions(scores, k)
         preds.append(batch.video_ids, [r.labels for r in chunk], k, classes.reshape(-1), confs.reshape(-1))
@@ -299,7 +299,7 @@ def train_loop(
             perm = Rng(derive_seed(cfg.seed, TAG_SHUFFLE, epoch)).permutation(n)
             cached_epoch = epoch
         idx = perm[pos * cfg.batch_size:(pos + 1) * cfg.batch_size]
-        batch = make_batch([records[i] for i in idx], max_frames, dataset.num_classes)
+        batch = make_batch(dataset.rows(idx), max_frames, dataset.num_classes)
 
         row = _train_step(state, named, batch, cfg)
         if row.step % (cfg.eval_every or steps_per_epoch) == 0 or row.step == total_steps:

@@ -141,6 +141,25 @@ def test_sigmoid_propagates_nan():
     assert np.isnan(ad.sigmoid(Tensor([np.nan])).data[0])
 
 
+def sigmoid_where(a):
+    """The two-branch sigmoid as an explicit select, the reference."""
+    e = np.exp(np.minimum(a, -a))
+    d = 1.0 + e
+    return np.where(a >= 0, 1.0 / d, e / d)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bytes_match_the_select_form(dtype):
+    special = np.array([0.0, -0.0, 1e-45, -1e-45, 1.0, -1.0, 88.0, -88.0, 750.0, -750.0,
+                        np.inf, -np.inf, np.nan, -np.nan], dtype=dtype)
+    random = (Rng(7).normal((3, 64, 128)) * 10).astype(dtype)
+    for a in (special, random):
+        got = ad.sigmoid(Tensor(a)).data
+        want = sigmoid_where(a)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_bce_matches_log1p_exp():
     # one logit per call, so the loss is log(1 + e^z) - z*y of that logit alone
     for z in Rng(3).normal((50,)) * 10:

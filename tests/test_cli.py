@@ -439,6 +439,18 @@ def test_scoring_overflow_names_dataset_and_checkpoint(tmp_path, tiny_dataset, c
         assert err.startswith(f"error: {huge} scored by {ckpt}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("stream,value", [("visual", np.nan), ("audio", np.inf)])
+def test_non_finite_frame_fails_at_read_naming_file_and_video(tmp_path, tiny_dataset, capsys, stream, value):
+    dataset = read_dataset(tiny_dataset)
+    getattr(dataset.records[5], stream)[-1, 0] = value  # the last frame: past any max_frames cut
+    bad = tmp_path / "bad.fav"
+    write_dataset(dataset, bad)
+    capsys.readouterr()
+    assert main(["train", "--dataset", str(bad), "--out", str(tmp_path / "run")] + TINY) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: video {dataset.records[5].video_id!r} has a non-finite frame value\n")
+
+
 def test_training_overflow_names_dataset_and_step(tmp_path, tiny_dataset, capsys):
     dataset = read_dataset(tiny_dataset)
     dataset.records[0].visual[0, 0] = 3e30

@@ -138,6 +138,17 @@ def test_record_needs_a_frame():
                     audio=np.zeros((0, 2), dtype=np.float32))
 
 
+@pytest.mark.parametrize("dims,frames", [((2, 1), 0), ((HUGE, HUGE), 0), ((0, 0), HUGE)])
+def test_file_record_without_frame_values_names_the_file(tmp_path, dims, frames):
+    # rejected before the store is sized: no frame count or dim of a corrupt header allocates
+    path = tmp_path / "no_frames.fav"
+    record = struct.pack("<H", 1) + b"v" + struct.pack("<II", 0, frames)
+    path.write_bytes(b"FAV1" + struct.pack("<IIIII", 1, 1, *dims, 3) + record)
+    with pytest.raises(ValueError, match=f"'v': {frames} frames of {sum(dims)} values") as err:
+        read_dataset(path)
+    assert str(path) in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 # ---------------------------------------------------------------------------
@@ -337,6 +348,91 @@ def test_non_finite_frames_rejected_naming_video(stream, value, word):
 def test_empty_batch_rejected():
     with pytest.raises(ValueError, match="empty"):
         make_batch([], 4, 2)
+    with pytest.raises(ValueError, match="empty"):
+        make_batch(small_dataset().rows([]), 4, 2)
+
+
+def batch_by_record(records, max_frames, num_classes, dtype):
+    """Each record copied into zero-padded arrays one at a time, the reference."""
+    b = len(records)
+    visual = np.zeros((b, max_frames, records[0].visual.shape[1]), dtype)
+    audio = np.zeros((b, max_frames, records[0].audio.shape[1]), dtype)
+    lengths = np.zeros(b, np.int64)
+    labels = np.zeros((b, num_classes), dtype)
+    for i, r in enumerate(records):
+        m = min(r.num_frames, max_frames)
+        lengths[i] = m
+        visual[i, :m] = r.visual[:m]
+        audio[i, :m] = r.audio[:m]
+        labels[i, r.labels] = 1.0
+    return visual, audio, lengths, labels
+
+
+def assert_batch_is(batch, records, max_frames, num_classes, dtype):
+    visual, audio, lengths, labels = batch_by_record(records, max_frames, num_classes, dtype)
+    for got, want in ((batch.video.frames.data, visual), (batch.audio.frames.data, audio),
+                      (batch.video.lengths, lengths), (batch.audio.lengths, lengths),
+                      (batch.labels.data, labels)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert batch.video_ids == [r.video_id for r in records]
+
+
+@pytest.fixture
+def stored(tmp_path):
+    """A FAV1 round trip of 23 videos of 1-6 frames; video 4 has no labels."""
+    ds = gen_synthetic(SyntheticSpec(num_videos=23, num_classes=6, visual_dim=5, audio_dim=3,
+                                     frames_min=1, frames_max=6, labels_min=1, labels_max=3,
+                                     seed=12))
+    ds.records[4].labels = np.zeros(0, np.uint32)
+    path = tmp_path / "stored.fav"
+    write_dataset(ds, path)
+    return read_dataset(path)
+
+
+@pytest.mark.parametrize("source", ["read", "records", "slice"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gathered_batches_match_per_record_padding(stored, source, dtype):
+    if source == "read":
+        ds = stored
+    else:  # built from records: packs a copy on its first batch
+        records = stored.records if source == "records" else stored.records[7:19]
+        ds = Dataset(records, stored.num_classes, stored.visual_dim, stored.audio_dim)
+    rng = Rng(31)
+    selections = [np.arange(len(ds)), np.array([4]), np.array([len(ds) - 1, 0])]
+    selections += [rng.permutation(len(ds))[:int(rng.integers(1, len(ds))[0]) + 1] for _ in range(6)]
+    for idx in selections:
+        for max_frames in (1, 3, 6, 9):  # 1 and 3 truncate, 9 pads every video
+            batch = make_batch(ds.rows(idx), max_frames, ds.num_classes, dtype)
+            assert_batch_is(batch, [ds.records[i] for i in idx], max_frames, ds.num_classes, dtype)
+    listed = [ds.records[i] for i in selections[-1]]
+    assert_batch_is(make_batch(listed, 4, ds.num_classes, dtype), listed, 4, ds.num_classes, dtype)
+
+
+def test_read_records_are_views_of_the_store(stored):
+    store = stored.store
+    assert all(np.shares_memory(r.visual, store.frames[0]) and np.shares_memory(r.audio, store.frames[1])
+               for r in stored.records)
+    assert not store.frames[0][-1].any() and not store.frames[1][-1].any()
+    # frames written in place reach the next batch
+    stored.records[2].visual[1, 0] = 7.5
+    assert make_batch(stored.rows([5, 2]), 4, stored.num_classes).video.frames.data[1, 1, 0] == 7.5
+
+
+@pytest.mark.parametrize("stream,value,word", [("visual", np.nan, "NaN"),
+                                               ("audio", -np.inf, "infinite")])
+def test_non_finite_frame_is_found_once_and_counted_within_max_frames(tmp_path, stream, value, word):
+    ds = small_dataset(seed=5, videos=9)
+    long = max(range(1, len(ds)), key=lambda i: ds.records[i].num_frames)  # not the store's first
+    m = ds.records[long].num_frames
+    getattr(ds.records[long], stream)[m - 1, 1] = value
+    path = tmp_path / "bad.fav"
+    write_dataset(ds, path)
+    for source in (read_dataset(path), ds):
+        others = [i for i in range(len(ds)) if i != long][:3]
+        make_batch(source.rows(others + [long]), m - 1, ds.num_classes)  # cut off: never seen
+        with pytest.raises(ValueError, match=f"{ds.records[long].video_id}.*{word}.*{stream}"):
+            make_batch(source.rows(others + [long]), m, ds.num_classes)
 
 
 # ---------------------------------------------------------------------------
