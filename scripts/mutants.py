@@ -45,6 +45,12 @@ ADAM_TESTS = (
 )
 
 DATA = "src/nextvlad/data.py"
+VLAD = "src/nextvlad/vlad.py"
+MODEL = "src/nextvlad/model.py"
+ORACLE_TESTS = (
+    "tests/test_vlad.py::test_nextvlad_matches_reference_oracle",
+    "tests/test_acceptance.py::test_criterion_3_oracle_equivalence",
+)
 BATCH_TESTS = (
     "tests/test_data.py::test_gathered_batches_match_per_record_padding",
     "tests/test_data.py::test_non_finite_frame_is_found_once_and_counted_within_max_frames",
@@ -74,9 +80,14 @@ MUTANTS = [
            "agg -= (np.ones(w.shape[-2], w.dtype) @ w)", "agg += (np.ones(w.shape[-2], w.dtype) @ w)",
            KERNEL_TESTS),
     Mutant("packed features scattered to the first rows", AUTODIFF,
-           "agg = w.swapaxes(-1, -2) @ _padded(feats, rows, shape)",
-           "agg = w.swapaxes(-1, -2) @ _padded(feats, np.arange(len(rows)), shape)",
+           "padded = _padded(feats, rows, shape)", "padded = _padded(feats, np.arange(len(rows)), shape)",
            KERNEL_TESTS),
+    Mutant("the VJP reads features scattered to the first rows, not the saved ones", AUTODIFF,
+           '"padded": padded}', '"padded": _padded(feats, np.arange(len(rows)), shape)}', KERNEL_TESTS),
+    Mutant("residual_aggregate accepts a repeated row", AUTODIFF,
+           "(np.diff(rows) <= 0).any()", "(np.diff(rows) < 0).any()",
+           ("tests/test_autodiff.py::"
+            "test_residual_aggregate_rejects_rows_that_are_not_strictly_increasing_places",)),
     # the assignment kernel, VJP
     Mutant("anchor gradient with the wrong sign", AUTODIFF,
            "d_anchors = -(wsum", "d_anchors = (wsum", KERNEL_TESTS),
@@ -90,24 +101,11 @@ MUTANTS = [
            "dw = _to_rows(dw.reshape(a.shape[:r] + (b * m, g, k)), np.arange(len(rows)), r)",
            KERNEL_TESTS),
     Mutant("full rows come back reversed", AUTODIFF,
-           "    if len(rows) == padded_rows:\n        return x\n",
-           "    if len(rows) == padded_rows:\n        return x[::-1]\n", KERNEL_TESTS),
-    Mutant("NetVLAD ignores its mask", "src/nextvlad/vlad.py",
-           "view.mask.reshape((b * m, 1)), np.arange(b * m)",
-           "Tensor(np.ones((b * m, 1), view.frames.dtype)), np.arange(b * m)",
-           ("tests/test_vlad.py::test_netvlad_all_masked_descriptor_is_zero",
-            "tests/test_vlad.py::test_netvlad_matches_loop_oracle")),
+           "        x = out\n", "        x = out\n    else:\n        x = x[..., ::-1, :, :]\n", KERNEL_TESTS),
     Mutant("softmax shifted by the max over the first axis", AUTODIFF,
            "e = np.exp(a - a.max(axis=axis, keepdims=True))",
            "e = np.exp(a - a.max(axis=0, keepdims=True))",
            ("tests/test_autodiff.py::test_softmax_bytes_match_reduce_max_form",)),
-    # take_rows
-    Mutant("take_rows accepts a repeated row", AUTODIFF,
-           "(np.diff(rows) <= 0).any()", "(np.diff(rows) < 0).any()",
-           ("tests/test_autodiff.py::test_take_rows_rejects_rows_that_are_not_strictly_increasing_places",)),
-    Mutant("take_rows scatters its gradient to the first rows", AUTODIFF,
-           "(_to_padded(g, rows, a.shape[0]),)", "(_to_padded(g, np.arange(len(rows)), a.shape[0]),)",
-           ("tests/test_autodiff.py::test_take_rows_gathers_and_scatters_back",)),
     # l2_normalize
     Mutant("l2_normalize VJP projects on the input, not the output", AUTODIFF,
            "da = (g - out * _row_dot(g, out, axis)) / denom",
@@ -154,7 +152,7 @@ MUTANTS = [
            "keep = (rng.uniform(x.shape) >= rate)",
            "keep = (np.moveaxis(rng.uniform(x.shape[1:] + x.shape[:1]), -1, 0) >= rate)",
            STACKED_TESTS),
-    Mutant("gated_mixture reads the (B, E) gates as (E, B)", "src/nextvlad/model.py",
+    Mutant("gated_mixture reads the (B, E) gates as (E, B)", MODEL,
            "ad.transpose(gates, (1, 0)).reshape((e, b, 1))", "gates.reshape((e, b, 1))",
            ("tests/test_model.py::test_stacked_combine_is_bit_exact_to_the_per_expert_sum",)),
     # the blocked Adam pass over the parameter arena
@@ -168,22 +166,28 @@ MUTANTS = [
            ADAM_TESTS),
     Mutant("a missing gradient left unzeroed in the scratch block", TRAIN,
            "piece.fill(0)", "pass", ADAM_TESTS),
-    # batches gathered from the packed frame store
-    Mutant("padding reads the last frame, not the zero row", DATA,
-           "starts[:, None] + steps, store.offsets[-1])", "starts[:, None] + steps, store.offsets[-1] - 1)",
-           BATCH_TESTS),
+    # batches gathered from the packed frame store, and the packed rows' places
+    Mutant("packed rows read one frame late, past each video's end", DATA,
+           "at = _ranges(starts, lengths)", "at = _ranges(starts + 1, lengths)", BATCH_TESTS),
     Mutant("lengths not clamped to max_frames", DATA,
            "lengths = np.minimum(store.offsets[idx + 1] - starts, max_frames)",
            "lengths = store.offsets[idx + 1] - starts", BATCH_TESTS),
-    Mutant("label CSR positions not rebased to each video's first label", DATA,
-           "np.repeat(label_starts - np.cumsum(counts) + counts, counts)",
-           "np.repeat(label_starts, counts)", BATCH_TESTS),
+    Mutant("ranges not rebased to each range's first place", DATA,
+           "np.repeat(starts - np.cumsum(counts) + counts, counts)",
+           "np.repeat(starts, counts)", BATCH_TESTS),
     Mutant("first bad frame counted from the store's start, not the video's", DATA,
            "np.minimum.at(first_bad, owner, bad - offsets[owner])", "np.minimum.at(first_bad, owner, bad)",
            BATCH_TESTS),
+    Mutant("packed rows placed from the grid's start", VLAD,
+           "np.flatnonzero(np.arange(self.max_frames) < self.lengths[:, None])",
+           "np.arange(self.lengths.sum())", ORACLE_TESTS),
+    Mutant("an empty video's gate mean takes the next video's first frame", MODEL,
+           "frames[lo:hi].sum(axis=0)", "frames[lo:max(hi, lo + 1)].sum(axis=0)",
+           ("tests/test_model.py::test_gate_mean_of_a_video_without_frames_is_zero",)),
     # the two mutants that survived the suite before their tests came
-    Mutant("mixture gate mean divides by all frames", "src/nextvlad/model.py",
-           "return total * Tensor(1.0 / np.maximum(count, 1.0))", "return total * (1.0 / m)",
+    Mutant("mixture gate mean divides by all frames", MODEL,
+           "(1.0 / np.maximum(view.lengths, 1).astype(frames.dtype))[:, None]",
+           "frames.dtype.type(1.0 / view.max_frames)",
            ("tests/test_model.py::test_mixture_ignores_appended_padding",)),
     Mutant("running variance with swapped momentum", AUTODIFF,
            "self.running_var = m * self.running_var + (1.0 - m) * batch_var",

@@ -332,21 +332,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return apply(AFFINE, x, w, b)
 
 
-def _check_rows(name, rows, limit):
-    if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size and (
-            rows[0] < 0 or rows[-1] >= limit or (np.diff(rows) <= 0).any()):
-        raise ValueError(f"{name}: rows must be 1-d integers increasing strictly in [0, {limit})")
-
-
-def _to_padded(x, rows, padded_rows, axis=0):
-    # packed rows (T along ``axis``) scattered into zeros; no copy when they cover all
-    if len(rows) == padded_rows:
-        return x
-    out = np.zeros(x.shape[:axis] + (padded_rows,) + x.shape[axis + 1:], dtype=x.dtype)
-    out[(slice(None),) * axis + (rows,)] = x
-    return out
-
-
 def _to_rows(x, rows, axis=0):
     return x if len(rows) == x.shape[axis] else np.take(x, rows, axis=axis)
 
@@ -364,9 +349,14 @@ def _softmax_rows_last(logits):
 
 
 def _padded(x, rows, shape):
-    # (..., T, G, D) rows -> (..., B, M*G, D), the layout the residual sums run in
+    # (..., T, G, D) rows -> (..., B, M*G, D), the layout the residual sums run in:
+    # scattered into zeros, or no copy when they fill the grid
     (b, m), r = shape, x.ndim - 3
-    return _to_padded(x, rows, b * m, r).reshape(x.shape[:r] + (b, m * x.shape[-2], x.shape[-1]))
+    if len(rows) != b * m:
+        out = np.zeros(x.shape[:r] + (b * m,) + x.shape[r + 1:], dtype=x.dtype)
+        out[(slice(None),) * r + (rows,)] = x
+        x = out
+    return x.reshape(x.shape[:r] + (b, m * x.shape[-2], x.shape[-1]))
 
 
 def _fw_residual_aggregate(logits, feats, anchors, gate, *, rows, shape):
@@ -375,16 +365,16 @@ def _fw_residual_aggregate(logits, feats, anchors, gate, *, rows, shape):
         raise ValueError("residual_aggregate: NaN in logits")
     a = _softmax_rows_last(logits)
     w = _padded(a * gate[..., None], rows, shape)
-    agg = w.swapaxes(-1, -2) @ _padded(feats, rows, shape)
+    padded = _padded(feats, rows, shape)
+    agg = w.swapaxes(-1, -2) @ padded
     agg -= (np.ones(w.shape[-2], w.dtype) @ w)[..., None] * anchors[..., None, :, :]
-    return agg, {"softmax": a}  # unpadded; the VJP redoes the padding
+    return agg, {"softmax": a, "wp": w, "padded": padded}  # the softmax unpadded, the rest padded
 
 
 def _vjp_residual_aggregate(g_out, out, logits, feats, anchors, gate, *, rows, shape, softmax,
-                            needs):
+                            wp, padded, needs):
     (b, m), (g, k), r, a = shape, logits.shape[-2:], logits.ndim - 3, softmax
     w = a * gate[..., None]
-    wp = _padded(w, rows, shape)
     d_feats = None
     if needs[1]:  # shared feats take the sum over experts
         d_feats = _to_rows((wp @ g_out).reshape(a.shape[:r] + (b * m, g, -1)), rows, r)
@@ -397,7 +387,7 @@ def _vjp_residual_aggregate(g_out, out, logits, feats, anchors, gate, *, rows, s
         return (None, d_feats, d_anchors, None)
     # d/dw of sum w * (feats - anchors), shaped like logits; sums over K, like
     # wsum, are BLAS products with ones, not reductions over a short inner axis
-    dw = _padded(feats, rows, shape) @ g_out.swapaxes(-1, -2)
+    dw = padded @ g_out.swapaxes(-1, -2)
     dw -= (g_out.swapaxes(-3, -2) @ anchors[..., None])[..., 0].swapaxes(-1, -2)[..., None, :]
     dw = _to_rows(dw.reshape(a.shape[:r] + (b * m, g, k)), rows, r)
     d_gate = ((a * dw).reshape(-1, k) @ np.ones(k, a.dtype)).reshape(a.shape[:-1])
@@ -414,7 +404,7 @@ def residual_aggregate(logits: Tensor, feats: Tensor, anchors: Tensor, gate: Ten
     """VLAD residual sum before normalization, (B, K, D): out[b,k] = sum over the rows t
     of video b and groups g of gate[t,g] a[t,g,k] (feats[t,g] - anchors[k]), a the softmax
     over K of ``logits`` (T, G, K), for feats (T, G, D) at places ``rows`` of a (B, M)
-    ``shape``, checked as ``take_rows`` checks them (strictly increasing, in range).
+    ``shape``, strictly increasing and in range (each video's rows, in video order).
     With a leading expert axis E on logits and anchors (E, K, D), the output is
     (E, B, K, D); feats and gate may have the axis or be shared.  Rejects NaN logits."""
     (t, g, k), d, lead = logits.shape[-3:], feats.shape[-1], logits.shape[:-3]
@@ -424,7 +414,11 @@ def residual_aggregate(logits: Tensor, feats: Tensor, anchors: Tensor, gate: Ten
             or gate.shape not in ((t, g), lead + (t, g))):
         raise ValueError(f"residual_aggregate: feats, anchors, gate and rows shaped {got} "
                          f"do not fit logits {logits.shape}")
-    _check_rows("residual_aggregate", rows, shape[0] * shape[1])
+    limit = shape[0] * shape[1]
+    if rows.dtype.kind not in "iu" or rows.size and (
+            rows[0] < 0 or rows[-1] >= limit or (np.diff(rows) <= 0).any()):
+        raise ValueError(f"residual_aggregate: rows must be 1-d integers increasing strictly "
+                         f"in [0, {limit})")
     return apply(RESIDUAL_AGGREGATE, logits, feats, anchors, gate, rows=rows, shape=tuple(shape))
 
 
@@ -465,20 +459,6 @@ TRANSPOSE = Primitive(
 
 def transpose(a: Tensor, axes) -> Tensor:
     return apply(TRANSPOSE, a, axes=tuple(axes))
-
-
-TAKE_ROWS = Primitive(
-    "take_rows",
-    lambda a, *, rows: _to_rows(a, rows),
-    lambda g, out, a, *, rows, needs: (_to_padded(g, rows, a.shape[0]),),
-)
-
-
-def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
-    """The rows ``rows`` (strictly increasing) of ``a`` along its first axis;
-    the gradient scatters back, zero elsewhere."""
-    _check_rows("take_rows", rows, a.shape[0])
-    return apply(TAKE_ROWS, a, rows=rows)
 
 
 def _fw_concat(*arrays, axis):

@@ -77,9 +77,10 @@ class Dataset:
         for r in self.records:
             if r.visual.shape[1] != self.visual_dim or r.audio.shape[1] != self.audio_dim:
                 raise ValueError(f"{r.video_id!r}: frame dims disagree with dataset dims")
-            if r.labels.size and int(r.labels.max()) >= self.num_classes:
-                raise ValueError(
-                    f"{r.video_id!r}: label {int(r.labels.max())} >= num_classes {self.num_classes}")
+        labels = np.concatenate([r.labels for r in self.records] + [np.zeros(0, np.uint32)])
+        if labels.size and int(labels.max()) >= self.num_classes:  # then find the first such video
+            r = next(r for r in self.records if r.labels.size and int(r.labels.max()) >= self.num_classes)
+            raise ValueError(f"{r.video_id!r}: label {int(r.labels.max())} >= num_classes {self.num_classes}")
 
     def __len__(self) -> int:
         return len(self.records)
@@ -91,9 +92,9 @@ class Dataset:
 
 class FrameStore(NamedTuple):
     """Records packed in order (``of`` copies them, unless given them packed): record i
-    is rows ``offsets[i]:offsets[i + 1]`` of each (F + 1, N) float32 array of ``frames``
-    (visual, audio; the last row is zeros) and ``label_offsets[i]:label_offsets[i + 1]``
-    of ``label_ids``.  ``first_bad[i]`` is its first frame with a NaN or inf, else its length."""
+    is rows ``offsets[i]:offsets[i + 1]`` of each (F, N) float32 array of ``frames``
+    (visual, audio) and ``label_offsets[i]:label_offsets[i + 1]`` of ``label_ids``.
+    ``first_bad[i]`` is its first frame with a NaN or inf, else its length."""
 
     records: list
     frames: tuple
@@ -104,12 +105,12 @@ class FrameStore(NamedTuple):
 
     @staticmethod
     def of(records: list, dims: tuple, frames: Optional[tuple] = None) -> "FrameStore":
-        frames = frames or tuple(np.concatenate([getattr(r, s) for r in records] + [np.zeros((1, n), "<f4")])
+        frames = frames or tuple(np.concatenate([getattr(r, s) for r in records] + [np.zeros((0, n), "<f4")])
                                  for s, n in zip(("visual", "audio"), dims))
         offsets = np.cumsum([0] + [r.num_frames for r in records])
         # max and min are finite only where every value is, and unlike isfinite need no (F, N) temporary
-        bad = np.flatnonzero(~np.all([np.isfinite(a[:-1].max(axis=1, initial=0))
-                                      & np.isfinite(a[:-1].min(axis=1, initial=0)) for a in frames], axis=0))
+        bad = np.flatnonzero(~np.all([np.isfinite(a.max(axis=1, initial=0))
+                                      & np.isfinite(a.min(axis=1, initial=0)) for a in frames], axis=0))
         owner = np.searchsorted(offsets, bad, side="right") - 1
         first_bad = np.diff(offsets)
         np.minimum.at(first_bad, owner, bad - offsets[owner])
@@ -202,7 +203,7 @@ def read_dataset(path) -> Dataset:
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after last record")
         offsets = np.cumsum([0] + [m for _, _, m, _ in heads])
-        frames = tuple(np.zeros((offsets[-1] + 1, n), "<f4") for n in (visual_dim, audio_dim))
+        frames = tuple(np.zeros((offsets[-1], n), "<f4") for n in (visual_dim, audio_dim))
         records = []
         for (video_id, labels, m, pos), at in zip(heads, offsets):
             f.seek(pos)
@@ -306,11 +307,17 @@ class Batch:
     video_ids: list
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The places starts[i] : starts[i] + counts[i], concatenated: each start, less
+    its range's first place in the result, plus that place."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
 def make_batch(selection, max_frames: int, num_classes: int, dtype=np.float32) -> Batch:
-    """Pad (or truncate) to ``max_frames``, with masks and labels.  ``selection`` is
-    ``dataset.rows(index)``, one ``take`` per stream from the store (padding reads
-    its zero row; frames reach it as ``Dataset`` says), or a list of records,
-    packed on the spot.  A NaN or inf within ``max_frames`` names the video."""
+    """Each video's first ``max_frames`` frames, packed, and its labels.  ``selection``
+    is ``dataset.rows(index)``, one ``take`` per stream from the store (frames reach
+    it as ``Dataset`` says), or a list of records, packed on the spot.  A NaN or inf
+    within ``max_frames`` names the video."""
     if not isinstance(selection, Rows):
         dims = (selection[0].visual.shape[1], selection[0].audio.shape[1]) if selection else (0, 0)
         selection = Rows(FrameStore.of(selection, dims), np.arange(len(selection)))
@@ -319,24 +326,23 @@ def make_batch(selection, max_frames: int, num_classes: int, dtype=np.float32) -
         raise ValueError("empty batch")
     starts = store.offsets[idx]
     lengths = np.minimum(store.offsets[idx + 1] - starts, max_frames)
-    steps = np.arange(max_frames)
-    at = np.where(steps < lengths[:, None], starts[:, None] + steps, store.offsets[-1])
+    at = _ranges(starts, lengths)
     visual, audio = (a.take(at, axis=0).astype(dtype, copy=False) for a in store.frames)
     bad = np.flatnonzero(store.first_bad[idx] < lengths)
     if bad.size:
         i = bad[0]
-        stream, frames = ("visual", visual[i]) if not np.isfinite(visual[i]).all() else ("audio", audio[i])
+        own = slice(lengths[:i].sum(), lengths[:i + 1].sum())  # video i's packed rows
+        stream, frames = (("visual", visual[own]) if not np.isfinite(visual[own]).all()
+                          else ("audio", audio[own]))
         kind = "NaN" if np.isnan(frames).any() else "infinite"
         raise ValueError(f"video {store.records[idx[i]].video_id!r}: {kind} value in {stream} frames")
     label_starts = store.label_offsets[idx]
     counts = store.label_offsets[idx + 1] - label_starts
-    # positions in label_ids: each video's start, less its first place among the batch's labels
-    flat = np.repeat(label_starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
     labels = np.zeros((idx.size, num_classes), dtype=dtype)
-    labels[np.repeat(np.arange(idx.size), counts), store.label_ids[flat]] = 1.0
+    labels[np.repeat(np.arange(idx.size), counts), store.label_ids[_ranges(label_starts, counts)]] = 1.0
     return Batch(
-        video=FrameBatchView.from_lengths(visual, lengths),
-        audio=FrameBatchView.from_lengths(audio, lengths),
+        video=FrameBatchView(Tensor(visual), lengths, max_frames),
+        audio=FrameBatchView(Tensor(audio), lengths, max_frames),
         labels=Tensor(labels),
         video_ids=[store.records[i].video_id for i in idx],
     )

@@ -52,12 +52,16 @@ def bce_loss(logits: Tensor, labels: Union[Tensor, np.ndarray]) -> Tensor:
     return ad.bce(logits, _label_array(labels, logits.dtype))
 
 
+def _soften(logits: Tensor, temperature: float) -> Tensor:
+    if temperature <= 0:
+        raise ValueError(f"temperature must be > 0, got {temperature}")
+    return logits * (1.0 / temperature)
+
+
 def rank_soft_prediction(logits: Tensor, temperature: float) -> Tensor:
     """Softmax over classes of logits / T (a distribution over C, unlike the
     per-class sigmoids of the task loss)."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    return ad.softmax(logits * (1.0 / temperature), axis=-1)
+    return ad.softmax(_soften(logits, temperature), axis=-1)
 
 
 def kl_divergence(teacher_logits: Tensor, student_logits: Tensor, temperature: float) -> Tensor:
@@ -66,15 +70,16 @@ def kl_divergence(teacher_logits: Tensor, student_logits: Tensor, temperature: f
     of logits / T, for teacher logits (B, C) and one student (B, C) or
     students stacked on a leading axis (E, B, C), summed in student order.
 
-    The teacher's softmax and log-softmax are taken once.  The logs come
-    from ``log_softmax``, so finite logits give finite logs, and a teacher
-    probability that underflows to zero contributes zero.
+    The teacher's logits are scaled once and its softmax and log-softmax
+    taken once.  The logs come from ``log_softmax``, so finite logits give
+    finite logs, and a teacher probability that underflows to zero
+    contributes zero.
     """
-    p_t = rank_soft_prediction(teacher_logits, temperature)
-    log_t = ad.log_softmax(teacher_logits * (1.0 / temperature), axis=-1)
+    teacher = _soften(teacher_logits, temperature)
+    p_t, log_t = ad.softmax(teacher, axis=-1), ad.log_softmax(teacher, axis=-1)
     if student_logits.shape[-2:] != p_t.shape or student_logits.ndim > 3:
         raise ValueError(f"shape mismatch {p_t.shape} vs {student_logits.shape}")
-    log_s = ad.log_softmax(student_logits * (1.0 / temperature), axis=-1)
+    log_s = ad.log_softmax(_soften(student_logits, temperature), axis=-1)
     per_row = ad.reduce_sum(p_t * (log_t - log_s), axes=-1)
     return ad.reduce_sum(ad.reduce_sum(per_row, axes=-1) * (1.0 / p_t.shape[0]))
 

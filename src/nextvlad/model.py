@@ -9,8 +9,8 @@ video features are rescaled by sqrt of the PCA eigenvalues first, undoing
 the whitening that would otherwise flatten per-dimension variance before
 the distance-based encoding.
 
-A gated mixture of three such models, with the gate fed by the masked mean
-of the raw input frames, provides the ensemble logits used for on-the-fly
+A gated mixture of three such models, with the gate fed by the mean of each
+video's raw input frames, provides the ensemble logits used for on-the-fly
 distillation.  The three are one model whose every tensor is stacked on a
 leading expert axis E, so one forward pass runs them all: the frames, their
 valid rows and the whitening are shared, each expert's layers run as one
@@ -19,6 +19,7 @@ stacked op.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -218,8 +219,7 @@ def model_forward(
             if (scale != scale[0]).any():
                 raise ValueError("stacked experts' whitening scales differ")
             scale = scale[0]
-        scaled = reverse_whitening(video.frames, scale)
-        video = FrameBatchView(frames=scaled, mask=video.mask, lengths=video.lengths)
+        video = dataclasses.replace(video, frames=reverse_whitening(video.frames, scale))
 
     video_desc = _descriptor(video, params.video)
     audio_desc = _descriptor(batch.audio, params.audio)
@@ -278,13 +278,12 @@ class MixtureParams(ParamTree):
         return out
 
 
-def _masked_frame_mean(view: FrameBatchView) -> Tensor:
-    """Mean over valid frames, (B, N); zero vector when nothing is valid."""
-    b, m, _ = view.frames.shape
-    masked = view.frames * view.mask.reshape((b, m, 1))
-    total = ad.reduce_sum(masked, axes=1)  # (B, N)
-    count = view.mask.data.sum(axis=1, keepdims=True)  # (B, 1), a constant
-    return total * Tensor(1.0 / np.maximum(count, 1.0))
+def _frame_mean(view: FrameBatchView) -> np.ndarray:
+    """Mean of each video's frames, (B, N), summed in frame order; the zero vector
+    for a video without frames.  A constant: the frames take no gradient."""
+    frames, ends = view.frames.data, np.cumsum(view.lengths).tolist()
+    total = np.array([frames[lo:hi].sum(axis=0) for lo, hi in zip([0] + ends[:-1], ends)])
+    return total * (1.0 / np.maximum(view.lengths, 1).astype(frames.dtype))[:, None]
 
 
 def gated_mixture(gates: Tensor, expert_logits: Tensor) -> Tensor:
@@ -304,12 +303,12 @@ def mixture_forward(
 
     Returns (expert_logits (E, B, C), mixture_logits (B, C), gates (B, E));
     mixture logits are the gate-weighted sum of expert logits, the gate is a
-    softmax over a linear map of the mask-aware mean of the raw concatenated
-    input frames.
+    softmax over a linear map of the mean of each video's raw input frames,
+    the streams concatenated.  That mean is a constant of the batch: no
+    gradient reaches the frames through the gate.
     """
     expert_logits = model_forward(batch, mix.experts, training, rng)
 
-    mean_features = ad.concat(
-        [_masked_frame_mean(batch.video), _masked_frame_mean(batch.audio)], axis=1)
+    mean_features = Tensor(np.concatenate([_frame_mean(batch.video), _frame_mean(batch.audio)], axis=1))
     gates = ad.softmax(ad.affine(mean_features, mix.gate_w, mix.gate_b), axis=-1)  # (B, E)
     return expert_logits, gated_mixture(gates, expert_logits), gates

@@ -1,6 +1,6 @@
 """NetVLAD and NeXtVLAD frame aggregation.
 
-Both layers encode a batch of padded frame features (B, M, N) into a fixed
+Both layers encode a batch of variable-length frame sequences into a fixed
 video-level descriptor by summing soft-assigned residuals against learned
 cluster anchors and intra-normalizing each cluster block.  NeXtVLAD first
 expands each frame by a width multiplier, splits it into groups that share
@@ -10,12 +10,12 @@ dominant reduction layer) by the group count.  The reduction to the hidden
 size, an affine layer plus batch norm (:class:`ReduceHead`), is applied once
 by the model to the concatenated descriptors of all streams.
 
-Both pass their assignment logits, attention gate and frames to one kernel,
-``ad.residual_aggregate`` (softmax over clusters, gated residual sum), then
-intra-normalize with ``ad.l2_normalize``.  NeXtVLAD takes the valid frames out
-of the padded grid before its first affine layer, so padding may hold any value.
-NetVLAD, one group, runs on every frame and gates padding shut with the {0,1}
-mask, so padding may hold any finite value.
+Both run every frame-level op on a batch's valid frames alone, packed in
+video order (:class:`FrameBatchView`), and pass their assignment logits,
+attention gate and frames to one kernel, ``ad.residual_aggregate`` (softmax
+over clusters, gated residual sum, the one place a video's rows are laid out
+on the padded (B, M) grid), then intra-normalize with ``ad.l2_normalize``.
+NetVLAD, one group without attention, passes a gate of ones.
 """
 
 from __future__ import annotations
@@ -291,26 +291,32 @@ def weight_census(bundle) -> int:
 
 @dataclass
 class FrameBatchView:
-    """Padded frames (B, M_max, N), a {0,1} validity mask (B, M_max) and the
-    true frame counts.  Consumers must ignore masked positions."""
+    """A batch's valid frames packed in video order, (T, N): video b's are rows
+    sum(lengths[:b]) up to sum(lengths[:b + 1]), for frame counts ``lengths``
+    (B,), each at most the batch's ``max_frames`` M."""
 
     frames: Tensor
-    mask: Tensor
     lengths: np.ndarray
+    max_frames: int
 
     @staticmethod
-    def from_lengths(frames, lengths) -> "FrameBatchView":
-        frames = frames if isinstance(frames, Tensor) else Tensor(frames)
+    def from_lengths(padded, lengths) -> "FrameBatchView":
+        """The first lengths[b] frames of each video b of padded frames (B, M, N)."""
+        padded = np.asarray(padded)
         lengths = np.asarray(lengths, dtype=np.int64)
-        b, m_max = frames.shape[0], frames.shape[1]
-        if lengths.shape != (b,):
-            raise ValueError(f"lengths shape {lengths.shape} != ({b},)")
-        mask = (np.arange(m_max)[None, :] < lengths[:, None]).astype(frames.dtype)
-        return FrameBatchView(frames=frames, mask=Tensor(mask), lengths=lengths)
+        b, m = padded.shape[:2]
+        if lengths.shape != (b,) or ((lengths < 0) | (lengths > m)).any():
+            raise ValueError(f"lengths {lengths.tolist()} must be {b} frame counts in [0, {m}]")
+        return FrameBatchView(Tensor(padded[np.arange(m) < lengths[:, None]]), lengths, m)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Places of the packed frames in the padded (B, M) grid, flattened."""
+        return np.flatnonzero(np.arange(self.max_frames) < self.lengths[:, None])
 
     @property
     def feature_dim(self) -> int:
-        return self.frames.shape[2]
+        return self.frames.shape[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +325,17 @@ class FrameBatchView:
 
 
 def netvlad_aggregate(view: FrameBatchView, core: NetVladCore) -> Tensor:
-    """Residual aggregation gated shut on padding, pre-normalization: (B, K, N),
-    or (E, B, K, N) for a core stacked on an expert axis."""
-    b, m, n = view.frames.shape
+    """Residual aggregation of valid frames, pre-normalization: (B, K, N), or
+    (E, B, K, N) for a core stacked on an expert axis."""
+    t, n = view.frames.shape
     w = core.assign_w  # (K, N), or (E, K, N) on an expert axis
     if n != w.shape[-1]:
         raise ValueError(f"frame dim {n} != assignment dim {w.shape[-1]}")
-    lead = w.shape[:-2]
-    logits = ad.affine(view.frames.reshape((b * m, n)), ad.transpose(w, (0, 2, 1) if lead else (1, 0)),
-                       core.assign_b)
-    return ad.residual_aggregate(logits.reshape(lead + (b * m, 1, -1)),
-                                 view.frames.reshape((b * m, 1, n)), core.anchors,
-                                 view.mask.reshape((b * m, 1)), np.arange(b * m), (b, m))
+    lead, k = w.shape[:-2], w.shape[-2]
+    logits = ad.affine(view.frames, ad.transpose(w, (0, 2, 1) if lead else (1, 0)), core.assign_b)
+    return ad.residual_aggregate(logits.reshape(lead + (t, 1, k)), view.frames.reshape((t, 1, n)),
+                                 core.anchors, Tensor(np.ones((t, 1), view.frames.dtype)),
+                                 view.rows, (len(view.lengths), view.max_frames))
 
 
 def netvlad_descriptor(view: FrameBatchView, core: NetVladCore) -> Tensor:
@@ -343,19 +348,17 @@ def netvlad_descriptor(view: FrameBatchView, core: NetVladCore) -> Tensor:
 def nextvlad_aggregate(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
     """Grouped residual aggregation of valid frames, pre-normalization: (B, K, lamN/G),
     or (E, B, K, lamN/G) for a core stacked on an expert axis."""
-    b, m, n = view.frames.shape
+    n = view.feature_dim
     if n != core.expand_w.shape[-2]:
         raise ValueError(f"frame dim {n} != expansion dim {core.expand_w.shape[-2]}")
     g = core.groups
     lead, (k, d) = core.anchors.shape[:-2], core.anchors.shape[-2:]  # lead: () or (E,)
-    rows = np.flatnonzero(view.mask.data.reshape(-1))  # the valid frames' places in B*M
-    valid = ad.take_rows(view.frames.reshape((b * m, n)), rows)  # shared by every expert
-    expanded = ad.affine(valid, core.expand_w, core.expand_b)  # (..., T, lamN)
+    expanded = ad.affine(view.frames, core.expand_w, core.expand_b)  # (..., T, lamN)
 
     attn = ad.sigmoid(ad.affine(expanded, core.attn_w, core.attn_b))  # (..., T, G)
     assign_logits = ad.affine(expanded, core.assign_w, core.assign_b).reshape(lead + (-1, g, k))
     return ad.residual_aggregate(assign_logits, expanded.reshape(lead + (-1, g, d)), core.anchors,
-                                 attn, rows, (b, m))
+                                 attn, view.rows, (len(view.lengths), view.max_frames))
 
 
 def nextvlad_descriptor(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
@@ -380,7 +383,6 @@ def nextvlad_reference(view: FrameBatchView, core: NeXtVladCore, head: ReduceHea
     code with it.
     """
     frames = np.asarray(view.frames.data, dtype=np.float64)
-    mask = np.asarray(view.mask.data, dtype=np.float64)
     expand_w = core.expand_w.data.astype(np.float64)
     expand_b = core.expand_b.data.astype(np.float64)
     attn_w = core.attn_w.data.astype(np.float64)
@@ -389,7 +391,7 @@ def nextvlad_reference(view: FrameBatchView, core: NeXtVladCore, head: ReduceHea
     assign_b = core.assign_b.data.astype(np.float64)
     anchors = core.anchors.data.astype(np.float64)
 
-    b_sz, m, n = frames.shape
+    b_sz, m, n = len(view.lengths), view.max_frames, frames.shape[1]
     g = core.groups
     lam_n = expand_w.shape[1]
     k = anchors.shape[0]
@@ -399,18 +401,21 @@ def nextvlad_reference(view: FrameBatchView, core: NeXtVladCore, head: ReduceHea
             f"reference size bound exceeded: M*G*K*D = {m * g * k * d} > {REFERENCE_SIZE_BOUND}")
 
     out = np.zeros((b_sz, head.w.shape[1]), dtype=np.float64)
+    first = 0  # the video's first row among the packed frames
     for b in range(b_sz):
+        m_b = int(view.lengths[b])
         # expansion
-        xdot = np.zeros((m, lam_n))
-        for i in range(m):
+        xdot = np.zeros((m_b, lam_n))
+        for i in range(m_b):
             for q in range(lam_n):
                 acc = expand_b[q]
                 for j in range(n):
-                    acc += frames[b, i, j] * expand_w[j, q]
+                    acc += frames[first + i, j] * expand_w[j, q]
                 xdot[i, q] = acc
+        first += m_b
         # per-frame gates and assignments
         agg = np.zeros((k, d))
-        for i in range(m):
+        for i in range(m_b):
             attn = np.zeros(g)
             for gi in range(g):
                 z = attn_b[gi]
@@ -430,7 +435,7 @@ def nextvlad_reference(view: FrameBatchView, core: NeXtVladCore, head: ReduceHea
                 for ki in range(k):
                     for j in range(d):
                         residual = xdot[i, gi * d + j] - anchors[ki, j]
-                        agg[ki, j] += mask[b, i] * attn[gi] * soft[ki] * residual
+                        agg[ki, j] += attn[gi] * soft[ki] * residual
         # intra-normalization per cluster
         flat = np.zeros(k * d)
         for ki in range(k):

@@ -568,7 +568,9 @@ def test_residual_aggregate_rejects_rows_that_are_not_strictly_increasing_places
     (ra, rx, _, rs, ragged), _ = packed_inputs(Rng(41))
     for args in ((a, x, c, s, rows[::-1]),
                  (ra, rx, c, rs, np.array([ragged[0], ragged[1], ragged[1]])),
-                 (ra, rx, c, rs, np.array([ragged[0], ragged[1], 6]))):
+                 (ra, rx, c, rs, np.array([ragged[0], ragged[1], 6])),
+                 (ra, rx, c, rs, np.array([-1, ragged[1], ragged[2]])),
+                 (ra, rx, c, rs, ragged.astype(np.float64))):
         with pytest.raises(ValueError, match="residual_aggregate: rows"):
             ad.residual_aggregate(*args, (2, 3))
 
@@ -622,23 +624,6 @@ def test_residual_aggregate_vjp_skips_unneeded_inputs():
             part = ad.RESIDUAL_AGGREGATE.vjp(cot, None, *arrays, **kw, needs=needs)
             for need, got, ref in zip(needs, part, full):
                 assert (got is None) if not need else np.array_equal(got, ref)
-
-
-@pytest.mark.parametrize("mask", MASKS)
-def test_take_rows_gathers_and_scatters_back(mask):
-    rows = np.flatnonzero(MASKS[mask])
-    x = t64(Rng(47), 6, 3)
-    assert np.array_equal(ad.take_rows(x, rows).data, x.data[rows])
-    report = grad_check(lambda x: ad.take_rows(x, rows), [x])
-    assert report.passed, str(report)
-
-
-def test_take_rows_rejects_rows_that_are_not_strictly_increasing_places():
-    x = t64(Rng(48), 6, 3)
-    for bad in (np.array([3, 1, 0]), np.array([0, 0]), np.array([4, 6]), np.array([-1, 2]),
-                np.array([0.0, 1.0]), np.zeros((1, 2), dtype=np.int64)):
-        with pytest.raises(ValueError, match="take_rows: rows"):
-            ad.take_rows(x, bad)
 
 
 @pytest.mark.parametrize("prim", [ad.MUL], ids=lambda p: p.name)

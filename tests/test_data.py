@@ -45,6 +45,16 @@ def test_empty_dataset_is_24_byte_header(tmp_path):
     assert back.visual_dim == 3 and back.audio_dim == 2
 
 
+def test_dataset_label_bound_names_the_first_video_past_it():
+    records = small_dataset(videos=4).records
+    records[1].labels = np.array([0, 5], np.uint32)
+    records[3].labels = np.array([7], np.uint32)
+    with pytest.raises(ValueError, match=f"'{records[1].video_id}': label 5 >= num_classes 4"):
+        Dataset(records, num_classes=4, visual_dim=3, audio_dim=2)
+    records[1].labels = records[3].labels = np.zeros(0, np.uint32)  # empty label lists are in bounds
+    Dataset(records, num_classes=4, visual_dim=3, audio_dim=2)
+
+
 def test_single_record_byte_length_arithmetic(tmp_path):
     record = VideoRecord(video_id="abc", labels=[1, 3],
                          visual=np.zeros((1, 3), dtype=np.float32),
@@ -280,9 +290,8 @@ def test_full_length_records_have_all_ones_mask():
     full = [r for r in ds.records]
     m_max = max(r.num_frames for r in full)
     batch = make_batch(full, m_max, ds.num_classes)
-    for i, r in enumerate(full):
-        expected = [1.0] * r.num_frames + [0.0] * (m_max - r.num_frames)
-        assert batch.video.mask.data[i].tolist() == expected
+    expected = [i * m_max + j for i, r in enumerate(full) for j in range(r.num_frames)]
+    assert batch.video.rows.tolist() == expected and batch.audio.rows.tolist() == expected
 
 
 def test_mask_pattern_for_short_record():
@@ -290,8 +299,8 @@ def test_mask_pattern_for_short_record():
                          visual=np.ones((3, 2), dtype=np.float32),
                          audio=np.ones((3, 1), dtype=np.float32))
     batch = make_batch([record], 5, 2)
-    assert batch.video.mask.data[0].tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
-    assert np.array_equal(batch.video.frames.data[0, 3:], np.zeros((2, 2)))
+    assert batch.video.max_frames == 5 and batch.video.rows.tolist() == [0, 1, 2]
+    assert np.array_equal(batch.video.frames.data, record.visual)
 
 
 def test_valid_frame_count_equals_clipped_lengths():
@@ -299,18 +308,19 @@ def test_valid_frame_count_equals_clipped_lengths():
     m_max = 2
     batch = make_batch(ds.records, m_max, ds.num_classes)
     expected = sum(min(r.num_frames, m_max) for r in ds.records)
-    assert int(batch.video.mask.data.sum()) == expected
-    assert int(batch.audio.mask.data.sum()) == expected
+    assert batch.video.frames.shape[0] == expected and batch.audio.frames.shape[0] == expected
 
 
 def test_unmasked_extraction_recovers_frames():
     ds = small_dataset(seed=3)
     m_max = 6
     batch = make_batch(ds.records, m_max, ds.num_classes)
-    for i, r in enumerate(ds.records):
+    first = 0
+    for r in ds.records:
         m = min(r.num_frames, m_max)
-        assert np.array_equal(batch.video.frames.data[i, :m], r.visual[:m])
-        assert np.array_equal(batch.audio.frames.data[i, :m], r.audio[:m])
+        assert np.array_equal(batch.video.frames.data[first:first + m], r.visual[:m])
+        assert np.array_equal(batch.audio.frames.data[first:first + m], r.audio[:m])
+        first += m
 
 
 def test_truncation_beyond_max_frames():
@@ -318,8 +328,8 @@ def test_truncation_beyond_max_frames():
                          visual=np.arange(12, dtype=np.float32).reshape(6, 2),
                          audio=np.zeros((6, 1), dtype=np.float32))
     batch = make_batch([record], 4, 1)
-    assert batch.video.frames.shape == (1, 4, 2)
-    assert np.array_equal(batch.video.frames.data[0], record.visual[:4])
+    assert batch.video.frames.shape == (4, 2)
+    assert np.array_equal(batch.video.frames.data, record.visual[:4])
     assert batch.video.lengths[0] == 4
 
 
@@ -353,17 +363,13 @@ def test_empty_batch_rejected():
 
 
 def batch_by_record(records, max_frames, num_classes, dtype):
-    """Each record copied into zero-padded arrays one at a time, the reference."""
+    """Each record's first frames appended one record at a time, the reference."""
     b = len(records)
-    visual = np.zeros((b, max_frames, records[0].visual.shape[1]), dtype)
-    audio = np.zeros((b, max_frames, records[0].audio.shape[1]), dtype)
-    lengths = np.zeros(b, np.int64)
+    lengths = np.array([min(r.num_frames, max_frames) for r in records], np.int64)
+    visual = np.concatenate([r.visual[:m] for r, m in zip(records, lengths)]).astype(dtype)
+    audio = np.concatenate([r.audio[:m] for r, m in zip(records, lengths)]).astype(dtype)
     labels = np.zeros((b, num_classes), dtype)
     for i, r in enumerate(records):
-        m = min(r.num_frames, max_frames)
-        lengths[i] = m
-        visual[i, :m] = r.visual[:m]
-        audio[i, :m] = r.audio[:m]
         labels[i, r.labels] = 1.0
     return visual, audio, lengths, labels
 
@@ -376,6 +382,7 @@ def assert_batch_is(batch, records, max_frames, num_classes, dtype):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert batch.video_ids == [r.video_id for r in records]
+    assert batch.video.max_frames == batch.audio.max_frames == max_frames
 
 
 @pytest.fixture
@@ -413,10 +420,11 @@ def test_read_records_are_views_of_the_store(stored):
     store = stored.store
     assert all(np.shares_memory(r.visual, store.frames[0]) and np.shares_memory(r.audio, store.frames[1])
                for r in stored.records)
-    assert not store.frames[0][-1].any() and not store.frames[1][-1].any()
+    assert [len(a) for a in store.frames] == [store.offsets[-1]] * 2  # every row a record's
     # frames written in place reach the next batch
     stored.records[2].visual[1, 0] = 7.5
-    assert make_batch(stored.rows([5, 2]), 4, stored.num_classes).video.frames.data[1, 1, 0] == 7.5
+    video = make_batch(stored.rows([5, 2]), 4, stored.num_classes).video
+    assert video.frames.data[video.lengths[0] + 1, 0] == 7.5
 
 
 @pytest.mark.parametrize("stream,value,word", [("visual", np.nan, "NaN"),

@@ -1,6 +1,7 @@
 """Two-stream model: whitening, SE gating, forward wiring, mixture gate."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -45,6 +46,15 @@ def toy_batch(seed=5, n=3, dtype=np.float32):
                          frames_min=2, frames_max=3, labels_min=1, labels_max=2, seed=seed)
     ds = gen_synthetic(spec)
     return make_batch(ds.records[:n], 3, 3, dtype=dtype)
+
+
+def without_frames(batch):
+    """The batch with every video's frame count set to zero."""
+    for name in ("video", "audio"):
+        view = getattr(batch, name)
+        setattr(batch, name, dataclasses.replace(
+            view, frames=Tensor(view.frames.data[:0]), lengths=np.zeros_like(view.lengths)))
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +140,7 @@ def test_all_masked_batch_yields_classifier_bias():
     cfg = toy_config()
     params = ModelParams.create(cfg, Rng(10))
     params.classifier_b.data = Rng(11).normal((3,), dtype=np.float32)
-    batch = toy_batch()
-    # zero out every valid frame
-    for view in (batch.video, batch.audio):
-        view.lengths[:] = 0
-        view.mask.data[:] = 0.0
+    batch = without_frames(toy_batch())
     logits = model_forward(batch, params, training=False)
     expected = np.tile(params.classifier_b.data, (3, 1))
     assert np.abs(logits.data - expected).max() < 1e-7
@@ -306,32 +312,43 @@ def test_gate_uses_masked_mean_zero_when_all_masked():
     cfg = toy_config()
     mix = MixtureParams.create(cfg, Rng(20))
     mix.gate_b.data = np.array([0.3, -0.1, 0.4], dtype=np.float32)
-    batch = toy_batch()
-    for view in (batch.video, batch.audio):
-        view.lengths[:] = 0
-        view.mask.data[:] = 0.0
-    _, _, gates = mixture_forward(batch, mix, training=False)
+    _, _, gates = mixture_forward(without_frames(toy_batch()), mix, training=False)
     # empty mean -> gate input is the zero vector -> softmax of the bias alone
     expected = np.exp(mix.gate_b.data) / np.exp(mix.gate_b.data).sum()
     assert np.abs(gates.data - expected).max() < 1e-6
 
 
-def test_gate_input_ignores_padding():
+def test_gate_mean_of_a_video_without_frames_is_zero(padded):
+    # between videos with frames too: its mean takes no frame of its neighbours
+    mix = MixtureParams.create(toy_config(), Rng(24))
+    batch = toy_batch()
+    lengths = batch.video.lengths.copy()
+    lengths[1] = 0
+    for name in ("video", "audio"):
+        setattr(batch, name, FrameBatchView.from_lengths(padded(getattr(batch, name)), lengths))
+    _, _, gates = mixture_forward(batch, mix, training=False)
+    expected = np.exp(mix.gate_b.data) / np.exp(mix.gate_b.data).sum()
+    assert np.abs(gates.data[1] - expected).max() < 1e-6
+    assert np.abs(gates.data[[0, 2]] - expected).max() > 1e-3
+
+
+def test_gate_input_ignores_padding(padded):
     cfg = toy_config()
     mix = MixtureParams.create(cfg, Rng(21))
     batch = toy_batch()
     lengths = batch.video.lengths.copy()
     lengths[0] = 1  # force padded positions on the first video
-    batch.video = FrameBatchView.from_lengths(batch.video.frames.data, lengths)
-    batch.audio = FrameBatchView.from_lengths(batch.audio.frames.data, lengths)
+    video, audio = padded(batch.video), padded(batch.audio)
+    batch.video = FrameBatchView.from_lengths(video, lengths)
+    batch.audio = FrameBatchView.from_lengths(audio, lengths)
     _, _, gates_base = mixture_forward(batch, mix, training=False)
-    batch.video.frames.data[0, -1] = 1e3  # masked position
-    assert batch.video.mask.data[0, -1] == 0.0
+    video[0, -1] = 1e3  # a padded position
+    batch.video = FrameBatchView.from_lengths(video, lengths)
     _, _, gates_junk = mixture_forward(batch, mix, training=False)
     assert np.array_equal(gates_base.data, gates_junk.data)
 
 
-def test_mixture_ignores_appended_padding():
+def test_mixture_ignores_appended_padding(padded):
     # 1-10 extra padded frames per video grow M: the gate's frame mean must
     # still divide by the valid count, and every expert ignore the padding
     cfg = toy_config()
@@ -343,10 +360,10 @@ def test_mixture_ignores_appended_padding():
         extra = 1 + int(rng.integers(1, 10)[0])
         for name in ("video", "audio"):
             view = getattr(batch, name)
-            b, _, n = view.frames.shape
+            b, n = len(view.lengths), view.feature_dim
             junk = (rng.uniform((b, extra, n)) * 20 - 10).astype(np.float32)
             setattr(batch, name, FrameBatchView.from_lengths(
-                np.concatenate([view.frames.data, junk], axis=1), view.lengths))
+                np.concatenate([padded(view), junk], axis=1), view.lengths))
         _, logits, gates = mixture_forward(batch, mix, training=False)
         assert np.abs(logits.data - base_logits.data).max() < 1e-6
         assert np.abs(gates.data - base_gates.data).max() < 1e-6

@@ -1,4 +1,6 @@
-"""NetVLAD/NeXtVLAD: loop oracles, parameter-count identities, masking."""
+"""NetVLAD/NeXtVLAD: loop oracles, parameter-count identities, padding."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -32,18 +34,20 @@ def netvlad_descriptor_loops(view, core):
     """Per-index oracle over frames, dims and clusters, float64."""
     import math
 
-    frames = view.frames.data.astype(np.float64)
-    mask = view.mask.data.astype(np.float64)
+    frames = view.frames.data.astype(np.float64)  # every video's frames in turn
     w = core.assign_w.data.astype(np.float64)
     bias = core.assign_b.data.astype(np.float64)
     anchors = core.anchors.data.astype(np.float64)
-    b_sz, m, n = frames.shape
+    n = frames.shape[1]
     k = w.shape[0]
-    out = np.zeros((b_sz, k * n))
-    for b in range(b_sz):
+    out = np.zeros((len(view.lengths), k * n))
+    row = 0
+    for b, m in enumerate(view.lengths):
         agg = np.zeros((k, n))
-        for i in range(m):
-            logits = [bias[ki] + sum(frames[b, i, j] * w[ki, j] for j in range(n))
+        for _ in range(m):
+            x = frames[row]
+            row += 1
+            logits = [bias[ki] + sum(x[j] * w[ki, j] for j in range(n))
                       for ki in range(k)]
             zmax = max(logits)
             exps = [math.exp(z - zmax) for z in logits]
@@ -51,7 +55,7 @@ def netvlad_descriptor_loops(view, core):
             for ki in range(k):
                 alpha = exps[ki] / total
                 for j in range(n):
-                    agg[ki, j] += mask[b, i] * alpha * (frames[b, i, j] - anchors[ki, j])
+                    agg[ki, j] += alpha * (x[j] - anchors[ki, j])
         for ki in range(k):
             norm = math.sqrt(sum(agg[ki, j] ** 2 for j in range(n)))
             denom = max(norm, 1e-12)
@@ -149,9 +153,7 @@ def test_netvlad_matches_loop_oracle():
     assert np.abs(got - expected).max() < 1e-12
 
     core32 = cast_params(core64, np.float32)
-    view32 = FrameBatchView(frames=Tensor(view64.frames.data.astype(np.float32)),
-                            mask=Tensor(view64.mask.data.astype(np.float32)),
-                            lengths=view64.lengths)
+    view32 = dataclasses.replace(view64, frames=Tensor(view64.frames.data.astype(np.float32)))
     got32 = netvlad_descriptor(view32, core32).data
     assert np.abs(got32 - expected).max() < 1e-6
 
@@ -215,7 +217,7 @@ def test_nextvlad_zero_weights_closed_form():
     core.expand_w.data = np.eye(4)
     view = random_view(rng, 1, 3, 4, lengths=[3])
     agg = nextvlad_aggregate(view, core).data  # (1, K, D)
-    x = view.frames.data[0].reshape(3, 2, 2)  # (M, G, D)
+    x = view.frames.data.reshape(3, 2, 2)  # (M, G, D)
     expected = 0.5 * (1.0 / cfg.clusters) * x.sum(axis=(0, 1))
     for k in range(cfg.clusters):
         assert np.abs(agg[0, k] - expected).max() < 1e-12
@@ -234,7 +236,7 @@ def test_nextvlad_single_group_single_cluster_hand_expansion():
     view = random_view(rng, 1, m, 3, lengths=[m])
     agg = nextvlad_aggregate(view, core).data[0, 0]
     c = core.anchors.data[0]
-    expected = 0.5 * (view.frames.data[0].sum(axis=0) - m * c)
+    expected = 0.5 * (view.frames.data.sum(axis=0) - m * c)
     assert np.abs(agg - expected).max() < 1e-12
 
 
@@ -249,7 +251,7 @@ def test_assignment_normalizes_over_clusters_not_groups():
     core.attn_b.data = np.full_like(core.attn_b.data, 1e9)  # gate open
     view = random_view(rng, 1, 2, 4, lengths=[2])
     agg = nextvlad_aggregate(view, core).data
-    x = view.frames.data[0] @ core.expand_w.data + core.expand_b.data
+    x = view.frames.data @ core.expand_w.data + core.expand_b.data
     grouped = x.reshape(2, 2, 2).sum(axis=(0, 1))  # sum over frames and groups
     for k in range(cfg.clusters):
         assert np.abs(agg[0, k] - grouped / cfg.clusters).max() < 1e-12
@@ -260,36 +262,36 @@ def test_assignment_normalizes_over_clusters_not_groups():
 # ---------------------------------------------------------------------------
 
 
-def _append_junk(view, extra, rng):
-    b, m, n = view.frames.shape
-    junk = (rng.uniform((b, extra, n)) * 20 - 10).astype(view.frames.data.dtype)
-    frames = np.concatenate([view.frames.data, junk], axis=1)
-    return FrameBatchView.from_lengths(frames, view.lengths)
-
-
 @pytest.mark.parametrize("trial", range(5))
-def test_mask_invariance(trial):
+def test_mask_invariance(trial, padded):
     rng = Rng(1000 + trial)
     cfg = NeXtVladConfig(input_dim=6, clusters=3, hidden_dim=4, groups=2, expansion=2)
     core, _ = core_and_head(cfg, rng, np.float32)
     view = random_view(rng, 3, 5, 6, dtype=np.float32)
     base = nextvlad_descriptor(view, core).data
     extra = 1 + int(rng.integers(1, 10)[0])
-    padded = _append_junk(view, extra, rng)
-    got = nextvlad_descriptor(padded, core).data
+    junk = (rng.uniform((3, extra, 6)) * 20 - 10).astype(np.float32)
+    grown = FrameBatchView.from_lengths(np.concatenate([padded(view), junk], axis=1), view.lengths)
+    got = nextvlad_descriptor(grown, core).data
     assert np.abs(got - base).max() < 1e-6
 
 
-def test_nan_padding_leaves_nextvlad_descriptor_unchanged():
-    # NeXtVLAD never reads a padded position, so not even a NaN there matters
+@pytest.mark.parametrize("kind", ["nextvlad", "netvlad"])
+def test_nan_padding_leaves_descriptor_unchanged(kind):
+    # neither kind reads a padded position, so not even a NaN there matters
     rng = Rng(34)
-    cfg = NeXtVladConfig(input_dim=4, clusters=2, hidden_dim=3, groups=2, expansion=2)
+    if kind == "nextvlad":
+        cfg = NeXtVladConfig(input_dim=4, clusters=2, hidden_dim=3, groups=2, expansion=2)
+        descriptor = nextvlad_descriptor
+    else:
+        cfg = NetVladConfig(input_dim=4, clusters=2, hidden_dim=3)
+        descriptor = netvlad_descriptor
     core, _ = core_and_head(cfg, rng, np.float32)
-    view = random_view(rng, 3, 4, 4, dtype=np.float32, lengths=[2, 0, 4])
-    base = nextvlad_descriptor(view, core).data
-    view.frames.data[0, 2:] = np.nan
-    view.frames.data[1] = np.nan
-    got = nextvlad_descriptor(view, core).data
+    frames = rng.normal((3, 4, 4), dtype=np.float32)
+    base = descriptor(FrameBatchView.from_lengths(frames, [2, 0, 4]), core).data
+    frames[0, 2:] = np.nan
+    frames[1] = np.nan
+    got = descriptor(FrameBatchView.from_lengths(frames, [2, 0, 4]), core).data
     assert np.isfinite(got).all() and np.array_equal(got, base)
 
 
