@@ -45,12 +45,7 @@ ADAM_TESTS = (
 )
 
 DATA = "src/nextvlad/data.py"
-VLAD = "src/nextvlad/vlad.py"
 MODEL = "src/nextvlad/model.py"
-ORACLE_TESTS = (
-    "tests/test_vlad.py::test_nextvlad_matches_reference_oracle",
-    "tests/test_acceptance.py::test_criterion_3_oracle_equivalence",
-)
 BATCH_TESTS = (
     "tests/test_data.py::test_gathered_batches_match_per_record_padding",
     "tests/test_data.py::test_non_finite_frame_is_found_once_and_counted_within_max_frames",
@@ -83,11 +78,14 @@ MUTANTS = [
            "padded = _padded(feats, rows, shape)", "padded = _padded(feats, np.arange(len(rows)), shape)",
            KERNEL_TESTS),
     Mutant("the VJP reads features scattered to the first rows, not the saved ones", AUTODIFF,
-           '"padded": padded}', '"padded": _padded(feats, np.arange(len(rows)), shape)}', KERNEL_TESTS),
-    Mutant("residual_aggregate accepts a repeated row", AUTODIFF,
-           "(np.diff(rows) <= 0).any()", "(np.diff(rows) < 0).any()",
+           '"padded": padded,', '"padded": _padded(feats, np.arange(len(rows)), shape),', KERNEL_TESTS),
+    Mutant("packed rows laid out from the grid's start, not at each video's", AUTODIFF,
+           "rows = np.flatnonzero(np.arange(max_frames) < lengths[:, None])",
+           "rows = np.arange(lengths.sum())", KERNEL_TESTS),
+    Mutant("residual_aggregate takes lengths that do not sum to the rows", AUTODIFF,
+           "lengths.max() > max_frames) or lengths.sum() != t:", "lengths.max() > max_frames):",
            ("tests/test_autodiff.py::"
-            "test_residual_aggregate_rejects_rows_that_are_not_strictly_increasing_places",)),
+            "test_residual_aggregate_rejects_lengths_that_do_not_fit_the_rows_or_the_grid",)),
     # the assignment kernel, VJP
     Mutant("anchor gradient with the wrong sign", AUTODIFF,
            "d_anchors = -(wsum", "d_anchors = (wsum", KERNEL_TESTS),
@@ -166,7 +164,7 @@ MUTANTS = [
            ADAM_TESTS),
     Mutant("a missing gradient left unzeroed in the scratch block", TRAIN,
            "piece.fill(0)", "pass", ADAM_TESTS),
-    # batches gathered from the packed frame store, and the packed rows' places
+    # batches gathered from the packed frame store, and the check of the frames gathered
     Mutant("packed rows read one frame late, past each video's end", DATA,
            "at = _ranges(starts, lengths)", "at = _ranges(starts + 1, lengths)", BATCH_TESTS),
     Mutant("lengths not clamped to max_frames", DATA,
@@ -175,12 +173,9 @@ MUTANTS = [
     Mutant("ranges not rebased to each range's first place", DATA,
            "np.repeat(starts - np.cumsum(counts) + counts, counts)",
            "np.repeat(starts, counts)", BATCH_TESTS),
-    Mutant("first bad frame counted from the store's start, not the video's", DATA,
-           "np.minimum.at(first_bad, owner, bad - offsets[owner])", "np.minimum.at(first_bad, owner, bad)",
+    Mutant("the gathered frames checked in the visual stream only", DATA,
+           "bad = first_non_finite_row((visual, audio))", "bad = first_non_finite_row((visual,))",
            BATCH_TESTS),
-    Mutant("packed rows placed from the grid's start", VLAD,
-           "np.flatnonzero(np.arange(self.max_frames) < self.lengths[:, None])",
-           "np.arange(self.lengths.sum())", ORACLE_TESTS),
     Mutant("an empty video's gate mean takes the next video's first frame", MODEL,
            "frames[lo:hi].sum(axis=0)", "frames[lo:max(hi, lo + 1)].sum(axis=0)",
            ("tests/test_model.py::test_gate_mean_of_a_video_without_frames_is_zero",)),

@@ -359,21 +359,24 @@ def _padded(x, rows, shape):
     return x.reshape(x.shape[:r] + (b, m * x.shape[-2], x.shape[-1]))
 
 
-def _fw_residual_aggregate(logits, feats, anchors, gate, *, rows, shape):
+def _fw_residual_aggregate(logits, feats, anchors, gate, *, lengths, max_frames):
     _check_same_dtype("residual_aggregate", logits, feats, anchors, gate)
     if np.isnan(logits).any():
         raise ValueError("residual_aggregate: NaN in logits")
+    shape = (len(lengths), max_frames)
+    rows = np.flatnonzero(np.arange(max_frames) < lengths[:, None])  # each video's first places in B*M
     a = _softmax_rows_last(logits)
     w = _padded(a * gate[..., None], rows, shape)
     padded = _padded(feats, rows, shape)
     agg = w.swapaxes(-1, -2) @ padded
     agg -= (np.ones(w.shape[-2], w.dtype) @ w)[..., None] * anchors[..., None, :, :]
-    return agg, {"softmax": a, "wp": w, "padded": padded}  # the softmax unpadded, the rest padded
+    # the softmax unpadded, the rest padded
+    return agg, {"softmax": a, "wp": w, "padded": padded, "rows": rows}
 
 
-def _vjp_residual_aggregate(g_out, out, logits, feats, anchors, gate, *, rows, shape, softmax,
-                            wp, padded, needs):
-    (b, m), (g, k), r, a = shape, logits.shape[-2:], logits.ndim - 3, softmax
+def _vjp_residual_aggregate(g_out, out, logits, feats, anchors, gate, *, lengths, max_frames, softmax,
+                            wp, padded, rows, needs):
+    (b, m), (g, k), r, a = (len(lengths), max_frames), logits.shape[-2:], logits.ndim - 3, softmax
     w = a * gate[..., None]
     d_feats = None
     if needs[1]:  # shared feats take the sum over experts
@@ -400,26 +403,26 @@ RESIDUAL_AGGREGATE = Primitive("residual_aggregate", _fw_residual_aggregate, _vj
 
 
 def residual_aggregate(logits: Tensor, feats: Tensor, anchors: Tensor, gate: Tensor,
-                       rows: np.ndarray, shape: tuple) -> Tensor:
+                       lengths: np.ndarray, max_frames: int) -> Tensor:
     """VLAD residual sum before normalization, (B, K, D): out[b,k] = sum over the rows t
     of video b and groups g of gate[t,g] a[t,g,k] (feats[t,g] - anchors[k]), a the softmax
-    over K of ``logits`` (T, G, K), for feats (T, G, D) at places ``rows`` of a (B, M)
-    ``shape``, strictly increasing and in range (each video's rows, in video order).
-    With a leading expert axis E on logits and anchors (E, K, D), the output is
-    (E, B, K, D); feats and gate may have the axis or be shared.  Rejects NaN logits."""
+    over K of ``logits`` (T, G, K), for feats (T, G, D) packed in video order, video b
+    holding ``lengths[b]`` rows, at most ``max_frames``.  With a leading expert axis E on
+    logits and anchors (E, K, D), the output is (E, B, K, D); feats and gate may have the
+    axis or be shared.  Rejects NaN logits."""
     (t, g, k), d, lead = logits.shape[-3:], feats.shape[-1], logits.shape[:-3]
-    got = (feats.shape, anchors.shape, gate.shape, rows.shape)
-    if (len(lead) > 1 or anchors.shape != lead + (k, d) or rows.shape != (t,)
+    got = (feats.shape, anchors.shape, gate.shape)
+    if (len(lead) > 1 or anchors.shape != lead + (k, d)
             or feats.shape not in ((t, g, d), lead + (t, g, d))
             or gate.shape not in ((t, g), lead + (t, g))):
-        raise ValueError(f"residual_aggregate: feats, anchors, gate and rows shaped {got} "
+        raise ValueError(f"residual_aggregate: feats, anchors and gate shaped {got} "
                          f"do not fit logits {logits.shape}")
-    limit = shape[0] * shape[1]
-    if rows.dtype.kind not in "iu" or rows.size and (
-            rows[0] < 0 or rows[-1] >= limit or (np.diff(rows) <= 0).any()):
-        raise ValueError(f"residual_aggregate: rows must be 1-d integers increasing strictly "
-                         f"in [0, {limit})")
-    return apply(RESIDUAL_AGGREGATE, logits, feats, anchors, gate, rows=rows, shape=tuple(shape))
+    lengths = np.asarray(lengths)
+    if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or lengths.size and (
+            lengths.min() < 0 or lengths.max() > max_frames) or lengths.sum() != t:
+        raise ValueError(f"residual_aggregate: lengths must be 1-d integers in [0, {max_frames}] "
+                         f"summing to the {t} rows")
+    return apply(RESIDUAL_AGGREGATE, logits, feats, anchors, gate, lengths=lengths, max_frames=max_frames)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import train as trainmod
-from .data import gen_synthetic, load_eigenvalues, read_dataset, write_dataset
+from .data import first_non_finite_row, gen_synthetic, load_eigenvalues, read_dataset, write_dataset
 from .metrics import (MAX_PREDICTIONS, PredictionSet, gap_at_20, read_predictions_csv,
                       write_predictions_csv)
 from .model import NUM_EXPERTS, Eigenvalues, MixtureParams, ModelParams, stream_censuses
@@ -53,9 +53,10 @@ def _read_dataset(path):
     """A FAV1 dataset with finite frames only: a NaN or infinity is rejected
     here, naming the file, rather than by the first batch that holds it."""
     dataset = read_dataset(path)
-    bad = np.flatnonzero(dataset.store.first_bad < np.diff(dataset.store.offsets))
-    if bad.size:
-        raise ValueError(f"{path}: video {dataset.records[bad[0]].video_id!r} has a non-finite frame value")
+    bad = first_non_finite_row(dataset.store.frames)
+    if bad is not None:
+        owner = int(np.searchsorted(dataset.store.offsets, bad, side="right")) - 1
+        raise ValueError(f"{path}: video {dataset.records[owner].video_id!r} has a non-finite frame value")
     return dataset
 
 

@@ -63,15 +63,16 @@ class VideoRecord:
 
 @dataclass
 class Dataset:
-    """Records and the ``FrameStore`` batches are gathered from.  ``read_dataset``
-    reads frames straight into the store, so records hold views of it; a dataset
-    built from records packs a copy on its first batch.  Write frames in place."""
+    """Records and the ``FrameStore`` batches are gathered from.  The store is
+    packed when the dataset is built (``read_dataset`` reads frames straight into
+    it), and each record's frames are rebound to views of it: a record belongs to
+    the last dataset built from it, and frames written in place reach its batches."""
 
     records: list
     num_classes: int
     visual_dim: int
     audio_dim: int
-    store: Optional["FrameStore"] = field(default=None, repr=False, compare=False)
+    store: Optional["FrameStore"] = field(default=None, repr=False, compare=False)  # given packed
 
     def __post_init__(self):
         for r in self.records:
@@ -81,46 +82,51 @@ class Dataset:
         if labels.size and int(labels.max()) >= self.num_classes:  # then find the first such video
             r = next(r for r in self.records if r.labels.size and int(r.labels.max()) >= self.num_classes)
             raise ValueError(f"{r.video_id!r}: label {int(r.labels.max())} >= num_classes {self.num_classes}")
+        if self.store is None:
+            self.store = FrameStore.of(self.records, (self.visual_dim, self.audio_dim))
+            offsets = self.store.offsets.tolist()
+            for r, lo, hi in zip(self.records, offsets, offsets[1:]):
+                r.visual, r.audio = (a[lo:hi] for a in self.store.frames)
 
     def __len__(self) -> int:
         return len(self.records)
 
     def rows(self, index) -> "Rows":
-        self.store = self.store or FrameStore.of(self.records, (self.visual_dim, self.audio_dim))
         return Rows(self.store, np.asarray(index))
 
 
 class FrameStore(NamedTuple):
     """Records packed in order (``of`` copies them, unless given them packed): record i
     is rows ``offsets[i]:offsets[i + 1]`` of each (F, N) float32 array of ``frames``
-    (visual, audio) and ``label_offsets[i]:label_offsets[i + 1]`` of ``label_ids``.
-    ``first_bad[i]`` is its first frame with a NaN or inf, else its length."""
+    (visual, audio) and ``label_offsets[i]:label_offsets[i + 1]`` of ``label_ids``."""
 
     records: list
     frames: tuple
     offsets: np.ndarray
     label_offsets: np.ndarray
     label_ids: np.ndarray
-    first_bad: np.ndarray
 
     @staticmethod
     def of(records: list, dims: tuple, frames: Optional[tuple] = None) -> "FrameStore":
         frames = frames or tuple(np.concatenate([getattr(r, s) for r in records] + [np.zeros((0, n), "<f4")])
                                  for s, n in zip(("visual", "audio"), dims))
-        offsets = np.cumsum([0] + [r.num_frames for r in records])
-        # max and min are finite only where every value is, and unlike isfinite need no (F, N) temporary
-        bad = np.flatnonzero(~np.all([np.isfinite(a.max(axis=1, initial=0))
-                                      & np.isfinite(a.min(axis=1, initial=0)) for a in frames], axis=0))
-        owner = np.searchsorted(offsets, bad, side="right") - 1
-        first_bad = np.diff(offsets)
-        np.minimum.at(first_bad, owner, bad - offsets[owner])
-        return FrameStore(records, frames, offsets, np.cumsum([0] + [r.labels.size for r in records]),
-                          np.concatenate([r.labels for r in records] + [np.zeros(0, np.uint32)]), first_bad)
+        return FrameStore(records, frames, np.cumsum([0] + [r.num_frames for r in records]),
+                          np.cumsum([0] + [r.labels.size for r in records]),
+                          np.concatenate([r.labels for r in records] + [np.zeros(0, np.uint32)]))
 
 
 class Rows(NamedTuple):  # records ``index`` of a store, in that order: a batch for make_batch
     store: FrameStore
     index: np.ndarray
+
+
+def first_non_finite_row(frames: tuple) -> Optional[int]:
+    """The first row holding a NaN or an inf in any of ``frames``, arrays (R, N_i),
+    or None.  Max and min are finite only where every value is, and unlike isfinite
+    need no (R, N) temporary, so only a failing check makes one."""
+    if all(np.isfinite(a.max(initial=0)) and np.isfinite(a.min(initial=0)) for a in frames):
+        return None
+    return int(np.argmin(np.all([np.isfinite(a).all(axis=1) for a in frames], axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +197,6 @@ def read_dataset(path) -> Dataset:
             video_id = r.text(id_len, f"video id of record {i}")
             (num_labels,) = r.unpack("<I")
             labels = np.frombuffer(r.take(4 * num_labels), dtype="<u4").copy()
-            if labels.size and int(labels.max()) >= num_classes:
-                raise ValueError(
-                    f"{path}: record {video_id!r} has label {int(labels.max())} "
-                    f">= num_classes {num_classes}")
             (m,) = r.unpack("<I")
             if m < 1 or visual_dim + audio_dim < 1:  # else the frames would not bound the store
                 raise ValueError(f"{path}: record {video_id!r}: {m} frames of {visual_dim + audio_dim} values")
@@ -211,8 +213,11 @@ def read_dataset(path) -> Dataset:
             if f.readinto(visual) + f.readinto(audio) != visual.nbytes + audio.nbytes:
                 raise ValueError(f"{path}: truncated file (record {video_id!r} changed under the read)")
             records.append(VideoRecord(video_id=video_id, labels=labels, visual=visual, audio=audio))
-    return Dataset(records=records, num_classes=num_classes, visual_dim=visual_dim, audio_dim=audio_dim,
-                   store=FrameStore.of(records, (visual_dim, audio_dim), frames))
+    try:  # the label bound is the dataset's check
+        return Dataset(records=records, num_classes=num_classes, visual_dim=visual_dim, audio_dim=audio_dim,
+                       store=FrameStore.of(records, (visual_dim, audio_dim), frames))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +275,11 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
     spans = np.array([spec.labels_max - spec.labels_min + 1, spec.frames_max - spec.frames_min + 1])
     lows = np.array([spec.labels_min, spec.frames_min])
 
-    records = []
+    # frames go straight into the store, sized for frames_max per video: the rows
+    # past the last video's are never written, so their pages are never touched
+    dims = (spec.visual_dim, spec.audio_dim)
+    frames = tuple(np.empty((spec.num_videos * spec.frames_max, n), "<f4") for n in dims)
+    records, at = [], 0
     for v in range(spec.num_videos):
         head = rng.next_u64(c + 1)
         n_labels, m = (lows + words_to_integers(head[[0, c]], spans)).tolist()
@@ -279,19 +288,16 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
         visual_words = n_visual + n_visual % 2
         noise = spec.noise_sigma * words_to_normals(rng.next_u64(visual_words + n_audio + n_audio % 2))
 
-        visual_base = visual_concepts[labels].mean(axis=0)
-        audio_base = audio_concepts[labels].mean(axis=0)
-        visual = visual_base[None, :] + noise[:n_visual].reshape(m, spec.visual_dim)
-        audio = audio_base[None, :] + noise[visual_words:visual_words + n_audio].reshape(m, spec.audio_dim)
-
-        records.append(VideoRecord(
-            video_id=f"v{v:06d}",
-            labels=labels.astype(np.uint32),
-            visual=visual.astype(np.float32),
-            audio=audio.astype(np.float32),
-        ))
-    return Dataset(records=records, num_classes=spec.num_classes,
-                   visual_dim=spec.visual_dim, audio_dim=spec.audio_dim)
+        visual, audio = (a[at:at + m] for a in frames)
+        visual[:] = visual_concepts[labels].mean(axis=0) + noise[:n_visual].reshape(m, spec.visual_dim)
+        audio[:] = (audio_concepts[labels].mean(axis=0)
+                    + noise[visual_words:visual_words + n_audio].reshape(m, spec.audio_dim))
+        records.append(VideoRecord(video_id=f"v{v:06d}", labels=labels.astype(np.uint32),
+                                   visual=visual, audio=audio))
+        at += m
+    frames = tuple(a[:at] for a in frames)
+    return Dataset(records=records, num_classes=spec.num_classes, visual_dim=spec.visual_dim,
+                   audio_dim=spec.audio_dim, store=FrameStore.of(records, dims, frames))
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +321,9 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def make_batch(selection, max_frames: int, num_classes: int, dtype=np.float32) -> Batch:
     """Each video's first ``max_frames`` frames, packed, and its labels.  ``selection``
-    is ``dataset.rows(index)``, one ``take`` per stream from the store (frames reach
-    it as ``Dataset`` says), or a list of records, packed on the spot.  A NaN or inf
-    within ``max_frames`` names the video."""
+    is ``dataset.rows(index)``, one ``take`` per stream from the dataset's store, or a
+    list of records, packed on the spot.  A NaN or inf among the gathered frames
+    names the first video in batch order that holds one."""
     if not isinstance(selection, Rows):
         dims = (selection[0].visual.shape[1], selection[0].audio.shape[1]) if selection else (0, 0)
         selection = Rows(FrameStore.of(selection, dims), np.arange(len(selection)))
@@ -328,9 +334,9 @@ def make_batch(selection, max_frames: int, num_classes: int, dtype=np.float32) -
     lengths = np.minimum(store.offsets[idx + 1] - starts, max_frames)
     at = _ranges(starts, lengths)
     visual, audio = (a.take(at, axis=0).astype(dtype, copy=False) for a in store.frames)
-    bad = np.flatnonzero(store.first_bad[idx] < lengths)
-    if bad.size:
-        i = bad[0]
+    bad = first_non_finite_row((visual, audio))
+    if bad is not None:
+        i = int(np.searchsorted(np.cumsum(lengths), bad, side="right"))  # the video holding row bad
         own = slice(lengths[:i].sum(), lengths[:i + 1].sum())  # video i's packed rows
         stream, frames = (("visual", visual[own]) if not np.isfinite(visual[own]).all()
                           else ("audio", audio[own]))

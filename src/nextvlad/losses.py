@@ -58,12 +58,6 @@ def _soften(logits: Tensor, temperature: float) -> Tensor:
     return logits * (1.0 / temperature)
 
 
-def rank_soft_prediction(logits: Tensor, temperature: float) -> Tensor:
-    """Softmax over classes of logits / T (a distribution over C, unlike the
-    per-class sigmoids of the task loss)."""
-    return ad.softmax(_soften(logits, temperature), axis=-1)
-
-
 def kl_divergence(teacher_logits: Tensor, student_logits: Tensor, temperature: float) -> Tensor:
     """Sum over the students of the batch mean of KL(p_t || p_s) =
     sum_c p_t(c) (log p_t(c) - log p_s(c)), each p the softmax over classes

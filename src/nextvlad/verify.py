@@ -131,14 +131,14 @@ def gradient_checks(seed: int = 0) -> list:
 
     t = lambda *shape: Tensor(rng.normal(shape))  # noqa: E731
     check("affine", ad.AFFINE, t(3, 4), t(4, 2), t(2,))
-    rows = np.flatnonzero(rng.uniform((2, 3)) > 0.3)
-    packed = lambda *shape: Tensor(t(2, 3, *shape).data.reshape(6, *shape)[rows])  # noqa: E731
-    check("residual_aggregate", lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, rows, (2, 3)),
-          packed(2, 4), packed(2, 5), t(4, 5), packed(2))
-    stacked = lambda *shape: Tensor(t(3, 2, 3, *shape).data.reshape(3, 6, *shape)[:, rows])  # noqa: E731
+    # two videos of at most 3 frames: the first 0-2 (so always padded), the second 1-3
+    lengths = rng.integers(2, 3) + np.array([0, 1])
+    frames = int(lengths.sum())
+    check("residual_aggregate", lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, lengths, 3),
+          t(frames, 2, 4), t(frames, 2, 5), t(4, 5), t(frames, 2))
     check("residual_aggregate, 3 experts stacked",
-          lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, rows, (2, 3)),
-          stacked(2, 4), stacked(2, 5), t(3, 4, 5), stacked(2))
+          lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, lengths, 3),
+          t(3, frames, 2, 4), t(3, frames, 2, 5), t(3, 4, 5), t(3, frames, 2))
     check("softmax", lambda x: ad.softmax(x, axis=-1), t(3, 5))
     check("log_softmax", lambda x: ad.log_softmax(x, axis=-1), t(3, 5))
     check("sigmoid", ad.SIGMOID, t(4,))

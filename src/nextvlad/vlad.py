@@ -310,11 +310,6 @@ class FrameBatchView:
         return FrameBatchView(Tensor(padded[np.arange(m) < lengths[:, None]]), lengths, m)
 
     @property
-    def rows(self) -> np.ndarray:
-        """Places of the packed frames in the padded (B, M) grid, flattened."""
-        return np.flatnonzero(np.arange(self.max_frames) < self.lengths[:, None])
-
-    @property
     def feature_dim(self) -> int:
         return self.frames.shape[-1]
 
@@ -335,7 +330,7 @@ def netvlad_aggregate(view: FrameBatchView, core: NetVladCore) -> Tensor:
     logits = ad.affine(view.frames, ad.transpose(w, (0, 2, 1) if lead else (1, 0)), core.assign_b)
     return ad.residual_aggregate(logits.reshape(lead + (t, 1, k)), view.frames.reshape((t, 1, n)),
                                  core.anchors, Tensor(np.ones((t, 1), view.frames.dtype)),
-                                 view.rows, (len(view.lengths), view.max_frames))
+                                 view.lengths, view.max_frames)
 
 
 def netvlad_descriptor(view: FrameBatchView, core: NetVladCore) -> Tensor:
@@ -358,7 +353,7 @@ def nextvlad_aggregate(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
     attn = ad.sigmoid(ad.affine(expanded, core.attn_w, core.attn_b))  # (..., T, G)
     assign_logits = ad.affine(expanded, core.assign_w, core.assign_b).reshape(lead + (-1, g, k))
     return ad.residual_aggregate(assign_logits, expanded.reshape(lead + (-1, g, d)), core.anchors,
-                                 attn, view.rows, (len(view.lengths), view.max_frames))
+                                 attn, view.lengths, view.max_frames)
 
 
 def nextvlad_descriptor(view: FrameBatchView, core: NeXtVladCore) -> Tensor:

@@ -420,17 +420,17 @@ def stacked_state(features):
     return state
 
 
-STACKED_ROWS = np.array([0, 1, 3])  # valid places of a (2, 3) grid
+STACKED_LENGTHS = np.array([2, 1])  # frame counts of two videos of at most 3
 # E = 3 experts on a leading axis: inputs shaped by a case, from R = size of the shape / 2 rows
 STACKED_CASES = [
     ("affine E=3 shared rows", ad.affine, lambda r: [(r, 2), (3, 2, 4), (3, 4)]),
     ("affine E=3 own rows", ad.affine, lambda r: [(3, r, 2), (3, 2, 4), (3, 4)]),
     ("batch_norm E=3", lambda x, g, b: ad.batch_norm(x, g, b, stacked_state(4), training=True),
      lambda r: [(3, r + 1, 4), (3, 4), (3, 4)]),
-    ("residual_aggregate E=3", lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, STACKED_ROWS, (2, 3)),
+    ("residual_aggregate E=3", lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, STACKED_LENGTHS, 3),
      lambda r: [(3, 3, 2, r), (3, 3, 2, 4), (3, r, 4), (3, 3, 2)]),
     ("residual_aggregate E=3 shared feats and gate",
-     lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, STACKED_ROWS, (2, 3)),
+     lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, STACKED_LENGTHS, 3),
      lambda r: [(3, 3, 2, r), (3, 2, 4), (3, r, 4), (3, 2)]),
 ]
 
@@ -497,31 +497,31 @@ def test_backward_rejects_bad_cotangent_shape():
 # ---------------------------------------------------------------------------
 
 
-# valid-frame masks over (B, M) = (2, 3): the kernel sees only the set rows
-MASKS = {
-    "ragged": [[1, 1, 0], [1, 0, 0]],
-    "empty video": [[0, 0, 0], [1, 0, 1]],
-    "no rows": [[0, 0, 0], [0, 0, 0]],
-    "one row": [[0, 0, 1], [0, 0, 0]],  # its (T, G, K) logits seen as (G, K, T) are contiguous
-    "full": [[1, 1, 1], [1, 1, 1]],
+# frame counts of two videos of at most M = 3: the kernel sees only their rows
+LENGTHS = {
+    "ragged": [2, 1],
+    "empty video": [0, 2],
+    "no rows": [0, 0],
+    "one row": [0, 1],  # its (T, G, K) logits seen as (G, K, T) are contiguous
+    "full": [3, 3],
 }
 
 
-def residual_inputs(rng, mask="ragged", g=2, k=3, d=4):
-    """Padded (B, M, ...) inputs with their mask, as the loop oracle takes them."""
-    mask = np.array(MASKS[mask], dtype=np.float64)
+def residual_inputs(rng, lengths="ragged", g=2, k=3, d=4):
+    """Padded (B, M, ...) inputs with their valid-frame mask, as the loop oracle takes them."""
+    lengths = np.array(LENGTHS[lengths])
+    mask = (np.arange(3) < lengths[:, None]).astype(np.float64)
     b, m = mask.shape
     return (t64(rng, b, m, g, k), t64(rng, b, m, g, d), t64(rng, k, d),
             Tensor(0.5 + rng.uniform((b, m, g))), mask)
 
 
-def packed_inputs(rng, mask="ragged"):
-    """The kernel's inputs: the rows of the padded ones where the mask is
-    set and their places in B*M; then the padded arrays and the mask."""
-    a, x, c, s, mask = residual_inputs(rng, mask)
-    rows = np.flatnonzero(mask)
-    pack = lambda t: Tensor(t.data.reshape((-1,) + t.shape[2:])[rows])  # noqa: E731
-    return (pack(a), pack(x), c, pack(s), rows), (a.data, x.data, c.data, s.data, mask)
+def packed_inputs(rng, lengths="ragged"):
+    """The kernel's inputs: the rows of the padded ones where the mask is set,
+    and the frame counts; then the padded arrays and the mask."""
+    a, x, c, s, mask = residual_inputs(rng, lengths)
+    pack = lambda t: Tensor(t.data[mask > 0])  # noqa: E731
+    return (pack(a), pack(x), c, pack(s), np.array(LENGTHS[lengths])), (a.data, x.data, c.data, s.data, mask)
 
 
 def residual_loops(logits, feats, anchors, gate, mask):
@@ -539,85 +539,86 @@ def residual_loops(logits, feats, anchors, gate, mask):
 
 
 def test_residual_aggregate_matches_loops():
-    for mask in MASKS:
-        (a, x, c, s, rows), padded = packed_inputs(Rng(40), mask)
-        got = ad.residual_aggregate(a, x, c, s, rows, (2, 3)).data
-        assert np.abs(got - residual_loops(*padded)).max() < 1e-12, mask
+    for case in LENGTHS:
+        (a, x, c, s, lengths), padded = packed_inputs(Rng(40), case)
+        got = ad.residual_aggregate(a, x, c, s, lengths, 3).data
+        assert np.abs(got - residual_loops(*padded)).max() < 1e-12, case
         # three experts on a leading axis, each with its own anchors; their
         # feats and gate their own, or shared as NetVLAD shares its frames
-        experts = [packed_inputs(Rng(41 + e), mask) for e in range(3)]
+        experts = [packed_inputs(Rng(41 + e), case) for e in range(3)]
         stacked = [Tensor(np.stack([ins[i].data for ins, _ in experts])) for i in range(4)]
-        got = ad.residual_aggregate(*stacked, rows, (2, 3)).data
-        shared = ad.residual_aggregate(stacked[0], x, stacked[2], s, rows, (2, 3)).data
+        got = ad.residual_aggregate(*stacked, lengths, 3).data
+        shared = ad.residual_aggregate(stacked[0], x, stacked[2], s, lengths, 3).data
         for e, (_, (pa, px, pc, ps, _)) in enumerate(experts):
-            assert np.abs(got[e] - residual_loops(pa, px, pc, ps, padded[4])).max() < 1e-12, (mask, e)
+            assert np.abs(got[e] - residual_loops(pa, px, pc, ps, padded[4])).max() < 1e-12, (case, e)
             alone = residual_loops(pa, padded[1], pc, padded[3], padded[4])
-            assert np.abs(shared[e] - alone).max() < 1e-12, (mask, e)
+            assert np.abs(shared[e] - alone).max() < 1e-12, (case, e)
 
 
 def test_residual_aggregate_shape_mismatch_rejected():
-    (a, x, c, s, rows), _ = packed_inputs(Rng(41))
-    with pytest.raises(ValueError, match="residual_aggregate"):
-        ad.residual_aggregate(a, x, t64(Rng(1), 2, 4), s, rows, (2, 3))
-    with pytest.raises(ValueError, match="residual_aggregate"):
-        ad.residual_aggregate(a, x, c, s, rows[:2], (2, 3))
+    (a, x, c, s, lengths), _ = packed_inputs(Rng(41))
+    with pytest.raises(ValueError, match="residual_aggregate: feats"):
+        ad.residual_aggregate(a, x, t64(Rng(1), 2, 4), s, lengths, 3)
+    with pytest.raises(ValueError, match="residual_aggregate: feats"):
+        ad.residual_aggregate(a, Tensor(x.data[:2]), c, s, lengths, 3)
 
 
-def test_residual_aggregate_rejects_rows_that_are_not_strictly_increasing_places():
-    (a, x, c, s, rows), _ = packed_inputs(Rng(41), "full")
-    (ra, rx, _, rs, ragged), _ = packed_inputs(Rng(41))
-    for args in ((a, x, c, s, rows[::-1]),
-                 (ra, rx, c, rs, np.array([ragged[0], ragged[1], ragged[1]])),
-                 (ra, rx, c, rs, np.array([ragged[0], ragged[1], 6])),
-                 (ra, rx, c, rs, np.array([-1, ragged[1], ragged[2]])),
-                 (ra, rx, c, rs, ragged.astype(np.float64))):
-        with pytest.raises(ValueError, match="residual_aggregate: rows"):
-            ad.residual_aggregate(*args, (2, 3))
+def test_residual_aggregate_rejects_lengths_that_do_not_fit_the_rows_or_the_grid():
+    (a, x, c, s, lengths), _ = packed_inputs(Rng(41))  # 3 rows: lengths [2, 1]
+    one = [Tensor(v.data[:1]) for v in (a, x, s)]
+    for args, max_frames in (((a, x, c, s, np.array([-1, 4])), 4),  # negative
+                             ((a, x, c, s, np.array([0, 3])), 2),  # above max_frames
+                             ((a, x, c, s, lengths.astype(np.float64)), 3),
+                             ((a, x, c, s, lengths[None]), 3),  # not 1-d
+                             ((a, x, c, s, np.array([2, 0])), 3),  # sums to 2 of 3 rows
+                             ((one[0], one[1], c, one[2], lengths), 3)):  # 3 places for 1 row
+        with pytest.raises(ValueError, match="residual_aggregate: lengths"):
+            ad.residual_aggregate(*args, max_frames)
 
 
 def test_residual_aggregate_nan_logits_rejected():
-    (a, x, c, s, rows), _ = packed_inputs(Rng(41))
+    (a, x, c, s, lengths), _ = packed_inputs(Rng(41))
     a.data[1, 0, 2] = np.nan
     with pytest.raises(ValueError, match="residual_aggregate"):
-        ad.residual_aggregate(a, x, c, s, rows, (2, 3))
+        ad.residual_aggregate(a, x, c, s, lengths, 3)
 
 
 def test_residual_aggregate_is_shift_invariant_without_overflow():
     # logits 1000s apart overflow exp unless the max over K is taken exactly
-    (a, x, c, s, rows), _ = packed_inputs(Rng(49), "full")
+    (a, x, c, s, lengths), _ = packed_inputs(Rng(49), "full")
     big = a.data * 1000
-    got = ad.residual_aggregate(Tensor(big), x, c, s, rows, (2, 3)).data
+    got = ad.residual_aggregate(Tensor(big), x, c, s, lengths, 3).data
     shifted = Tensor(big - big.max(axis=-1, keepdims=True))
     assert np.isfinite(got).all()
-    assert np.array_equal(got, ad.residual_aggregate(shifted, x, c, s, rows, (2, 3)).data)
+    assert np.array_equal(got, ad.residual_aggregate(shifted, x, c, s, lengths, 3).data)
 
 
 @pytest.mark.parametrize("gated", [True, False])
 def test_residual_aggregate_grad_checks(gated):
-    for mask in MASKS:
-        (a, x, c, s, rows), _ = packed_inputs(Rng(42), mask)
+    for case in LENGTHS:
+        (a, x, c, s, lengths), _ = packed_inputs(Rng(42), case)
         if gated:
-            report = grad_check(lambda *ts: ad.residual_aggregate(*ts, rows, (2, 3)), [a, x, c, s])
+            report = grad_check(lambda *ts: ad.residual_aggregate(*ts, lengths, 3), [a, x, c, s])
         else:
             ones = Tensor(np.ones(s.shape))
-            report = grad_check(lambda a, x, c: ad.residual_aggregate(a, x, c, ones, rows, (2, 3)),
+            report = grad_check(lambda a, x, c: ad.residual_aggregate(a, x, c, ones, lengths, 3),
                                 [a, x, c])
-        assert report.passed, f"{mask}: {report}"
+        assert report.passed, f"{case}: {report}"
 
 
 def test_residual_aggregate_grad_checks_with_constant_inputs():
-    (a, x, c, s, rows), _ = packed_inputs(Rng(43))
-    report = grad_check(lambda a, c: ad.residual_aggregate(a, x, c, s, rows, (2, 3)), [a, c])
+    (a, x, c, s, lengths), _ = packed_inputs(Rng(43))
+    report = grad_check(lambda a, c: ad.residual_aggregate(a, x, c, s, lengths, 3), [a, c])
     assert report.passed, str(report)
 
 
 def test_residual_aggregate_vjp_skips_unneeded_inputs():
     cot = Rng(45).normal((2, 3, 4))
-    for mask in MASKS:
-        (a, x, c, s, rows), _ = packed_inputs(Rng(44), mask)
+    for case in LENGTHS:
+        (a, x, c, s, lengths), _ = packed_inputs(Rng(44), case)
         arrays = (a.data, x.data, c.data, s.data)
-        kw = dict(rows=rows, shape=(2, 3))
-        kw.update(ad.RESIDUAL_AGGREGATE.forward(*arrays, **kw)[1])  # the saved softmax
+        kw = dict(lengths=lengths, max_frames=3)
+        kw.update(ad.RESIDUAL_AGGREGATE.forward(*arrays, **kw)[1])  # what the forward saves
         full = ad.RESIDUAL_AGGREGATE.vjp(cot, None, *arrays, **kw, needs=(True,) * 4)
         for needs in [(True, False, True, False), (False, True, False, True),
                       (False, False, True, False)]:

@@ -290,8 +290,9 @@ def test_full_length_records_have_all_ones_mask():
     full = [r for r in ds.records]
     m_max = max(r.num_frames for r in full)
     batch = make_batch(full, m_max, ds.num_classes)
-    expected = [i * m_max + j for i, r in enumerate(full) for j in range(r.num_frames)]
-    assert batch.video.rows.tolist() == expected and batch.audio.rows.tolist() == expected
+    expected = [r.num_frames for r in full]
+    assert batch.video.lengths.tolist() == expected and batch.audio.lengths.tolist() == expected
+    assert batch.video.frames.shape[0] == batch.audio.frames.shape[0] == sum(expected)
 
 
 def test_mask_pattern_for_short_record():
@@ -299,7 +300,7 @@ def test_mask_pattern_for_short_record():
                          visual=np.ones((3, 2), dtype=np.float32),
                          audio=np.ones((3, 1), dtype=np.float32))
     batch = make_batch([record], 5, 2)
-    assert batch.video.max_frames == 5 and batch.video.rows.tolist() == [0, 1, 2]
+    assert batch.video.max_frames == 5 and batch.video.lengths.tolist() == [3]
     assert np.array_equal(batch.video.frames.data, record.visual)
 
 
@@ -425,6 +426,25 @@ def test_read_records_are_views_of_the_store(stored):
     stored.records[2].visual[1, 0] = 7.5
     video = make_batch(stored.rows([5, 2]), 4, stored.num_classes).video
     assert video.frames.data[video.lengths[0] + 1, 0] == 7.5
+
+
+def test_records_built_dataset_holds_its_frames_once_and_sees_writes_after_a_batch(stored):
+    ds = Dataset(stored.records[3:9], stored.num_classes, stored.visual_dim, stored.audio_dim)
+    assert all(np.shares_memory(r.visual, ds.store.frames[0]) and np.shares_memory(r.audio, ds.store.frames[1])
+               for r in ds.records)
+    first = make_batch(ds.rows([1, 0]), 4, ds.num_classes)
+    ds.records[0].audio[0, 2] = -3.25  # after the first batch
+    audio = make_batch(ds.rows([1, 0]), 4, ds.num_classes).audio
+    assert audio.frames.data[audio.lengths[0], 2] == -3.25
+    assert first.audio.frames.data[first.audio.lengths[0], 2] != -3.25
+
+
+@pytest.mark.parametrize("stream", ["visual", "audio"])
+def test_nan_written_into_a_read_record_after_a_batch_is_named(stored, stream):
+    make_batch(stored.rows([6, 1]), 4, stored.num_classes)
+    getattr(stored.records[1], stream)[0, 1] = np.nan
+    with pytest.raises(ValueError, match=f"{stored.records[1].video_id}.*NaN.*{stream}"):
+        make_batch(stored.rows([6, 1]), 4, stored.num_classes)
 
 
 @pytest.mark.parametrize("stream,value,word", [("visual", np.nan, "NaN"),

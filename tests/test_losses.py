@@ -10,7 +10,6 @@ from nextvlad.losses import (
     LossConfig,
     bce_loss,
     kl_divergence,
-    rank_soft_prediction,
     total_loss,
 )
 from nextvlad.rng import Rng
@@ -85,40 +84,14 @@ def test_bce_finite_for_extreme_logits():
 
 
 # ---------------------------------------------------------------------------
-# rank soft prediction
-# ---------------------------------------------------------------------------
-
-
-def test_rank_soft_prediction_t1_is_softmax():
-    z = Rng(41).normal((2, 5))
-    p = rank_soft_prediction(Tensor(z), 1.0).data
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    assert np.abs(p - e / e.sum(axis=1, keepdims=True)).max() < 1e-12
-
-
-def test_rank_soft_prediction_high_t_approaches_uniform():
-    z = Rng(42).normal((1, 8)) * 5
-    p = rank_soft_prediction(Tensor(z), 1e6).data
-    assert np.abs(p - 1.0 / 8).max() < 1e-4
-
-
-def test_rank_soft_prediction_t3_direct_evaluation():
-    z = np.array([[3.0, 0.0, -3.0]])
-    p = rank_soft_prediction(Tensor(z), 3.0).data
-    e = np.exp(np.array([1.0, 0.0, -1.0]))
-    assert np.abs(p - e / e.sum()).max() < 1e-12
-
-
-def test_rank_soft_prediction_rejects_nonpositive_t():
-    with pytest.raises(ValueError):
-        rank_soft_prediction(Tensor(np.zeros((1, 2))), 0.0)
-    with pytest.raises(ValueError):
-        rank_soft_prediction(Tensor(np.zeros((1, 2))), -1.0)
-
-
-# ---------------------------------------------------------------------------
 # kl divergence
 # ---------------------------------------------------------------------------
+
+
+def test_kl_rejects_nonpositive_temperature():
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError, match="temperature must be > 0"):
+            kl([[0.0, 1.0]], [[1.0, 0.0]], t)
 
 
 def test_kl_identical_distributions_is_exactly_zero():
