@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 AUTODIFF = "src/nextvlad/autodiff.py"
+VLAD = "src/nextvlad/vlad.py"
 
 KERNEL_TESTS = (
     "tests/test_autodiff.py::test_residual_aggregate_matches_loops",
@@ -72,8 +73,7 @@ MUTANTS = [
            "a = logits.transpose(lead + (n - 2, n - 1, n - 3)).copy()",
            "a = np.ascontiguousarray(logits.transpose(lead + (n - 2, n - 1, n - 3)))", KERNEL_TESTS),
     Mutant("anchor term added in the forward", AUTODIFF,
-           "agg -= (np.ones(w.shape[-2], w.dtype) @ w)", "agg += (np.ones(w.shape[-2], w.dtype) @ w)",
-           KERNEL_TESTS),
+           "agg -= wsum[..., None]", "agg += wsum[..., None]", KERNEL_TESTS),
     Mutant("packed features scattered to the first rows", AUTODIFF,
            "padded = _padded(feats, rows, shape)", "padded = _padded(feats, np.arange(len(rows)), shape)",
            KERNEL_TESTS),
@@ -104,6 +104,18 @@ MUTANTS = [
            "e = np.exp(a - a.max(axis=axis, keepdims=True))",
            "e = np.exp(a - a.max(axis=0, keepdims=True))",
            ("tests/test_autodiff.py::test_softmax_bytes_match_reduce_max_form",)),
+    # the assignment logits read from the frames through the folded weights
+    Mutant("weight_product's forward accumulated in the weights' dtype", AUTODIFF,
+           "(a.astype(np.float64) @ b.astype(np.float64)).astype(a.dtype)", "a @ b",
+           ("tests/test_acceptance.py::test_criterion_3_oracle_equivalence",)),
+    Mutant("weight_product's first cotangent taken with b untransposed", AUTODIFF,
+           "g @ b.swapaxes(-1, -2) if needs[0]", "g @ b if needs[0]",
+           ("tests/test_autodiff.py::test_every_primitive_grad_checks_on_random_shapes",)),
+    Mutant("assign_b left out of the folded bias", VLAD,
+           "ad.affine(expand_b, core.assign_w, core.assign_b)",
+           "ad.affine(expand_b, core.assign_w, core.assign_b * 0.0)",
+           ("tests/test_vlad.py::"
+            "test_folded_assignment_logits_equal_the_expanded_frames_through_the_assignment",)),
     # l2_normalize
     Mutant("l2_normalize VJP projects on the input, not the output", AUTODIFF,
            "da = (g - out * _row_dot(g, out, axis)) / denom",

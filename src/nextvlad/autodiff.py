@@ -332,6 +332,30 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return apply(AFFINE, x, w, b)
 
 
+def _fw_weight_product(a, b):
+    _check_same_dtype("weight_product", a, b)
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(a.dtype)
+
+
+def _vjp_weight_product(g, out, a, b, needs):
+    return (g @ b.swapaxes(-1, -2) if needs[0] else None,
+            a.swapaxes(-1, -2) @ g if needs[1] else None)
+
+
+WEIGHT_PRODUCT = Primitive("weight_product", _fw_weight_product, _vjp_weight_product)
+
+
+def weight_product(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product ``a @ b`` of two weights, a (I, J) and b (J, O), or both stacked
+    on a leading expert axis, (E, I, J) and (E, J, O).  The forward accumulates in
+    float64 and rounds once to the weights' dtype; the VJP runs in that dtype."""
+    a_s, b_s = a.shape, b.shape
+    if len(a_s) not in (2, 3) or len(b_s) != len(a_s) or a_s[:-2] != b_s[:-2] or a_s[-1] != b_s[-2]:
+        raise ValueError(f"weight_product: a {a_s} @ b {b_s} "
+                         "do not fit (I, J) @ (J, O), nor with a leading expert axis")
+    return apply(WEIGHT_PRODUCT, a, b)
+
+
 def _to_rows(x, rows, axis=0):
     return x if len(rows) == x.shape[axis] else np.take(x, rows, axis=axis)
 
@@ -369,20 +393,20 @@ def _fw_residual_aggregate(logits, feats, anchors, gate, *, lengths, max_frames)
     w = _padded(a * gate[..., None], rows, shape)
     padded = _padded(feats, rows, shape)
     agg = w.swapaxes(-1, -2) @ padded
-    agg -= (np.ones(w.shape[-2], w.dtype) @ w)[..., None] * anchors[..., None, :, :]
+    wsum = np.ones(w.shape[-2], w.dtype) @ w  # (..., B, K)
+    agg -= wsum[..., None] * anchors[..., None, :, :]
     # the softmax unpadded, the rest padded
-    return agg, {"softmax": a, "wp": w, "padded": padded, "rows": rows}
+    return agg, {"softmax": a, "wp": w, "wsum": wsum, "padded": padded, "rows": rows}
 
 
 def _vjp_residual_aggregate(g_out, out, logits, feats, anchors, gate, *, lengths, max_frames, softmax,
-                            wp, padded, rows, needs):
+                            wp, wsum, padded, rows, needs):
     (b, m), (g, k), r, a = (len(lengths), max_frames), logits.shape[-2:], logits.ndim - 3, softmax
-    w = a * gate[..., None]
+    w = _to_rows(wp.reshape(a.shape[:r] + (b * m, g, k)), rows, r)  # the gated softmax, unpadded
     d_feats = None
     if needs[1]:  # shared feats take the sum over experts
         d_feats = _to_rows((wp @ g_out).reshape(a.shape[:r] + (b * m, g, -1)), rows, r)
         d_feats = _unbroadcast(d_feats, feats.shape)
-    wsum = np.ones(m * g, wp.dtype) @ wp  # (..., B, K)
     d_anchors = None
     if needs[2]:
         d_anchors = -(wsum.swapaxes(-1, -2)[..., None, :] @ g_out.swapaxes(-3, -2))[..., 0, :]

@@ -131,6 +131,7 @@ def gradient_checks(seed: int = 0) -> list:
 
     t = lambda *shape: Tensor(rng.normal(shape))  # noqa: E731
     check("affine", ad.AFFINE, t(3, 4), t(4, 2), t(2,))
+    check("weight_product", ad.WEIGHT_PRODUCT, t(3, 4), t(4, 2))
     # two videos of at most 3 frames: the first 0-2 (so always padded), the second 1-3
     lengths = rng.integers(2, 3) + np.array([0, 1])
     frames = int(lengths.sum())

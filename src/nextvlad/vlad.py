@@ -16,6 +16,16 @@ attention gate and frames to one kernel, ``ad.residual_aggregate`` (softmax
 over clusters, gated residual sum, the one place a video's rows are laid out
 on the padded (B, M) grid), then intra-normalize with ``ad.l2_normalize``.
 NetVLAD, one group without attention, passes a gate of ones.
+
+NeXtVLAD's assignment logits are linear in the expanded frames, so they are
+read from the frames themselves: x (W_e W_a) + (b_e W_a + b_a), a T x N x GK
+product where the expanded frames would take T x lamN x GK, and no (T, lamN)
+cotangent from the assignment back into the expanded frames.  The weights are
+those of the paper's layer, unchanged.
+``ad.weight_product`` sums W_e W_a in float64 and rounds it once to float32.
+Summed in float32, the product would carry its own rounding error into every
+logit: that moved the float32 NeXtVLAD from 8.2e-7 to 1.3e-6 away from the
+loop reference, past the 1e-6 that acceptance criterion 3 allows.
 """
 
 from __future__ import annotations
@@ -351,9 +361,18 @@ def nextvlad_aggregate(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
     expanded = ad.affine(view.frames, core.expand_w, core.expand_b)  # (..., T, lamN)
 
     attn = ad.sigmoid(ad.affine(expanded, core.attn_w, core.attn_b))  # (..., T, G)
-    assign_logits = ad.affine(expanded, core.assign_w, core.assign_b).reshape(lead + (-1, g, k))
+    assign_logits = assignment_logits(view.frames, core).reshape(lead + (-1, g, k))
     return ad.residual_aggregate(assign_logits, expanded.reshape(lead + (-1, g, d)), core.anchors,
                                  attn, view.lengths, view.max_frames)
+
+
+def assignment_logits(frames: Tensor, core: NeXtVladCore) -> Tensor:
+    """The assignment logits of the expanded frames, (..., T, G*K), read from the
+    frames (T, N) through the folded weights: x (W_e W_a) + (b_e W_a + b_a)."""
+    lead = core.expand_b.shape[:-1]  # () or (E,)
+    expand_b = core.expand_b.reshape(lead + (1, -1))
+    bias = ad.affine(expand_b, core.assign_w, core.assign_b).reshape(core.assign_b.shape)
+    return ad.affine(frames, ad.weight_product(core.expand_w, core.assign_w), bias)
 
 
 def nextvlad_descriptor(view: FrameBatchView, core: NeXtVladCore) -> Tensor:

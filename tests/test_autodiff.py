@@ -65,6 +65,29 @@ def test_affine_shape_error_names_every_shape():
             ad.affine(Tensor(np.zeros(x)), Tensor(np.zeros(w)), Tensor(np.zeros(b)))
 
 
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "3 stacked"])
+def test_weight_product_rounds_its_float64_sum_once(lead):
+    rng = Rng(1)
+    a, b = (rng.normal(lead + shape).astype(np.float32) for shape in ((16, 40), (40, 24)))
+    got = ad.weight_product(Tensor(a), Tensor(b)).data
+    exact = a.astype(np.float64) @ b.astype(np.float64)
+    assert got.dtype == np.float32 and got.tobytes() == exact.astype(np.float32).tobytes()
+    g = rng.normal(lead + (16, 24)).astype(np.float32)
+    for needs in itertools.product((False, True), repeat=2):
+        da, db = ad.WEIGHT_PRODUCT.vjp(g, got, a, b, needs=needs)
+        assert da is None if not needs[0] else da.tobytes() == (g @ b.swapaxes(-1, -2)).tobytes()
+        assert db is None if not needs[1] else db.tobytes() == (a.swapaxes(-1, -2) @ g).tobytes()
+
+
+def test_weight_product_shape_error_names_both_shapes():
+    for a, b in [((2, 3), (2, 2)), ((2, 3), (3,)), ((3, 2, 3), (3, 2)), ((3, 2, 3), (2, 3, 2)),
+                 ((2,), (2, 2))]:
+        with pytest.raises(ValueError, match=re.escape(f"weight_product: a {a} @ b {b}")):
+            ad.weight_product(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+    with pytest.raises(TypeError, match="weight_product"):
+        ad.weight_product(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2), dtype=np.float32)))
+
+
 def test_dtype_mismatch_rejected():
     a = Tensor(np.zeros((2, 2), dtype=np.float32))
     b = Tensor(np.zeros((2, 2), dtype=np.float64))
@@ -401,6 +424,7 @@ PRIMITIVE_CASES = [
     ("mul", lambda a, b: a * b, 2),
     ("affine", lambda x, w, b: ad.affine(x.reshape((2, -1)), w.reshape((-1, 2)),
                                          ad.reduce_sum(b.reshape((-1, 2)), axes=0)), 3),
+    ("weight_product", lambda a, b: ad.weight_product(a.reshape((2, -1)), b.reshape((-1, 2))), 2),
     ("softmax", lambda a: ad.softmax(a, axis=-1), 1),
     ("log_softmax", lambda a: ad.log_softmax(a, axis=-1), 1),
     ("sigmoid", ad.sigmoid, 1),
@@ -425,6 +449,7 @@ STACKED_LENGTHS = np.array([2, 1])  # frame counts of two videos of at most 3
 STACKED_CASES = [
     ("affine E=3 shared rows", ad.affine, lambda r: [(r, 2), (3, 2, 4), (3, 4)]),
     ("affine E=3 own rows", ad.affine, lambda r: [(3, r, 2), (3, 2, 4), (3, 4)]),
+    ("weight_product E=3", ad.weight_product, lambda r: [(3, 2, r), (3, r, 4)]),
     ("batch_norm E=3", lambda x, g, b: ad.batch_norm(x, g, b, stacked_state(4), training=True),
      lambda r: [(3, r + 1, 4), (3, 4), (3, 4)]),
     ("residual_aggregate E=3", lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, STACKED_LENGTHS, 3),
@@ -625,6 +650,48 @@ def test_residual_aggregate_vjp_skips_unneeded_inputs():
             part = ad.RESIDUAL_AGGREGATE.vjp(cot, None, *arrays, **kw, needs=needs)
             for need, got, ref in zip(needs, part, full):
                 assert (got is None) if not need else np.array_equal(got, ref)
+
+
+def residual_vjp_recomputing(g_out, logits, feats, anchors, gate, *, lengths, max_frames, softmax,
+                             wp, padded, rows):
+    """The kernel's VJP as it was before it read the gated softmax and its sums
+    over the grid from the forward: it recomputes both."""
+    (b, m), (g, k), r, a = (len(lengths), max_frames), logits.shape[-2:], logits.ndim - 3, softmax
+    w = a * gate[..., None]
+    d_feats = ad._to_rows((wp @ g_out).reshape(a.shape[:r] + (b * m, g, -1)), rows, r)
+    d_feats = ad._unbroadcast(d_feats, feats.shape)
+    wsum = np.ones(m * g, wp.dtype) @ wp
+    d_anchors = -(wsum.swapaxes(-1, -2)[..., None, :] @ g_out.swapaxes(-3, -2))[..., 0, :]
+    dw = padded @ g_out.swapaxes(-1, -2)
+    dw -= (g_out.swapaxes(-3, -2) @ anchors[..., None])[..., 0].swapaxes(-1, -2)[..., None, :]
+    dw = ad._to_rows(dw.reshape(a.shape[:r] + (b * m, g, k)), rows, r)
+    d_gate = ((a * dw).reshape(-1, k) @ np.ones(k, a.dtype)).reshape(a.shape[:-1])
+    d_logits = np.multiply(np.subtract(dw, d_gate[..., None], out=dw), w, out=dw)
+    return (d_logits, d_feats, d_anchors, ad._unbroadcast(d_gate, gate.shape))
+
+
+@pytest.mark.parametrize("experts", ["one model", "3 stacked", "3 stacked, shared feats and gate"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_residual_aggregate_vjp_bytes_match_the_recomputing_form(dtype, experts):
+    # the VJP takes the gated softmax as the saved grid's rows and the weights'
+    # sums over the grid as the forward made them, with the bytes of recomputing both
+    for case in ("ragged", "empty video", "full"):
+        (a, x, c, s, lengths), _ = packed_inputs(Rng(47), case)
+        arrays = [v.data.astype(dtype) for v in (a, x, c, s)]
+        if experts != "one model":
+            rng = Rng(48)
+            arrays = [np.stack([v * (1 + rng.uniform((1,))[0]) for _ in range(3)]).astype(dtype)
+                      for v in arrays]
+            if experts.endswith("shared feats and gate"):
+                arrays[1], arrays[3] = arrays[1][0], arrays[3][0]
+        kw = dict(lengths=lengths, max_frames=3)
+        out, saved = ad.RESIDUAL_AGGREGATE.forward(*arrays, **kw)
+        cot = Rng(49).normal(out.shape).astype(dtype)
+        got = ad.RESIDUAL_AGGREGATE.vjp(cot, out, *arrays, **kw, **saved, needs=(True,) * 4)
+        saved.pop("wsum")
+        ref = residual_vjp_recomputing(cot, *arrays, **kw, **saved)
+        for i, (x_got, x_ref) in enumerate(zip(got, ref)):
+            assert x_got.dtype == dtype and x_got.tobytes() == x_ref.tobytes(), (case, i)
 
 
 @pytest.mark.parametrize("prim", [ad.MUL], ids=lambda p: p.name)

@@ -1,10 +1,15 @@
 """Config parsing and the command-line surface, end to end on tiny runs."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nextvlad
 from nextvlad.cli import main
 from nextvlad.config import RunConfig, batch_max_frames, model_config_from, resolve_dims
 from nextvlad.data import read_dataset, write_dataset
@@ -507,6 +512,31 @@ def test_corrupt_config_echo_names_checkpoint_and_line(tmp_path, tiny_dataset, c
     assert capsys.readouterr().err == f"error: {ckpt}: config echo line {line_no}: {message}\n"
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
+    """A desk-shaped train in a fresh process writes the same log and checkpoint
+    with the BLAS thread variables unset as with one thread: the package sets one
+    before numpy loads.  With more threads the BLAS may split a product's sums
+    differently.  On a host with one core both runs have one thread anyway, so
+    there the test passes whatever the package does."""
+    data = tmp_path / "desk.fav"
+    assert main(["gen-data", "--out", str(data), "--videos", "300", "--classes", "20",
+                 "--set", "data.visual_dim=64", "--set", "data.audio_dim=16", "--seed", "7"]) == 0
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(nextvlad.__file__).parent.parent)
+    runs = {"unset": env, "one": {**env, "OPENBLAS_NUM_THREADS": "1"}}
+    for name, run_env in runs.items():
+        subprocess.run([sys.executable, "-m", "nextvlad.cli", "train", "--dataset", str(data),
+                        "--out", str(tmp_path / name), "--set", "model.hidden=128",
+                        "--set", "vlad.clusters=8", "--set", "vlad.groups=4", "--batch-size", "64",
+                        "--steps", "30", "--seed", "3"],
+                       env=run_env, check=True, stdout=subprocess.DEVNULL)
+    for file in ("train_log.csv", "checkpoint.ckpt"):
+        assert (tmp_path / "unset" / file).read_bytes() == (tmp_path / "one" / file).read_bytes(), file
+
+
 # ---------------------------------------------------------------------------
 # param-count / verify
 # ---------------------------------------------------------------------------
@@ -548,7 +578,7 @@ def test_param_count_mixture_row(monkeypatch, capsys):
 def test_verify_command_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
-    assert "checks passed" in out
+    assert "checks passed" in out and "ok   grad weight_product" in out
 
 
 def test_dataset_dims_must_match_the_model(tmp_path, tiny_dataset, capsys):

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from nextvlad import autodiff as ad
 from nextvlad.autodiff import Tensor
 from nextvlad.gradcheck import grad_check
 from nextvlad.model import ModelConfig, ModelParams, stream_censuses
@@ -13,6 +14,8 @@ from nextvlad.vlad import (
     FrameBatchView,
     NetVladConfig,
     NeXtVladConfig,
+    NeXtVladCore,
+    assignment_logits,
     netvlad_descriptor,
     nextvlad_aggregate,
     nextvlad_descriptor,
@@ -255,6 +258,37 @@ def test_assignment_normalizes_over_clusters_not_groups():
     grouped = x.reshape(2, 2, 2).sum(axis=(0, 1))  # sum over frames and groups
     for k in range(cfg.clusters):
         assert np.abs(agg[0, k] - grouped / cfg.clusters).max() < 1e-12
+
+
+def random_nextvlad_core(rng, cfg):
+    """A float64 NeXtVLAD core whose every weight and bias is drawn, none zero."""
+    core, _ = core_and_head(cfg, rng, np.float64)
+    for name in ("expand_b", "attn_b", "assign_b"):
+        getattr(core, name).data = rng.normal(getattr(core, name).shape)
+    return core
+
+
+def test_folded_assignment_logits_equal_the_expanded_frames_through_the_assignment():
+    # x (W_e W_a) + (b_e W_a + b_a) is (x W_e + b_e) W_a + b_a, the logits of the expanded frames
+    rng = Rng(36)
+    cfg = NeXtVladConfig(input_dim=6, clusters=3, hidden_dim=2, groups=4, expansion=2)
+    view = random_view(rng, 3, 5, 6)
+    cores = [random_nextvlad_core(rng, cfg) for _ in range(3)]
+    stacked = NeXtVladCore(**{f.name: Tensor(np.stack([getattr(c, f.name).data for c in cores]))
+                              for f in dataclasses.fields(NeXtVladCore) if f.name != "groups"},
+                           groups=cfg.groups)
+
+    def expanded_logits(core):
+        expanded = ad.affine(view.frames, core.expand_w, core.expand_b)
+        return ad.affine(expanded, core.assign_w, core.assign_b).data
+
+    got = assignment_logits(view.frames, cores[0]).data
+    assert got.shape == (view.frames.shape[0], 12)
+    assert np.abs(got - expanded_logits(cores[0])).max() < 1e-12
+    got = assignment_logits(view.frames, stacked).data
+    assert got.shape == (3, view.frames.shape[0], 12)
+    for e, core in enumerate(cores):
+        assert np.abs(got[e] - expanded_logits(core)).max() < 1e-12, e
 
 
 # ---------------------------------------------------------------------------
