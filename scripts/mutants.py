@@ -44,6 +44,11 @@ ADAM_TESTS = (
     "tests/test_train.py::test_adam_bytes_match_allocating_form",
     "tests/test_train.py::test_adam_nan_past_the_first_block_names_tensor",
 )
+SCORING_TESTS = (
+    "tests/test_train.py::test_weight_product_is_formed_once_per_stream_per_pass",
+    "tests/test_train.py::test_a_training_step_between_passes_leaves_no_stale_fold",
+    "tests/test_train.py::test_a_pass_that_raises_leaves_no_scope_active",
+)
 
 DATA = "src/nextvlad/data.py"
 MODEL = "src/nextvlad/model.py"
@@ -116,6 +121,12 @@ MUTANTS = [
            "ad.affine(expand_b, core.assign_w, core.assign_b * 0.0)",
            ("tests/test_vlad.py::"
             "test_folded_assignment_logits_equal_the_expanded_frames_through_the_assignment",)),
+    # the folded weights formed once per scoring pass
+    Mutant("the fold kept after the pass", AUTODIFF,
+           "        _folds = None\n", "        pass\n", SCORING_TESTS),
+    Mutant("the fold reused where a gradient flows", AUTODIFF,
+           "if _folds is None or a.requires_grad or b.requires_grad:", "if _folds is None:",
+           ("tests/test_train.py::test_differentiating_inside_a_pass_reaches_the_folded_weights",)),
     # l2_normalize
     Mutant("l2_normalize VJP projects on the input, not the output", AUTODIFF,
            "da = (g - out * _row_dot(g, out, axis)) / denom",

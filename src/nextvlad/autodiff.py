@@ -16,7 +16,8 @@ Conventions:
 * values are immutable once constructed; mutable state (batch-norm running
   moments, RNG counters) lives outside the graph.  The one exception is a
   trained parameter: Adam writes its array in place after ``backward``
-  returns, so a graph must not be reused across an optimizer step.
+  returns, so a graph must not be reused across an optimizer step, and a
+  weight product formed inside :func:`fixed_weights` is dropped on its exit.
 """
 
 from __future__ import annotations
@@ -189,6 +190,24 @@ def differentiating(leaves: Iterable[Tensor]):
             t.requires_grad = flag
 
 
+# inside fixed_weights(): (id(a), id(b)) -> (a, b, weight_product(a, b)), holding
+# a and b so their ids are not reused while the entry lives
+_folds: Optional[dict] = None
+
+
+@contextmanager
+def fixed_weights():
+    """No weight changes inside the block, so :func:`weight_product` forms each
+    product of two tensors that need no gradient once and returns it again for
+    the same pair.  Every product is dropped on exit, also when the block raises."""
+    global _folds
+    _folds = {}
+    try:
+        yield
+    finally:
+        _folds = None
+
+
 # ---------------------------------------------------------------------------
 # primitive machinery
 # ---------------------------------------------------------------------------
@@ -348,12 +367,18 @@ WEIGHT_PRODUCT = Primitive("weight_product", _fw_weight_product, _vjp_weight_pro
 def weight_product(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product ``a @ b`` of two weights, a (I, J) and b (J, O), or both stacked
     on a leading expert axis, (E, I, J) and (E, J, O).  The forward accumulates in
-    float64 and rounds once to the weights' dtype; the VJP runs in that dtype."""
+    float64 and rounds once to the weights' dtype; the VJP runs in that dtype.
+    Inside :func:`fixed_weights` a product that needs no gradient is formed once."""
     a_s, b_s = a.shape, b.shape
     if len(a_s) not in (2, 3) or len(b_s) != len(a_s) or a_s[:-2] != b_s[:-2] or a_s[-1] != b_s[-2]:
         raise ValueError(f"weight_product: a {a_s} @ b {b_s} "
                          "do not fit (I, J) @ (J, O), nor with a leading expert axis")
-    return apply(WEIGHT_PRODUCT, a, b)
+    if _folds is None or a.requires_grad or b.requires_grad:
+        return apply(WEIGHT_PRODUCT, a, b)
+    key = (id(a), id(b))
+    if key not in _folds:
+        _folds[key] = (a, b, apply(WEIGHT_PRODUCT, a, b))
+    return _folds[key][2]
 
 
 def _to_rows(x, rows, axis=0):

@@ -186,12 +186,13 @@ def predict(params, dataset: Dataset, max_frames: int, batch_size: int = 64) -> 
     """Top-20 sigmoid scores of every video, inference mode, in dataset order."""
     preds = PredictionSet()
     k = min(MAX_PREDICTIONS, dataset.num_classes)
-    for start in range(0, len(dataset.records), batch_size):
-        chunk = dataset.records[start:start + batch_size]
-        batch = make_batch(dataset.rows(range(start, start + len(chunk))), max_frames, dataset.num_classes)
-        scores = ad.sigmoid(predict_logits(params, batch)).data
-        classes, confs = topk_predictions(scores, k)
-        preds.append(batch.video_ids, [r.labels for r in chunk], k, classes.reshape(-1), confs.reshape(-1))
+    with ad.fixed_weights():  # NeXtVLAD's folded assignment weights, formed once per pass
+        for start in range(0, len(dataset.records), batch_size):
+            chunk = dataset.records[start:start + batch_size]
+            batch = make_batch(dataset.rows(range(start, start + len(chunk))), max_frames, dataset.num_classes)
+            scores = ad.sigmoid(predict_logits(params, batch)).data
+            classes, confs = topk_predictions(scores, k)
+            preds.append(batch.video_ids, [r.labels for r in chunk], k, classes.reshape(-1), confs.reshape(-1))
     return preds
 
 

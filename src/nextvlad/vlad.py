@@ -25,7 +25,10 @@ those of the paper's layer, unchanged.
 ``ad.weight_product`` sums W_e W_a in float64 and rounds it once to float32.
 Summed in float32, the product would carry its own rounding error into every
 logit: that moved the float32 NeXtVLAD from 8.2e-7 to 1.3e-6 away from the
-loop reference, past the 1e-6 that acceptance criterion 3 allows.
+loop reference, past the 1e-6 that acceptance criterion 3 allows.  The fold
+is formed once per training step, in its graph, and once per scoring pass:
+``predict`` scores inside ``ad.fixed_weights``, which reuses the product for
+every batch of the pass.
 """
 
 from __future__ import annotations

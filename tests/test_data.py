@@ -403,7 +403,7 @@ def stored(tmp_path):
 def test_gathered_batches_match_per_record_padding(stored, source, dtype):
     if source == "read":
         ds = stored
-    else:  # built from records: packs a copy on its first batch
+    else:  # built from records: packs a copy when the dataset is built
         records = stored.records if source == "records" else stored.records[7:19]
         ds = Dataset(records, stored.num_classes, stored.visual_dim, stored.audio_dim)
     rng = Rng(31)

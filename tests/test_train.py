@@ -1,5 +1,6 @@
-"""Adam, LR schedule, the loop's determinism, and checkpoint round trips."""
+"""Adam, LR schedule, the loop's determinism, scoring passes, and checkpoint round trips."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ from nextvlad import autodiff as ad
 from nextvlad.autodiff import Tensor
 from nextvlad.data import SyntheticSpec, gen_synthetic, make_batch
 from nextvlad.losses import LossConfig, bce_loss
+from nextvlad.metrics import MAX_PREDICTIONS, topk_predictions
 from nextvlad.model import Eigenvalues, MixtureParams, ModelConfig, ModelParams, model_forward
 from nextvlad.rng import Rng, derive_seed
 from nextvlad.train import (
@@ -25,6 +27,7 @@ from nextvlad.train import (
     evaluate_gap,
     load_checkpoint,
     lr_schedule,
+    predict,
     predict_logits,
     save_checkpoint,
     train_loop,
@@ -311,6 +314,121 @@ def test_evaluate_gap_runs_on_mixture():
     mix = MixtureParams.create(cfg, Rng(6))
     gap = evaluate_gap(mix, ds, max_frames=5, batch_size=8)
     assert 0.0 <= gap <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# scoring passes: NeXtVLAD's folded assignment weights are formed once a pass
+# ---------------------------------------------------------------------------
+
+
+def netvlad_model_config():
+    return ModelConfig(
+        video_dim=8, audio_dim=4, video_vlad=NetVladConfig(input_dim=8, clusters=3, hidden_dim=16),
+        audio_vlad=NetVladConfig(input_dim=4, clusters=2, hidden_dim=16),
+        hidden_dim=16, se_ratio=4, num_classes=5, dropout_rate=0.2)
+
+
+SCORED_MODELS = {
+    "nextvlad": lambda: fresh_state().params,
+    "mixture": lambda: fresh_state(experts=3).params,
+    "netvlad": lambda: fresh_state(cfg=netvlad_model_config()).params,
+}
+
+
+def scored_per_batch(params, ds, batch_size=16, max_frames=5):
+    """``predict``'s classes and confidences, computed batch by batch outside any pass."""
+    k = min(MAX_PREDICTIONS, ds.num_classes)
+    classes, confs = [], []
+    for start in range(0, len(ds.records), batch_size):
+        idx = range(start, min(start + batch_size, len(ds.records)))
+        batch = make_batch(ds.rows(idx), max_frames, ds.num_classes)
+        c, s = topk_predictions(ad.sigmoid(predict_logits(params, batch)).data, k)
+        classes.append(c.reshape(-1))
+        confs.append(s.reshape(-1).astype(np.float64))
+    return np.concatenate(classes), np.concatenate(confs)
+
+
+def scored(params, ds, batch_size=16, max_frames=5):
+    col = predict(params, ds, max_frames, batch_size).columns()
+    return col.cls, col.conf
+
+
+def assert_same_bytes(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def counted_weight_products(monkeypatch) -> list:
+    """Swaps in a ``WEIGHT_PRODUCT`` whose forward records its left operand's shape, once a call."""
+    calls = []
+
+    def forward(a, b):
+        calls.append(a.shape)
+        return ad._fw_weight_product(a, b)
+    monkeypatch.setattr(ad, "WEIGHT_PRODUCT", dataclasses.replace(ad.WEIGHT_PRODUCT, forward=forward))
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(SCORED_MODELS))
+def test_predict_matches_a_per_batch_loop(kind):
+    ds = desk_dataset(videos=44)  # batches of 16, 16 and 12
+    params = SCORED_MODELS[kind]()
+    assert_same_bytes(scored(params, ds), scored_per_batch(params, ds))
+
+
+@pytest.mark.parametrize("kind", ["nextvlad", "mixture"])
+def test_weight_product_is_formed_once_per_stream_per_pass(monkeypatch, kind):
+    ds = desk_dataset(videos=44)
+    params = SCORED_MODELS[kind]()
+    calls = counted_weight_products(monkeypatch)
+    scored(params, ds)
+    assert len(set(calls)) == len(calls) == 2  # video and audio; a mixture stacks its experts' weights
+    scored(params, ds)
+    assert len(calls) == 4
+    scored_per_batch(params, ds)
+    assert len(calls) == 4 + 2 * 3  # outside a pass every batch forms its own
+
+
+def test_a_training_step_between_passes_leaves_no_stale_fold():
+    ds = desk_dataset()
+    state = fresh_state()
+    first = scored(state.params, ds)
+    train_loop(state, ds, desk_train_config(max_steps=1), max_frames=5)  # Adam writes in place
+    fresh = scored_per_batch(state.params, ds)
+    assert first[1].tobytes() != fresh[1].tobytes()
+    assert_same_bytes(scored(state.params, ds), fresh)
+
+
+def test_differentiating_inside_a_pass_reaches_the_folded_weights():
+    ds = desk_dataset()
+    params = fresh_state().params
+    batch = make_batch(ds.rows(range(16)), 5, ds.num_classes)
+    named = params.named_parameters()
+
+    def gradients():
+        with ad.differentiating(named.values()):
+            grads = bce_loss(predict_logits(params, batch), batch.labels).backward()
+        return {name: grads[t] for name, t in named.items()}
+
+    outside = gradients()
+    with ad.fixed_weights():
+        predict_logits(params, batch)  # forms the folds a reuse would hand back
+        inside = gradients()
+    assert sum(name.endswith((".expand_w", ".assign_w")) for name in named) == 4  # both streams' folds
+    assert_same_bytes([inside[name] for name in named], [outside[name] for name in named])
+
+
+def test_a_pass_that_raises_leaves_no_scope_active(monkeypatch):
+    ds = desk_dataset()
+    params = fresh_state().params
+    ds.records[-1].visual[0, 0] = np.nan  # a view of the store: the pass's last batch raises
+    with pytest.raises(ValueError, match="NaN"):
+        predict(params, ds, 5, 16)
+    calls = counted_weight_products(monkeypatch)
+    batch = make_batch(ds.rows(range(16)), 5, ds.num_classes)
+    predict_logits(params, batch)
+    predict_logits(params, batch)
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------
