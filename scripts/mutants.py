@@ -34,6 +34,7 @@ KERNEL_TESTS = (
     "tests/test_autodiff.py::test_residual_aggregate_nan_logits_rejected",
     "tests/test_autodiff.py::test_residual_aggregate_grad_checks",
     "tests/test_autodiff.py::test_residual_aggregate_grad_checks_with_constant_inputs",
+    "tests/test_autodiff.py::test_nextvlad_kernel_bytes_match_the_affine_logits_form",
     "tests/test_vlad.py::test_assignment_normalizes_over_clusters_not_groups",
 )
 
@@ -72,11 +73,15 @@ MUTANTS = [
            "a /= a.sum(axis=-2, keepdims=True)", "a /= a.sum(axis=-3, keepdims=True)", KERNEL_TESTS),
     Mutant("softmax shifted by the max over groups", AUTODIFF,
            "a.max(axis=-2, keepdims=True)", "a.max(axis=-3, keepdims=True)", KERNEL_TESTS),
-    Mutant("no NaN guard", AUTODIFF,
-           "if np.isnan(logits).any():", "if False:", KERNEL_TESTS),
-    Mutant("softmax written into the logits of a single row", AUTODIFF,
-           "a = logits.transpose(lead + (n - 2, n - 1, n - 3)).copy()",
-           "a = np.ascontiguousarray(logits.transpose(lead + (n - 2, n - 1, n - 3)))", KERNEL_TESTS),
+    Mutant("softmax reduced over the frames, not the clusters", AUTODIFF,
+           "a /= a.sum(axis=-2, keepdims=True)", "a /= a.sum(axis=-1, keepdims=True)", KERNEL_TESTS),
+    Mutant("the NaN check on the softmax's max dropped", AUTODIFF,
+           "if np.isnan(top).any():", "if False:", KERNEL_TESTS),
+    Mutant("the bias added per frame, not per logit row", AUTODIFF,
+           "a += b[..., None]", "a += b[..., None, :]", KERNEL_TESTS),
+    Mutant("the gate broadcast along the wrong axis: (T, G) reshaped, not transposed, to (G, T)",
+           AUTODIFF, "gate.swapaxes(-1, -2)[..., None, :]",
+           "gate.reshape(gate.shape[:-2] + gate.shape[:-3:-1])[..., None, :]", KERNEL_TESTS),
     Mutant("anchor term added in the forward", AUTODIFF,
            "agg -= wsum[..., None]", "agg += wsum[..., None]", KERNEL_TESTS),
     Mutant("packed features scattered to the first rows", AUTODIFF,
@@ -88,20 +93,20 @@ MUTANTS = [
            "rows = np.flatnonzero(np.arange(max_frames) < lengths[:, None])",
            "rows = np.arange(lengths.sum())", KERNEL_TESTS),
     Mutant("residual_aggregate takes lengths that do not sum to the rows", AUTODIFF,
-           "lengths.max() > max_frames) or lengths.sum() != t:", "lengths.max() > max_frames):",
+           "lengths.max() > max_frames) or lengths.sum() != fs[0]:", "lengths.max() > max_frames):",
            ("tests/test_autodiff.py::"
             "test_residual_aggregate_rejects_lengths_that_do_not_fit_the_rows_or_the_grid",)),
     # the assignment kernel, VJP
     Mutant("anchor gradient with the wrong sign", AUTODIFF,
            "d_anchors = -(wsum", "d_anchors = (wsum", KERNEL_TESTS),
     Mutant("gate kept in d_gate", AUTODIFF,
-           "((a * dw).reshape(-1, k)", "((w * dw).reshape(-1, k)", KERNEL_TESTS),
+           "((a * dw).reshape(-1, k)", "((gated * dw).reshape(-1, k)", KERNEL_TESTS),
     Mutant("- d_gate dropped from d_logits", AUTODIFF,
-           "np.multiply(np.subtract(dw, d_gate[..., None], out=dw), w, out=dw)",
-           "np.multiply(dw, w, out=dw)", KERNEL_TESTS),
+           "np.multiply(np.subtract(dw, d_gate[..., None], out=dw), gated, out=dw)",
+           "np.multiply(dw, gated, out=dw)", KERNEL_TESTS),
     Mutant("packed dw taken from the first rows", AUTODIFF,
-           "dw = _to_rows(dw.reshape(a.shape[:r] + (b * m, g, k)), rows, r)",
-           "dw = _to_rows(dw.reshape(a.shape[:r] + (b * m, g, k)), np.arange(len(rows)), r)",
+           "dw = _to_rows(dw.reshape(lead + (bb * m, g, k)), rows, r)",
+           "dw = _to_rows(dw.reshape(lead + (bb * m, g, k)), np.arange(len(rows)), r)",
            KERNEL_TESTS),
     Mutant("full rows come back reversed", AUTODIFF,
            "        x = out\n", "        x = out\n    else:\n        x = x[..., ::-1, :, :]\n", KERNEL_TESTS),

@@ -385,21 +385,10 @@ def _to_rows(x, rows, axis=0):
     return x if len(rows) == x.shape[axis] else np.take(x, rows, axis=axis)
 
 
-def _softmax_rows_last(logits):
-    # softmax over K of (..., T, G, K) taken as (..., G, K, T): the max and the sum
-    # then reduce a leading axis, which numpy does fast, not a short innermost one
-    n = logits.ndim
-    lead = tuple(range(n - 3))
-    # a copy also where the view is contiguous
-    a = logits.transpose(lead + (n - 2, n - 1, n - 3)).copy()
-    a = np.exp(np.subtract(a, a.max(axis=-2, keepdims=True), out=a), out=a)
-    a /= a.sum(axis=-2, keepdims=True)
-    return np.ascontiguousarray(a.transpose(lead + (n - 1, n - 3, n - 2)))
-
-
 def _padded(x, rows, shape):
     # (..., T, G, D) rows -> (..., B, M*G, D), the layout the residual sums run in:
-    # scattered into zeros, or no copy when they fill the grid
+    # scattered into zeros, or no copy when they fill the grid (a copy where ``x``
+    # is not contiguous)
     (b, m), r = shape, x.ndim - 3
     if len(rows) != b * m:
         out = np.zeros(x.shape[:r] + (b * m,) + x.shape[r + 1:], dtype=x.dtype)
@@ -408,70 +397,94 @@ def _padded(x, rows, shape):
     return x.reshape(x.shape[:r] + (b, m * x.shape[-2], x.shape[-1]))
 
 
-def _fw_residual_aggregate(logits, feats, anchors, gate, *, lengths, max_frames):
-    _check_same_dtype("residual_aggregate", logits, feats, anchors, gate)
-    if np.isnan(logits).any():
+def _fw_residual_aggregate(frames, w, b, feats, anchors, gate, *, lengths, max_frames):
+    _check_same_dtype("residual_aggregate", frames, w, b, feats, anchors, gate)
+    (g, k), lead = (feats.shape[-2], anchors.shape[-2]), w.shape[:-2]
+    # the logits rows-last, W^T X^T + b shaped (..., G, K, T): the softmax's max and sum
+    # over K then reduce a leading axis, which numpy does fast, not a short innermost one
+    a = w.swapaxes(-1, -2) @ frames.T
+    a += b[..., None]
+    a = a.reshape(lead + (g, k, len(frames)))
+    top = a.max(axis=-2, keepdims=True)
+    if np.isnan(top).any():  # a NaN logit makes its max NaN
         raise ValueError("residual_aggregate: NaN in logits")
+    a = np.exp(np.subtract(a, top, out=a), out=a)
+    a /= a.sum(axis=-2, keepdims=True)
     shape = (len(lengths), max_frames)
     rows = np.flatnonzero(np.arange(max_frames) < lengths[:, None])  # each video's first places in B*M
-    a = _softmax_rows_last(logits)
-    w = _padded(a * gate[..., None], rows, shape)
+    # the gated softmax, scattered from its (..., G, K, T) layout to the grid
+    wp = _padded(np.moveaxis(a * gate.swapaxes(-1, -2)[..., None, :], -1, -3), rows, shape)
     padded = _padded(feats, rows, shape)
-    agg = w.swapaxes(-1, -2) @ padded
-    wsum = np.ones(w.shape[-2], w.dtype) @ w  # (..., B, K)
+    agg = wp.swapaxes(-1, -2) @ padded
+    wsum = np.ones(wp.shape[-2], wp.dtype) @ wp  # (..., B, K)
     agg -= wsum[..., None] * anchors[..., None, :, :]
-    # the softmax unpadded, the rest padded
-    return agg, {"softmax": a, "wp": w, "wsum": wsum, "padded": padded, "rows": rows}
+    # the softmax unpadded and rows-last, the rest padded
+    return agg, {"softmax": a, "wp": wp, "wsum": wsum, "padded": padded, "rows": rows}
 
 
-def _vjp_residual_aggregate(g_out, out, logits, feats, anchors, gate, *, lengths, max_frames, softmax,
-                            wp, wsum, padded, rows, needs):
-    (b, m), (g, k), r, a = (len(lengths), max_frames), logits.shape[-2:], logits.ndim - 3, softmax
-    w = _to_rows(wp.reshape(a.shape[:r] + (b * m, g, k)), rows, r)  # the gated softmax, unpadded
+def _vjp_residual_aggregate(g_out, out, frames, w, b, feats, anchors, gate, *, lengths, max_frames,
+                            softmax, wp, wsum, padded, rows, needs):
+    (bb, m), (g, k, t), r = (len(lengths), max_frames), softmax.shape[-3:], softmax.ndim - 3
+    lead = softmax.shape[:r]
+    gated = _to_rows(wp.reshape(lead + (bb * m, g, k)), rows, r)  # the gated softmax, unpadded
     d_feats = None
-    if needs[1]:  # shared feats take the sum over experts
-        d_feats = _to_rows((wp @ g_out).reshape(a.shape[:r] + (b * m, g, -1)), rows, r)
+    if needs[3]:  # shared feats take the sum over experts
+        d_feats = _to_rows((wp @ g_out).reshape(lead + (bb * m, g, -1)), rows, r)
         d_feats = _unbroadcast(d_feats, feats.shape)
     d_anchors = None
-    if needs[2]:
+    if needs[4]:
         d_anchors = -(wsum.swapaxes(-1, -2)[..., None, :] @ g_out.swapaxes(-3, -2))[..., 0, :]
-    if not (needs[0] or needs[3]):
-        return (None, d_feats, d_anchors, None)
-    # d/dw of sum w * (feats - anchors), shaped like logits; sums over K, like
+    if not (needs[0] or needs[1] or needs[2] or needs[5]):
+        return (None, None, None, d_feats, d_anchors, None)
+    # d/d(gated softmax) of the residual sum, rows first, (..., T, G, K); sums over K, like
     # wsum, are BLAS products with ones, not reductions over a short inner axis
     dw = padded @ g_out.swapaxes(-1, -2)
     dw -= (g_out.swapaxes(-3, -2) @ anchors[..., None])[..., 0].swapaxes(-1, -2)[..., None, :]
-    dw = _to_rows(dw.reshape(a.shape[:r] + (b * m, g, k)), rows, r)
-    d_gate = ((a * dw).reshape(-1, k) @ np.ones(k, a.dtype)).reshape(a.shape[:-1])
-    d_logits = np.multiply(np.subtract(dw, d_gate[..., None], out=dw), w, out=dw) if needs[0] else None
-    return (d_logits, d_feats, d_anchors, _unbroadcast(d_gate, gate.shape) if needs[3] else None)
+    dw = _to_rows(dw.reshape(lead + (bb * m, g, k)), rows, r)
+    a = np.moveaxis(softmax, -1, -3)  # the softmax read rows first
+    d_gate = ((a * dw).reshape(-1, k) @ np.ones(k, dw.dtype)).reshape(lead + (t, g))
+    d_frames = d_w = d_b = None
+    if needs[0] or needs[1] or needs[2]:
+        d_logits = np.multiply(np.subtract(dw, d_gate[..., None], out=dw), gated, out=dw)
+        d_logits = d_logits.reshape(lead + (t, g * k))
+        if needs[0]:  # shared frames take the sum over experts
+            d_frames = _unbroadcast(d_logits @ w.swapaxes(-1, -2), frames.shape)
+        d_w = frames.T @ d_logits if needs[1] else None
+        d_b = d_logits.sum(axis=-2) if needs[2] else None
+    return (d_frames, d_w, d_b, d_feats, d_anchors, _unbroadcast(d_gate, gate.shape) if needs[5] else None)
 
 
 RESIDUAL_AGGREGATE = Primitive("residual_aggregate", _fw_residual_aggregate, _vjp_residual_aggregate,
                                saves=True)
 
 
-def residual_aggregate(logits: Tensor, feats: Tensor, anchors: Tensor, gate: Tensor,
+def residual_aggregate(frames: Tensor, w: Tensor, b: Tensor, feats: Tensor, anchors: Tensor, gate: Tensor,
                        lengths: np.ndarray, max_frames: int) -> Tensor:
     """VLAD residual sum before normalization, (B, K, D): out[b,k] = sum over the rows t
     of video b and groups g of gate[t,g] a[t,g,k] (feats[t,g] - anchors[k]), a the softmax
-    over K of ``logits`` (T, G, K), for feats (T, G, D) packed in video order, video b
-    holding ``lengths[b]`` rows, at most ``max_frames``.  With a leading expert axis E on
-    logits and anchors (E, K, D), the output is (E, B, K, D); feats and gate may have the
-    axis or be shared.  Rejects NaN logits."""
-    (t, g, k), d, lead = logits.shape[-3:], feats.shape[-1], logits.shape[:-3]
-    got = (feats.shape, anchors.shape, gate.shape)
-    if (len(lead) > 1 or anchors.shape != lead + (k, d)
-            or feats.shape not in ((t, g, d), lead + (t, g, d))
-            or gate.shape not in ((t, g), lead + (t, g))):
-        raise ValueError(f"residual_aggregate: feats, anchors and gate shaped {got} "
-                         f"do not fit logits {logits.shape}")
+    over K of the logits frames @ w + b, for frames (T, N), assignment weights w (N, G*K)
+    and bias b (G*K,).  The frames, feats (T, G, D) and gate (T, G) are packed in video
+    order, video b holding ``lengths[b]`` rows, at most ``max_frames``.  With a leading
+    expert axis E on w, b and anchors (E, K, D), the output is (E, B, K, D); feats and gate
+    may have the axis or be shared, the frames are shared.  Rejects NaN logits."""
+    fs, ws, bs, xs, cs, ss = (x.shape for x in (frames, w, b, feats, anchors, gate))
+    fits = len(fs) == 2 and len(cs) in (2, 3) and len(xs) >= 2
+    if fits:
+        (t, n), (k, d), g, lead = fs, cs[-2:], xs[-2], cs[:-2]
+        fits = (ws == lead + (n, g * k) and bs == lead + (g * k,)
+                and xs in ((t, g, d), lead + (t, g, d)) and ss in ((t, g), lead + (t, g)))
+    if not fits:
+        raise ValueError(f"residual_aggregate: frames {fs}, weights {ws}, bias {bs}, feats {xs}, "
+                         f"anchors {cs} and gate {ss} do not fit "
+                         "(T, N), (N, G*K), (G*K,), (T, G, D), (K, D) and (T, G), "
+                         "nor with a leading expert axis")
     lengths = np.asarray(lengths)
     if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or lengths.size and (
-            lengths.min() < 0 or lengths.max() > max_frames) or lengths.sum() != t:
+            lengths.min() < 0 or lengths.max() > max_frames) or lengths.sum() != fs[0]:
         raise ValueError(f"residual_aggregate: lengths must be 1-d integers in [0, {max_frames}] "
-                         f"summing to the {t} rows")
-    return apply(RESIDUAL_AGGREGATE, logits, feats, anchors, gate, lengths=lengths, max_frames=max_frames)
+                         f"summing to the {fs[0]} rows")
+    return apply(RESIDUAL_AGGREGATE, frames, w, b, feats, anchors, gate, lengths=lengths,
+                 max_frames=max_frames)
 
 
 # ---------------------------------------------------------------------------

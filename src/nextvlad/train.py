@@ -184,6 +184,8 @@ def predict_logits(params, batch) -> Tensor:
 
 def predict(params, dataset: Dataset, max_frames: int, batch_size: int = 64) -> PredictionSet:
     """Top-20 sigmoid scores of every video, inference mode, in dataset order."""
+    if batch_size < 1:
+        raise ValueError(f"predict: batch_size must be >= 1, got {batch_size}")
     preds = PredictionSet()
     k = min(MAX_PREDICTIONS, dataset.num_classes)
     with ad.fixed_weights():  # NeXtVLAD's folded assignment weights, formed once per pass

@@ -135,11 +135,12 @@ def gradient_checks(seed: int = 0) -> list:
     # two videos of at most 3 frames: the first 0-2 (so always padded), the second 1-3
     lengths = rng.integers(2, 3) + np.array([0, 1])
     frames = int(lengths.sum())
-    check("residual_aggregate", lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, lengths, 3),
-          t(frames, 2, 4), t(frames, 2, 5), t(4, 5), t(frames, 2))
-    check("residual_aggregate, 3 experts stacked",
-          lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, lengths, 3),
-          t(3, frames, 2, 4), t(3, frames, 2, 5), t(3, 4, 5), t(3, frames, 2))
+    kernel = lambda *ts: ad.residual_aggregate(*ts, lengths, 3)  # noqa: E731
+    # frames (T, 3), assignment weights and bias of G 2 x K 4 logit rows, feats (T, 2, 5)
+    check("residual_aggregate", kernel,
+          t(frames, 3), t(3, 8), t(8,), t(frames, 2, 5), t(4, 5), t(frames, 2))
+    check("residual_aggregate, 3 experts stacked", kernel,
+          t(frames, 3), t(3, 3, 8), t(3, 8), t(3, frames, 2, 5), t(3, 4, 5), t(3, frames, 2))
     check("softmax", lambda x: ad.softmax(x, axis=-1), t(3, 5))
     check("log_softmax", lambda x: ad.log_softmax(x, axis=-1), t(3, 5))
     check("sigmoid", ad.SIGMOID, t(4,))

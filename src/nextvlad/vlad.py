@@ -11,11 +11,15 @@ size, an affine layer plus batch norm (:class:`ReduceHead`), is applied once
 by the model to the concatenated descriptors of all streams.
 
 Both run every frame-level op on a batch's valid frames alone, packed in
-video order (:class:`FrameBatchView`), and pass their assignment logits,
-attention gate and frames to one kernel, ``ad.residual_aggregate`` (softmax
-over clusters, gated residual sum, the one place a video's rows are laid out
-on the padded (B, M) grid), then intra-normalize with ``ad.l2_normalize``.
-NetVLAD, one group without attention, passes a gate of ones.
+video order (:class:`FrameBatchView`), and pass the frames, their assignment
+weights and bias, the attention gate and the features to sum to one kernel,
+``ad.residual_aggregate``.  It forms the assignment logits with one GEMM laid
+out rows-last, W^T X^T + b shaped (G, K, T), takes the softmax over clusters
+in place there, and scatters the gated softmax from that layout to the padded
+(B, M) grid, the one place a video's rows are laid out on it, for the gated
+residual sum; then the layers intra-normalize with ``ad.l2_normalize``.
+NetVLAD, one group without attention, passes its transposed assignment
+weights and a gate of ones.
 
 NeXtVLAD's assignment logits are linear in the expanded frames, so they are
 read from the frames themselves: x (W_e W_a) + (b_e W_a + b_a), a T x N x GK
@@ -339,11 +343,9 @@ def netvlad_aggregate(view: FrameBatchView, core: NetVladCore) -> Tensor:
     w = core.assign_w  # (K, N), or (E, K, N) on an expert axis
     if n != w.shape[-1]:
         raise ValueError(f"frame dim {n} != assignment dim {w.shape[-1]}")
-    lead, k = w.shape[:-2], w.shape[-2]
-    logits = ad.affine(view.frames, ad.transpose(w, (0, 2, 1) if lead else (1, 0)), core.assign_b)
-    return ad.residual_aggregate(logits.reshape(lead + (t, 1, k)), view.frames.reshape((t, 1, n)),
-                                 core.anchors, Tensor(np.ones((t, 1), view.frames.dtype)),
-                                 view.lengths, view.max_frames)
+    return ad.residual_aggregate(view.frames, ad.transpose(w, (0, 2, 1) if w.ndim == 3 else (1, 0)),
+                                 core.assign_b, view.frames.reshape((t, 1, n)), core.anchors,
+                                 Tensor(np.ones((t, 1), view.frames.dtype)), view.lengths, view.max_frames)
 
 
 def netvlad_descriptor(view: FrameBatchView, core: NetVladCore) -> Tensor:
@@ -360,22 +362,22 @@ def nextvlad_aggregate(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
     if n != core.expand_w.shape[-2]:
         raise ValueError(f"frame dim {n} != expansion dim {core.expand_w.shape[-2]}")
     g = core.groups
-    lead, (k, d) = core.anchors.shape[:-2], core.anchors.shape[-2:]  # lead: () or (E,)
+    lead, d = core.anchors.shape[:-2], core.anchors.shape[-1]  # lead: () or (E,)
     expanded = ad.affine(view.frames, core.expand_w, core.expand_b)  # (..., T, lamN)
 
     attn = ad.sigmoid(ad.affine(expanded, core.attn_w, core.attn_b))  # (..., T, G)
-    assign_logits = assignment_logits(view.frames, core).reshape(lead + (-1, g, k))
-    return ad.residual_aggregate(assign_logits, expanded.reshape(lead + (-1, g, d)), core.anchors,
+    w, b = assignment_weights(core)
+    return ad.residual_aggregate(view.frames, w, b, expanded.reshape(lead + (-1, g, d)), core.anchors,
                                  attn, view.lengths, view.max_frames)
 
 
-def assignment_logits(frames: Tensor, core: NeXtVladCore) -> Tensor:
-    """The assignment logits of the expanded frames, (..., T, G*K), read from the
-    frames (T, N) through the folded weights: x (W_e W_a) + (b_e W_a + b_a)."""
+def assignment_weights(core: NeXtVladCore) -> tuple[Tensor, Tensor]:
+    """The assignment of the expanded frames folded through the expansion, to be read
+    from the frames (T, N): W_e W_a (..., N, G*K) and b_e W_a + b_a (..., G*K)."""
     lead = core.expand_b.shape[:-1]  # () or (E,)
     expand_b = core.expand_b.reshape(lead + (1, -1))
     bias = ad.affine(expand_b, core.assign_w, core.assign_b).reshape(core.assign_b.shape)
-    return ad.affine(frames, ad.weight_product(core.expand_w, core.assign_w), bias)
+    return ad.weight_product(core.expand_w, core.assign_w), bias
 
 
 def nextvlad_descriptor(view: FrameBatchView, core: NeXtVladCore) -> Tensor:

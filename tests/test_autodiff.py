@@ -452,11 +452,11 @@ STACKED_CASES = [
     ("weight_product E=3", ad.weight_product, lambda r: [(3, 2, r), (3, r, 4)]),
     ("batch_norm E=3", lambda x, g, b: ad.batch_norm(x, g, b, stacked_state(4), training=True),
      lambda r: [(3, r + 1, 4), (3, 4), (3, 4)]),
-    ("residual_aggregate E=3", lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, STACKED_LENGTHS, 3),
-     lambda r: [(3, 3, 2, r), (3, 3, 2, 4), (3, r, 4), (3, 3, 2)]),
+    ("residual_aggregate E=3", lambda *ts: ad.residual_aggregate(*ts, STACKED_LENGTHS, 3),
+     lambda r: [(3, 2), (3, 2, 2 * r), (3, 2 * r), (3, 3, 2, 4), (3, r, 4), (3, 3, 2)]),
     ("residual_aggregate E=3 shared feats and gate",
-     lambda a, x, c, s: ad.residual_aggregate(a, x, c, s, STACKED_LENGTHS, 3),
-     lambda r: [(3, 3, 2, r), (3, 2, 4), (3, r, 4), (3, 2)]),
+     lambda *ts: ad.residual_aggregate(*ts, STACKED_LENGTHS, 3),
+     lambda r: [(3, 2), (3, 2, 2 * r), (3, 2 * r), (3, 2, 4), (3, r, 4), (3, 2)]),
 ]
 
 
@@ -527,171 +527,247 @@ LENGTHS = {
     "ragged": [2, 1],
     "empty video": [0, 2],
     "no rows": [0, 0],
-    "one row": [0, 1],  # its (T, G, K) logits seen as (G, K, T) are contiguous
-    "full": [3, 3],
+    "one row": [0, 1],
+    "full": [3, 3],  # T = 6 rows, as many as the G * K logit rows
 }
 
 
-def residual_inputs(rng, lengths="ragged", g=2, k=3, d=4):
-    """Padded (B, M, ...) inputs with their valid-frame mask, as the loop oracle takes them."""
+def residual_inputs(rng, lengths="ragged", n=3, g=2, k=3, d=4):
+    """Padded (B, M, ...) frames, feats and gate, the assignment weights (N, G*K), bias
+    and anchors, and the valid-frame mask, as the loop oracle takes them."""
     lengths = np.array(LENGTHS[lengths])
     mask = (np.arange(3) < lengths[:, None]).astype(np.float64)
     b, m = mask.shape
-    return (t64(rng, b, m, g, k), t64(rng, b, m, g, d), t64(rng, k, d),
-            Tensor(0.5 + rng.uniform((b, m, g))), mask)
+    return (t64(rng, b, m, n), t64(rng, n, g * k), t64(rng, g * k), t64(rng, b, m, g, d),
+            t64(rng, k, d), Tensor(0.5 + rng.uniform((b, m, g))), mask)
 
 
 def packed_inputs(rng, lengths="ragged"):
-    """The kernel's inputs: the rows of the padded ones where the mask is set,
-    and the frame counts; then the padded arrays and the mask."""
-    a, x, c, s, mask = residual_inputs(rng, lengths)
+    """The kernel's inputs, the frames, feats and gate packed to the rows where the
+    mask is set, and the frame counts; then the padded arrays and the mask."""
+    x, w, c, f, a, s, mask = residual_inputs(rng, lengths)
     pack = lambda t: Tensor(t.data[mask > 0])  # noqa: E731
-    return (pack(a), pack(x), c, pack(s), np.array(LENGTHS[lengths])), (a.data, x.data, c.data, s.data, mask)
+    return ((pack(x), w, c, pack(f), a, pack(s), np.array(LENGTHS[lengths])),
+            (x.data, w.data, c.data, f.data, a.data, s.data, mask))
 
 
-def residual_loops(logits, feats, anchors, gate, mask):
-    b, m, g, k = logits.shape
+def residual_loops(frames, w, bias, feats, anchors, gate, mask):
+    b, m, g, _ = feats.shape
+    k = anchors.shape[0]
     out = np.zeros((b, k, feats.shape[-1]))
     for bi in range(b):
         for mi in range(m):
             for gi in range(g):
-                top = max(logits[bi, mi, gi])
-                z = [math.exp(v - top) for v in logits[bi, mi, gi]]
+                logits = [bias[gi * k + ki] + sum(frames[bi, mi, ni] * w[ni, gi * k + ki]
+                                                  for ni in range(frames.shape[-1])) for ki in range(k)]
+                top = max(logits)
+                z = [math.exp(v - top) for v in logits]
                 for ki in range(k):
-                    w = mask[bi, mi] * gate[bi, mi, gi] * z[ki] / sum(z)
-                    out[bi, ki] += w * (feats[bi, mi, gi] - anchors[ki])
+                    wt = mask[bi, mi] * gate[bi, mi, gi] * z[ki] / sum(z)
+                    out[bi, ki] += wt * (feats[bi, mi, gi] - anchors[ki])
     return out
 
 
 def test_residual_aggregate_matches_loops():
     for case in LENGTHS:
-        (a, x, c, s, lengths), padded = packed_inputs(Rng(40), case)
-        got = ad.residual_aggregate(a, x, c, s, lengths, 3).data
+        (x, w, c, f, a, s, lengths), padded = packed_inputs(Rng(40), case)
+        got = ad.residual_aggregate(x, w, c, f, a, s, lengths, 3).data
         assert np.abs(got - residual_loops(*padded)).max() < 1e-12, case
-        # three experts on a leading axis, each with its own anchors; their
-        # feats and gate their own, or shared as NetVLAD shares its frames
+        # three experts on a leading axis, each with its own weights, bias and anchors;
+        # their feats and gate their own, or shared as NetVLAD shares its frames; the
+        # first expert's frames are every expert's
         experts = [packed_inputs(Rng(41 + e), case) for e in range(3)]
-        stacked = [Tensor(np.stack([ins[i].data for ins, _ in experts])) for i in range(4)]
+        stacked = [experts[0][0][0]] + [Tensor(np.stack([ins[i].data for ins, _ in experts]))
+                                        for i in range(1, 6)]
+        pads = [(experts[0][1][0],) + pad[1:] for _, pad in experts]
         got = ad.residual_aggregate(*stacked, lengths, 3).data
-        shared = ad.residual_aggregate(stacked[0], x, stacked[2], s, lengths, 3).data
-        for e, (_, (pa, px, pc, ps, _)) in enumerate(experts):
-            assert np.abs(got[e] - residual_loops(pa, px, pc, ps, padded[4])).max() < 1e-12, (case, e)
-            alone = residual_loops(pa, padded[1], pc, padded[3], padded[4])
+        shared = ad.residual_aggregate(*stacked[:3], f, stacked[4], s, lengths, 3).data
+        for e, (px, pw, pc, pf, pa, ps, mask) in enumerate(pads):
+            assert np.abs(got[e] - residual_loops(px, pw, pc, pf, pa, ps, mask)).max() < 1e-12, (case, e)
+            alone = residual_loops(px, pw, pc, padded[3], pa, padded[5], mask)
             assert np.abs(shared[e] - alone).max() < 1e-12, (case, e)
 
 
 def test_residual_aggregate_shape_mismatch_rejected():
-    (a, x, c, s, lengths), _ = packed_inputs(Rng(41))
-    with pytest.raises(ValueError, match="residual_aggregate: feats"):
-        ad.residual_aggregate(a, x, t64(Rng(1), 2, 4), s, lengths, 3)
-    with pytest.raises(ValueError, match="residual_aggregate: feats"):
-        ad.residual_aggregate(a, Tensor(x.data[:2]), c, s, lengths, 3)
+    (x, w, c, f, a, s, lengths), _ = packed_inputs(Rng(41))
+    for args in ((x, w, c, f, t64(Rng(1), 2, 4), s),  # anchors of 2 clusters, weights of 3
+                 (x, w, c, Tensor(f.data[:2]), a, s),  # feats of 2 of the 3 rows
+                 (x, Tensor(w.data[:2]), c, f, a, s),  # weights of 2 of the 3 frame dims
+                 (x, w, Tensor(c.data[:5]), f, a, s),  # bias of 5 of the 6 logit rows
+                 (x.reshape((3, 3, 1)), w, c, f, a, s)):  # frames not (T, N)
+        with pytest.raises(ValueError, match=re.escape(
+                f"residual_aggregate: frames {args[0].shape}, weights {args[1].shape}")):
+            ad.residual_aggregate(*args, lengths, 3)
 
 
 def test_residual_aggregate_rejects_lengths_that_do_not_fit_the_rows_or_the_grid():
-    (a, x, c, s, lengths), _ = packed_inputs(Rng(41))  # 3 rows: lengths [2, 1]
-    one = [Tensor(v.data[:1]) for v in (a, x, s)]
-    for args, max_frames in (((a, x, c, s, np.array([-1, 4])), 4),  # negative
-                             ((a, x, c, s, np.array([0, 3])), 2),  # above max_frames
-                             ((a, x, c, s, lengths.astype(np.float64)), 3),
-                             ((a, x, c, s, lengths[None]), 3),  # not 1-d
-                             ((a, x, c, s, np.array([2, 0])), 3),  # sums to 2 of 3 rows
-                             ((one[0], one[1], c, one[2], lengths), 3)):  # 3 places for 1 row
+    (x, w, c, f, a, s, lengths), _ = packed_inputs(Rng(41))  # 3 rows: lengths [2, 1]
+    one = [Tensor(v.data[:1]) for v in (x, f, s)]
+    for args, max_frames in (((x, w, c, f, a, s, np.array([-1, 4])), 4),  # negative
+                             ((x, w, c, f, a, s, np.array([0, 3])), 2),  # above max_frames
+                             ((x, w, c, f, a, s, lengths.astype(np.float64)), 3),
+                             ((x, w, c, f, a, s, lengths[None]), 3),  # not 1-d
+                             ((x, w, c, f, a, s, np.array([2, 0])), 3),  # sums to 2 of 3 rows
+                             ((one[0], w, c, one[1], a, one[2], lengths), 3)):  # 3 places for 1 row
         with pytest.raises(ValueError, match="residual_aggregate: lengths"):
             ad.residual_aggregate(*args, max_frames)
 
 
 def test_residual_aggregate_nan_logits_rejected():
-    (a, x, c, s, lengths), _ = packed_inputs(Rng(41))
-    a.data[1, 0, 2] = np.nan
-    with pytest.raises(ValueError, match="residual_aggregate"):
-        ad.residual_aggregate(a, x, c, s, lengths, 3)
+    # the logits are formed inside the kernel: a NaN weight or bias makes them NaN
+    for i, at in ((1, (1, 2)), (2, (4,))):
+        inputs, _ = packed_inputs(Rng(41))
+        inputs[i].data[at] = np.nan
+        with pytest.raises(ValueError, match="residual_aggregate: NaN in logits"):
+            ad.residual_aggregate(*inputs, 3)
 
 
 def test_residual_aggregate_is_shift_invariant_without_overflow():
     # logits 1000s apart overflow exp unless the max over K is taken exactly
-    (a, x, c, s, lengths), _ = packed_inputs(Rng(49), "full")
-    big = a.data * 1000
-    got = ad.residual_aggregate(Tensor(big), x, c, s, lengths, 3).data
-    shifted = Tensor(big - big.max(axis=-1, keepdims=True))
+    (x, w, c, f, a, s, lengths), (px, pw, pc, *rest) = packed_inputs(Rng(49), "full")
+    big_w, big_c = Tensor(w.data * 1000), Tensor(c.data * 1000)
+    with np.errstate(over="raise", invalid="raise"):
+        got = ad.residual_aggregate(x, big_w, big_c, f, a, s, lengths, 3).data
     assert np.isfinite(got).all()
-    assert np.array_equal(got, ad.residual_aggregate(shifted, x, c, s, lengths, 3).data)
+    assert np.abs(got - residual_loops(px, big_w.data, big_c.data, *rest)).max() < 1e-12
 
 
 @pytest.mark.parametrize("gated", [True, False])
 def test_residual_aggregate_grad_checks(gated):
     for case in LENGTHS:
-        (a, x, c, s, lengths), _ = packed_inputs(Rng(42), case)
+        (x, w, c, f, a, s, lengths), _ = packed_inputs(Rng(42), case)
         if gated:
-            report = grad_check(lambda *ts: ad.residual_aggregate(*ts, lengths, 3), [a, x, c, s])
+            report = grad_check(lambda *ts: ad.residual_aggregate(*ts, lengths, 3), [x, w, c, f, a, s])
         else:
             ones = Tensor(np.ones(s.shape))
-            report = grad_check(lambda a, x, c: ad.residual_aggregate(a, x, c, ones, lengths, 3),
-                                [a, x, c])
+            report = grad_check(lambda *ts: ad.residual_aggregate(*ts, ones, lengths, 3),
+                                [x, w, c, f, a])
         assert report.passed, f"{case}: {report}"
 
 
 def test_residual_aggregate_grad_checks_with_constant_inputs():
-    (a, x, c, s, lengths), _ = packed_inputs(Rng(43))
-    report = grad_check(lambda a, c: ad.residual_aggregate(a, x, c, s, lengths, 3), [a, c])
+    (x, w, c, f, a, s, lengths), _ = packed_inputs(Rng(43))
+    report = grad_check(lambda w, a: ad.residual_aggregate(x, w, c, f, a, s, lengths, 3), [w, a])
     assert report.passed, str(report)
 
 
 def test_residual_aggregate_vjp_skips_unneeded_inputs():
     cot = Rng(45).normal((2, 3, 4))
     for case in LENGTHS:
-        (a, x, c, s, lengths), _ = packed_inputs(Rng(44), case)
-        arrays = (a.data, x.data, c.data, s.data)
-        kw = dict(lengths=lengths, max_frames=3)
+        inputs, _ = packed_inputs(Rng(44), case)
+        arrays = tuple(v.data for v in inputs[:6])
+        kw = dict(lengths=inputs[6], max_frames=3)
         kw.update(ad.RESIDUAL_AGGREGATE.forward(*arrays, **kw)[1])  # what the forward saves
-        full = ad.RESIDUAL_AGGREGATE.vjp(cot, None, *arrays, **kw, needs=(True,) * 4)
-        for needs in [(True, False, True, False), (False, True, False, True),
-                      (False, False, True, False)]:
+        full = ad.RESIDUAL_AGGREGATE.vjp(cot, None, *arrays, **kw, needs=(True,) * 6)
+        for needs in [(False, True, True, False, True, False), (True, False, False, True, False, True),
+                      (False, False, False, False, True, False), (False,) * 5 + (True,),
+                      (False, False, True, False, False, False)]:
             part = ad.RESIDUAL_AGGREGATE.vjp(cot, None, *arrays, **kw, needs=needs)
             for need, got, ref in zip(needs, part, full):
                 assert (got is None) if not need else np.array_equal(got, ref)
 
 
-def residual_vjp_recomputing(g_out, logits, feats, anchors, gate, *, lengths, max_frames, softmax,
+def residual_vjp_recomputing(g_out, frames, w, b, feats, anchors, gate, *, lengths, max_frames, softmax,
                              wp, padded, rows):
     """The kernel's VJP as it was before it read the gated softmax and its sums
     over the grid from the forward: it recomputes both."""
-    (b, m), (g, k), r, a = (len(lengths), max_frames), logits.shape[-2:], logits.ndim - 3, softmax
-    w = a * gate[..., None]
-    d_feats = ad._to_rows((wp @ g_out).reshape(a.shape[:r] + (b * m, g, -1)), rows, r)
+    (bb, m), (g, k, t), r = (len(lengths), max_frames), softmax.shape[-3:], softmax.ndim - 3
+    a = np.moveaxis(softmax, -1, -3)
+    wt = a * gate[..., None]
+    d_feats = ad._to_rows((wp @ g_out).reshape(a.shape[:r] + (bb * m, g, -1)), rows, r)
     d_feats = ad._unbroadcast(d_feats, feats.shape)
     wsum = np.ones(m * g, wp.dtype) @ wp
     d_anchors = -(wsum.swapaxes(-1, -2)[..., None, :] @ g_out.swapaxes(-3, -2))[..., 0, :]
     dw = padded @ g_out.swapaxes(-1, -2)
     dw -= (g_out.swapaxes(-3, -2) @ anchors[..., None])[..., 0].swapaxes(-1, -2)[..., None, :]
-    dw = ad._to_rows(dw.reshape(a.shape[:r] + (b * m, g, k)), rows, r)
+    dw = ad._to_rows(dw.reshape(a.shape[:r] + (bb * m, g, k)), rows, r)
     d_gate = ((a * dw).reshape(-1, k) @ np.ones(k, a.dtype)).reshape(a.shape[:-1])
-    d_logits = np.multiply(np.subtract(dw, d_gate[..., None], out=dw), w, out=dw)
-    return (d_logits, d_feats, d_anchors, ad._unbroadcast(d_gate, gate.shape))
+    d_logits = np.multiply(np.subtract(dw, d_gate[..., None], out=dw), wt, out=dw)
+    d_logits = d_logits.reshape(a.shape[:r] + (t, g * k))
+    return (ad._unbroadcast(d_logits @ w.swapaxes(-1, -2), frames.shape), frames.T @ d_logits,
+            d_logits.sum(axis=-2), d_feats, d_anchors, ad._unbroadcast(d_gate, gate.shape))
 
 
-@pytest.mark.parametrize("experts", ["one model", "3 stacked", "3 stacked, shared feats and gate"])
+EXPERTS = ["one model", "3 stacked", "3 stacked, shared feats and gate"]
+
+
+@pytest.mark.parametrize("experts", EXPERTS)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_residual_aggregate_vjp_bytes_match_the_recomputing_form(dtype, experts):
     # the VJP takes the gated softmax as the saved grid's rows and the weights'
     # sums over the grid as the forward made them, with the bytes of recomputing both
     for case in ("ragged", "empty video", "full"):
-        (a, x, c, s, lengths), _ = packed_inputs(Rng(47), case)
-        arrays = [v.data.astype(dtype) for v in (a, x, c, s)]
-        if experts != "one model":
+        inputs, _ = packed_inputs(Rng(47), case)
+        arrays = [v.data.astype(dtype) for v in inputs[:6]]
+        if experts != "one model":  # every input but the shared frames stacked
             rng = Rng(48)
-            arrays = [np.stack([v * (1 + rng.uniform((1,))[0]) for _ in range(3)]).astype(dtype)
-                      for v in arrays]
+            arrays[1:] = [np.stack([v * (1 + rng.uniform((1,))[0]) for _ in range(3)]).astype(dtype)
+                          for v in arrays[1:]]
             if experts.endswith("shared feats and gate"):
-                arrays[1], arrays[3] = arrays[1][0], arrays[3][0]
-        kw = dict(lengths=lengths, max_frames=3)
+                arrays[3], arrays[5] = arrays[3][0], arrays[5][0]
+        kw = dict(lengths=inputs[6], max_frames=3)
         out, saved = ad.RESIDUAL_AGGREGATE.forward(*arrays, **kw)
         cot = Rng(49).normal(out.shape).astype(dtype)
-        got = ad.RESIDUAL_AGGREGATE.vjp(cot, out, *arrays, **kw, **saved, needs=(True,) * 4)
+        got = ad.RESIDUAL_AGGREGATE.vjp(cot, out, *arrays, **kw, **saved, needs=(True,) * 6)
         saved.pop("wsum")
         ref = residual_vjp_recomputing(cot, *arrays, **kw, **saved)
         for i, (x_got, x_ref) in enumerate(zip(got, ref)):
             assert x_got.dtype == dtype and x_got.tobytes() == x_ref.tobytes(), (case, i)
+
+
+def softmax_rows_last(logits):
+    """Softmax over K of logits (..., T, G, K), taken on a (..., G, K, T) copy and
+    copied back: the kernel's softmax when it took its logits from an ``affine``."""
+    n = logits.ndim
+    lead = tuple(range(n - 3))
+    a = logits.transpose(lead + (n - 2, n - 1, n - 3)).copy()
+    a = np.exp(np.subtract(a, a.max(axis=-2, keepdims=True), out=a), out=a)
+    a /= a.sum(axis=-2, keepdims=True)
+    return np.ascontiguousarray(a.transpose(lead + (n - 1, n - 3, n - 2)))
+
+
+def residual_forward_from_logits(frames, w, b, feats, anchors, gate, *, lengths, max_frames):
+    """The kernel's forward as it was when an ``affine`` formed its logits rows first,
+    (T, G*K): the output, the softmax (..., T, G, K), the gated grid, its sums and the
+    padded feats, each grid scattered into zeros."""
+    (g, k), r = (feats.shape[-2], anchors.shape[-2]), w.ndim - 2
+    logits = (frames @ w + b[..., None, :]).reshape(w.shape[:-2] + (len(frames), g, k))
+    a = softmax_rows_last(logits)
+    rows = np.flatnonzero(np.arange(max_frames) < lengths[:, None])
+
+    def padded(x):
+        out = np.zeros(x.shape[:x.ndim - 3] + (len(lengths) * max_frames,) + x.shape[-2:], x.dtype)
+        out[(slice(None),) * (x.ndim - 3) + (rows,)] = x
+        return out.reshape(out.shape[:-3] + (len(lengths), max_frames * g, x.shape[-1]))
+
+    wp, feats_grid = padded(a * gate[..., None]), padded(feats)
+    agg = wp.swapaxes(-1, -2) @ feats_grid
+    wsum = np.ones(wp.shape[-2], wp.dtype) @ wp
+    agg -= wsum[..., None] * anchors[..., None, :, :]
+    return agg, a, wp, wsum, feats_grid
+
+
+@pytest.mark.parametrize("experts", EXPERTS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_nextvlad_kernel_bytes_match_the_affine_logits_form(dtype, experts):
+    # NeXtVLAD-sized inputs (N 16, G 4, K 8, D 4) of five videos of at most 6 frames:
+    # the logits formed rows-last give the bytes of the affine's rows-first logits
+    rng = Rng(50)
+    lead = () if experts == "one model" else (3,)
+    for lengths in ([6, 2, 0, 5, 3], [6] * 5):
+        lengths, t = np.array(lengths), sum(lengths)
+        shapes = [(t, 16), lead + (16, 32), lead + (32,), lead + (t, 4, 4), lead + (8, 4), lead + (t, 4)]
+        if experts.endswith("shared feats and gate"):
+            shapes[3], shapes[5] = shapes[3][1:], shapes[5][1:]
+        arrays = [rng.normal(s).astype(dtype) for s in shapes]
+        arrays[5] = 1 / (1 + np.exp(-arrays[5]))
+        kw = dict(lengths=lengths, max_frames=6)
+        out, saved = ad.RESIDUAL_AGGREGATE.forward(*arrays, **kw)
+        agg, a, wp, wsum, feats_grid = residual_forward_from_logits(*arrays, **kw)
+        assert out.dtype == dtype and out.tobytes() == agg.tobytes()
+        assert np.moveaxis(saved["softmax"], -1, -3).tobytes() == a.tobytes()
+        for name, ref in (("wp", wp), ("wsum", wsum), ("padded", feats_grid)):
+            assert saved[name].tobytes() == ref.tobytes(), name
 
 
 @pytest.mark.parametrize("prim", [ad.MUL], ids=lambda p: p.name)

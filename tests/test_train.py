@@ -376,6 +376,16 @@ def test_predict_matches_a_per_batch_loop(kind):
     assert_same_bytes(scored(params, ds), scored_per_batch(params, ds))
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_predict_rejects_a_batch_size_below_one(batch_size):
+    # 0 stepped no range and -1 scored nothing, which evaluate_gap then met as an empty set
+    ds = desk_dataset(videos=12)
+    with pytest.raises(ValueError, match=f"predict: batch_size must be >= 1, got {batch_size}"):
+        predict(fresh_state().params, ds, 5, batch_size)
+    with pytest.raises(ValueError, match=f"got {batch_size}"):
+        evaluate_gap(fresh_state().params, ds, 5, batch_size)
+
+
 @pytest.mark.parametrize("kind", ["nextvlad", "mixture"])
 def test_weight_product_is_formed_once_per_stream_per_pass(monkeypatch, kind):
     ds = desk_dataset(videos=44)

@@ -15,7 +15,7 @@ from nextvlad.vlad import (
     NetVladConfig,
     NeXtVladConfig,
     NeXtVladCore,
-    assignment_logits,
+    assignment_weights,
     netvlad_descriptor,
     nextvlad_aggregate,
     nextvlad_descriptor,
@@ -282,10 +282,14 @@ def test_folded_assignment_logits_equal_the_expanded_frames_through_the_assignme
         expanded = ad.affine(view.frames, core.expand_w, core.expand_b)
         return ad.affine(expanded, core.assign_w, core.assign_b).data
 
-    got = assignment_logits(view.frames, cores[0]).data
+    def folded_logits(core):
+        w, b = assignment_weights(core)
+        return view.frames.data @ w.data + b.data[..., None, :]
+
+    got = folded_logits(cores[0])
     assert got.shape == (view.frames.shape[0], 12)
     assert np.abs(got - expanded_logits(cores[0])).max() < 1e-12
-    got = assignment_logits(view.frames, stacked).data
+    got = folded_logits(stacked)
     assert got.shape == (3, view.frames.shape[0], 12)
     for e, core in enumerate(cores):
         assert np.abs(got[e] - expanded_logits(core)).max() < 1e-12, e
