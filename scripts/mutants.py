@@ -58,6 +58,14 @@ BATCH_TESTS = (
     "tests/test_data.py::test_non_finite_frame_is_found_once_and_counted_within_max_frames",
 )
 
+GEN_TESTS = (
+    "tests/test_data.py::test_generator_bytes_are_pinned",
+    "tests/test_data.py::test_generator_matches_one_draw_per_quantity",
+    "tests/test_data.py::test_chunked_generator_matches_one_draw_per_quantity",
+    "tests/test_data.py::test_label_means_are_each_videos_ndarray_mean",
+    "tests/test_cli.py::test_gen_data_default_file_is_pinned",
+)
+
 
 class Mutant(NamedTuple):
     name: str
@@ -207,6 +215,19 @@ MUTANTS = [
     Mutant("an empty video's gate mean takes the next video's first frame", MODEL,
            "frames[lo:hi].sum(axis=0)", "frames[lo:max(hi, lo + 1)].sum(axis=0)",
            ("tests/test_model.py::test_gate_mean_of_a_video_without_frames_is_zero",)),
+    # the synthetic generator: the walk, the Fisher-Yates order, the chunk bounds, the means
+    Mutant("the walk reads the frame-count word at offset C-1", DATA,
+           "word = mix64(seed + (at + c + 1) * GAMMA)", "word = mix64(seed + (at + c) * GAMMA)", GEN_TESTS),
+    Mutant("the swaps run from position 1 upward", DATA,
+           "for i, j in zip(range(c - 1, 0, -1), words_to_integers(head[:, 1:], np.arange(c, 1, -1)).T):",
+           "for i, j in reversed(list(zip(range(c - 1, 0, -1),"
+           " words_to_integers(head[:, 1:], np.arange(c, 1, -1)).T))):", GEN_TESTS),
+    Mutant("a head chunk ends one video early, so a video's labels are skipped", DATA,
+           "starts[lo:lo + step, None]", "starts[lo:lo + step - 1, None]", GEN_TESTS),
+    Mutant("a noise chunk ends one video before the next starts, so a video is skipped", DATA,
+           "        lo = hi\n", "        lo = hi + 1\n", GEN_TESTS),
+    Mutant("the concept sum divided per label before summing", DATA,
+           "mean[rows] = a[chosen].mean(axis=1)", "mean[rows] = (a[chosen] / k).sum(axis=1)", GEN_TESTS),
     # the two mutants that survived the suite before their tests came
     Mutant("mixture gate mean divides by all frames", MODEL,
            "(1.0 / np.maximum(view.lengths, 1).astype(frames.dtype))[:, None]",

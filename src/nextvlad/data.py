@@ -21,6 +21,7 @@ function of the spec (same seed, same bytes).
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .model import Eigenvalues
-from .rng import Rng, words_to_integers, words_to_normals, words_to_permutation
+from .rng import GAMMA, Rng, mix64, words_at, words_to_integers, words_to_normals
 from .vlad import FrameBatchView
 
 DATASET_MAGIC = b"FAV1"
@@ -248,8 +249,8 @@ class SyntheticSpec:
         if self.labels_max > self.num_classes:
             raise ValueError(
                 f"labels_max {self.labels_max} exceeds num_classes {self.num_classes}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be a finite number >= 0, got {self.noise_sigma}")
 
 
 def _unit_rows(rng: Rng, rows: int, cols: int) -> np.ndarray:
@@ -258,46 +259,92 @@ def _unit_rows(rng: Rng, rows: int, cols: int) -> np.ndarray:
     return m / np.maximum(norms, 1e-12)
 
 
+CHUNK_WORDS = 1 << 15  # words per pass of gen_synthetic, which bounds its temporaries
+
+
+def _label_means(label_ids: np.ndarray, label_offsets: np.ndarray, concepts: tuple) -> tuple:
+    """Per array of ``concepts`` (C, N), the (V, N) float64 means of its rows at each
+    video's labels, ``label_ids[label_offsets[v]:label_offsets[v + 1]]``: ``ndarray.mean``
+    over the videos of one label count at a time, so each sums its labels in order."""
+    counts = np.diff(label_offsets)
+    means = tuple(np.empty((counts.size, a.shape[1])) for a in concepts)
+    for k in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == k)
+        chosen = label_ids[_ranges(label_offsets[rows], np.full(rows.size, k))].reshape(-1, k)
+        for mean, a in zip(means, concepts):
+            mean[rows] = a[chosen].mean(axis=1)
+    return means
+
+
 def gen_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministically generate a planted-concept multi-label dataset.
 
-    Per video the stream holds, in order: a label-count word, the C-1 words
-    of a label permutation (the first n_labels entries are the labels), a
+    After the visual and the audio concepts (C x N normals each), the stream
+    holds per video, in order: a label-count word, the C-1 words of a label
+    permutation (the first n_labels entries, sorted, are the labels), a
     frame-count word, then the visual and the audio noise normals, each
-    rounded up to whole Box-Muller pairs.  They are taken in two draws, the
-    C+1 count and permutation words and then all the normals; the visual
-    block has an even word count, so the audio pairs stay aligned.
+    rounded up to whole Box-Muller pairs.  So video v + 1 starts where video
+    v's frame count says: a walk over the frame-count words alone, in Python
+    integers, gives every video's counter position and frame count, and the
+    store's exact size, before any frame is drawn.  Every other word is then
+    drawn by its position (``words_at``), in two chunked passes of about
+    ``CHUNK_WORDS`` words each: the head words of a chunk of videos, with
+    one Fisher-Yates over all of them (a column swap per position, C-1 down
+    to 1); then the noise words of a chunk of videos through one
+    ``words_to_normals`` (each noise block has an even number of words, so
+    the pairs stay aligned).  A frame is its labels' concept mean plus its
+    noise, added in float64 and rounded once to float32.
     """
     rng = Rng(spec.seed)
-    visual_concepts = _unit_rows(rng, spec.num_classes, spec.visual_dim)
-    audio_concepts = _unit_rows(rng, spec.num_classes, spec.audio_dim)
-    c = spec.num_classes
-    spans = np.array([spec.labels_max - spec.labels_min + 1, spec.frames_max - spec.frames_min + 1])
-    lows = np.array([spec.labels_min, spec.frames_min])
+    concepts = tuple(_unit_rows(rng, spec.num_classes, n) for n in (spec.visual_dim, spec.audio_dim))
+    n, c, seed, dims = spec.num_videos, spec.num_classes, spec.seed, (spec.visual_dim, spec.audio_dim)
+    span = spec.frames_max - spec.frames_min + 1
+    starts, counts, at = [], [], rng.counter
+    for _ in range(n):  # the walk; the frame count is words_to_integers of the word at offset c
+        word = mix64(seed + (at + c + 1) * GAMMA)
+        m = spec.frames_min + min(int((word >> 11) * 2.0 ** -53 * span), span - 1)
+        starts.append(at)
+        counts.append(m)
+        at += c + 1 + m * dims[0] + m * dims[0] % 2 + m * dims[1] + m * dims[1] % 2
+    starts, counts = np.array(starts, np.int64), np.array(counts, np.int64)
 
-    # frames go straight into the store, sized for frames_max per video: the rows
-    # past the last video's are never written, so their pages are never touched
-    dims = (spec.visual_dim, spec.audio_dim)
-    frames = tuple(np.empty((spec.num_videos * spec.frames_max, n), "<f4") for n in dims)
-    records, at = [], 0
-    for v in range(spec.num_videos):
-        head = rng.next_u64(c + 1)
-        n_labels, m = (lows + words_to_integers(head[[0, c]], spans)).tolist()
-        labels = np.sort(words_to_permutation(head[1:c], c)[:n_labels])
-        n_visual, n_audio = m * spec.visual_dim, m * spec.audio_dim
-        visual_words = n_visual + n_visual % 2
-        noise = spec.noise_sigma * words_to_normals(rng.next_u64(visual_words + n_audio + n_audio % 2))
+    label_ids, label_counts, step = [], [], max(CHUNK_WORDS // c, 1)
+    for lo in range(0, n, step):  # the head words of `step` videos
+        head = words_at(seed, starts[lo:lo + step, None] + np.arange(c))
+        n_labels = spec.labels_min + words_to_integers(head[:, 0], spec.labels_max - spec.labels_min + 1)
+        perm, rows = np.tile(np.arange(c), (len(head), 1)), np.arange(len(head))
+        for i, j in zip(range(c - 1, 0, -1), words_to_integers(head[:, 1:], np.arange(c, 1, -1)).T):
+            swapped = perm[:, i].copy()
+            perm[:, i] = perm[rows, j]
+            perm[rows, j] = swapped
+        chosen = np.where(np.arange(spec.labels_max) < n_labels[:, None], perm[:, :spec.labels_max], c)
+        chosen.sort(axis=1)
+        label_ids.append(chosen[chosen < c].astype(np.uint32))  # row by row, c (not taken) last
+        label_counts.append(n_labels)
+    label_ids = np.concatenate(label_ids)
+    label_offsets = np.concatenate(([0], np.cumsum(np.concatenate(label_counts))))
 
-        visual, audio = (a[at:at + m] for a in frames)
-        visual[:] = visual_concepts[labels].mean(axis=0) + noise[:n_visual].reshape(m, spec.visual_dim)
-        audio[:] = (audio_concepts[labels].mean(axis=0)
-                    + noise[visual_words:visual_words + n_audio].reshape(m, spec.audio_dim))
-        records.append(VideoRecord(video_id=f"v{v:06d}", labels=labels.astype(np.uint32),
-                                   visual=visual, audio=audio))
-        at += m
-    frames = tuple(a[:at] for a in frames)
-    return Dataset(records=records, num_classes=spec.num_classes, visual_dim=spec.visual_dim,
-                   audio_dim=spec.audio_dim, store=FrameStore.of(records, dims, frames))
+    values = tuple(counts * d for d in dims)  # noise values per video and stream
+    words = tuple(v + v % 2 for v in values)
+    ends = starts + c + 1 + words[0] + words[1]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    frames = tuple(np.empty((offsets[-1], d), "<f4") for d in dims)
+    lo = 0
+    while lo < n:  # the noise words of videos lo:hi
+        hi = max(int(np.searchsorted(ends, starts[lo] + CHUNK_WORDS, "right")), lo + 1)
+        block = words[0][lo:hi] + words[1][lo:hi]
+        noise = spec.noise_sigma * words_to_normals(words_at(seed, _ranges(starts[lo:hi] + c + 1, block)))
+        block_ends = np.cumsum(block)
+        means = _label_means(label_ids, label_offsets[lo:hi + 1], concepts)
+        for a, mean, first, v in zip(frames, means, (block_ends - block, block_ends - words[1][lo:hi]), values):
+            a[offsets[lo]:offsets[hi]] = (noise[_ranges(first, v[lo:hi])].reshape(-1, a.shape[1])
+                                          + np.repeat(mean, counts[lo:hi], axis=0))
+        lo = hi
+    rec, lab = offsets.tolist(), label_offsets.tolist()
+    records = [VideoRecord(f"v{v:06d}", label_ids[lab[v]:lab[v + 1]], *(a[rec[v]:rec[v + 1]] for a in frames))
+               for v in range(n)]
+    return Dataset(records=records, num_classes=c, visual_dim=dims[0], audio_dim=dims[1],
+                   store=FrameStore(records, frames, offsets, label_offsets, label_ids))
 
 
 # ---------------------------------------------------------------------------

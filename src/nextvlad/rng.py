@@ -26,13 +26,19 @@ the counter by n.  Derived quantities:
 * permutation of n:           Fisher-Yates from the high index down, using
                               one integer draw in [0, i+1) per position i
 
+Each word is a pure function of the seed and its counter position, so
+``words_at`` draws the words at any positions, in any order and shape, and
+``Rng.next_u64`` is ``words_at`` over the next n positions.  ``mix64`` is the
+same finalizer on one Python integer: ``mix64(seed + (p + 1) * GAMMA)`` is
+the word at position p, for a caller that needs a few scalar words fast.
+
 The permutation's n-1 integer draws are consecutive words of the stream, and
 the swap index j_i = min(floor(u_i * (i+1)), i) depends on word i and position
 i alone, never on the permutation built so far.  So all j_i are computed in
 one vectorised pass and only the swaps run in a loop, with the same words and
 the same final counter as one draw per position.  The ``words_to_*``
 functions apply the derivations above to words drawn earlier, so a caller can
-take several quantities' words in one ``next_u64`` call.
+take several quantities' words in one draw.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ import math
 
 import numpy as np
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+GAMMA = 0x9E3779B97F4A7C15
+_GAMMA = np.uint64(GAMMA)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -49,7 +56,7 @@ _INV_2_53 = 2.0 ** -53
 
 
 def _mix(state: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # scalar uint64 wraparound is the point
+    with np.errstate(over="ignore"):  # uint64 wraparound is the point (0-d input gives scalars)
         z = state
         z = (z ^ (z >> np.uint64(30))) * _MIX1
         z = (z ^ (z >> np.uint64(27))) * _MIX2
@@ -57,8 +64,19 @@ def _mix(state: np.ndarray) -> np.ndarray:
 
 
 def mix64(x: int) -> int:
-    """SplitMix64 finalizer on a single 64-bit integer."""
-    return int(_mix(np.uint64(x & _MASK)))
+    """SplitMix64 finalizer on one integer, taken mod 2^64, in Python integers."""
+    z = x & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def words_at(seed: int, positions) -> np.ndarray:
+    """The stream's words at the given counter positions (integers >= 0, any shape)."""
+    z = np.asarray(positions).astype(np.uint64)
+    z *= _GAMMA
+    z += np.uint64((seed + GAMMA) & _MASK)  # state = seed + (position + 1) * GAMMA
+    return _mix(z)
 
 
 def derive_seed(base: int, *tags: int) -> int:
@@ -116,8 +134,7 @@ class Rng:
         return (self.seed, self.counter)
 
     def next_u64(self, n: int) -> np.ndarray:
-        idx = np.arange(1, n + 1, dtype=np.uint64) + np.uint64(self.counter)
-        out = _mix(np.uint64(self.seed) + idx * _GAMMA)
+        out = words_at(self.seed, np.arange(n, dtype=np.uint64) + np.uint64(self.counter))
         self.counter = (self.counter + n) & _MASK
         return out
 

@@ -1,5 +1,6 @@
 """Config parsing and the command-line surface, end to end on tiny runs."""
 
+import hashlib
 import os
 import struct
 import subprocess
@@ -137,6 +138,14 @@ def test_default_spec_pipeline_smoke(tmp_path):
                "--steps", "1", "--batch-size", "16", "--seed", "1"] + TINY)
     assert rc == 0
     assert (out / "checkpoint.ckpt").exists()
+
+
+def test_gen_data_default_file_is_pinned(tmp_path):
+    """The defaults (2000 videos, seed 7) span many of the generator's chunks."""
+    path = tmp_path / "default.fav"
+    assert main(["gen-data", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "407ea96c74ce1396131c4a820a281987d2641c928b976a98c0d31491d45ef428")
 
 
 def test_gen_data_too_many_labels_fails(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nextvlad.data import (
+    CHUNK_WORDS,
     Dataset,
     SyntheticSpec,
     VideoRecord,
@@ -16,6 +17,7 @@ from nextvlad.data import (
     read_dataset,
     write_dataset,
     write_eigenvalues,
+    _label_means,
 )
 from nextvlad.metrics import gap_at_20, prediction_set_from_scores
 from nextvlad.model import Eigenvalues
@@ -241,6 +243,47 @@ def test_generator_matches_one_draw_per_quantity(tmp_path, spec):
     write_dataset(gen_synthetic(spec), fast)
     write_dataset(gen_synthetic_reference(spec), slow)
     assert fast.read_bytes() == slow.read_bytes()
+
+
+@pytest.mark.parametrize("spec", [
+    # noise over several chunks, odd dims
+    SyntheticSpec(num_videos=120, num_classes=5, visual_dim=33, audio_dim=7, frames_min=20,
+                  frames_max=40, labels_min=1, labels_max=3, noise_sigma=0.5, seed=8),
+    # each video holds more words than a chunk
+    SyntheticSpec(num_videos=2, num_classes=3, visual_dim=8192, audio_dim=3, frames_min=30,
+                  frames_max=30, labels_min=1, labels_max=2, seed=12),
+    # head words over several chunks
+    SyntheticSpec(num_videos=250, num_classes=300, visual_dim=2, audio_dim=1, frames_min=1,
+                  frames_max=3, labels_min=2, labels_max=5, seed=13),
+    # every class can be a label; frames are exactly the concept means
+    SyntheticSpec(num_videos=50, num_classes=6, visual_dim=4, audio_dim=3, frames_min=1,
+                  frames_max=4, labels_min=1, labels_max=6, noise_sigma=0.0, seed=14),
+], ids=["noise-chunks", "video-past-a-chunk", "head-chunks", "all-labels-no-noise"])
+def test_chunked_generator_matches_one_draw_per_quantity(tmp_path, spec):
+    # each spec crosses the chunk bounds it is named for
+    assert min(120 * 20 * 40, 250 * 300) > 2 * CHUNK_WORDS and 30 * 8192 > CHUNK_WORDS
+    fast, slow = tmp_path / "fast.fav", tmp_path / "slow.fav"
+    write_dataset(gen_synthetic(spec), fast)
+    write_dataset(gen_synthetic_reference(spec), slow)
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+def test_label_means_are_each_videos_ndarray_mean():
+    """float64 bytes, before the rounding to float32 that would hide a sum taken
+    in another order or divided per label."""
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 5, 64):
+        concepts = rng.standard_normal((12, dim))
+        labels = [np.sort(rng.permutation(12)[:k]) for k in rng.integers(1, 13, size=40)]
+        offsets = np.cumsum([0] + [len(x) for x in labels])
+        (means,) = _label_means(np.concatenate(labels), offsets, (concepts,))
+        assert np.array_equal(means, np.stack([concepts[x].mean(axis=0) for x in labels]))
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.5])
+def test_noise_sigma_must_be_finite_and_non_negative(sigma):
+    with pytest.raises(ValueError, match=f"noise_sigma must be a finite number >= 0, got {sigma}"):
+        SyntheticSpec(num_videos=1, num_classes=4, visual_dim=2, audio_dim=2, noise_sigma=sigma)
 
 
 def test_label_range_validation():

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from nextvlad.rng import Rng, derive_seed, mix64
+from nextvlad.rng import GAMMA, Rng, derive_seed, mix64, words_at
 
 MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -20,6 +20,15 @@ def test_stream_matches_pure_python_oracle():
         words = Rng(seed).next_u64(10)
         expected = [splitmix64_oracle(seed, i) for i in range(10)]
         assert [int(w) for w in words] == expected
+
+
+def test_words_at_any_positions_match_the_oracle():
+    for seed in (0, 0xDEADBEEF, MASK):
+        positions = np.array([[7, 0, 3], [2 ** 40, 5, 5]])
+        words = words_at(seed, positions)
+        assert words.dtype == np.uint64 and words.shape == (2, 3)
+        assert words.tolist() == [[splitmix64_oracle(seed, int(p)) for p in row] for row in positions]
+        assert mix64(seed + (2 ** 40 + 1) * GAMMA) == splitmix64_oracle(seed, 2 ** 40)
 
 
 def test_counter_advances_and_resumes():
