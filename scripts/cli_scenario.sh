@@ -11,7 +11,7 @@
 #
 # The scenario: gen-data (300 videos, 30 classes, visual 8 / audio 4); three
 # trainings sharing hidden 16, 4 clusters, 2 groups, batch 16 and lr 0.003:
-# NeXtVLAD with reverse whitening from an 8-value EIGV file and
+# NeXtVLAD reverse-whitened by an 8-value EIGV file (--eigenvalues) and
 # --lr-staircase for 10 steps, then --resume to 20; --model netvlad for 20
 # steps; --mixture 3 for 20 steps.  Each of the three then runs predict, eval
 # from its checkpoint and eval from the predictions CSV.  Last come the three
@@ -50,7 +50,7 @@ write_eigenvalues(Eigenvalues(np.linspace(0.5, 4.0, 8)), "eig.eigv")'
 
 mkdir nextvlad netvlad mixture
 nv train --dataset data.fav --out nextvlad-10 "${shared[@]}" --steps 10 --lr-staircase \
-    --set model.reverse_whitening=true --eigenvalues eig.eigv > nextvlad/stdout.txt
+    --eigenvalues eig.eigv > nextvlad/stdout.txt
 nv train --dataset data.fav --out nextvlad --resume nextvlad-10/checkpoint.ckpt \
     --steps 20 >> nextvlad/stdout.txt
 nv train --dataset data.fav --out netvlad "${shared[@]}" --steps 20 --model netvlad \

@@ -53,6 +53,15 @@ SCORING_TESTS = (
 
 DATA = "src/nextvlad/data.py"
 MODEL = "src/nextvlad/model.py"
+CLI = "src/nextvlad/cli.py"
+CENSUS_TESTS = (
+    "tests/test_model.py::test_model_census_equals_sum_of_closed_forms",
+    "tests/test_model.py::test_mixture_census_is_three_experts_plus_gate",
+)
+BATCHLESS_TESTS = (
+    "tests/test_train.py::test_a_videos_scores_do_not_depend_on_its_batch",
+    "tests/test_train.py::test_shards_scored_apart_join_to_the_whole_pass",
+)
 BATCH_TESTS = (
     "tests/test_data.py::test_gathered_batches_match_per_record_padding",
     "tests/test_data.py::test_non_finite_frame_is_found_once_and_counted_within_max_frames",
@@ -228,6 +237,39 @@ MUTANTS = [
            "        lo = hi\n", "        lo = hi + 1\n", GEN_TESTS),
     Mutant("the concept sum divided per label before summing", DATA,
            "mean[rows] = a[chosen].mean(axis=1)", "mean[rows] = (a[chosen] / k).sum(axis=1)", GEN_TESTS),
+    # one whitening scale, held by the mixture, for the experts and not the gate
+    Mutant("the mixture gate fed the whitened batch", MODEL,
+           "    expert_logits = model_forward(_whitened(batch, mix.whiten_scale), mix.experts, training, rng)\n",
+           "    batch = _whitened(batch, mix.whiten_scale)\n"
+           "    expert_logits = model_forward(batch, mix.experts, training, rng)\n",
+           ("tests/test_model.py::test_gate_reads_the_unwhitened_frames",)),
+    Mutant("restore builds no whitening placeholder", CLI,
+           "if init else Eigenvalues(np.ones(model_cfg.video_dim))", "if init else None",
+           ("tests/test_cli.py::test_whitened_mixture_checkpoint_scores_without_its_eigenvalues_file",)),
+    # the weight census of a tree whose stacked biases are 2-d
+    Mutant("weight_census leaves out the nested bundles", VLAD,
+           "\n            + sum(weight_census(v) for v in own if isinstance(v, ParamTree)))", ")",
+           CENSUS_TESTS),
+    Mutant("weight_census takes one min-ndim over the whole tree", VLAD,
+           "    own = [getattr(bundle, f.name) for f in dataclasses.fields(bundle)]\n",
+           "    own = list(bundle.named_parameters().values())\n", CENSUS_TESTS),
+    # scoring blocks of one row count
+    Mutant("predict keeps the pad rows", TRAIN,
+           "ad.sigmoid(predict_logits(params, batch)).data[:n]", "ad.sigmoid(predict_logits(params, batch)).data",
+           BATCHLESS_TESTS),
+    Mutant("predict scores its last batch unpadded", TRAIN,
+           "rows = np.minimum(np.arange(start, start + batch_size), start + n - 1)",
+           "rows = np.arange(start, start + n)", BATCHLESS_TESTS),
+    # a checkpoint shape numpy cannot form, and a closed stdout
+    Mutant("an unformable checkpoint shape left to numpy's message", TRAIN,
+           "            except ValueError:\n", "            except ZeroDivisionError:\n",
+           ("tests/test_cli.py::test_checkpoint_shape_numpy_cannot_form_names_file_and_tensor",)),
+    Mutant("BrokenPipeError falls through to the generic OSError branch", CLI,
+           "    except BrokenPipeError:\n", "    except ():\n",
+           ("tests/test_cli.py::test_closed_stdout_exits_quietly_with_the_sigpipe_status",)),
+    Mutant("the interpreter's last flush left on the closed stdout", CLI,
+           "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())", "pass",
+           ("tests/test_cli.py::test_closed_stdout_of_a_process_prints_no_error",)),
     # the two mutants that survived the suite before their tests came
     Mutant("mixture gate mean divides by all frames", MODEL,
            "(1.0 / np.maximum(view.lengths, 1).astype(frames.dtype))[:, None]",

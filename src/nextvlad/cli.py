@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import os
 import sys
 from pathlib import Path
 
@@ -61,24 +62,17 @@ def _read_dataset(path):
 
 
 def _build_params(cfg: cfgmod.RunConfig, init: bool = True):
-    """Model or mixture parameters for a resolved config.  ``init`` draws the
-    seeded weights and loads the EIGV file; otherwise the weights are zeros and
-    the whitening scale is one, for a checkpoint to fill or a census to count."""
+    """Model or mixture parameters for a resolved config, reverse-whitened when ``model.eigenvalues``
+    names an EIGV file.  ``init`` draws the seeded weights and loads that file; otherwise the
+    weights are zeros and the scale ones, for a checkpoint to fill or a census to count."""
     model_cfg = cfgmod.model_config_from(cfg)
     experts, eig_path = cfg["model.experts"], cfg["model.eigenvalues"]
     if experts not in (1, 3):
         raise ValueError(f"model.experts must be 1 or 3, got {experts}")
-    rng = eig = None
-    if init:
-        if eig_path and not model_cfg.reverse_whitening:
-            raise ValueError("model.eigenvalues is set but model.reverse_whitening is false")
-        if model_cfg.reverse_whitening:
-            if not eig_path:
-                raise ValueError("model.reverse_whitening needs model.eigenvalues")
-            eig = load_eigenvalues(eig_path, expected_dim=model_cfg.video_dim)
-        rng = Rng(derive_seed(cfg["train.seed"], trainmod.TAG_INIT))
-    elif model_cfg.reverse_whitening:
-        eig = Eigenvalues(np.ones(model_cfg.video_dim))
+    rng = Rng(derive_seed(cfg["train.seed"], trainmod.TAG_INIT)) if init else None
+    eig = None
+    if eig_path:
+        eig = load_eigenvalues(eig_path, model_cfg.video_dim) if init else Eigenvalues(np.ones(model_cfg.video_dim))
     return (MixtureParams if experts == 3 else ModelParams).create(model_cfg, rng, eigenvalues=eig)
 
 
@@ -352,7 +346,15 @@ def main(argv=None) -> int:
         print("eval needs exactly one of --checkpoint or --predictions", file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # the reader left, as `head` does: exit quietly with 128 + SIGPIPE, as `cat` does, and
+        # point stdout at devnull so the interpreter's final flush of it raises nothing more
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         # str() of a KeyError is the repr of its message
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)

@@ -43,8 +43,7 @@ REGISTRY: dict[str, _Key] = {
     "model.hidden": _Key(int, 2048, "hidden size after the reduction layer"),
     "model.se_ratio": _Key(int, 8, "squeeze-excitation reduction ratio (8 or 16)"),
     "model.dropout": _Key(float, 0.5, "dropout after descriptor concatenation"),
-    "model.reverse_whitening": _Key(bool, False, "rescale video features by sqrt eigenvalues"),
-    "model.eigenvalues": _Key(str, "", "EIGV file for reverse whitening"),
+    "model.eigenvalues": _Key(str, "", "EIGV file: reverse-whiten video features by sqrt eigenvalues"),
     "model.experts": _Key(int, 1, "1 = single model, 3 = gated mixture"),
     "model.video_dim": _Key(int, 0, "video feature dim (0 = take from dataset)"),
     "model.audio_dim": _Key(int, 0, "audio feature dim (0 = take from dataset)"),
@@ -219,7 +218,6 @@ def model_config_from(cfg: RunConfig) -> ModelConfig:
         se_ratio=cfg["model.se_ratio"],
         num_classes=cfg["model.num_classes"],
         dropout_rate=cfg["model.dropout"],
-        reverse_whitening=cfg["model.reverse_whitening"],
     )
 
 

@@ -4,17 +4,17 @@ Video and audio frames are aggregated separately (NetVLAD or NeXtVLAD per
 stream), the flat descriptors are concatenated, passed through dropout and
 one shared reduction layer to the hidden size, gated by a
 squeeze-excitation-style context block, and classified by a single affine
-layer into per-class logits (sigmoid belongs to the loss).  Optionally the
-video features are rescaled by sqrt of the PCA eigenvalues first, undoing
-the whitening that would otherwise flatten per-dimension variance before
-the distance-based encoding.
+layer into per-class logits (sigmoid belongs to the loss).  Given PCA
+eigenvalues, the video features are rescaled by their square roots first,
+undoing the whitening that would otherwise flatten per-dimension variance
+before the distance-based encoding.
 
 A gated mixture of three such models, with the gate fed by the mean of each
 video's raw input frames, provides the ensemble logits used for on-the-fly
 distillation.  The three are one model whose every tensor is stacked on a
 leading expert axis E, so one forward pass runs them all: the frames, their
-valid rows and the whitening are shared, each expert's layers run as one
-stacked op.
+valid rows and the whitening scale, held once by the mixture, are shared,
+each expert's layers run as one stacked op.
 """
 
 from __future__ import annotations
@@ -75,6 +75,24 @@ def reverse_whitening(x: Tensor, scale: np.ndarray) -> Tensor:
     return x * Tensor(scale.astype(x.dtype))
 
 
+def _whiten_scale(eigenvalues: Optional[Eigenvalues], video_dim: int) -> Optional[np.ndarray]:
+    """sqrt of the eigenvalues as float32: reverse whitening is on exactly when
+    a model or mixture is created with eigenvalues."""
+    if eigenvalues is None:
+        return None
+    if len(eigenvalues) != video_dim:
+        raise ValueError(f"eigenvalue count {len(eigenvalues)} != video_dim {video_dim}")
+    return np.sqrt(eigenvalues.values).astype(np.float32)
+
+
+def _whitened(batch, scale: Optional[np.ndarray]):
+    """The batch with its video frames reverse-whitened by ``scale``, if any."""
+    if scale is None:
+        return batch
+    video = dataclasses.replace(batch.video, frames=reverse_whitening(batch.video.frames, scale))
+    return dataclasses.replace(batch, video=video)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     video_dim: int
@@ -85,7 +103,6 @@ class ModelConfig:
     se_ratio: int
     num_classes: int
     dropout_rate: float = 0.5
-    reverse_whitening: bool = False
 
     def __post_init__(self):
         if self.num_classes < 1:
@@ -161,15 +178,6 @@ class ModelParams(ParamTree):
     @staticmethod
     def create(cfg: ModelConfig, rng: Optional[Rng],
                eigenvalues: Optional[Eigenvalues] = None) -> "ModelParams":
-        if cfg.reverse_whitening:
-            if eigenvalues is None:
-                raise ValueError("reverse_whitening enabled but no eigenvalues given")
-            if len(eigenvalues) != cfg.video_dim:
-                raise ValueError(
-                    f"eigenvalue count {len(eigenvalues)} != video_dim {cfg.video_dim}")
-            scale = np.sqrt(eigenvalues.values).astype(np.float32)
-        else:
-            scale = None
         return ModelParams(
             config=cfg,
             video=make_core(cfg.video_vlad, rng),
@@ -179,7 +187,7 @@ class ModelParams(ParamTree):
             classifier_w=Tensor(
                 init_normal(rng, (cfg.hidden_dim, cfg.num_classes), np.sqrt(2.0 / cfg.hidden_dim))),
             classifier_b=Tensor(np.zeros(cfg.num_classes, dtype=np.float32)),
-            whiten_scale=scale,
+            whiten_scale=_whiten_scale(eigenvalues, cfg.video_dim),
         )
 
 
@@ -212,16 +220,8 @@ def model_forward(
     with a nonzero dropout rate; stacked experts draw theirs in expert order.
     """
     cfg = params.config
-    video = batch.video
-    if params.whiten_scale is not None:
-        scale = params.whiten_scale
-        if scale.ndim == 2:  # stacked experts share the frames, so one scale
-            if (scale != scale[0]).any():
-                raise ValueError("stacked experts' whitening scales differ")
-            scale = scale[0]
-        video = dataclasses.replace(video, frames=reverse_whitening(video.frames, scale))
-
-    video_desc = _descriptor(video, params.video)
+    batch = _whitened(batch, params.whiten_scale)
+    video_desc = _descriptor(batch.video, params.video)
     audio_desc = _descriptor(batch.audio, params.audio)
     joint = ad.concat([video_desc, audio_desc], axis=-1)
 
@@ -238,19 +238,19 @@ def model_forward(
 @dataclass
 class MixtureParams(ParamTree):
     """Three independent experts, stacked as one model, plus a softmax gate
-    over mean input features.  Slice i of an expert tensor is saved as model
-    i alone names it, under ``mixture.expert{i}``."""
+    over mean input features and the one whitening scale the experts share."""
 
     PREFIX = "mixture"
 
-    experts: ModelParams  # every tensor and buffer (E, ...): slice i is expert i
+    experts: ModelParams  # every tensor and buffer (E, ...): slice i is expert i; no whitening scale
     gate_w: Tensor  # (video_dim + audio_dim, E)
     gate_b: Tensor  # (E,)
+    whiten_scale: Optional[np.ndarray] = None  # sqrt(eigenvalues), video dtype
 
     @staticmethod
     def create(cfg: ModelConfig, rng: Optional[Rng],
                eigenvalues: Optional[Eigenvalues] = None) -> "MixtureParams":
-        experts = [ModelParams.create(cfg, rng, eigenvalues) for _ in range(NUM_EXPERTS)]
+        experts = [ModelParams.create(cfg, rng) for _ in range(NUM_EXPERTS)]
         gate_in = cfg.video_dim + cfg.audio_dim
         stacked = experts[0]  # takes the stack of every expert's leaf
         for (_, owner, attr), *others in zip(stacked.leaves(), *(e.leaves() for e in experts[1:])):
@@ -261,21 +261,8 @@ class MixtureParams(ParamTree):
             experts=stacked,
             gate_w=Tensor(init_normal(rng, (gate_in, NUM_EXPERTS), np.sqrt(2.0 / gate_in))),
             gate_b=Tensor(np.zeros(NUM_EXPERTS, dtype=np.float32)),
+            whiten_scale=_whiten_scale(eigenvalues, cfg.video_dim),
         )
-
-    def unstack(self, named: dict, prefix: Optional[str] = None) -> dict:
-        prefix = self.PREFIX if prefix is None else prefix
-        stacked = f"{prefix}.experts."
-        out = {}
-        for name, value in named.items():
-            if not name.startswith(stacked):
-                out[name] = value
-                continue
-            rest = name[len(stacked):]  # slice i takes the name model i alone would have
-            for i in range(value.shape[0]):
-                part = Tensor(value.data[i]) if isinstance(value, Tensor) else value[i]
-                out[f"{prefix}.expert{i}.{rest}"] = part
-        return out
 
 
 def _frame_mean(view: FrameBatchView) -> np.ndarray:
@@ -304,10 +291,10 @@ def mixture_forward(
     Returns (expert_logits (E, B, C), mixture_logits (B, C), gates (B, E));
     mixture logits are the gate-weighted sum of expert logits, the gate is a
     softmax over a linear map of the mean of each video's raw input frames,
-    the streams concatenated.  That mean is a constant of the batch: no
-    gradient reaches the frames through the gate.
+    the streams concatenated, unwhitened.  That mean is a constant of the
+    batch: no gradient reaches the frames through the gate.
     """
-    expert_logits = model_forward(batch, mix.experts, training, rng)
+    expert_logits = model_forward(_whitened(batch, mix.whiten_scale), mix.experts, training, rng)
 
     mean_features = Tensor(np.concatenate([_frame_mean(batch.video), _frame_mean(batch.audio)], axis=1))
     gates = ad.softmax(ad.affine(mean_features, mix.gate_w, mix.gate_b), axis=-1)  # (B, E)

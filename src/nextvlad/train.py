@@ -183,7 +183,9 @@ def predict_logits(params, batch) -> Tensor:
 
 
 def predict(params, dataset: Dataset, max_frames: int, batch_size: int = 64) -> PredictionSet:
-    """Top-20 sigmoid scores of every video, inference mode, in dataset order."""
+    """Top-20 sigmoid scores of every video, inference mode, in dataset order, in blocks of
+    ``batch_size`` rows, the last padded with copies of its last video: every GEMM sees one row
+    count, so a video's scores depend only on the video, the weights and the block size."""
     if batch_size < 1:
         raise ValueError(f"predict: batch_size must be >= 1, got {batch_size}")
     preds = PredictionSet()
@@ -191,10 +193,12 @@ def predict(params, dataset: Dataset, max_frames: int, batch_size: int = 64) -> 
     with ad.fixed_weights():  # NeXtVLAD's folded assignment weights, formed once per pass
         for start in range(0, len(dataset.records), batch_size):
             chunk = dataset.records[start:start + batch_size]
-            batch = make_batch(dataset.rows(range(start, start + len(chunk))), max_frames, dataset.num_classes)
-            scores = ad.sigmoid(predict_logits(params, batch)).data
+            n = len(chunk)
+            rows = np.minimum(np.arange(start, start + batch_size), start + n - 1)
+            batch = make_batch(dataset.rows(rows), max_frames, dataset.num_classes)
+            scores = ad.sigmoid(predict_logits(params, batch)).data[:n]
             classes, confs = topk_predictions(scores, k)
-            preds.append(batch.video_ids, [r.labels for r in chunk], k, classes.reshape(-1), confs.reshape(-1))
+            preds.append(batch.video_ids[:n], [r.labels for r in chunk], k, classes.reshape(-1), confs.reshape(-1))
     return preds
 
 
@@ -216,7 +220,7 @@ class TrainState:
 
     @staticmethod
     def create(params) -> "TrainState":
-        return TrainState(params=params, adam=AdamState.create(params.leaf_parameters()))
+        return TrainState(params=params, adam=AdamState.create(params.named_parameters()))
 
 
 @dataclass
@@ -290,7 +294,7 @@ def train_loop(
     total_steps = cfg.max_steps if cfg.max_steps > 0 else cfg.epochs * steps_per_epoch
     gap_source = eval_dataset if eval_dataset is not None else dataset
     # Adam writes each tensor's arena view in place, never rebinds it: enumerate once
-    named = state.params.leaf_parameters()
+    named = state.params.named_parameters()
 
     rows: list[LogRow] = []
     cached_epoch = -1
@@ -326,13 +330,12 @@ class Checkpoint:
 
 
 def _gather_tensors(state: TrainState) -> dict:
-    """Every array a checkpoint holds, by saved name: a stacked mixture's
-    parameters, buffers and moments slice by slice, under each expert's name."""
-    params = state.params
-    out = {name: t.data for name, t in params.named_parameters().items()}
-    out.update(params.named_buffers())
+    """Every array a checkpoint holds, by walk name: parameters, buffers and
+    Adam's moments, a mixture's stacked experts whole."""
+    out = {name: t.data for name, t in state.params.named_parameters().items()}
+    out.update(state.params.named_buffers())
     for tag, moments in (("m", state.adam.m), ("v", state.adam.v)):
-        out.update({f"adam.{tag}.{name}": a for name, a in params.unstack(moments).items()})
+        out.update({f"adam.{tag}.{name}": a for name, a in moments.items()})
     return out
 
 
@@ -387,7 +390,10 @@ def load_checkpoint(path) -> Checkpoint:
             dtype = _CODE_DTYPES[code]
             n_bytes = math.prod(shape) * dtype.itemsize
             arr = np.frombuffer(r.take(n_bytes), dtype=dtype.newbyteorder("<"))
-            tensors[name] = arr.astype(dtype).reshape(shape)
+            try:  # a zero dim leaves no bytes to read, yet the others may be too large to form
+                tensors[name] = arr.astype(dtype).reshape(shape)
+            except ValueError:
+                raise ValueError(f"{path}: tensor {name!r} has shape {shape}, too large to form") from None
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes")
     return Checkpoint(global_step=global_step, adam_step=adam_step,

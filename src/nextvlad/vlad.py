@@ -148,9 +148,8 @@ class ParamTree:
     named ``prefix.field``; a nested bundle extends the prefix with its field
     name; a ``BatchNormState``'s running statistics are buffers of the bundle
     that holds it.  ``PREFIX`` (a class attribute, never a field) is the
-    default prefix.  These walk names key the graph's leaves and the optimizer;
-    a bundle that stacks models on an expert axis saves each slice under a
-    name of its own (:meth:`unstack`).
+    default prefix.  A walk name is a tensor's only name: it keys the graph's
+    leaves, the optimizer and the checkpoint, a stacked tensor whole.
     """
 
     PREFIX = ""
@@ -173,22 +172,13 @@ class ParamTree:
         named = ((name, getattr(owner, attr)) for name, owner, attr in self.leaves(prefix))
         return {name: value for name, value in named if isinstance(value, kind)}
 
-    def unstack(self, named: dict, prefix: Optional[str] = None) -> dict:
-        """Walk name -> array or tensor, as saved: unchanged but for a bundle
-        that stacks models on an expert axis."""
-        return named
-
-    def leaf_parameters(self, prefix: Optional[str] = None) -> dict[str, Tensor]:
-        """Every parameter by walk name, whole: the graph's leaves, expert axis kept."""
+    def named_parameters(self, prefix: Optional[str] = None) -> dict[str, Tensor]:
+        """Every parameter by walk name."""
         return self._named(Tensor, prefix)
 
-    def named_parameters(self, prefix: Optional[str] = None) -> dict[str, Tensor]:
-        """Every parameter as saved, a stacked one slice by slice."""
-        return self.unstack(self._named(Tensor, prefix), prefix)
-
     def named_buffers(self, prefix: Optional[str] = None) -> dict[str, np.ndarray]:
-        """Every buffer as saved, a stacked one slice by slice (views, writable)."""
-        return self.unstack(self._named(np.ndarray, prefix), prefix)
+        """Every buffer by walk name (the arrays themselves, writable)."""
+        return self._named(np.ndarray, prefix)
 
 
 @dataclass
@@ -292,13 +282,15 @@ def make_core(cfg: VladConfig, rng: Optional[Rng]) -> VladCore:
 
 
 def weight_census(bundle) -> int:
-    """Allocated weight count of any parameter bundle: the total size of its
-    tensors with more dims than its biases and batch norm, which are 1-d, or
-    (E, F) in a model stacked on an expert axis.  A mixture counts the slices
-    it saves."""
-    named = bundle.named_parameters().values()
-    bias_dims = min(t.ndim for t in named)
-    return sum(t.size for t in named if t.ndim > bias_dims)
+    """Allocated weight count of any parameter bundle: the total size of its own
+    tensors with more dims than its smallest own tensor, a bias or batch-norm
+    vector (1-d, or (E, F) in a model stacked on an expert axis), plus the
+    census of each bundle it nests."""
+    own = [getattr(bundle, f.name) for f in dataclasses.fields(bundle)]
+    tensors = [v for v in own if isinstance(v, Tensor)]
+    bias_dims = min((t.ndim for t in tensors), default=0)
+    return (sum(t.size for t in tensors if t.ndim > bias_dims)
+            + sum(weight_census(v) for v in own if isinstance(v, ParamTree)))
 
 
 # ---------------------------------------------------------------------------

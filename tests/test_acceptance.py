@@ -140,7 +140,7 @@ def test_criterion_2_gradient_correctness():
     mix = cast_params(MixtureParams.create(toy_model_config(), rng), np.float64)
     loss_cfg = LossConfig(num_classes=3, temperature=3.0, kd_enabled=True)
     # the gate's frame mean is a constant, so the frames are no leaf of the mixture
-    leaves = [t for _, t in sorted(mix.leaf_parameters().items())]
+    leaves = [t for _, t in sorted(mix.named_parameters().items())]
 
     def mixture_loss(*_):
         expert_logits, mixture_logits, _ = mixture_forward(batch, mix, training=True, rng=Rng(9))

@@ -91,11 +91,12 @@ def test_echo_roundtrip():
     cfg = RunConfig()
     cfg.set("train.base_lr", "0.00125")
     cfg.set("model.experts", "3")
-    cfg.set("model.reverse_whitening", "true")
+    cfg.set("model.eigenvalues", "eig.eigv")
     back = RunConfig.from_echo(cfg.echo(), "run.ckpt")
     assert back.echo() == cfg.echo()
     assert back["train.base_lr"] == 0.00125
     assert back["model.experts"] == 3
+    assert back["model.eigenvalues"] == "eig.eigv"
 
 
 def test_resolve_dims_from_dataset(tmp_path):
@@ -403,25 +404,20 @@ def eig(tmp_path):
     return path
 
 
-def test_eigenvalues_need_reverse_whitening(tmp_path, tiny_dataset, eig, capsys):
-    out = tmp_path / "run"
-    base = ["train", "--dataset", str(tiny_dataset), "--out", str(out), "--steps", "1",
-            "--batch-size", "8", "--eigenvalues", str(eig)] + TINY
+def test_whitened_mixture_checkpoint_scores_without_its_eigenvalues_file(tmp_path, tiny_dataset, capsys):
+    # the checkpoint holds the one whitening scale; its EIGV file only switched whitening on
+    from nextvlad.data import write_eigenvalues
+    from nextvlad.model import Eigenvalues
+
+    eig, out = tmp_path / "spread.eigv", tmp_path / "run"
+    write_eigenvalues(Eigenvalues(np.linspace(0.25, 6.0, 8)), eig)
+    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(out), "--steps", "3",
+                 "--batch-size", "8", "--mixture", "3", "--eigenvalues", str(eig)] + TINY) == 0
+    final_gap = float((out / "train_log.csv").read_text().splitlines()[-1].split(",")[-1])
+    eig.unlink()
     capsys.readouterr()
-    assert main(base) == 1
-    assert capsys.readouterr().err == (
-        "error: model.eigenvalues is set but model.reverse_whitening is false\n")
-    assert not (out / "checkpoint.ckpt").exists()
-
-
-def test_checkpoint_with_eigenvalues_but_no_whitening_still_loads(tmp_path, tiny_dataset, eig):
-    out = tmp_path / "run"
-    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(out), "--steps", "1",
-                 "--batch-size", "8", "--eigenvalues", str(eig),
-                 "--set", "model.reverse_whitening=true"] + TINY) == 0
-    ckpt = out / "checkpoint.ckpt"
-    _replace_echo_line(ckpt, "model.reverse_whitening = true", "model.reverse_whitening = false")
-    assert main(["eval", "--dataset", str(tiny_dataset), "--checkpoint", str(ckpt)]) == 0
+    assert main(["eval", "--dataset", str(tiny_dataset), "--checkpoint", str(out / "checkpoint.ckpt")]) == 0
+    assert capsys.readouterr().out.startswith(f"GAP@20 {final_gap:.6f} over 24 videos\n")
 
 
 def test_wrong_explicit_dim_fails_before_building(tmp_path, tiny_dataset, monkeypatch, capsys):
@@ -492,6 +488,53 @@ def test_os_errors_name_the_path(tmp_path, tiny_dataset, capsys):
         assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
 
 
+def test_checkpoint_shape_numpy_cannot_form_names_file_and_tensor(tmp_path, tiny_dataset, capsys):
+    # a zero dim leaves no bytes to read, yet the other dims make an array too large to form
+    path = tmp_path / "zero.ckpt"
+    tensor = struct.pack("<H", 1) + b"w" + struct.pack("<BB4I", 0, 4, 0, *[4_000_000_000] * 3)
+    path.write_bytes(b"CKPT" + struct.pack("<IQQII", 1, 0, 0, 0, 1) + tensor)
+    message = f"{path}: tensor 'w' has shape (0, 4000000000, 4000000000, 4000000000), too large to form"
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == message
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path), "--dataset", str(tiny_dataset)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_exits_quietly_with_the_sigpipe_status(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["param-count", "--set", "model.hidden=16", "--set", "vlad.clusters=2",
+                 "--set", "model.video_dim=8", "--set", "model.audio_dim=4",
+                 "--set", "model.num_classes=4"]) == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_of_a_process_prints_no_error(tmp_path, unbuffered):
+    # block-buffered output reaches the closed pipe only at the last flush
+    env = dict(os.environ, PYTHONPATH=str(Path(nextvlad.__file__).parent.parent),
+               PYTHONUNBUFFERED=unbuffered)
+    with subprocess.Popen(
+            [sys.executable, "-m", "nextvlad.cli", "param-count", "--set", "model.hidden=16",
+             "--set", "vlad.clusters=2", "--set", "model.video_dim=8", "--set", "model.audio_dim=4",
+             "--set", "model.num_classes=4"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()  # long before the child has imported numpy
+        err = proc.stderr.read()
+    assert (err, proc.returncode) == (b"", 141)
+
+
 def _replace_echo_line(ckpt, old: str, new: str) -> int:
     """Rewrite one line of a checkpoint's config echo in place; returns its
     1-based line number.  The echo length sits after the 24-byte header."""
@@ -509,6 +552,8 @@ def _replace_echo_line(ckpt, old: str, new: str) -> int:
     ("train.seed 3", "expected 'key = value', got 'train.seed 3'"),
     ("train.sead = 3", "unknown config key 'train.sead'"),
     ("train.seed = x", "train.seed: expected int, got 'x'"),
+    # the key is gone, so a checkpoint from before that holds it is rejected
+    ("model.reverse_whitening = false", "unknown config key 'model.reverse_whitening'"),
 ])
 def test_corrupt_config_echo_names_checkpoint_and_line(tmp_path, tiny_dataset, capsys, line, message):
     out = tmp_path / "run"

@@ -13,7 +13,7 @@ from nextvlad.rng import Rng, derive_seed
 TRIALS = 120  # per format; about a second each
 TINY = ["--set", "model.hidden=16", "--set", "vlad.clusters=2", "--set", "vlad.groups=2",
         "--set", "model.se_ratio=4", "--steps", "1", "--batch-size", "4"]
-WHITEN = ["--set", "model.reverse_whitening=true", "--eigenvalues"]
+WHITEN = ["--eigenvalues"]
 
 
 @pytest.fixture(scope="module")

@@ -16,6 +16,7 @@ from nextvlad.model import (
     ModelConfig,
     ModelParams,
     SecgParams,
+    _frame_mean,
     gated_mixture,
     mixture_forward,
     model_forward,
@@ -27,7 +28,7 @@ from nextvlad.verify import cast_params
 from nextvlad.vlad import FrameBatchView, NetVladConfig, NeXtVladConfig, weight_census
 
 
-def toy_config(num_classes=3, dropout=0.0, whitening=False):
+def toy_config(num_classes=3, dropout=0.0):
     return ModelConfig(
         video_dim=4,
         audio_dim=3,
@@ -37,7 +38,6 @@ def toy_config(num_classes=3, dropout=0.0, whitening=False):
         se_ratio=2,
         num_classes=num_classes,
         dropout_rate=dropout,
-        reverse_whitening=whitening,
     )
 
 
@@ -166,21 +166,25 @@ def test_model_forward_grad_check_training_mode():
     assert report.passed, str(report)
 
 
-def test_whitening_flag_off_ignores_eigenvalues():
-    cfg = toy_config(whitening=False)
-    a = ModelParams.create(cfg, Rng(14), eigenvalues=Eigenvalues([1.0, 2.0, 3.0, 4.0]))
-    b = ModelParams.create(cfg, Rng(14), eigenvalues=Eigenvalues([9.0, 9.0, 9.0, 9.0]))
+def test_no_eigenvalues_no_whitening_scale():
+    # whitening is on exactly when eigenvalues are given: without them nothing
+    # holds a scale, and the frames reach the encoder as they are
+    cfg = toy_config()
+    plain = ModelParams.create(cfg, Rng(14))
+    unit = ModelParams.create(cfg, Rng(14), eigenvalues=Eigenvalues(np.ones(4)))
+    assert plain.whiten_scale is None
+    assert np.array_equal(unit.whiten_scale, np.ones(4, np.float32))
+    mix = MixtureParams.create(cfg, Rng(14))
+    assert mix.whiten_scale is None and mix.experts.whiten_scale is None
+    assert not any("whiten_scale" in name for name in {**plain.named_buffers(), **mix.named_buffers()})
     batch = toy_batch()
-    la = model_forward(batch, a, training=False).data
-    lb = model_forward(batch, b, training=False).data
-    assert np.array_equal(la, lb)
-    assert a.whiten_scale is None
+    assert np.array_equal(model_forward(batch, plain).data, model_forward(batch, unit).data)
 
 
-def test_whitening_flag_on_requires_and_uses_eigenvalues():
-    cfg = toy_config(whitening=True)
-    with pytest.raises(ValueError, match="eigenvalues"):
-        ModelParams.create(cfg, Rng(15))
+def test_eigenvalues_switch_on_and_reach_the_whitening():
+    cfg = toy_config()
+    with pytest.raises(ValueError, match="eigenvalue count 3 != video_dim 4"):
+        ModelParams.create(cfg, Rng(15), eigenvalues=Eigenvalues(np.ones(3)))
     a = ModelParams.create(cfg, Rng(15), eigenvalues=Eigenvalues([1.0, 1.0, 1.0, 1.0]))
     b = ModelParams.create(cfg, Rng(15), eigenvalues=Eigenvalues([4.0, 4.0, 4.0, 4.0]))
     batch = toy_batch()
@@ -332,6 +336,16 @@ def test_gate_mean_of_a_video_without_frames_is_zero(padded):
     assert np.abs(gates.data[[0, 2]] - expected).max() > 1e-3
 
 
+def test_gate_reads_the_unwhitened_frames():
+    # the experts see the reverse-whitened video frames, the gate the raw ones
+    mix = MixtureParams.create(toy_config(), Rng(34), eigenvalues=Eigenvalues([0.25, 4.0, 9.0, 2.0]))
+    batch = toy_batch()
+    _, _, gates = mixture_forward(batch, mix)
+    mean = Tensor(np.concatenate([_frame_mean(batch.video), _frame_mean(batch.audio)], axis=1))
+    expected = ad.softmax(ad.affine(mean, mix.gate_w, mix.gate_b), axis=-1)
+    assert gates.data.tobytes() == expected.data.tobytes()
+
+
 def test_gate_input_ignores_padding(padded):
     cfg = toy_config()
     mix = MixtureParams.create(cfg, Rng(21))
@@ -397,7 +411,7 @@ def test_stacked_experts_match_each_expert_run_alone(audio_kind, training):
              if audio_kind == "nextvlad" else NetVladConfig(input_dim=3, clusters=3, hidden_dim=8))
     cfg = ModelConfig(video_dim=4, audio_dim=3, hidden_dim=8, se_ratio=2, num_classes=5,
                       video_vlad=NeXtVladConfig(input_dim=4, clusters=3, hidden_dim=8, groups=2),
-                      audio_vlad=audio, dropout_rate=0.3, reverse_whitening=True)
+                      audio_vlad=audio, dropout_rate=0.3)
     eig = Eigenvalues(0.5 + Rng(30).uniform((4,)))
     mix = cast_params(MixtureParams.create(cfg, Rng(31), eigenvalues=eig), np.float64)
     ds = gen_synthetic(SyntheticSpec(num_videos=6, num_classes=5, visual_dim=4, audio_dim=3,
@@ -405,14 +419,16 @@ def test_stacked_experts_match_each_expert_run_alone(audio_kind, training):
     batch = make_batch(ds.records, 5, 5, dtype=np.float64)
     cot = Rng(33).normal((3, 6, 5))
 
-    alone = [expert_alone(mix.experts, i) for i in range(3)]
-    named = mix.experts.leaf_parameters()
+    # each expert alone holds the one scale the mixture shares
+    alone = [dataclasses.replace(expert_alone(mix.experts, i), whiten_scale=mix.whiten_scale)
+             for i in range(3)]
+    named = mix.experts.named_parameters()
     with ad.differentiating(named.values()):
-        logits = model_forward(batch, mix.experts, training, Rng(7))
+        logits = mixture_forward(batch, mix, training, Rng(7))[0]
         grads = logits.backward(cot)
     rng = Rng(7)
     for i, expert in enumerate(alone):
-        own = expert.leaf_parameters()
+        own = expert.named_parameters()
         with ad.differentiating(own.values()):
             z = model_forward(batch, expert, training, rng)
             own_grads = z.backward(cot[i])
@@ -423,11 +439,3 @@ def test_stacked_experts_match_each_expert_run_alone(audio_kind, training):
         for name, buf in mix.experts.named_buffers().items():
             assert np.abs(buf[i] - buffers[name]).max() <= 1e-12, name
 
-
-def test_stacked_experts_must_share_the_whitening_scale():
-    # the experts share the whitened frames, so a saved scale that differs
-    # between their slices cannot be honoured
-    mix = MixtureParams.create(toy_config(whitening=True), Rng(34), eigenvalues=Eigenvalues(np.ones(4)))
-    mix.experts.whiten_scale[1] *= 2
-    with pytest.raises(ValueError, match="whitening scales differ"):
-        mixture_forward(toy_batch(), mix)

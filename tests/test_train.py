@@ -8,7 +8,7 @@ import pytest
 
 from nextvlad import autodiff as ad
 from nextvlad.autodiff import Tensor
-from nextvlad.data import SyntheticSpec, gen_synthetic, make_batch
+from nextvlad.data import Dataset, SyntheticSpec, gen_synthetic, make_batch
 from nextvlad.losses import LossConfig, bce_loss
 from nextvlad.metrics import MAX_PREDICTIONS, topk_predictions
 from nextvlad.model import Eigenvalues, MixtureParams, ModelConfig, ModelParams, model_forward
@@ -336,13 +336,15 @@ SCORED_MODELS = {
 
 
 def scored_per_batch(params, ds, batch_size=16, max_frames=5):
-    """``predict``'s classes and confidences, computed batch by batch outside any pass."""
+    """``predict``'s classes and confidences, computed batch by batch outside any
+    pass, the last batch padded with its last video."""
     k = min(MAX_PREDICTIONS, ds.num_classes)
     classes, confs = [], []
     for start in range(0, len(ds.records), batch_size):
-        idx = range(start, min(start + batch_size, len(ds.records)))
+        n = min(batch_size, len(ds.records) - start)
+        idx = np.minimum(np.arange(start, start + batch_size), start + n - 1)
         batch = make_batch(ds.rows(idx), max_frames, ds.num_classes)
-        c, s = topk_predictions(ad.sigmoid(predict_logits(params, batch)).data, k)
+        c, s = topk_predictions(ad.sigmoid(predict_logits(params, batch)).data[:n], k)
         classes.append(c.reshape(-1))
         confs.append(s.reshape(-1).astype(np.float64))
     return np.concatenate(classes), np.concatenate(confs)
@@ -384,6 +386,41 @@ def test_predict_rejects_a_batch_size_below_one(batch_size):
         predict(fresh_state().params, ds, 5, batch_size)
     with pytest.raises(ValueError, match=f"got {batch_size}"):
         evaluate_gap(fresh_state().params, ds, 5, batch_size)
+
+
+def scoring_setup(kind):
+    """(params, 128-video dataset) at the desk shapes: visual 64 / audio 16, K 8,
+    G 4, hidden 128, SE ratio 8, 20 classes; ``wide-se`` with hidden 512, the SE
+    squeeze of a wide model; ``mixture`` three desk experts."""
+    hidden = 512 if kind == "wide-se" else 128
+    cfg = ModelConfig(
+        video_dim=64, audio_dim=16, hidden_dim=hidden, se_ratio=8, num_classes=20,
+        video_vlad=NeXtVladConfig(input_dim=64, clusters=8, hidden_dim=hidden, groups=4),
+        audio_vlad=NeXtVladConfig(input_dim=16, clusters=8, hidden_dim=hidden, groups=4))
+    params = (MixtureParams if kind == "mixture" else ModelParams).create(cfg, Rng(derive_seed(5, TAG_INIT)))
+    return params, gen_synthetic(SyntheticSpec(num_videos=128, num_classes=20, visual_dim=64,
+                                               audio_dim=16, seed=12))
+
+
+@pytest.mark.parametrize("kind", ["desk", "wide-se", "mixture"])
+def test_a_videos_scores_do_not_depend_on_its_batch(kind):
+    # OpenBLAS picks its GEMM path by the row count: a short last batch, scored
+    # unpadded, gave its videos other bytes than a full one (up to 30 videos at wide)
+    params, ds = scoring_setup(kind)
+    full = scored(params, ds, 64, 20)
+    for n in list(range(1, 32)) + [50, 51, 59]:
+        sub = Dataset(ds.records[:n], ds.num_classes, ds.visual_dim, ds.audio_dim)
+        assert_same_bytes(scored(params, sub, 64, 20), (a[:n * MAX_PREDICTIONS] for a in full))
+
+
+@pytest.mark.parametrize("kind", ["desk", "wide-se", "mixture"])
+def test_shards_scored_apart_join_to_the_whole_pass(kind):
+    params, ds = scoring_setup(kind)
+    whole = scored(params, ds, 64, 20)
+    for size in (1, 7, 100):
+        shards = [scored(params, Dataset(ds.records[lo:lo + size], ds.num_classes, ds.visual_dim,
+                                         ds.audio_dim), 64, 20) for lo in range(0, len(ds), size)]
+        assert_same_bytes([np.concatenate(parts) for parts in zip(*shards)], whole)
 
 
 @pytest.mark.parametrize("kind", ["nextvlad", "mixture"])
@@ -466,7 +503,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
 
 @pytest.mark.parametrize("experts", [1, 3])
 def test_resume_matches_uninterrupted_run(tmp_path, experts):
-    # a mixture saves each expert's slice under its own name and restacks on load
+    # a mixture saves its stacked experts whole and writes them back into the arena
     ds = desk_dataset()
     kd = {"loss": LossConfig(num_classes=5, temperature=3.0, kd_enabled=True)} if experts == 3 else {}
     config = lambda steps: desk_train_config(max_steps=steps, **kd)  # noqa: E731
@@ -501,7 +538,7 @@ def test_apply_checkpoint_writes_into_the_arena(tmp_path, experts):
     save_checkpoint(state, path)
     resumed = fresh_state(seed=999, experts=experts)
     apply_checkpoint(resumed, load_checkpoint(path))
-    for name, t in resumed.params.leaf_parameters().items():
+    for name, t in resumed.params.named_parameters().items():
         assert t.data is resumed.adam.views[name], name
     assert resumed.adam.arena.tobytes() == state.adam.arena.tobytes()
 
@@ -623,7 +660,7 @@ def naming_config(kind):
         video = NetVladConfig(input_dim=6, clusters=3, hidden_dim=8)
         audio = NetVladConfig(input_dim=4, clusters=2, hidden_dim=8)
     return ModelConfig(video_dim=6, audio_dim=4, video_vlad=video, audio_vlad=audio, hidden_dim=8,
-                       se_ratio=4, num_classes=5, reverse_whitening=kind == "nextvlad")
+                       se_ratio=4, num_classes=5)
 
 
 def checkpoint_names(params, path):
@@ -649,16 +686,20 @@ def test_checkpoint_tensor_names_and_shapes_are_pinned(tmp_path, kind, expected)
 
 
 def test_mixture_checkpoint_names_nest_the_model_names(tmp_path):
+    # the experts are saved whole, stacked on a leading axis of 3, under the
+    # names the model walks; the mixture holds the one whitening scale
     mix = MixtureParams.create(naming_config("nextvlad"), None, eigenvalues=Eigenvalues(np.ones(6)))
     got_params, got_buffers = checkpoint_names(mix, tmp_path / "mix.ckpt")
 
-    def nested(pairs):
-        return [(f"mixture.expert{i}{name[len('model'):]}", shape)
-                for i in range(3) for name, shape in pairs]
+    def stacked(pairs):
+        return [(f"mixture.experts{name[len('model'):]}", (3,) + shape) for name, shape in pairs]
 
-    assert got_params == sorted(nested(NEXTVLAD_NAMES["params"])
+    assert got_params == sorted(stacked(NEXTVLAD_NAMES["params"])
                                 + [("mixture.gate_b", (3,)), ("mixture.gate_w", (10, 3))])
-    assert got_buffers == sorted(nested(NEXTVLAD_NAMES["buffers"]))
+    assert got_buffers == sorted(stacked(NAMING_BN_BUFFERS) + [("mixture.whiten_scale", (6,))])
+    tensors = load_checkpoint(tmp_path / "mix.ckpt").tensors
+    for tag in ("adam.m.", "adam.v."):
+        assert sorted((k[len(tag):], v.shape) for k, v in tensors.items() if k.startswith(tag)) == got_params
 
 
 def test_checkpoint_missing_tensor_rejected(tmp_path):
