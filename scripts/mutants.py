@@ -75,6 +75,18 @@ GEN_TESTS = (
     "tests/test_cli.py::test_gen_data_default_file_is_pinned",
 )
 
+RNG = "src/nextvlad/rng.py"
+DRAW_TESTS = (
+    "tests/test_rng.py::test_stream_matches_pure_python_oracle",
+    "tests/test_rng.py::test_chunked_normals_equal_one_draw_of_whole_pairs",
+    "tests/test_rng.py::test_scaled_float32_normals_round_once_from_float64",
+    "tests/test_model.py::test_initial_parameter_bytes_are_pinned",
+)
+WRITER_TESTS = (
+    "tests/test_data.py::test_dataset_bytes_do_not_depend_on_where_writes_are_joined",
+    "tests/test_cli.py::test_gen_data_default_file_is_pinned",
+)
+
 
 class Mutant(NamedTuple):
     name: str
@@ -237,6 +249,21 @@ MUTANTS = [
            "        lo = hi\n", "        lo = hi + 1\n", GEN_TESTS),
     Mutant("the concept sum divided per label before summing", DATA,
            "mean[rows] = a[chosen].mean(axis=1)", "mean[rows] = (a[chosen] / k).sum(axis=1)", GEN_TESTS),
+    # seeded draws in place and in pair-aligned chunks, and the joined FAV1 writes
+    Mutant("an odd chunk size splits a Box-Muller pair", RNG,
+           "CHUNK_WORDS = 1 << 15", "CHUNK_WORDS = (1 << 15) + 1", DRAW_TESTS),
+    Mutant("normals scaled after the rounding to the target dtype", RNG,
+           'np.multiply(pairs[:n - lo], scale, out=out[lo:lo + pairs.size], casting="same_kind")',
+           "out[lo:lo + pairs.size] = pairs[:n - lo]\n            out[lo:lo + pairs.size] *= scale", DRAW_TESTS),
+    Mutant("the in-place finalizer shifts by 28, not 27", RNG,
+           "z ^= np.right_shift(z, np.uint64(27), out=t)", "z ^= np.right_shift(z, np.uint64(28), out=t)",
+           DRAW_TESTS),
+    Mutant("a join of FAV1 records drops its last record", DATA,
+           '                f.write(b"".join(parts))\n', '                f.write(b"".join(parts[:-7]))\n',
+           WRITER_TESTS),
+    Mutant("a checkpoint's unexpected tensor passes", TRAIN,
+           "    if extra is not None:", "    if False:",
+           ("tests/test_train.py::test_checkpoint_with_a_tensor_the_state_does_not_hold_is_rejected",)),
     # one whitening scale, held by the mixture, for the experts and not the gate
     Mutant("the mixture gate fed the whitened batch", MODEL,
            "    expert_logits = model_forward(_whitened(batch, mix.whiten_scale), mix.experts, training, rng)\n",

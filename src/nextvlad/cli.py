@@ -20,7 +20,8 @@ import numpy as np
 
 from . import config as cfgmod
 from . import train as trainmod
-from .data import first_non_finite_row, gen_synthetic, load_eigenvalues, read_dataset, write_dataset
+from .data import (atomic_write, first_non_finite_row, gen_synthetic, load_eigenvalues, read_dataset,
+                   write_dataset)
 from .metrics import (MAX_PREDICTIONS, PredictionSet, gap_at_20, read_predictions_csv,
                       write_predictions_csv)
 from .model import NUM_EXPERTS, Eigenvalues, MixtureParams, ModelParams, stream_censuses
@@ -140,12 +141,12 @@ def cmd_train(args) -> int:
         raise ValueError(f"{names}: training step {step}: {exc}") from None
 
     echo = cfg.echo()
-    (out_dir / "config.txt").write_text(echo)
+    with atomic_write(out_dir / "config.txt", "w") as f:
+        f.write(echo)
     log_path = out_dir / "train_log.csv"
-    mode = "a" if (args.resume and log_path.exists()) else "w"
-    with open(log_path, mode) as f:
-        if mode == "w":
-            f.write(trainmod.LOG_HEADER + "\n")
+    kept = log_path.read_text() if args.resume and log_path.exists() else trainmod.LOG_HEADER + "\n"
+    with atomic_write(log_path, "w") as f:  # a resumed run's rows follow the kept ones
+        f.write(kept)
         for row in rows:
             f.write(row.csv() + "\n")
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -31,12 +32,13 @@ import numpy as np
 
 from .autodiff import Tensor
 from .model import Eigenvalues
-from .rng import GAMMA, Rng, mix64, words_at, words_to_integers, words_to_normals
+from .rng import CHUNK_WORDS, GAMMA, Rng, mix64, words_at, words_to_integers, words_to_normals
 from .vlad import FrameBatchView
 
 DATASET_MAGIC = b"FAV1"
 EIGENVALUES_MAGIC = b"EIGV"
 FORMAT_VERSION = 1
+WRITE_BYTES = 1 << 20  # write_dataset joins records into writes of about this many bytes
 
 
 @dataclass
@@ -135,20 +137,35 @@ def first_non_finite_row(frames: tuple) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def atomic_write(path, mode: str = "wb", **open_args):
+    """A file for the body to write, ``path.tmp``, moved onto ``path`` when the body
+    returns: ``path`` holds the whole new file or, if the body raises, its old bytes."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **open_args) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_dataset(dataset: Dataset, path) -> None:
-    with open(path, "wb") as f:
-        f.write(DATASET_MAGIC)
-        f.write(struct.pack("<IIIII", FORMAT_VERSION, len(dataset.records),
-                            dataset.visual_dim, dataset.audio_dim, dataset.num_classes))
+    with atomic_write(path) as f:
+        parts = [DATASET_MAGIC, struct.pack("<IIIII", FORMAT_VERSION, len(dataset.records),
+                                            dataset.visual_dim, dataset.audio_dim, dataset.num_classes)]
+        size = 0
         for r in dataset.records:
             ident = r.video_id.encode("utf-8")
-            f.write(struct.pack("<H", len(ident)))
-            f.write(ident)
-            f.write(struct.pack("<I", len(r.labels)))
-            f.write(r.labels.astype("<u4").tobytes())
-            f.write(struct.pack("<I", r.num_frames))
-            f.write(r.visual.astype("<f4").tobytes())
-            f.write(r.audio.astype("<f4").tobytes())
+            parts += (struct.pack("<H", len(ident)), ident, struct.pack("<I", len(r.labels)),
+                      r.labels.astype("<u4").tobytes(), struct.pack("<I", r.num_frames),
+                      np.ascontiguousarray(r.visual, "<f4"), np.ascontiguousarray(r.audio, "<f4"))
+            size += r.visual.nbytes + r.audio.nbytes
+            if size >= WRITE_BYTES:
+                f.write(b"".join(parts))
+                parts, size = [], 0
+        f.write(b"".join(parts))
 
 
 class _Reader:
@@ -257,9 +274,6 @@ def _unit_rows(rng: Rng, rows: int, cols: int) -> np.ndarray:
     m = rng.normal((rows, cols))
     norms = np.sqrt((m * m).sum(axis=1, keepdims=True))
     return m / np.maximum(norms, 1e-12)
-
-
-CHUNK_WORDS = 1 << 15  # words per pass of gen_synthetic, which bounds its temporaries
 
 
 def _label_means(label_ids: np.ndarray, label_offsets: np.ndarray, concepts: tuple) -> tuple:
@@ -407,7 +421,7 @@ def make_batch(selection, max_frames: int, num_classes: int, dtype=np.float32) -
 
 
 def write_eigenvalues(eig: Eigenvalues, path) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(EIGENVALUES_MAGIC)
         f.write(struct.pack("<II", FORMAT_VERSION, len(eig)))
         f.write(eig.values.astype("<f8").tobytes())

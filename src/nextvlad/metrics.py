@@ -20,6 +20,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .data import atomic_write
+
 MAX_PREDICTIONS = 20
 
 
@@ -231,7 +233,7 @@ def write_predictions_csv(preds: PredictionSet, path) -> None:
     col = preds.columns()
     ids = [preds.video_ids[v] for v in col.video.tolist()]
     rows = sorted(zip(ids, col.cls.tolist(), col.conf.tolist()), key=lambda r: (r[0], -r[2], r[1]))
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["video_id", "class_id", "confidence"])
         for vid, class_id, conf in rows:

@@ -39,6 +39,10 @@ one vectorised pass and only the swaps run in a loop, with the same words and
 the same final counter as one draw per position.  The ``words_to_*``
 functions apply the derivations above to words drawn earlier, so a caller can
 take several quantities' words in one draw.
+
+``Rng.normal`` draws in chunks of ``CHUNK_WORDS`` words, an even count, so no
+pair is split, and scales each chunk in float64 before its one rounding to the
+target dtype: a draw holds its output and a few chunks, never a float64 copy.
 """
 
 from __future__ import annotations
@@ -53,14 +57,18 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
 _INV_2_53 = 2.0 ** -53
+CHUNK_WORDS = 1 << 15  # words per chunk of a long draw: even, so Box-Muller pairs stay whole
 
 
-def _mix(state: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # uint64 wraparound is the point (0-d input gives scalars)
-        z = state
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+def _mix(z: np.ndarray) -> np.ndarray:
+    t = np.empty_like(z)  # the finalizer runs in place on the uint64 states z, with this one temporary
+    with np.errstate(over="ignore"):  # uint64 wraparound is the point
+        z ^= np.right_shift(z, np.uint64(30), out=t)
+        z *= _MIX1
+        z ^= np.right_shift(z, np.uint64(27), out=t)
+        z *= _MIX2
+        z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
 
 
 def mix64(x: int) -> int:
@@ -76,7 +84,7 @@ def words_at(seed: int, positions) -> np.ndarray:
     z = np.asarray(positions).astype(np.uint64)
     z *= _GAMMA
     z += np.uint64((seed + GAMMA) & _MASK)  # state = seed + (position + 1) * GAMMA
-    return _mix(z)
+    return _mix(z)[()]  # a scalar position gives a numpy scalar
 
 
 def derive_seed(base: int, *tags: int) -> int:
@@ -94,7 +102,9 @@ def derive_seed(base: int, *tags: int) -> int:
 
 def words_to_uniform(words: np.ndarray) -> np.ndarray:
     """Uniform doubles in [0, 1), one per word."""
-    return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 def words_to_integers(words: np.ndarray, bound) -> np.ndarray:
@@ -102,15 +112,20 @@ def words_to_integers(words: np.ndarray, bound) -> np.ndarray:
     return np.minimum((words_to_uniform(words) * bound).astype(np.int64), bound - 1)
 
 
-def words_to_normals(words: np.ndarray) -> np.ndarray:
-    """Box-Muller: two normals per consecutive pair of words (even count)."""
-    u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-    u2 = words_to_uniform(words[1::2])
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * math.pi) * u2
-    z = np.empty(words.size, dtype=np.float64)
-    z[0::2] = r * np.cos(theta)
-    z[1::2] = r * np.sin(theta)
+def words_to_normals(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Box-Muller: two normals per consecutive pair of words (even count), written
+    into ``out`` (float64, one per word) when given."""
+    r = (words[0::2] >> np.uint64(11)).astype(np.float64)
+    r += 1.0
+    r *= _INV_2_53
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = words_to_uniform(words[1::2])
+    theta *= 2.0 * math.pi
+    z = np.empty(words.size) if out is None else out
+    for half, trig in ((z[0::2], np.cos), (z[1::2], np.sin)):
+        np.multiply(trig(theta, out=half), r, out=half)
     return z
 
 
@@ -134,7 +149,7 @@ class Rng:
         return (self.seed, self.counter)
 
     def next_u64(self, n: int) -> np.ndarray:
-        out = words_at(self.seed, np.arange(n, dtype=np.uint64) + np.uint64(self.counter))
+        out = words_at(self.seed + self.counter * GAMMA, np.arange(n, dtype=np.uint64))
         self.counter = (self.counter + n) & _MASK
         return out
 
@@ -142,9 +157,16 @@ class Rng:
         n = math.prod(shape)
         return np.asarray(words_to_uniform(self.next_u64(n)).reshape(shape), dtype=dtype)
 
-    def normal(self, shape, dtype=np.float64) -> np.ndarray:
+    def normal(self, shape, dtype=np.float64, scale=1.0) -> np.ndarray:
+        """N(0, scale^2) deviates of ``dtype``, drawn ``CHUNK_WORDS`` words at a time."""
         n = math.prod(shape)
-        return np.asarray(words_to_normals(self.next_u64(n + n % 2))[:n].reshape(shape), dtype=dtype)
+        out = np.empty(n, dtype)
+        z = np.empty(min(n + n % 2, CHUNK_WORDS))
+        for lo in range(0, n, CHUNK_WORDS):
+            pairs = z[:min(n - lo + n % 2, CHUNK_WORDS)]
+            words_to_normals(self.next_u64(pairs.size), out=pairs)
+            np.multiply(pairs[:n - lo], scale, out=out[lo:lo + pairs.size], casting="same_kind")
+        return out.reshape(shape)
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n independent integers in [0, bound)."""

@@ -12,7 +12,6 @@ identical loss trajectories.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Dataset, _Reader, make_batch
+from .data import Dataset, _Reader, atomic_write, make_batch
 from .losses import LossConfig, bce_loss, total_loss
 from .metrics import MAX_PREDICTIONS, PredictionSet, gap_at_20, topk_predictions
 from .model import MixtureParams, ModelParams, mixture_forward, model_forward
@@ -341,31 +340,25 @@ def _gather_tensors(state: TrainState) -> dict:
 
 def save_checkpoint(state: TrainState, path, config_echo: str = "") -> None:
     """Serialize parameters, BN running stats, optimizer moments and the
-    config echo, atomically (temp file, then rename); the round-trip is bit-exact."""
+    config echo, atomically (``atomic_write``); the round-trip is bit-exact."""
     tensors = _gather_tensors(state)
     echo = config_echo.encode("utf-8")
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<IQQ", CHECKPOINT_VERSION, state.global_step, state.adam.step))
-            f.write(struct.pack("<I", len(echo)))
-            f.write(echo)
-            f.write(struct.pack("<I", len(tensors)))
-            for name in sorted(tensors):
-                arr = np.ascontiguousarray(tensors[name])
-                if arr.dtype not in _DTYPE_CODES:
-                    raise ValueError(f"cannot serialize dtype {arr.dtype} of {name!r}")
-                ident = name.encode("utf-8")
-                f.write(struct.pack("<H", len(ident)))
-                f.write(ident)
-                f.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
-                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                f.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_write(path) as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<IQQ", CHECKPOINT_VERSION, state.global_step, state.adam.step))
+        f.write(struct.pack("<I", len(echo)))
+        f.write(echo)
+        f.write(struct.pack("<I", len(tensors)))
+        for name in sorted(tensors):
+            arr = np.ascontiguousarray(tensors[name])
+            if arr.dtype not in _DTYPE_CODES:
+                raise ValueError(f"cannot serialize dtype {arr.dtype} of {name!r}")
+            ident = name.encode("utf-8")
+            f.write(struct.pack("<H", len(ident)))
+            f.write(ident)
+            f.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
+            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            f.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -404,9 +397,13 @@ def apply_checkpoint(state: TrainState, ckpt: Checkpoint) -> None:
     """Load a checkpoint into a freshly built state of the same shape.
 
     Every parameter, buffer and moment must be present with matching shape
-    and dtype; training then continues the saved trajectory exactly.
+    and dtype, and no other tensor; training then continues the saved
+    trajectory exactly.
     """
     expected = _gather_tensors(state)
+    extra = next((name for name in ckpt.tensors if name not in expected), None)
+    if extra is not None:  # saved by another model, which the echo no longer describes
+        raise ValueError(f"checkpoint holds tensor {extra!r}, which the model does not expect")
     for name, target in expected.items():
         if name not in ckpt.tensors:
             raise ValueError(f"checkpoint missing tensor {name!r}")

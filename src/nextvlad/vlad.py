@@ -203,7 +203,7 @@ def init_normal(rng: Optional[Rng], shape, std: float) -> np.ndarray:
     """Float32 N(0, std^2) weights, or zeros when there is no ``rng``."""
     if rng is None:
         return np.zeros(shape, dtype=np.float32)
-    return (rng.normal(shape) * std).astype(np.float32)
+    return rng.normal(shape, np.float32, std)
 
 
 @dataclass

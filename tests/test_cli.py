@@ -420,6 +420,41 @@ def test_whitened_mixture_checkpoint_scores_without_its_eigenvalues_file(tmp_pat
     assert capsys.readouterr().out.startswith(f"GAP@20 {final_gap:.6f} over 24 videos\n")
 
 
+def test_checkpoint_holding_a_tensor_the_model_does_not_expect_names_it(tmp_path, tiny_dataset, capsys):
+    # the echo no longer names the eigenvalues, so the model it builds holds no whitening scale
+    from nextvlad.data import write_eigenvalues
+    from nextvlad.model import Eigenvalues
+
+    eig, out = tmp_path / "spread.eigv", tmp_path / "run"
+    write_eigenvalues(Eigenvalues(np.linspace(0.25, 6.0, 8)), eig)
+    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(out), "--steps", "2",
+                 "--batch-size", "8", "--eigenvalues", str(eig)] + TINY) == 0
+    ckpt = out / "checkpoint.ckpt"
+    _replace_echo_line(ckpt, f"model.eigenvalues = {eig}", "model.eigenvalues = ")
+    capsys.readouterr()
+    assert main(["eval", "--dataset", str(tiny_dataset), "--checkpoint", str(ckpt)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: checkpoint holds tensor 'model.whiten_scale', which the model does not expect\n")
+
+
+@pytest.mark.parametrize("name", ["config.txt", "train_log.csv"])
+def test_train_output_failing_partway_leaves_the_previous_files(tmp_path, tiny_dataset, failing_write,
+                                                                capsys, name):
+    import nextvlad.cli as cli
+
+    out = tmp_path / "run"
+    args = ["train", "--dataset", str(tiny_dataset), "--out", str(out), "--batch-size", "8"] + TINY
+    assert main(args + ["--steps", "1"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    failing_write(cli, name)
+    capsys.readouterr()
+    assert main(args + ["--steps", "2", "--seed", "5"]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    after = {p.name: p.read_bytes() for p in out.iterdir()}  # config.txt is written before the log
+    assert after.keys() == before.keys()
+    assert after[name] == before[name] and after["checkpoint.ckpt"] == before["checkpoint.ckpt"]
+
+
 def test_wrong_explicit_dim_fails_before_building(tmp_path, tiny_dataset, monkeypatch, capsys):
     import nextvlad.cli as cli
 

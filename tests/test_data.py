@@ -6,11 +6,12 @@ import struct
 import numpy as np
 import pytest
 
+from nextvlad import data as datamod
 from nextvlad.data import (
-    CHUNK_WORDS,
     Dataset,
     SyntheticSpec,
     VideoRecord,
+    atomic_write,
     gen_synthetic,
     load_eigenvalues,
     make_batch,
@@ -21,7 +22,7 @@ from nextvlad.data import (
 )
 from nextvlad.metrics import gap_at_20, prediction_set_from_scores
 from nextvlad.model import Eigenvalues
-from nextvlad.rng import Rng
+from nextvlad.rng import CHUNK_WORDS, Rng
 
 
 def small_dataset(seed=1, videos=5):
@@ -79,6 +80,56 @@ def test_roundtrip_is_bitwise(tmp_path):
         assert np.array_equal(orig.labels, copy.labels)
         assert np.array_equal(orig.visual, copy.visual)
         assert np.array_equal(orig.audio, copy.audio)
+
+
+def test_dataset_bytes_do_not_depend_on_where_writes_are_joined(tmp_path, monkeypatch):
+    """Each record is serialized alone, as the format reads; records are only joined
+    into larger writes.  So a join after every record, or after none, gives the same
+    bytes as the default, and a record given frames not packed in a store is still
+    written row-major."""
+    ds = small_dataset(seed=4, videos=9)
+    longest = max(ds.records, key=lambda r: r.num_frames)
+    longest.visual = np.asfortranarray(longest.visual)
+    assert not longest.visual.flags.c_contiguous
+    expected = (b"FAV1" + struct.pack("<IIIII", 1, 9, 3, 2, 4) + b"".join(
+        struct.pack("<H", 7) + r.video_id.encode() + struct.pack("<I", r.labels.size)
+        + r.labels.astype("<u4").tobytes() + struct.pack("<I", r.num_frames)
+        + r.visual.astype("<f4").tobytes() + r.audio.astype("<f4").tobytes() for r in ds.records))
+    for join_bytes in (1, 100, datamod.WRITE_BYTES):
+        monkeypatch.setattr(datamod, "WRITE_BYTES", join_bytes)
+        write_dataset(ds, tmp_path / "joined.fav")
+        assert (tmp_path / "joined.fav").read_bytes() == expected
+
+
+def test_atomic_write_keeps_the_old_file_when_its_body_raises(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as f:
+            f.write(b"new, half")
+            raise RuntimeError("serializer failed")
+    assert path.read_bytes() == b"old" and sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+    with pytest.raises(RuntimeError):
+        with atomic_write(tmp_path / "absent.bin") as f:
+            raise RuntimeError("serializer failed")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+    with atomic_write(path, "w", encoding="utf-8") as f:
+        f.write("new")
+    assert path.read_text() == "new" and sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+
+@pytest.mark.parametrize("writer, make", [
+    (write_dataset, lambda: small_dataset(seed=2)),
+    (write_eigenvalues, lambda: Eigenvalues(np.linspace(0.5, 2.0, 6))),
+], ids=["dataset", "eigenvalues"])
+def test_a_write_failing_partway_leaves_the_previous_file(tmp_path, failing_write, writer, make):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"previous bytes")
+    failing_write(datamod, "out.bin")
+    with pytest.raises(OSError, match="No space left"):
+        writer(make(), path)
+    assert path.read_bytes() == b"previous bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nextvlad import metrics
 from nextvlad.metrics import (
     PredictionSet,
     gap_at_20,
@@ -235,6 +236,18 @@ def test_predictions_csv_roundtrip_preserves_gap(tmp_path):
     for i, vid in enumerate(ids):
         rebuilt.add_video(vid, labels[i], by_video[vid])
     assert gap_at_20(rebuilt) == gap_at_20(preds)
+
+
+def test_a_predictions_write_failing_partway_leaves_the_previous_file(tmp_path, failing_write):
+    path = tmp_path / "preds.csv"
+    path.write_text("previous rows\n")
+    failing_write(metrics, "preds.csv")
+    scores = Rng(3).uniform((4, 6))
+    preds = prediction_set_from_scores([f"v{i}" for i in range(4)], [[0]] * 4, scores, k=5)
+    with pytest.raises(OSError, match="No space left"):
+        write_predictions_csv(preds, path)
+    assert path.read_text() == "previous rows\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.csv"]
 
 
 def test_predictions_csv_rejects_bad_header(tmp_path):

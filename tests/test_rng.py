@@ -1,8 +1,13 @@
 """The generator must match its documented algorithm bit for bit."""
 
-import numpy as np
+import math
+import tracemalloc
 
-from nextvlad.rng import GAMMA, Rng, derive_seed, mix64, words_at
+import numpy as np
+import pytest
+
+from nextvlad.rng import CHUNK_WORDS, GAMMA, Rng, derive_seed, mix64, words_at, words_to_normals
+from nextvlad.vlad import init_normal
 
 MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -60,6 +65,66 @@ def test_normal_odd_count_prefix_of_even():
     odd = Rng(5).normal((7,))
     even = Rng(5).normal((8,))
     assert np.array_equal(odd, even[:7])
+
+
+def box_muller_oracle(words):
+    """The documented Box-Muller, one new array per operation."""
+    u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * math.pi) * u2
+    z = np.empty(words.size)
+    z[0::2] = r * np.cos(theta)
+    z[1::2] = r * np.sin(theta)
+    return z
+
+
+def test_normals_in_place_match_the_allocating_form():
+    words = Rng(21).next_u64(2 * CHUNK_WORDS + 2)
+    expected = box_muller_oracle(words)
+    assert np.array_equal(words_to_normals(words), expected)
+    out = np.full(words.size, np.nan)
+    assert words_to_normals(words, out=out) is out and np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, CHUNK_WORDS - 1, CHUNK_WORDS, CHUNK_WORDS + 1, 2 * CHUNK_WORDS + 1])
+def test_chunked_normals_equal_one_draw_of_whole_pairs(n):
+    rng = Rng(0xC0FFEE, 9)
+    z = rng.normal((n,))
+    assert z.dtype == np.float64 and z.shape == (n,)
+    assert np.array_equal(z, words_to_normals(Rng(0xC0FFEE, 9).next_u64(n + n % 2))[:n])
+    assert rng.counter == 9 + n + n % 2
+
+
+def test_normal_of_a_shape_with_a_zero_dim_draws_nothing():
+    rng = Rng(3, 4)
+    z = rng.normal((5, 0, 3), np.float32)
+    assert z.shape == (5, 0, 3) and z.dtype == np.float32 and rng.counter == 4
+
+
+@pytest.mark.parametrize("scale", [0.1, np.sqrt(2.0 / 7)])
+def test_scaled_float32_normals_round_once_from_float64(scale):
+    shape = (3, CHUNK_WORDS // 2 + 7)  # several chunks, an odd count
+    z = Rng(8).normal(shape, np.float32, scale)
+    assert z.dtype == np.float32
+    assert np.array_equal(z, (Rng(8).normal(shape) * scale).astype(np.float32))
+
+
+def test_init_normal_holds_its_output_and_a_few_chunks():
+    tracemalloc.start()
+    try:
+        out = init_normal(Rng(1), (1024, 1024), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.float32
+    assert peak < out.nbytes + 8 * CHUNK_WORDS * 8  # a float64 copy alone would be 2 * out.nbytes
+
+
+def test_words_at_a_scalar_position_is_a_numpy_scalar():
+    for position in (5, np.uint64(5), np.array(5)):
+        word = words_at(3, position)
+        assert type(word) is np.uint64 and int(word) == splitmix64_oracle(3, 5)
 
 
 def test_permutation_is_a_permutation():

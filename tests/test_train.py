@@ -563,6 +563,18 @@ def test_failed_save_leaves_previous_checkpoint_intact(tmp_path):
     assert ckpt.global_step == 2 and ckpt.config_echo == "good\n"
 
 
+def test_checkpoint_with_a_tensor_the_state_does_not_hold_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(fresh_state(), path)
+    ckpt = load_checkpoint(path)
+    ckpt.tensors["model.whiten_scale"] = np.ones(6, np.float32)
+    state = fresh_state(seed=5)
+    before = {name: a.copy() for name, a in state.params.named_buffers().items()}
+    with pytest.raises(ValueError, match="holds tensor 'model.whiten_scale', which the model does not expect"):
+        apply_checkpoint(state, ckpt)
+    assert all(np.array_equal(a, before[name]) for name, a in state.params.named_buffers().items())
+
+
 def test_truncated_checkpoint_rejected(tmp_path):
     ds = desk_dataset()
     state = fresh_state()
