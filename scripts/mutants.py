@@ -54,6 +54,12 @@ SCORING_TESTS = (
 DATA = "src/nextvlad/data.py"
 MODEL = "src/nextvlad/model.py"
 CLI = "src/nextvlad/cli.py"
+CONFIG = "src/nextvlad/config.py"
+FRAME_TESTS = (
+    "tests/test_cli.py::test_training_batches_span_the_longest_video",
+    "tests/test_cli.py::test_a_checkpoint_scores_a_longer_set_at_its_own_length",
+    "tests/test_cli.py::test_one_frame_count_covers_training_and_a_longer_eval_set",
+)
 CENSUS_TESTS = (
     "tests/test_model.py::test_model_census_equals_sum_of_closed_forms",
     "tests/test_model.py::test_mixture_census_is_three_experts_plus_gate",
@@ -297,6 +303,22 @@ MUTANTS = [
     Mutant("the interpreter's last flush left on the closed stdout", CLI,
            "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())", "pass",
            ("tests/test_cli.py::test_closed_stdout_of_a_process_prints_no_error",)),
+    # the config keys each command takes, and the frames its batches span
+    Mutant("RunConfig admits every registry key", CONFIG,
+           " for k, spec in REGISTRY.items() if k.startswith(groups)}", " for k, spec in REGISTRY.items()}",
+           ("tests/test_cli.py::test_a_key_of_another_command_fails_naming_it",)),
+    Mutant("the frame cap read from data.frames_max", CONFIG,
+           'max(int(np.diff(d.store.offsets).max()) for d in datasets)', 'cfg["data.frames_max"]', FRAME_TESTS),
+    Mutant("the frame cap read as the constant 20", CONFIG,
+           'max(int(np.diff(d.store.offsets).max()) for d in datasets)', "20", FRAME_TESTS),
+    Mutant("train's frame count taken from the training set alone", CLI,
+           "batch_max_frames(cfg, dataset, gap_source)", "batch_max_frames(cfg, dataset)", FRAME_TESTS),
+    Mutant("a dataset without videos passes the read", CLI,
+           "    if not len(dataset):\n", "    if False:\n",
+           ("tests/test_cli.py::test_dataset_without_videos_fails_naming_the_file",)),
+    Mutant("the staircase LR schedule left unfloored", TRAIN,
+           "exponent = math.floor(exponent)", "exponent = exponent",
+           ("tests/test_train.py::test_lr_schedule_staircase",)),
     # the two mutants that survived the suite before their tests came
     Mutant("mixture gate mean divides by all frames", MODEL,
            "(1.0 / np.maximum(view.lengths, 1).astype(frames.dtype))[:, None]",

@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 One binary, subcommand style: gen-data / train / eval / predict /
-param-count / verify.  Every hyperparameter is reachable through
+param-count / verify.  Every key a command reads is reachable through
 ``--config FILE`` (flat ``key = value`` lines, ``#`` comments) and repeated
 ``--set key=value`` overrides; common ones also have shortcut flags.  All
-commands are deterministic given their seeds, and the fully resolved config
-is echoed into the run log and the checkpoint.
+commands are deterministic given their seeds, and a training run's fully
+resolved config is echoed into its run directory and checkpoint.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from .rng import Rng, derive_seed
 from .vlad import NeXtVladConfig, param_count_netvlad, param_count_nextvlad, weight_census
 
 
-def _add_config_args(p: argparse.ArgumentParser) -> None:
+def _add_config_args(p: argparse.ArgumentParser, command: str) -> None:
+    p.formatter_class = argparse.RawDescriptionHelpFormatter
+    p.epilog = "config keys:\n" + cfgmod.registry_help(command)
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override one config key (repeatable)")
@@ -38,7 +40,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 def _run_config(args, cfg=None) -> cfgmod.RunConfig:
     """The defaults (or ``cfg``), then ``--config``, then ``--set``, then every
     shortcut flag, whose ``dest`` is the config key it sets."""
-    cfg = cfg or cfgmod.RunConfig()
+    cfg = cfg or cfgmod.RunConfig(args.command)
     if args.config:
         cfg.load_file(args.config)
     cfg.apply_overrides(args.overrides)
@@ -52,9 +54,11 @@ def _run_config(args, cfg=None) -> cfgmod.RunConfig:
 
 
 def _read_dataset(path):
-    """A FAV1 dataset with finite frames only: a NaN or infinity is rejected
-    here, naming the file, rather than by the first batch that holds it."""
+    """A FAV1 dataset holding videos, each with finite frames only: an empty
+    set, a NaN or an infinity is rejected here, naming the file."""
     dataset = read_dataset(path)
+    if not len(dataset):
+        raise ValueError(f"{path}: holds no videos")
     bad = first_non_finite_row(dataset.store.frames)
     if bad is not None:
         owner = int(np.searchsorted(dataset.store.offsets, bad, side="right")) - 1
@@ -115,7 +119,7 @@ def cmd_train(args) -> int:
         state, saved = _restore(args.resume)
         cfg = _run_config(args, copy.deepcopy(saved))
         for key in cfgmod.REGISTRY:  # the model is fixed, whatever source sets a key
-            if (key.startswith(("model.", "vlad.")) or key.endswith("_dim")) and cfg[key] != saved[key]:
+            if key.startswith(("model.", "vlad.")) and cfg[key] != saved[key]:
                 raise ValueError(f"--resume cannot override {key!r}: the checkpoint fixes the model")
     else:
         cfg = _run_config(args)
@@ -126,9 +130,8 @@ def cmd_train(args) -> int:
         state = trainmod.TrainState.create(_build_params(cfg))
 
     train_cfg = cfgmod.train_config_from(cfg)
-    max_frames = cfgmod.batch_max_frames(cfg)
-
     gap_source = eval_dataset if eval_dataset is not None else dataset
+    max_frames = cfgmod.batch_max_frames(cfg, dataset, gap_source)
     rows = None
     try:  # frames or weights so large that the float32 step overflows: nothing is written
         with np.errstate(over="raise", invalid="raise"):
@@ -199,7 +202,7 @@ def _predict_from_checkpoint(checkpoint_path: str, dataset, dataset_path: str) -
     cfgmod.resolve_dims(cfg, dataset, dataset_path)
     try:  # frames or weights so large that the float32 forward overflows
         with np.errstate(over="raise", invalid="raise"):
-            return trainmod.predict(state.params, dataset, cfgmod.batch_max_frames(cfg))
+            return trainmod.predict(state.params, dataset, cfgmod.batch_max_frames(cfg, dataset))
     except (ValueError, FloatingPointError) as exc:
         raise ValueError(f"{dataset_path} scored by {checkpoint_path}: {exc}") from None
 
@@ -285,12 +288,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="nextvlad",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="config keys:\n" + cfgmod.registry_help(),
+        epilog="`nextvlad COMMAND --help` lists the config keys that COMMAND takes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic FAV1 dataset")
-    _add_config_args(p)
+    _add_config_args(p, "gen-data")
     p.add_argument("--out", required=True)
     p.add_argument("--videos", type=int, dest="data.num_videos")
     p.add_argument("--classes", type=int, dest="data.num_classes")
@@ -300,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model or 3-expert mixture")
-    _add_config_args(p)
+    _add_config_args(p, "train")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--eval-dataset")
@@ -332,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("param-count", help="closed-form vs allocated parameter counts")
-    _add_config_args(p)
+    _add_config_args(p, "param-count")
     p.set_defaults(fn=cmd_param_count)
 
     p = sub.add_parser("verify", help="run gradient, oracle and metric self-checks")

@@ -1,15 +1,18 @@
 """Flat run configuration: ``key = value`` files plus dotted-key overrides.
 
-Every hyperparameter of the system is addressable by a dotted key; unknown
-keys are rejected and the fully resolved set is echoed (sorted, one
-``key = value`` line each) into run logs and checkpoints so any artifact
-can be rebuilt from its own record.
+Every hyperparameter of the system is addressable by a dotted key, and each
+command takes only the key groups it reads (``COMMAND_GROUPS``); any other key
+is rejected, naming it.  A training run's fully resolved set is echoed
+(sorted, one ``key = value`` line each) into its run directory and checkpoint,
+so any artifact can be rebuilt from its own record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .data import SyntheticSpec
 from .losses import LossConfig
@@ -37,7 +40,6 @@ REGISTRY: dict[str, _Key] = {
     "data.labels_max": _Key(int, 3, "maximum labels per video"),
     "data.noise_sigma": _Key(float, 0.1, "gaussian frame noise"),
     "data.seed": _Key(int, 7, "generator seed"),
-    "data.max_frames": _Key(int, 0, "pad/truncate batches to this many frames (0 = frames_max)"),
     # model
     "model.kind": _Key(str, "nextvlad", "aggregation type: nextvlad or netvlad"),
     "model.hidden": _Key(int, 2048, "hidden size after the reduction layer"),
@@ -67,6 +69,14 @@ REGISTRY: dict[str, _Key] = {
     "train.steps": _Key(int, 0, "hard step budget (0 = use epochs)"),
     "train.seed": _Key(int, 1, "training seed (init, shuffle, dropout)"),
     "train.eval_every": _Key(int, 0, "evaluate GAP every N steps (0 = each epoch end)"),
+    "train.max_frames": _Key(int, 0, "truncate videos to this many frames (0 = the longest video in the data)"),
+}
+
+# the key groups each command reads; eval, predict and --resume rebuild train's from a checkpoint echo
+COMMAND_GROUPS = {
+    "gen-data": ("data.",),
+    "train": ("model.", "vlad.", "kd.", "train."),
+    "param-count": ("model.", "vlad."),
 }
 
 
@@ -86,24 +96,29 @@ def _parse(key: str, raw: str):
 
 
 class RunConfig:
-    """Typed view over the flat key space with defaults applied."""
+    """Typed view over the keys one command takes, with defaults applied."""
 
-    def __init__(self):
-        self._values = {k: spec.default for k, spec in REGISTRY.items()}
+    def __init__(self, command: str = "train"):
+        self.command = command
+        groups = COMMAND_GROUPS[command]
+        self._values = {k: spec.default for k, spec in REGISTRY.items() if k.startswith(groups)}
+
+    def _check_key(self, key: str) -> None:
+        if key not in self._values:
+            raise KeyError(f"{self.command} takes no config key {key!r}" if key in REGISTRY
+                           else f"unknown config key {key!r}")
 
     def set(self, key: str, value) -> None:
         """Set one key; every number in the registry is a count, size, seed,
         rate or coefficient, so a negative or non-finite one is rejected."""
-        if key not in REGISTRY:
-            raise KeyError(f"unknown config key {key!r}")
+        self._check_key(key)
         value = _parse(key, value) if isinstance(value, str) else value
         if REGISTRY[key].type in (int, float) and not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{key}: expected a finite number >= 0, got {value!r}")
         self._values[key] = value
 
     def __getitem__(self, key: str):
-        if key not in REGISTRY:
-            raise KeyError(f"unknown config key {key!r}")
+        self._check_key(key)
         return self._values[key]
 
     def _set_line(self, line: str, where: str) -> None:
@@ -147,7 +162,7 @@ class RunConfig:
 
     @staticmethod
     def from_echo(text: str, source: str) -> "RunConfig":
-        """Rebuild a config from the echo stored in ``source`` (a checkpoint)."""
+        """Rebuild a train config from the echo stored in ``source`` (a checkpoint)."""
         cfg = RunConfig()
         for line_no, line in enumerate(text.splitlines(), start=1):
             if line.strip():
@@ -246,13 +261,14 @@ def train_config_from(cfg: RunConfig) -> TrainConfig:
     )
 
 
-def batch_max_frames(cfg: RunConfig) -> int:
-    return cfg["data.max_frames"] if cfg["data.max_frames"] > 0 else cfg["data.frames_max"]
+def batch_max_frames(cfg: RunConfig, *datasets) -> int:
+    """``train.max_frames``, or when it is 0 the longest video in ``datasets``."""
+    return cfg["train.max_frames"] or max(int(np.diff(d.store.offsets).max()) for d in datasets)
 
 
-def registry_help() -> str:
+def registry_help(command: str) -> str:
     lines = []
-    for key in sorted(REGISTRY):
+    for key in sorted(RunConfig(command)._values):
         spec = REGISTRY[key]
         lines.append(f"  {key:<30} {spec.help} (default {spec.default!r})")
     return "\n".join(lines)

@@ -25,12 +25,6 @@ from .data import atomic_write
 MAX_PREDICTIONS = 20
 
 
-class _VideoEntry(NamedTuple):
-    video_id: str
-    labels: frozenset
-    predictions: tuple  # ((class_id, confidence), ...)
-
-
 class Columns(NamedTuple):
     """Flat prediction rows (video index, class id, confidence, hit flag) and
     true-label rows (video index, class id), each grouped by video in
@@ -129,34 +123,9 @@ class PredictionSet:
             self._blocks = [Columns(*map(np.concatenate, zip(*self._blocks)))]
         return self._blocks[0]
 
-    @property
-    def videos(self) -> list:
-        """Read-only per-video view, rebuilt from the arrays on each access."""
-        col = self.columns()
-        n = len(self.video_ids)
-        pred_ends = np.cumsum(np.bincount(col.video, minlength=n)).tolist()
-        label_ends = np.cumsum(np.bincount(col.label_video, minlength=n)).tolist()
-        cls, conf, labels = col.cls.tolist(), col.conf.tolist(), col.label_cls.tolist()
-        out, p0, l0 = [], 0, 0
-        for vid, p1, l1 in zip(self.video_ids, pred_ends, label_ends):
-            out.append(_VideoEntry(vid, frozenset(labels[l0:l1]), tuple(zip(cls[p0:p1], conf[p0:p1]))))
-            p0, l0 = p1, l1
-        return out
-
     def total_true_labels(self) -> int:
         per_video = np.bincount(self.columns().label_video, minlength=len(self.video_ids))
         return int(np.minimum(per_video, MAX_PREDICTIONS).sum())
-
-    def pooled(self) -> list:
-        """All predictions as (confidence, video_index, class_id, is_hit),
-        sorted by confidence descending with (video, class) tie-break.
-        Built per video in Python from ``videos``: the oracle's path."""
-        entries = []
-        for vi, video in enumerate(self.videos):
-            for class_id, conf in video.predictions:
-                entries.append((conf, vi, class_id, class_id in video.labels))
-        entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-        return entries
 
 
 def _check_scorable(preds: PredictionSet) -> int:
@@ -191,14 +160,19 @@ def gap_at_20(preds: PredictionSet) -> float:
 
 
 def gap_reference(preds: PredictionSet) -> float:
-    """Brute-force oracle: recounts precision and recall from scratch at
-    every rank of the pooled list.  Quadratic; test-scale inputs only."""
+    """Brute-force oracle: sorts the pool by (-confidence, video, class) in
+    plain Python, tests each prediction against the true (video, class) pairs
+    (never against ``Columns.hit``), and recounts precision and recall from
+    scratch at every rank.  Quadratic; test-scale inputs only."""
     total_true = _check_scorable(preds)
-    pooled = preds.pooled()
+    col = preds.columns()
+    labels = set(zip(col.label_video.tolist(), col.label_cls.tolist()))
+    pooled = sorted(zip([-c for c in col.conf.tolist()], col.video.tolist(), col.cls.tolist()))
+    hits = [(video, cls) in labels for _, video, cls in pooled]
     gap = 0.0
     for i in range(1, len(pooled) + 1):
-        hits_at_i = sum(1 for e in pooled[:i] if e[3])
-        hits_before = sum(1 for e in pooled[: i - 1] if e[3])
+        hits_at_i = sum(hits[:i])
+        hits_before = sum(hits[: i - 1])
         precision = hits_at_i / i
         delta_recall = (hits_at_i - hits_before) / total_true
         gap += precision * delta_recall

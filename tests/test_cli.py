@@ -12,7 +12,7 @@ import pytest
 
 import nextvlad
 from nextvlad.cli import main
-from nextvlad.config import RunConfig, batch_max_frames, model_config_from, resolve_dims
+from nextvlad.config import REGISTRY, RunConfig, model_config_from, resolve_dims
 from nextvlad.data import read_dataset, write_dataset
 from nextvlad.train import load_checkpoint
 
@@ -51,9 +51,9 @@ def test_config_file_parsing_with_comments(tmp_path):
 
 def test_config_file_errors_name_file_and_line(tmp_path, capsys):
     f = tmp_path / "run.cfg"
-    f.write_text("# a comment\ntrain.steps = many\n")
+    f.write_text("# a comment\nmodel.hidden = many\n")
     assert main(["param-count", "--config", str(f)]) == 1
-    assert capsys.readouterr().err == f"error: {f}:2: train.steps: expected int, got 'many'\n"
+    assert capsys.readouterr().err == f"error: {f}:2: model.hidden: expected int, got 'many'\n"
     f.write_text("train.sead = 3\n")
     assert main(["param-count", "--config", str(f)]) == 1
     assert capsys.readouterr().err == f"error: {f}:1: unknown config key 'train.sead'\n"
@@ -68,7 +68,7 @@ def test_type_validation():
 
 
 @pytest.mark.parametrize("key, value", [
-    ("train.steps", "-5"), ("train.steps", -5), ("data.max_frames", "-3"),
+    ("train.steps", "-5"), ("train.steps", -5), ("train.max_frames", "-3"),
     ("train.l2_classifier", "-1"), ("train.base_lr", "nan"), ("train.base_lr", float("nan")),
     ("kd.temperature", "inf"), ("model.dropout", "-inf"),
 ])
@@ -81,7 +81,7 @@ def test_negative_or_non_finite_numbers_rejected(key, value):
 
 def test_config_file_not_utf8_names_file_and_line(tmp_path, capsys):
     f = tmp_path / "run.cfg"
-    f.write_bytes(b"train.steps = 3\ntrain.seed = \xff\n")
+    f.write_bytes(b"model.hidden = 3\nmodel.kind = \xff\n")
     assert main(["param-count", "--config", str(f)]) == 1
     assert capsys.readouterr().err == (
         f"error: {f}:2: not valid UTF-8 (invalid start byte)\n")
@@ -112,7 +112,36 @@ def test_resolve_dims_from_dataset(tmp_path):
     resolve_dims(cfg, ds, path)
     mc = model_config_from(cfg)
     assert mc.video_dim == 8 and mc.audio_dim == 4 and mc.num_classes == 3
-    assert batch_max_frames(cfg) == cfg["data.frames_max"]
+
+
+def test_each_command_takes_only_the_key_groups_it_reads():
+    counts = {command: len(RunConfig(command).echo().splitlines())
+              for command in ("gen-data", "train", "param-count")}
+    assert counts == {"gen-data": 10, "train": 26, "param-count": 14}
+    assert counts["gen-data"] + counts["train"] == len(REGISTRY)  # train's keys hold param-count's
+    with pytest.raises(KeyError, match="^\"gen-data takes no config key 'train.base_lr'\"$"):
+        RunConfig("gen-data").set("train.base_lr", "1")
+
+
+@pytest.mark.parametrize("command, key", [
+    (["gen-data", "--out", "{tmp}/x.fav"], "train.base_lr"),
+    (["train", "--dataset", "{data}", "--out", "{tmp}/run"], "data.noise_sigma"),
+    (["param-count"], "train.base_lr"),
+])
+@pytest.mark.parametrize("source", ["--set", "--config"])
+def test_a_key_of_another_command_fails_naming_it(tmp_path, tiny_dataset, capsys, command, key, source):
+    argv = [a.format(tmp=tmp_path, data=tiny_dataset) for a in command]
+    if source == "--set":
+        argv += ["--set", f"{key}=1"]
+    else:
+        where = tmp_path / "run.cfg"
+        where.write_text(f"{key} = 1\n")
+        argv += ["--config", str(where)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    where = "--set" if source == "--set" else f"{tmp_path / 'run.cfg'}:1"
+    assert capsys.readouterr().err == f"error: {where}: {command[0]} takes no config key {key!r}\n"
+    assert not (tmp_path / "x.fav").exists() and not (tmp_path / "run" / "config.txt").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +237,8 @@ def test_train_eval_cross_command_consistency(tmp_path, tiny_dataset, capsys):
     log = (out / "train_log.csv").read_text().splitlines()
     assert log[0] == "step,lr,loss,bce,kl,gap"
     assert len(log) == 13
-    assert (out / "config.txt").exists()
+    config = (out / "config.txt").read_text().splitlines()
+    assert len(config) == 26 and not any(line.startswith("data.") for line in config)
 
 
 def test_predict_then_eval_from_csv_matches(tmp_path, tiny_dataset, capsys):
@@ -243,13 +273,14 @@ def test_per_class_report_counts_match_a_per_video_loop(capsys):
     from nextvlad.verify import random_prediction_set
 
     preds = random_prediction_set(Rng(70), max_videos=40)
+    col = preds.columns()
+    labels = set(zip(col.label_video.tolist(), col.label_cls.tolist()))
     true_count, pred_count, hit_count = (np.zeros(12, dtype=np.int64) for _ in range(3))
-    for video in preds.videos:
-        for cls in video.labels:
-            true_count[cls] += 1
-        for cls, _ in video.predictions:
-            pred_count[cls] += 1
-            hit_count[cls] += cls in video.labels
+    for _, cls in labels:
+        true_count[cls] += 1
+    for video, cls in zip(col.video.tolist(), col.cls.tolist()):
+        pred_count[cls] += 1
+        hit_count[cls] += (video, cls) in labels
     _per_class_report(preds, 12, limit=10)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["class", "true", "in_top20", "hits"]
@@ -353,7 +384,7 @@ def test_resume_rejects_model_overrides(tmp_path, tiny_dataset, capsys, extra):
 
 
 @pytest.mark.parametrize("extra", [
-    ["--eval-every", "-4"], ["--set", "data.max_frames=-3"], ["--set", "train.l2_classifier=-1"],
+    ["--eval-every", "-4"], ["--set", "train.max_frames=-3"], ["--set", "train.l2_classifier=-1"],
     ["--steps", "-5", "--epochs", "-2"], ["--set", "train.base_lr=nan"],
 ])
 def test_train_rejects_negative_or_non_finite_numbers(tmp_path, tiny_dataset, capsys, extra):
@@ -365,6 +396,16 @@ def test_train_rejects_negative_or_non_finite_numbers(tmp_path, tiny_dataset, ca
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{key}: expected a finite number >= 0" in err
     assert not (out / "config.txt").exists()
+
+
+def test_resume_rejects_a_key_train_does_not_take(tmp_path, tiny_dataset, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+                 "--steps", "2", "--batch-size", "8"] + TINY) == 0
+    capsys.readouterr()
+    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+                 "--resume", str(out / "checkpoint.ckpt"), "--set", "data.visual_dim=9"]) == 1
+    assert capsys.readouterr().err == "error: --set: train takes no config key 'data.visual_dim'\n"
 
 
 def test_resume_honours_config_file(tmp_path, tiny_dataset, capsys):
@@ -484,6 +525,86 @@ def test_scoring_overflow_names_dataset_and_checkpoint(tmp_path, tiny_dataset, c
         assert err.startswith(f"error: {huge} scored by {ckpt}: ") and err.count("\n") == 1
 
 
+@pytest.fixture()
+def long_dataset(tmp_path):
+    """30-40-frame videos with the dims and classes of ``tiny_dataset``."""
+    path = tmp_path / "long.fav"
+    assert main(["gen-data", "--out", str(path), "--videos", "12", "--classes", "4",
+                 "--set", "data.visual_dim=8", "--set", "data.audio_dim=4",
+                 "--set", "data.frames_min=30", "--set", "data.frames_max=40", "--seed", "4"]) == 0
+    return path
+
+
+def _batch_frames(monkeypatch):
+    """The set of ``max_frames`` that every batch is built with, as commands run."""
+    import nextvlad.train as trainmod
+
+    seen, make_batch = set(), trainmod.make_batch
+
+    def recorded(rows, max_frames, *rest):
+        seen.add(max_frames)
+        return make_batch(rows, max_frames, *rest)
+
+    monkeypatch.setattr(trainmod, "make_batch", recorded)
+    return seen
+
+
+TRAIN_TWO_STEPS = ["train", "--steps", "2", "--batch-size", "8"] + TINY
+
+
+def test_training_batches_span_the_longest_video(tmp_path, long_dataset, monkeypatch):
+    assert max(r.num_frames for r in read_dataset(long_dataset).records) == 40
+    seen = _batch_frames(monkeypatch)
+    run = TRAIN_TWO_STEPS + ["--dataset", str(long_dataset), "--out", str(tmp_path / "run")]
+    assert main(run) == 0
+    assert seen == {40}
+    # a set frame count truncates every video past it
+    seen.clear()
+    assert main(run + ["--set", "train.max_frames=25"]) == 0
+    assert seen == {25}
+    assert "train.max_frames = 25\n" in (tmp_path / "run" / "config.txt").read_text()
+
+
+def test_a_checkpoint_scores_a_longer_set_at_its_own_length(tmp_path, tiny_dataset, long_dataset,
+                                                             monkeypatch):
+    short = max(r.num_frames for r in read_dataset(tiny_dataset).records)
+    seen = _batch_frames(monkeypatch)
+    assert main(TRAIN_TWO_STEPS + ["--dataset", str(tiny_dataset), "--out", str(tmp_path / "run")]) == 0
+    assert seen == {short} and short <= 4
+    for argv in (["eval"], ["predict", "--out", str(tmp_path / "p.csv")]):
+        seen.clear()
+        assert main(argv + ["--checkpoint", str(tmp_path / "run" / "checkpoint.ckpt"),
+                            "--dataset", str(long_dataset)]) == 0
+        assert seen == {40}
+
+
+def test_one_frame_count_covers_training_and_a_longer_eval_set(tmp_path, tiny_dataset, long_dataset,
+                                                                monkeypatch):
+    seen = _batch_frames(monkeypatch)
+    assert main(TRAIN_TWO_STEPS + ["--dataset", str(tiny_dataset), "--eval-dataset", str(long_dataset),
+                                   "--out", str(tmp_path / "run")]) == 0
+    assert seen == {40}
+
+
+def test_dataset_without_videos_fails_naming_the_file(tmp_path, tiny_dataset, capsys):
+    empty = tmp_path / "empty.fav"
+    empty.write_bytes(b"FAV1" + struct.pack("<5I", 1, 0, 8, 4, 4))
+    assert len(read_dataset(empty)) == 0
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(tiny_dataset), "--out", str(out),
+                 "--steps", "1", "--batch-size", "8"] + TINY) == 0
+    ckpt = str(out / "checkpoint.ckpt")
+    capsys.readouterr()
+    for argv in (["train", "--dataset", str(empty), "--out", str(tmp_path / "fresh")] + TINY,
+                 ["train", "--dataset", str(tiny_dataset), "--eval-dataset", str(empty),
+                  "--out", str(tmp_path / "fresh")] + TINY,
+                 ["eval", "--checkpoint", ckpt, "--dataset", str(empty)],
+                 ["predict", "--checkpoint", ckpt, "--dataset", str(empty), "--out", str(tmp_path / "p.csv")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {empty}: holds no videos\n"
+    assert not (tmp_path / "p.csv").exists() and not (tmp_path / "fresh" / "config.txt").exists()
+
+
 @pytest.mark.parametrize("stream,value", [("visual", np.nan), ("audio", np.inf)])
 def test_non_finite_frame_fails_at_read_naming_file_and_video(tmp_path, tiny_dataset, capsys, stream, value):
     dataset = read_dataset(tiny_dataset)
@@ -589,6 +710,8 @@ def _replace_echo_line(ckpt, old: str, new: str) -> int:
     ("train.seed = x", "train.seed: expected int, got 'x'"),
     # the key is gone, so a checkpoint from before that holds it is rejected
     ("model.reverse_whitening = false", "unknown config key 'model.reverse_whitening'"),
+    # the echo holds train's keys only; gen-data's were never read
+    ("data.num_videos = 2000", "train takes no config key 'data.num_videos'"),
 ])
 def test_corrupt_config_echo_names_checkpoint_and_line(tmp_path, tiny_dataset, capsys, line, message):
     out = tmp_path / "run"

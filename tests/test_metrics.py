@@ -79,7 +79,6 @@ def test_rows_added_one_by_one_equal_one_block():
         rows.add_video(vid, labels[i], list(zip(classes[i].tolist(), confs[i].tolist())))
     assert gap_at_20(rows) == gap_at_20(block) == gap_reference(block)
     assert rows.total_true_labels() == block.total_true_labels()
-    assert rows.videos == block.videos
     for a, b in zip(rows.columns(), block.columns()):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -102,20 +101,22 @@ def test_block_append_rejects_bad_rows_naming_the_video(ids, counts, classes, co
     assert preds.video_ids == ["x"] and gap_at_20(preds) == 1.0
     preds.append(["a", "b", "c"], [[0], [1], [2, 2]], [2, 0, 1], [0, 1, 2], [0.5, 0.4, 0.3])
     assert preds.video_ids == ["x", "a", "b", "c"]
-    assert [(v.labels, v.predictions) for v in preds.videos[1:]] == [
-        ({0}, ((0, 0.5), (1, 0.4))), ({1}, ()), ({2}, ((2, 0.3),))]
+    col = preds.columns()
+    assert (col.video.tolist(), col.cls.tolist(), col.conf.tolist()) == (
+        [0, 1, 1, 3], [0, 0, 1, 2], [0.9, 0.5, 0.4, 0.3])
+    assert (col.label_video.tolist(), col.label_cls.tolist()) == ([0, 1, 2, 3], [0, 0, 1, 2])
     assert preds.total_true_labels() == 4
 
 
 def test_invariant_under_monotone_confidence_transforms():
     rng = Rng(61)
     preds = random_prediction_set(rng)
-    base = gap_at_20(preds)
+    base, col, videos = gap_at_20(preds), preds.columns(), len(preds.video_ids)
+    labels = [col.label_cls[col.label_video == v] for v in range(videos)]
     for transform in (lambda c: c * 7.5, lambda c: np.exp(c), lambda c: c - 100):
         mapped = PredictionSet()
-        for v in preds.videos:
-            mapped.add_video(v.video_id, v.labels,
-                             [(cls, float(transform(conf))) for cls, conf in v.predictions])
+        mapped.append(preds.video_ids, labels, np.bincount(col.video, minlength=videos), col.cls,
+                      transform(col.conf))
         assert gap_at_20(mapped) == base
 
 
@@ -140,12 +141,16 @@ def test_recall_denominator_credits_at_most_20_per_video():
 
 
 def test_tie_break_is_video_then_class():
-    preds = PredictionSet()
-    preds.add_video("a", [1], [(1, 0.5), (0, 0.5)])
-    pooled = preds.pooled()
-    assert [(e[1], e[2]) for e in pooled] == [(0, 0), (0, 1)]
-    # equal confidence: class 0 (miss) ranks first, so the hit pays a precision cost
-    assert abs(gap_at_20(preds) - 0.5) < 1e-15
+    # equal confidence: the miss (class 0 within a video, video a across two) ranks
+    # first, so the hit pays a precision cost; the reverse order would score 1.0 and 0.5
+    within = PredictionSet()
+    within.add_video("a", [1], [(1, 0.5), (0, 0.5)])
+    across = PredictionSet()
+    across.add_video("a", [5], [(0, 0.5)])
+    across.add_video("b", [0], [(0, 0.5)])
+    for preds, expected in ((within, 0.5), (across, 0.25)):
+        assert gap_at_20(preds) == gap_reference(preds)
+        assert abs(gap_at_20(preds) - expected) < 1e-15
 
 
 def test_rank_keys_past_int64_are_rejected_not_wrapped():
