@@ -46,7 +46,7 @@ ADAM_TESTS = (
     "tests/test_train.py::test_adam_nan_past_the_first_block_names_tensor",
 )
 SCORING_TESTS = (
-    "tests/test_train.py::test_weight_product_is_formed_once_per_stream_per_pass",
+    "tests/test_train.py::test_a_pass_forms_each_streams_assignment_pair_once",
     "tests/test_train.py::test_a_training_step_between_passes_leaves_no_stale_fold",
     "tests/test_train.py::test_a_pass_that_raises_leaves_no_scope_active",
 )
@@ -161,12 +161,27 @@ MUTANTS = [
            "ad.affine(expand_b, core.assign_w, core.assign_b * 0.0)",
            ("tests/test_vlad.py::"
             "test_folded_assignment_logits_equal_the_expanded_frames_through_the_assignment",)),
-    # the folded weights formed once per scoring pass
-    Mutant("the fold kept after the pass", AUTODIFF,
-           "        _folds = None\n", "        pass\n", SCORING_TESTS),
-    Mutant("the fold reused where a gradient flows", AUTODIFF,
-           "if _folds is None or a.requires_grad or b.requires_grad:", "if _folds is None:",
+    # each stream's assignment weights and bias formed once per scoring pass
+    Mutant("the pair kept after the pass", VLAD,
+           "        _pairs = None\n", "        pass\n", SCORING_TESTS),
+    Mutant("the pair reused where a gradient flows", VLAD,
+           "fixed = _pairs is not None and not any(t.requires_grad for t in reads)",
+           "fixed = _pairs is not None",
            ("tests/test_train.py::test_differentiating_inside_a_pass_reaches_the_folded_weights",)),
+    Mutant("a pass reuses the weights but forms the bias again per batch", VLAD,
+           "        return _pairs[reads]\n",
+           "        w, b = _pairs[reads]\n"
+           "        if not net:\n"
+           "            expand_b = core.expand_b.reshape(core.expand_b.shape[:-1] + (1, -1))\n"
+           "            b = ad.affine(expand_b, core.assign_w, core.assign_b).reshape(b.shape)\n"
+           "        return w, b\n", SCORING_TESTS),
+    # a - b and dropout composed from add and mul
+    Mutant("__sub__ adds without the negation", AUTODIFF,
+           "return self + _coerce(other, self.dtype) * -1", "return self + _coerce(other, self.dtype)",
+           ("tests/test_autodiff.py::test_composed_sub_matches_the_removed_primitive_bit_for_bit",)),
+    Mutant("dropout composed without its scale", AUTODIFF,
+           "return x * Tensor(keep * x.dtype.type(1.0 / (1.0 - rate)))", "return x * Tensor(keep)",
+           ("tests/test_autodiff.py::test_composed_dropout_matches_the_removed_primitive_bit_for_bit",)),
     # l2_normalize
     Mutant("l2_normalize VJP projects on the input, not the output", AUTODIFF,
            "da = (g - out * _row_dot(g, out, axis)) / denom",

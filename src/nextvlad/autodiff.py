@@ -16,8 +16,9 @@ Conventions:
 * values are immutable once constructed; mutable state (batch-norm running
   moments, RNG counters) lives outside the graph.  The one exception is a
   trained parameter: Adam writes its array in place after ``backward``
-  returns, so a graph must not be reused across an optimizer step, and a
-  weight product formed inside :func:`fixed_weights` is dropped on its exit.
+  returns, so a graph must not be reused across an optimizer step.
+* an op that ``add`` and ``mul`` compute exactly is composed from them, not a
+  primitive: ``a - b`` is ``a + b * -1`` and dropout a product with its scaled mask.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, _coerce(other, self.dtype))
+    def __sub__(self, other):  # exact: IEEE defines a - b as a + (-b), and sum(-g) as -sum(g)
+        return self + _coerce(other, self.dtype) * -1
 
     def __mul__(self, other):
         return mul(self, _coerce(other, self.dtype))
@@ -188,24 +189,6 @@ def differentiating(leaves: Iterable[Tensor]):
     finally:
         for t, flag in zip(leaves, saved):
             t.requires_grad = flag
-
-
-# inside fixed_weights(): (id(a), id(b)) -> (a, b, weight_product(a, b)), holding
-# a and b so their ids are not reused while the entry lives
-_folds: Optional[dict] = None
-
-
-@contextmanager
-def fixed_weights():
-    """No weight changes inside the block, so :func:`weight_product` forms each
-    product of two tensors that need no gradient once and returns it again for
-    the same pair.  Every product is dropped on exit, also when the block raises."""
-    global _folds
-    _folds = {}
-    try:
-        yield
-    finally:
-        _folds = None
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +265,6 @@ ADD = Primitive(
 )
 
 
-def _fw_sub(a, b):
-    _check_same_dtype("sub", a, b)
-    return a - b
-
-
-SUB = Primitive(
-    "sub",
-    _fw_sub,
-    lambda g, out, a, b, needs: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-)
-
-
 def _fw_mul(a, b):
     _check_same_dtype("mul", a, b)
     return a * b
@@ -311,12 +282,20 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return apply(ADD, a, b)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return apply(SUB, a, b)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return apply(MUL, a, b)
+
+
+def dropout(x: Tensor, rate: float, rng: Rng, training: bool) -> Tensor:
+    """Inverted dropout: zero with probability ``rate``, scale survivors by
+    1/(1-rate), as a product with that constant mask.  Inference mode returns
+    the input unchanged and draws nothing from ``rng``."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if not training or rate == 0.0:
+        return x
+    keep = (rng.uniform(x.shape) >= rate).astype(x.dtype)
+    return x * Tensor(keep * x.dtype.type(1.0 / (1.0 - rate)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +346,12 @@ WEIGHT_PRODUCT = Primitive("weight_product", _fw_weight_product, _vjp_weight_pro
 def weight_product(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product ``a @ b`` of two weights, a (I, J) and b (J, O), or both stacked
     on a leading expert axis, (E, I, J) and (E, J, O).  The forward accumulates in
-    float64 and rounds once to the weights' dtype; the VJP runs in that dtype.
-    Inside :func:`fixed_weights` a product that needs no gradient is formed once."""
+    float64 and rounds once to the weights' dtype; the VJP runs in that dtype."""
     a_s, b_s = a.shape, b.shape
     if len(a_s) not in (2, 3) or len(b_s) != len(a_s) or a_s[:-2] != b_s[:-2] or a_s[-1] != b_s[-2]:
         raise ValueError(f"weight_product: a {a_s} @ b {b_s} "
                          "do not fit (I, J) @ (J, O), nor with a leading expert axis")
-    if _folds is None or a.requires_grad or b.requires_grad:
-        return apply(WEIGHT_PRODUCT, a, b)
-    key = (id(a), id(b))
-    if key not in _folds:
-        _folds[key] = (a, b, apply(WEIGHT_PRODUCT, a, b))
-    return _folds[key][2]
+    return apply(WEIGHT_PRODUCT, a, b)
 
 
 def _to_rows(x, rows, axis=0):
@@ -785,36 +758,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     if training:
         return apply(BATCH_NORM, x, gamma, beta, state=state)
     shape = x.shape[:-2] + (1, x.shape[-1])
-    rm = Tensor(state.running_mean.reshape(shape).astype(x.dtype))
+    neg_mean = Tensor(-state.running_mean.reshape(shape).astype(x.dtype))  # x + (-m) is x - m
     inv = Tensor((1.0 / np.sqrt(state.running_var + BATCH_NORM_EPS)).reshape(shape).astype(x.dtype))
     if x.ndim == 3:  # per-expert parameters, (E, F), broadcast over each expert's batch
         gamma, beta = gamma.reshape(shape), beta.reshape(shape)
-    return (x - rm) * inv * gamma + beta
+    return (x + neg_mean) * inv * gamma + beta
 
-
-# ---------------------------------------------------------------------------
-# dropout
-# ---------------------------------------------------------------------------
-
-
-def _fw_dropout(a, *, mask, scale):
-    return a * mask * scale
-
-
-DROPOUT = Primitive(
-    "dropout",
-    _fw_dropout,
-    lambda g, out, a, *, mask, scale, needs: (g * mask * scale,),
-)
-
-
-def dropout(x: Tensor, rate: float, rng: Rng, training: bool) -> Tensor:
-    """Inverted dropout: zero with probability ``rate``, scale survivors by
-    1/(1-rate).  Inference mode returns the input unchanged and draws
-    nothing from ``rng``."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    keep = (rng.uniform(x.shape) >= rate).astype(x.dtype)
-    return apply(DROPOUT, x, mask=keep, scale=x.dtype.type(1.0 / (1.0 - rate)))

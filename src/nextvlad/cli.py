@@ -110,8 +110,6 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset = _read_dataset(args.dataset)
     eval_dataset = _read_dataset(args.eval_dataset) if args.eval_dataset else None
 
@@ -132,6 +130,8 @@ def cmd_train(args) -> int:
     train_cfg = cfgmod.train_config_from(cfg)
     gap_source = eval_dataset if eval_dataset is not None else dataset
     max_frames = cfgmod.batch_max_frames(cfg, dataset, gap_source)
+    out_dir = Path(args.out)  # made once the run is accepted; a run failing in training leaves it empty
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = None
     try:  # frames or weights so large that the float32 step overflows: nothing is written
         with np.errstate(over="raise", invalid="raise"):

@@ -25,6 +25,7 @@ from .losses import LossConfig, bce_loss, total_loss
 from .metrics import MAX_PREDICTIONS, PredictionSet, gap_at_20, topk_predictions
 from .model import MixtureParams, ModelParams, mixture_forward, model_forward
 from .rng import Rng, derive_seed
+from .vlad import fixed_weights
 
 TAG_INIT = 0x1A17
 TAG_SHUFFLE = 0x5AFF
@@ -189,7 +190,7 @@ def predict(params, dataset: Dataset, max_frames: int, batch_size: int = 64) -> 
         raise ValueError(f"predict: batch_size must be >= 1, got {batch_size}")
     preds = PredictionSet()
     k = min(MAX_PREDICTIONS, dataset.num_classes)
-    with ad.fixed_weights():  # NeXtVLAD's folded assignment weights, formed once per pass
+    with fixed_weights():  # each stream's assignment weights and bias, formed once per pass
         for start in range(0, len(dataset.records), batch_size):
             chunk = dataset.records[start:start + batch_size]
             n = len(chunk)

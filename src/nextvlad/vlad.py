@@ -12,14 +12,14 @@ by the model to the concatenated descriptors of all streams.
 
 Both run every frame-level op on a batch's valid frames alone, packed in
 video order (:class:`FrameBatchView`), and pass the frames, their assignment
-weights and bias, the attention gate and the features to sum to one kernel,
-``ad.residual_aggregate``.  It forms the assignment logits with one GEMM laid
-out rows-last, W^T X^T + b shaped (G, K, T), takes the softmax over clusters
-in place there, and scatters the gated softmax from that layout to the padded
-(B, M) grid, the one place a video's rows are laid out on it, for the gated
-residual sum; then the layers intra-normalize with ``ad.l2_normalize``.
-NetVLAD, one group without attention, passes its transposed assignment
-weights and a gate of ones.
+weights and bias (:func:`assignment_weights`), the attention gate and the
+features to sum to one kernel, ``ad.residual_aggregate``.  It forms the
+assignment logits with one GEMM laid out rows-last, W^T X^T + b shaped
+(G, K, T), takes the softmax over clusters in place there, and scatters the
+gated softmax from that layout to the padded (B, M) grid, the one place a
+video's rows are laid out on it, for the gated residual sum; then the layers
+intra-normalize with ``ad.l2_normalize``.  NetVLAD, one group without
+attention, passes its transposed assignment weights and a gate of ones.
 
 NeXtVLAD's assignment logits are linear in the expanded frames, so they are
 read from the frames themselves: x (W_e W_a) + (b_e W_a + b_a), a T x N x GK
@@ -29,16 +29,16 @@ those of the paper's layer, unchanged.
 ``ad.weight_product`` sums W_e W_a in float64 and rounds it once to float32.
 Summed in float32, the product would carry its own rounding error into every
 logit: that moved the float32 NeXtVLAD from 8.2e-7 to 1.3e-6 away from the
-loop reference, past the 1e-6 that acceptance criterion 3 allows.  The fold
-is formed once per training step, in its graph, and once per scoring pass:
-``predict`` scores inside ``ad.fixed_weights``, which reuses the product for
-every batch of the pass.
+loop reference, past the 1e-6 that acceptance criterion 3 allows.  Each
+core's assignment weights and bias are formed once per training step, in its
+graph, and once per scoring pass: ``predict`` scores inside :func:`fixed_weights`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -332,11 +332,10 @@ def netvlad_aggregate(view: FrameBatchView, core: NetVladCore) -> Tensor:
     """Residual aggregation of valid frames, pre-normalization: (B, K, N), or
     (E, B, K, N) for a core stacked on an expert axis."""
     t, n = view.frames.shape
-    w = core.assign_w  # (K, N), or (E, K, N) on an expert axis
-    if n != w.shape[-1]:
-        raise ValueError(f"frame dim {n} != assignment dim {w.shape[-1]}")
-    return ad.residual_aggregate(view.frames, ad.transpose(w, (0, 2, 1) if w.ndim == 3 else (1, 0)),
-                                 core.assign_b, view.frames.reshape((t, 1, n)), core.anchors,
+    if n != core.assign_w.shape[-1]:
+        raise ValueError(f"frame dim {n} != assignment dim {core.assign_w.shape[-1]}")
+    w, b = assignment_weights(core)
+    return ad.residual_aggregate(view.frames, w, b, view.frames.reshape((t, 1, n)), core.anchors,
                                  Tensor(np.ones((t, 1), view.frames.dtype)), view.lengths, view.max_frames)
 
 
@@ -363,13 +362,42 @@ def nextvlad_aggregate(view: FrameBatchView, core: NeXtVladCore) -> Tensor:
                                  attn, view.lengths, view.max_frames)
 
 
-def assignment_weights(core: NeXtVladCore) -> tuple[Tensor, Tensor]:
-    """The assignment of the expanded frames folded through the expansion, to be read
-    from the frames (T, N): W_e W_a (..., N, G*K) and b_e W_a + b_a (..., G*K)."""
-    lead = core.expand_b.shape[:-1]  # () or (E,)
-    expand_b = core.expand_b.reshape(lead + (1, -1))
-    bias = ad.affine(expand_b, core.assign_w, core.assign_b).reshape(core.assign_b.shape)
-    return ad.weight_product(core.expand_w, core.assign_w), bias
+# inside fixed_weights(): the tensors a pair is formed from, compared by identity -> the pair
+_pairs: Optional[dict] = None
+
+
+@contextmanager
+def fixed_weights():
+    """No weight changes inside the block, so :func:`assignment_weights` forms each
+    core's pair once and hands it back for every batch.  Every pair is dropped on
+    exit, also when the block raises."""
+    global _pairs
+    _pairs = {}
+    try:
+        yield
+    finally:
+        _pairs = None
+
+
+def assignment_weights(core: VladCore) -> tuple[Tensor, Tensor]:
+    """The assignment weights and bias both aggregates hand to ``ad.residual_aggregate``, read
+    from the frames (T, N): NetVLAD's transposed W_a (..., N, K) and b_a; NeXtVLAD's W_e W_a
+    (..., N, G*K) and b_e W_a + b_a (..., G*K), folded through the expansion.  Inside
+    :func:`fixed_weights` a pair that needs no gradient is formed once."""
+    net = isinstance(core, NetVladCore)
+    reads = (core.assign_w, core.assign_b) if net else (core.expand_w, core.expand_b, core.assign_w, core.assign_b)
+    fixed = _pairs is not None and not any(t.requires_grad for t in reads)
+    if fixed and reads in _pairs:
+        return _pairs[reads]
+    if net:  # (K, N), or (E, K, N) on an expert axis
+        pair = ad.transpose(core.assign_w, (0, 2, 1) if core.assign_w.ndim == 3 else (1, 0)), core.assign_b
+    else:
+        expand_b = core.expand_b.reshape(core.expand_b.shape[:-1] + (1, -1))  # (1, lamN) or (E, 1, lamN)
+        bias = ad.affine(expand_b, core.assign_w, core.assign_b).reshape(core.assign_b.shape)
+        pair = ad.weight_product(core.expand_w, core.assign_w), bias
+    if fixed:
+        _pairs[reads] = pair
+    return pair
 
 
 def nextvlad_descriptor(view: FrameBatchView, core: NeXtVladCore) -> Tensor:

@@ -95,6 +95,8 @@ def test_dtype_mismatch_rejected():
         ad.affine(a, b, Tensor(np.zeros(2)))
     with pytest.raises(TypeError):
         a + b
+    with pytest.raises(TypeError, match="float32.*float64"):
+        a - b
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +380,55 @@ def test_dropout_survivor_fraction():
     survivors = np.count_nonzero(out) / n
     assert abs(survivors - 0.5) < 0.002
     assert np.allclose(out[out != 0], 2.0)  # inverted scaling
+
+
+# the primitives that ``a - b`` and dropout were before they were composed from add and mul,
+# kept as oracles: forward and VJP
+
+def sub_oracle(a, b, g):
+    return a - b, (ad._unbroadcast(g, a.shape), ad._unbroadcast(-g, b.shape))
+
+
+def dropout_oracle(a, mask, scale, g):
+    return a * mask * scale, g * mask * scale
+
+
+def special(rng, shape, dtype, first):
+    """Normals, the first places replaced by the values ``first``."""
+    x = np.array(rng.normal(shape), dtype=dtype).reshape(-1)
+    x[:len(first)] = first[:x.size]
+    return x.reshape(shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("a_shape, b_shape", [((3, 4), (3, 4)), ((3, 4), (4,)), ((3, 4), (3, 1)),
+                                              ((3, 4), ()), ((4,), (3, 4))])
+def test_composed_sub_matches_the_removed_primitive_bit_for_bit(dtype, a_shape, b_shape):
+    rng = Rng(47)
+    a = special(rng, a_shape, dtype, [0.0, -0.0, np.inf, -np.inf, 0.0, -0.0])
+    b = special(rng, b_shape, dtype, [0.0, -0.0, 0.0, 0.0, -0.0, 0.0])  # every pair of signed zeros
+    g = rng.normal(np.broadcast_shapes(a_shape, b_shape)).astype(dtype)
+    ta, tb = Tensor(a), Tensor(b)
+    with ad.differentiating([ta, tb]):
+        out = ta - tb
+        grads = out.backward(g)
+    want, (da, db) = sub_oracle(a, b, g)
+    for got, ref in ((out.data, want), (grads[ta], da), (grads[tb], db)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_composed_dropout_matches_the_removed_primitive_bit_for_bit(dtype):
+    rng = Rng(48)
+    x, g = Tensor(special(rng, (6, 7), dtype, [0.0, -0.0, 1e30, -1e-30])), rng.normal((6, 7)).astype(dtype)
+    with ad.differentiating([x]):
+        out = ad.dropout(x, 0.3, Rng(5), training=True)
+        grad = out.backward(g)[x]
+    mask = (Rng(5).uniform(x.shape) >= 0.3).astype(dtype)
+    want, d_want = dropout_oracle(x.data, mask, dtype(1.0 / (1.0 - 0.3)), g)
+    assert 0 < mask.sum() < mask.size
+    for got, ref in ((out.data, want), (grad, d_want)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

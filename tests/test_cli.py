@@ -605,6 +605,18 @@ def test_dataset_without_videos_fails_naming_the_file(tmp_path, tiny_dataset, ca
     assert not (tmp_path / "p.csv").exists() and not (tmp_path / "fresh" / "config.txt").exists()
 
 
+def test_a_rejected_run_leaves_no_out_directory(tmp_path, tiny_dataset, capsys):
+    empty = tmp_path / "empty.fav"
+    empty.write_bytes(b"FAV1" + struct.pack("<5I", 1, 0, 8, 4, 4))
+    out = tmp_path / "run"
+    for dataset, extra, error in ((empty, [], "holds no videos"),
+                                  (tiny_dataset, ["--set", "data.noise_sigma=1"], "takes no config key"),
+                                  (tiny_dataset, ["--set", "train.base_lr=-1"], "train.base_lr")):
+        assert main(["train", "--dataset", str(dataset), "--out", str(out)] + extra + TINY) == 1
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("stream,value", [("visual", np.nan), ("audio", np.inf)])
 def test_non_finite_frame_fails_at_read_naming_file_and_video(tmp_path, tiny_dataset, capsys, stream, value):
     dataset = read_dataset(tiny_dataset)

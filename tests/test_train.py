@@ -1,6 +1,5 @@
 """Adam, LR schedule, the loop's determinism, scoring passes, and checkpoint round trips."""
 
-import dataclasses
 import struct
 
 import numpy as np
@@ -32,7 +31,7 @@ from nextvlad.train import (
     save_checkpoint,
     train_loop,
 )
-from nextvlad.vlad import NetVladConfig, NeXtVladConfig
+from nextvlad.vlad import NetVladConfig, NeXtVladConfig, fixed_weights
 
 
 def desk_dataset(seed=90, videos=48):
@@ -360,15 +359,17 @@ def assert_same_bytes(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def counted_weight_products(monkeypatch) -> list:
-    """Swaps in a ``WEIGHT_PRODUCT`` whose forward records its left operand's shape, once a call."""
-    calls = []
+def pair_forms(monkeypatch, params) -> list:
+    """Swaps in an ``ad.apply`` that records (op, walk name) for each op reading an assignment
+    weight W_a: the ops that form the (w, b) pairs the aggregates hand to the kernel."""
+    names = {id(t): name for name, t in params.named_parameters().items() if name.endswith(".assign_w")}
+    forms, apply = [], ad.apply
 
-    def forward(a, b):
-        calls.append(a.shape)
-        return ad._fw_weight_product(a, b)
-    monkeypatch.setattr(ad, "WEIGHT_PRODUCT", dataclasses.replace(ad.WEIGHT_PRODUCT, forward=forward))
-    return calls
+    def recording(prim, *inputs, **kw):
+        forms.extend((prim.name, names[id(t)]) for t in inputs if id(t) in names)
+        return apply(prim, *inputs, **kw)
+    monkeypatch.setattr(ad, "apply", recording)
+    return forms
 
 
 @pytest.mark.parametrize("kind", sorted(SCORED_MODELS))
@@ -423,17 +424,22 @@ def test_shards_scored_apart_join_to_the_whole_pass(kind):
         assert_same_bytes([np.concatenate(parts) for parts in zip(*shards)], whole)
 
 
-@pytest.mark.parametrize("kind", ["nextvlad", "mixture"])
-def test_weight_product_is_formed_once_per_stream_per_pass(monkeypatch, kind):
-    ds = desk_dataset(videos=44)
+@pytest.mark.parametrize("kind", sorted(SCORED_MODELS))
+def test_a_pass_forms_each_streams_assignment_pair_once(monkeypatch, kind):
+    ds = desk_dataset(videos=44)  # batches of 16, 16 and 12
     params = SCORED_MODELS[kind]()
-    calls = counted_weight_products(monkeypatch)
+    forms = pair_forms(monkeypatch, params)
     scored(params, ds)
-    assert len(set(calls)) == len(calls) == 2  # video and audio; a mixture stacks its experts' weights
+    streams = {name for _, name in forms}
+    assert len(streams) == 2  # video and audio; a mixture stacks its experts' weights
+    # NetVLAD transposes W_a; NeXtVLAD forms the fold W_e W_a and its bias b_e W_a + b_a
+    ops = ["transpose"] if kind == "netvlad" else ["affine", "weight_product"]
+    once = sorted((op, name) for op in ops for name in streams)
+    assert sorted(forms) == once
     scored(params, ds)
-    assert len(calls) == 4
+    assert sorted(forms) == sorted(once * 2)
     scored_per_batch(params, ds)
-    assert len(calls) == 4 + 2 * 3  # outside a pass every batch forms its own
+    assert sorted(forms) == sorted(once * (2 + 3))  # outside a pass every batch forms its own
 
 
 def test_a_training_step_between_passes_leaves_no_stale_fold():
@@ -458,8 +464,8 @@ def test_differentiating_inside_a_pass_reaches_the_folded_weights():
         return {name: grads[t] for name, t in named.items()}
 
     outside = gradients()
-    with ad.fixed_weights():
-        predict_logits(params, batch)  # forms the folds a reuse would hand back
+    with fixed_weights():
+        predict_logits(params, batch)  # forms the pairs a reuse would hand back
         inside = gradients()
     assert sum(name.endswith((".expand_w", ".assign_w")) for name in named) == 4  # both streams' folds
     assert_same_bytes([inside[name] for name in named], [outside[name] for name in named])
@@ -471,11 +477,11 @@ def test_a_pass_that_raises_leaves_no_scope_active(monkeypatch):
     ds.records[-1].visual[0, 0] = np.nan  # a view of the store: the pass's last batch raises
     with pytest.raises(ValueError, match="NaN"):
         predict(params, ds, 5, 16)
-    calls = counted_weight_products(monkeypatch)
+    forms = pair_forms(monkeypatch, params)
     batch = make_batch(ds.rows(range(16)), 5, ds.num_classes)
     predict_logits(params, batch)
     predict_logits(params, batch)
-    assert len(calls) == 4
+    assert len(forms) == 2 * 2 * 2  # two batches, two streams, a weight product and a bias each
 
 
 # ---------------------------------------------------------------------------
