@@ -68,6 +68,12 @@ BATCHLESS_TESTS = (
     "tests/test_train.py::test_a_videos_scores_do_not_depend_on_its_batch",
     "tests/test_train.py::test_shards_scored_apart_join_to_the_whole_pass",
 )
+PIECE_TESTS = ("tests/test_train.py::test_a_pass_in_pieces_of_whole_blocks_matches_a_per_block_loop",)
+METRICS = "src/nextvlad/metrics.py"
+CHUNK_TESTS = (
+    "tests/test_metrics.py::test_a_block_split_over_chunks_gives_the_columns_of_one_table",
+    "tests/test_metrics.py::test_a_block_checked_in_chunks_is_rejected_as_one_table",
+)
 BATCH_TESTS = (
     "tests/test_data.py::test_gathered_batches_match_per_record_padding",
     "tests/test_data.py::test_non_finite_frame_is_found_once_and_counted_within_max_frames",
@@ -308,6 +314,25 @@ MUTANTS = [
     Mutant("predict scores its last batch unpadded", TRAIN,
            "rows = np.minimum(np.arange(start, start + batch_size), start + n - 1)",
            "rows = np.arange(start, start + n)", BATCHLESS_TESTS),
+    # a pass scored in pieces of whole blocks, each appended once
+    Mutant("predict drops its last partial piece", TRAIN,
+           "for lo in range(0, len(records), per_piece):",
+           "for lo in range(0, len(records) - len(records) % per_piece, per_piece):", PIECE_TESTS),
+    Mutant("a piece is as many videos as fit the table, not whole blocks", TRAIN,
+           "per_piece = batch_size * max(1, TABLE_PAIRS // (batch_size * dataset.num_classes))",
+           "per_piece = max(1, TABLE_PAIRS // dataset.num_classes)", PIECE_TESTS),
+    # append's tables over chunks of videos, every chunk checked before any is stored
+    Mutant("append's chunks one row over the table bound", METRICS,
+           "step = max(1, TABLE_PAIRS // width)", "step = max(1, TABLE_PAIRS // width) + 1", CHUNK_TESTS),
+    Mutant("append's chunk ends one row early", METRICS,
+           "hi = min(lo + step, len(ids))", "hi = min(lo + step - 1, len(ids))", CHUNK_TESTS),
+    Mutant("append stores each chunk before the next is checked", METRICS,
+           "            ))\n        bad = np.flatnonzero(~np.isfinite(confs))",
+           "            ))\n            self._blocks.append(parts.pop())\n"
+           "        bad = np.flatnonzero(~np.isfinite(confs))", CHUNK_TESTS),
+    Mutant("top-k ties broken by an unstable sort", METRICS,
+           'np.argsort(-scores, axis=-1, kind="stable")', "np.argsort(-scores, axis=-1)",
+           ("tests/test_metrics.py::test_topk_breaks_ties_by_ascending_class_id",)),
     # a checkpoint shape numpy cannot form, and a closed stdout
     Mutant("an unformable checkpoint shape left to numpy's message", TRAIN,
            "            except ValueError:\n", "            except ZeroDivisionError:\n",

@@ -23,6 +23,7 @@ import numpy as np
 from .data import atomic_write
 
 MAX_PREDICTIONS = 20
+TABLE_PAIRS = 1 << 20  # (video, class) pairs in one table: `append`'s chunks, `predict`'s pieces
 
 
 class Columns(NamedTuple):
@@ -47,9 +48,9 @@ class PredictionSet:
 
     Stored as flat arrays (see ``Columns``), appended one block of videos at
     a time.  At most 20 predictions per video; duplicate video ids, duplicate
-    (video, class) pairs, negative class ids or true labels and non-finite
-    confidences are rejected, naming the video, and a rejected block leaves
-    the set unchanged.
+    (video, class) pairs, negative class ids or true labels, ones from
+    ``TABLE_PAIRS`` up, and non-finite confidences are rejected, naming the
+    video, and a rejected block leaves the set unchanged.
     """
 
     def __init__(self):
@@ -85,31 +86,41 @@ class PredictionSet:
             if values.size and values.min() < 0:
                 i = np.argmin(values)
                 raise ValueError(f"{ids[rows[i]]!r}: {what} {values[i]}")
-        # (video, class) pairs as one integer each, and tables over all of the
-        # block's pairs, the size of its (B, C) multi-hot label matrix
+        for rows, values, what in ((label_rows, label_cls, "true label"), (pred_rows, classes, "class id")):
+            if values.size and values.max() >= TABLE_PAIRS:  # its video's row fits no table
+                i = np.argmax(values)
+                raise ValueError(f"{ids[rows[i]]!r}: {what} {values[i]} exceeds {TABLE_PAIRS - 1}, "
+                                 f"the largest one table holds")
+        # (video, class) pairs as one integer each, checked and flagged in tables over
+        # chunks of videos, each the size of the chunk's multi-hot label matrix and at
+        # most TABLE_PAIRS entries; every chunk is checked before any is stored
         width = 1 + max(label_cls.max(initial=0), classes.max(initial=0))
-        pred_keys = pred_rows * width + classes
-        repeated = np.flatnonzero(np.bincount(pred_keys, minlength=len(ids) * width) > 1)
-        if repeated.size:
-            row, cls = divmod(int(repeated[0]), width)
-            raise ValueError(f"{ids[row]!r}: duplicate prediction for class {cls}")
+        step = max(1, TABLE_PAIRS // width)
+        first, parts = len(self.video_ids), []
+        for lo in range(0, len(ids), step):
+            hi = min(lo + step, len(ids))
+            p, q = (slice(*np.searchsorted(r, (lo, hi))) for r in (pred_rows, label_rows))
+            pred_keys = (pred_rows[p] - lo) * width + classes[p]
+            repeated = np.flatnonzero(np.bincount(pred_keys, minlength=(hi - lo) * width) > 1)
+            if repeated.size:
+                row, cls = divmod(int(repeated[0]), width)
+                raise ValueError(f"{ids[lo + row]!r}: duplicate prediction for class {cls}")
+            is_label = np.zeros((hi - lo) * width, dtype=bool)
+            is_label[(label_rows[q] - lo) * width + label_cls[q]] = True  # a repeated label counts once
+            label_keys = np.flatnonzero(is_label)
+            parts.append(Columns(
+                video=pred_rows[p] + first,
+                cls=classes[p],
+                conf=confs[p],
+                hit=is_label[pred_keys],
+                label_video=label_keys // width + (first + lo),
+                label_cls=label_keys % width,
+            ))
         bad = np.flatnonzero(~np.isfinite(confs))
         if bad.size:
             raise ValueError(f"{ids[pred_rows[bad[0]]]!r}: non-finite confidence for class "
                              f"{classes[bad[0]]}")
-
-        is_label = np.zeros(len(ids) * width, dtype=bool)
-        is_label[label_rows * width + label_cls] = True  # a repeated label counts once
-        label_keys = np.flatnonzero(is_label)
-        first = len(self.video_ids)
-        self._blocks.append(Columns(
-            video=pred_rows + first,
-            cls=classes,
-            conf=confs,
-            hit=is_label[pred_keys],
-            label_video=label_keys // width + first,
-            label_cls=label_keys % width,
-        ))
+        self._blocks.extend(parts)
         self.video_ids.extend(ids)
         self._ids |= block_ids
 

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset, _Reader, atomic_write, make_batch
 from .losses import LossConfig, bce_loss, total_loss
-from .metrics import MAX_PREDICTIONS, PredictionSet, gap_at_20, topk_predictions
+from .metrics import MAX_PREDICTIONS, TABLE_PAIRS, PredictionSet, gap_at_20, topk_predictions
 from .model import MixtureParams, ModelParams, mixture_forward, model_forward
 from .rng import Rng, derive_seed
 from .vlad import fixed_weights
@@ -185,20 +185,25 @@ def predict_logits(params, batch) -> Tensor:
 def predict(params, dataset: Dataset, max_frames: int, batch_size: int = 64) -> PredictionSet:
     """Top-20 sigmoid scores of every video, inference mode, in dataset order, in blocks of
     ``batch_size`` rows, the last padded with copies of its last video: every GEMM sees one row
-    count, so a video's scores depend only on the video, the weights and the block size."""
+    count, so a video's scores depend only on the video, the weights and the block size.  Top-k
+    and the append run once per piece: the most whole blocks whose scores fit ``TABLE_PAIRS``."""
     if batch_size < 1:
         raise ValueError(f"predict: batch_size must be >= 1, got {batch_size}")
     preds = PredictionSet()
+    records = dataset.records
     k = min(MAX_PREDICTIONS, dataset.num_classes)
+    per_piece = batch_size * max(1, TABLE_PAIRS // (batch_size * dataset.num_classes))
     with fixed_weights():  # each stream's assignment weights and bias, formed once per pass
-        for start in range(0, len(dataset.records), batch_size):
-            chunk = dataset.records[start:start + batch_size]
-            n = len(chunk)
-            rows = np.minimum(np.arange(start, start + batch_size), start + n - 1)
-            batch = make_batch(dataset.rows(rows), max_frames, dataset.num_classes)
-            scores = ad.sigmoid(predict_logits(params, batch)).data[:n]
-            classes, confs = topk_predictions(scores, k)
-            preds.append(batch.video_ids[:n], [r.labels for r in chunk], k, classes.reshape(-1), confs.reshape(-1))
+        for lo in range(0, len(records), per_piece):
+            piece, scores = records[lo:lo + per_piece], []
+            for start in range(lo, lo + len(piece), batch_size):
+                n = min(batch_size, len(records) - start)
+                rows = np.minimum(np.arange(start, start + batch_size), start + n - 1)
+                batch = make_batch(dataset.rows(rows), max_frames, dataset.num_classes)
+                scores.append(ad.sigmoid(predict_logits(params, batch)).data[:n])
+            classes, confs = topk_predictions(np.concatenate(scores), k)
+            preds.append([r.video_id for r in piece], [r.labels for r in piece], k,
+                         classes.reshape(-1), confs.reshape(-1))
     return preds
 
 

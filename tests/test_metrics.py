@@ -1,10 +1,13 @@
 """GAP@20 against brute force, top-k selection, prediction CSV round trip."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nextvlad import metrics
 from nextvlad.metrics import (
+    MAX_PREDICTIONS,
     PredictionSet,
     gap_at_20,
     gap_reference,
@@ -83,7 +86,7 @@ def test_rows_added_one_by_one_equal_one_block():
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("ids, counts, classes, confs, match", [
+BAD_BLOCKS = [
     (["a", "b", "a"], 2, [0, 1] * 3, [0.5, 0.4] * 3, "duplicate video id 'a'"),
     (["x", "b", "c"], 2, [0, 1] * 3, [0.5, 0.4] * 3, "duplicate video id 'x'"),
     (["a", "b", "c"], [1, 2, 1], [0, 2, 2, 1], [0.5] * 4, "'b': duplicate prediction for class 2"),
@@ -91,7 +94,11 @@ def test_rows_added_one_by_one_equal_one_block():
      "'c': non-finite confidence for class 1"),
     (["a", "b", "c"], [0, 2, 1], [3, -1, 0], [0.5] * 3, "'b': negative class id -1"),
     (["a", "b", "c"], [1, 21, 0], list(range(22)), [0.5] * 22, "'b': 21 predictions exceeds 20"),
-])
+    (["a", "b", "c"], 2, [0, 1, 2, 2, 0, 1], [np.nan] + [0.5] * 5, "'b': duplicate prediction for class 2"),
+]
+
+
+@pytest.mark.parametrize("ids, counts, classes, confs, match", BAD_BLOCKS)
 def test_block_append_rejects_bad_rows_naming_the_video(ids, counts, classes, confs, match):
     preds = PredictionSet()
     preds.add_video("x", [0], [(0, 0.9)])
@@ -106,6 +113,68 @@ def test_block_append_rejects_bad_rows_naming_the_video(ids, counts, classes, co
         [0, 1, 1, 3], [0, 0, 1, 2], [0.9, 0.5, 0.4, 0.3])
     assert (col.label_video.tolist(), col.label_cls.tolist()) == ([0, 1, 2, 3], [0, 0, 1, 2])
     assert preds.total_true_labels() == 4
+
+
+@pytest.mark.parametrize("ids, counts, classes, confs, match", BAD_BLOCKS)
+def test_a_block_checked_in_chunks_is_rejected_as_one_table(monkeypatch, ids, counts, classes, confs,
+                                                            match):
+    # class ids 0-2: one video a chunk, so 'b' is the second chunk and 'c' the last
+    monkeypatch.setattr(metrics, "TABLE_PAIRS", 3)
+    test_block_append_rejects_bad_rows_naming_the_video(ids, counts, classes, confs, match)
+
+
+@pytest.mark.parametrize("table_pairs", [12, 53, 360])  # chunks of 1, 4 and all 30 videos
+def test_a_block_split_over_chunks_gives_the_columns_of_one_table(monkeypatch, table_pairs):
+    rng = Rng(66)
+    scores = tie_heavy_scores(rng, 30, 12)
+    labels = [rng.choice_without_replacement(12, 1 + int(rng.integers(1, 4)[0])).tolist() for _ in range(30)]
+    ids = [f"v{i}" for i in range(30)]
+    whole = prediction_set_from_scores(ids, labels, scores, k=7).columns()
+    tables, bincount = [], np.bincount
+
+    def recording(keys, minlength=0):
+        tables.append(minlength)
+        return bincount(keys, minlength=minlength)
+    monkeypatch.setattr(metrics, "TABLE_PAIRS", table_pairs)
+    monkeypatch.setattr(np, "bincount", recording)
+    chunked = prediction_set_from_scores(ids, labels, scores, k=7).columns()
+    monkeypatch.undo()
+    for a, b in zip(chunked, whole, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # every table holds as many whole videos' rows (12 classes each) as fit the bound
+    assert tables == [min(table_pairs // 12, 30 - lo) * 12 for lo in range(0, 30, table_pairs // 12)]
+
+
+def test_appending_a_large_block_keeps_its_tables_bounded():
+    # 5000 videos of 3862 classes: one table over the block peaked at 168 MiB
+    videos, classes = 5000, 3862
+    rng = np.random.default_rng(67)
+    ids = [f"v{i}" for i in range(videos)]
+    # distinct classes per video: a random start plus fixed strides, wrapped
+    labels = list((rng.integers(0, classes, (videos, 1)) + np.arange(3) * 1000) % classes)
+    top = ((rng.integers(0, classes, (videos, 1)) + np.arange(MAX_PREDICTIONS) * 193) % classes).reshape(-1)
+    confs = rng.random(top.size)
+    tracemalloc.start()
+    try:
+        PredictionSet().append(ids, labels, MAX_PREDICTIONS, top, confs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("labels, predictions, match", [
+    ([0], [(10 ** 9, 0.5), (1, 0.4)], "'v': class id 1000000000 exceeds 1048575"),
+    ([0], [(1, 0.4), (2 ** 62, 0.5)], f"'v': class id {2 ** 62} exceeds 1048575"),
+    ([2 ** 40], [(1, 0.4)], f"'v': true label {2 ** 40} exceeds 1048575"),
+])
+def test_a_class_id_too_large_for_one_table_names_the_video(labels, predictions, match):
+    # numpy failed to allocate 7.45 GiB for the first, and the second named no video
+    preds = PredictionSet()
+    preds.add_video("u", [0], [(0, 0.5)])
+    with pytest.raises(ValueError, match=match):
+        preds.add_video("v", labels, predictions)
+    assert preds.video_ids == ["u"] and gap_at_20(preds) == 1.0
 
 
 def test_invariant_under_monotone_confidence_transforms():
@@ -212,6 +281,16 @@ def test_topk_matches_full_sort():
     for row in range(8):
         full = sorted(range(30), key=lambda c: (-scores[row, c], c))
         assert classes[row].tolist() == full[:10]
+
+
+def test_topk_breaks_ties_by_ascending_class_id():
+    # rows of 30 scores from 3 values: numpy's default sort orders the ties otherwise
+    scores = tie_heavy_scores(Rng(62), 50, 30)
+    classes, confs = topk_predictions(scores, 10)
+    for row in range(50):
+        full = sorted(range(30), key=lambda c: (-scores[row, c], c))
+        assert classes[row].tolist() == full[:10]
+        assert confs[row].tolist() == scores[row, full[:10]].tolist()
 
 
 def test_topk_validation():

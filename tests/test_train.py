@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from nextvlad import autodiff as ad
+from nextvlad import train as trainmod
 from nextvlad.autodiff import Tensor
 from nextvlad.data import Dataset, SyntheticSpec, gen_synthetic, make_batch
 from nextvlad.losses import LossConfig, bce_loss
-from nextvlad.metrics import MAX_PREDICTIONS, topk_predictions
+from nextvlad.metrics import MAX_PREDICTIONS, PredictionSet, gap_at_20, topk_predictions, write_predictions_csv
 from nextvlad.model import Eigenvalues, MixtureParams, ModelConfig, ModelParams, model_forward
 from nextvlad.rng import Rng, derive_seed
 from nextvlad.train import (
@@ -377,6 +378,50 @@ def test_predict_matches_a_per_batch_loop(kind):
     ds = desk_dataset(videos=44)  # batches of 16, 16 and 12
     params = SCORED_MODELS[kind]()
     assert_same_bytes(scored(params, ds), scored_per_batch(params, ds))
+
+
+def predicted_per_block(params, dataset, max_frames, batch_size=64):
+    """``predict`` as a per-block loop, the oracle for its pieces: one top-k and one append
+    per block of ``batch_size`` rows, the last padded with its last video."""
+    preds = PredictionSet()
+    k = min(MAX_PREDICTIONS, dataset.num_classes)
+    with fixed_weights():
+        for start in range(0, len(dataset.records), batch_size):
+            chunk = dataset.records[start:start + batch_size]
+            n = len(chunk)
+            rows = np.minimum(np.arange(start, start + batch_size), start + n - 1)
+            batch = make_batch(dataset.rows(rows), max_frames, dataset.num_classes)
+            scores = ad.sigmoid(predict_logits(params, batch)).data[:n]
+            classes, confs = topk_predictions(scores, k)
+            preds.append(batch.video_ids[:n], [r.labels for r in chunk], k, classes.reshape(-1),
+                         confs.reshape(-1))
+    return preds
+
+
+def test_a_pass_in_pieces_of_whole_blocks_matches_a_per_block_loop(monkeypatch, tmp_path):
+    ds = gen_synthetic(SyntheticSpec(num_videos=300, num_classes=20, visual_dim=8, audio_dim=4,
+                                     frames_min=2, frames_max=5, noise_sigma=0.1, seed=91))
+    params = fresh_state(cfg=desk_model_config(num_classes=20)).params
+    want = predicted_per_block(params, ds, 5)
+    # 3000 pairs fit two 64-video blocks of 20 classes (2560), not three: pieces of
+    # 128, 128 and 44 videos; 3000 // 20 = 150 videos would split a block
+    monkeypatch.setattr(trainmod, "TABLE_PAIRS", 3000)
+    calls = []
+    for owner, name in ((trainmod, "predict_logits"), (trainmod, "topk_predictions"), (PredictionSet, "append")):
+        def counting(*args, _name=name, _original=getattr(owner, name)):
+            calls.append((_name, args))
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counting)
+    got = predict(params, ds, 5)
+    assert [len(args[1]) for name, args in calls if name == "append"] == [128, 128, 44]
+    assert [len(args[0]) for name, args in calls if name == "topk_predictions"] == [128, 128, 44]
+    # ceil(300 / 64) blocks: pieces split no block and pad no other
+    assert sum(name == "predict_logits" for name, _ in calls) == 5
+    assert_same_bytes(got.columns(), want.columns())
+    assert got.video_ids == want.video_ids and gap_at_20(got) == gap_at_20(want)
+    write_predictions_csv(got, tmp_path / "got.csv")
+    write_predictions_csv(want, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("batch_size", [0, -1])
